@@ -10,6 +10,7 @@ byte-identical files (rows are computed per k and sorted before writing).
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -19,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import potentials, separable, symmetry
-from .core import SMatrix, smatrix_from_transfer
+from .core import SMatrix, coefficients_from_amplitudes, smatrix_from_transfer
 from .errors import ScatteringError, TransferOverflow
-from .numeric import IntegrationConfig, numeric_coefficients, sampled_potential
+from .numeric import IntegrationConfig, integrate_batch, numeric_coefficients, sampled_potential
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -191,18 +192,21 @@ def cmd_compare(args) -> int:
     ks = _k_grid(args)
     cfg = IntegrationConfig(step=args.step)
 
-    def both(k):
-        return (problem.coefficients(k), numeric_coefficients(problem.potential, k, cfg))
-
-    results = _map_k(both, ks, args.parallel)
-    for k, _, err in results:
-        if err is not None:
-            print(f"solver error at k = {k}: {err}", file=sys.stderr)
-            return EXIT_SOLVER
+    analytic = _map_k(problem.coefficients, ks, args.parallel)
+    try:
+        amps = dict(zip(ks.tolist(), integrate_batch(problem.potential, ks, cfg)))
+        numeric = _map_k(lambda k: coefficients_from_amplitudes(amps[k]), ks, False)
+    except ScatteringError as exc:
+        numeric = [(ks[0] if exc.k is None else exc.k, None, exc)]
+    failed = [(k, err) for k, _, err in analytic + numeric if err is not None]
+    if failed:
+        k, err = min(failed, key=lambda t: t[0])
+        print(f"solver error at k = {k}: {err}", file=sys.stderr)
+        return EXIT_SOLVER
 
     names = ("t_lr", "r_lr", "t_rl", "r_rl")
     rows, rels = [], []
-    for k, (ca, cn), _ in results:
+    for (k, ca, _), (_, cn, _) in zip(analytic, numeric):
         entry = {"k": k}
         for name in names:
             a, n = getattr(ca, name), getattr(cn, name)
@@ -295,8 +299,13 @@ def cmd_lattice(args) -> int:
             nan = float("nan")
             return [n, k, nan, nan, nan, nan, nan, nan, 1]
         c = smatrix_from_transfer(m).to_coefficients()
-        return [n, k, abs(c.t_lr), abs(c.r_lr), abs(c.t_rl), abs(c.r_rl),
-                m.det.real, m.det.imag, 0]
+        det, abs_t_rl = m.det, abs(c.t_rl)
+        if not cmath.isfinite(det):
+            # the elementwise det overflows once |M| > ~1e154; the edge
+            # phases have unit det, so det M = det(T)^n, and T_rl = det M T_lr
+            det = potentials.lattice_tmatrix(p, k).det ** n
+            abs_t_rl = abs(det * c.t_lr)
+        return [n, k, abs(c.t_lr), abs(c.r_lr), abs_t_rl, abs(c.r_rl), det.real, det.imag, 0]
 
     rows = []
     for n in n_values:

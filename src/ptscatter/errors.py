@@ -2,7 +2,15 @@
 
 
 class ScatteringError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``k`` is the wave number a failure over a batch of k belongs to, or
+    None when the error does not single one out.
+    """
+
+    def __init__(self, *args, k: float | None = None):
+        super().__init__(*args)
+        self.k = k
 
 
 class DegenerateSolutions(ScatteringError):

@@ -6,6 +6,12 @@ propagated across it, and their plane-wave amplitudes are read off from
 (psi, psi') on the far side.  Fixed-step RK4 with steps aligned to
 potential discontinuities is the default; an adaptive mode built on
 scipy's DOP853 exists for potentials with sharp but smooth features.
+
+Each RK4 step is linear in (psi, psi'), so it is a 2x2 matrix per k.  The
+fixed-step mode samples V on the whole half-step grid in one call, builds
+the step matrices for a block of steps in one array pass, and composes
+them by pairwise products (prefix products when every node is recorded);
+the result is the per-step RK4 recursion up to rounding.
 """
 
 from __future__ import annotations
@@ -32,13 +38,16 @@ log = logging.getLogger(__name__)
 class LocalPotential:
     """Complex local potential with finite support [x_left, x_right].
 
-    ``evaluate`` maps a real x to complex V(x); outside the support |V|
-    must be below the integration config's decay tolerance.  Interior
+    ``evaluate`` maps real x to complex V(x).  It may receive an array of
+    positions and should then return V elementwise; ``sample`` passes it
+    whole grids that way and falls back to one call per point for a
+    callable that only accepts scalars.  Outside the support |V| must be
+    below the integration config's decay tolerance.  Interior
     discontinuities go into ``breakpoints`` so integration steps never
     straddle them.
     """
 
-    evaluate: Callable[[float], complex]
+    evaluate: Callable
     x_left: float
     x_right: float
     breakpoints: tuple = ()
@@ -46,6 +55,18 @@ class LocalPotential:
     def __post_init__(self):
         if not self.x_left < self.x_right:
             raise ValueError("x_left must be < x_right")
+
+    def sample(self, xs) -> np.ndarray:
+        """V at every position of ``xs`` as a complex array of the same shape."""
+        xs = np.asarray(xs, dtype=float)
+        try:
+            vals = np.asarray(self.evaluate(xs), dtype=complex)
+        except (TypeError, ValueError):
+            vals = None
+        if vals is None or vals.shape != xs.shape:
+            vals = np.array([self.evaluate(float(x)) for x in xs.ravel()],
+                            dtype=complex).reshape(xs.shape)
+        return vals
 
 
 @dataclass(frozen=True)
@@ -100,10 +121,11 @@ def _check_decay(v: LocalPotential, cfg: IntegrationConfig):
                 f"|V({x})| = {abs(v.evaluate(x)):.3e} >= decay_tol {cfg.decay_tol}")
 
 
-def _rk4_segment(psi, dpsi, w, h):
-    """One RK4 step for psi'' = w * psi, vectorised over solutions/k.
+def _rk4_increment(psi, dpsi, w, h):
+    """Change of (psi, psi') over one RK4 step for psi'' = w * psi.
 
-    ``w`` holds V - E at the step start, midpoint and end.
+    ``w`` holds V - E at the step start, midpoint and end; all arguments
+    broadcast, so one call covers many steps, solutions and k.
     """
     w0, w1, w2 = w
     k1p = dpsi
@@ -114,9 +136,75 @@ def _rk4_segment(psi, dpsi, w, h):
     k3d = w1 * (psi + (h / 2) * k2p)
     k4p = dpsi + h * k3d
     k4d = w2 * (psi + h * k3p)
-    psi = psi + (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p)
-    dpsi = dpsi + (h / 6) * (k1d + 2 * k2d + 2 * k3d + k4d)
-    return psi, dpsi
+    return (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p), (h / 6) * (k1d + 2 * k2d + 2 * k3d + k4d)
+
+
+#: steps x wave numbers per block of step matrices (bounds the block's memory)
+_BLOCK_SIZE = 4096
+
+
+def _step_grid(v: LocalPotential, cfg: IntegrationConfig):
+    """Width, end node and V at start/midpoint/end of every RK4 step.
+
+    Returns (h, x_end, vv) with vv of shape (3, nsteps); V is sampled on
+    the whole half-step grid in one ``sample`` call.
+    """
+    hs, ends, xs, starts = [], [], [], []
+    offset = 0
+    for a, c in _segments(v, cfg):
+        n = max(1, int(np.ceil((c - a) / cfg.step)))
+        h = (c - a) / n
+        # half-grid potential samples, nudged inside so one-sided values
+        # are used at the segment edges
+        nudge = 1e-9 * (c - a)
+        xs.append(np.clip(a + (h / 2) * np.arange(2 * n + 1), a + nudge, c - nudge))
+        hs.append(np.full(n, h))
+        ends.append(a + np.arange(1, n + 1) * h)
+        starts.append(offset + 2 * np.arange(n))
+        offset += 2 * n + 1
+    vv = v.sample(np.concatenate(xs))
+    i = np.concatenate(starts)
+    return np.concatenate(hs), np.concatenate(ends), np.stack([vv[i], vv[i + 1], vv[i + 2]])
+
+
+def _compose(b, a):
+    """(I + b)(I + a) - I for stacks of 2x2 matrices held as (2, 2, ...) arrays.
+
+    Step matrices are kept as their deviation from the identity: rounding
+    I + O(h) to double would repeat the same error at every step of a
+    constant stretch of V, where those errors add up coherently.  Written
+    out, since ``@`` on stacks of 2x2 matrices is ~30x slower.
+    """
+    out = a + b
+    out[0, 0] += b[0, 0] * a[0, 0] + b[0, 1] * a[1, 0]
+    out[0, 1] += b[0, 0] * a[0, 1] + b[0, 1] * a[1, 1]
+    out[1, 0] += b[1, 0] * a[0, 0] + b[1, 1] * a[1, 0]
+    out[1, 1] += b[1, 0] * a[0, 1] + b[1, 1] * a[1, 1]
+    return out
+
+
+def _product(d):
+    """Deviation from I of the product of all steps I + d[:, :, i] (latest leftmost).
+
+    Pairwise: each pass multiplies neighbouring pairs, halving the count.
+    """
+    while d.shape[2] > 1:
+        n = d.shape[2]
+        pairs = _compose(d[:, :, 1:n:2], d[:, :, 0:n - 1:2])
+        d = np.concatenate([pairs, d[:, :, n - 1:]], axis=2) if n % 2 else pairs
+    return d[:, :, 0]
+
+
+def _prefix_products(d):
+    """Deviations from I of the products of steps 0..i, for every i.
+
+    Hillis-Steele scan: pass j folds in the product ending 2^j steps back.
+    """
+    span = 1
+    while span < d.shape[2]:
+        d = np.concatenate([d[:, :, :span], _compose(d[:, :, span:], d[:, :, :-span])], axis=2)
+        span *= 2
+    return d
 
 
 def _propagate_rk4(v, ks, cfg, record):
@@ -131,25 +219,28 @@ def _propagate_rk4(v, ks, cfg, record):
     psi = np.stack([np.exp(1j * ks * x_start), np.exp(-1j * ks * x_start)])
     dpsi = np.stack([1j * ks * psi[0], -1j * ks * psi[1]])
 
-    nodes_x, nodes_psi, nodes_dpsi = [x_start], [psi], [dpsi]
-    for a, c in _segments(v, cfg):
-        n = max(1, int(np.ceil((c - a) / cfg.step)))
-        h = (c - a) / n
-        # half-grid potential samples, nudged inside so one-sided values
-        # are used at the segment edges
-        xs = a + (h / 2) * np.arange(2 * n + 1)
-        nudge = 1e-9 * (c - a)
-        xs_eval = np.clip(xs, a + nudge, c - nudge)
-        vv = np.array([v.evaluate(float(x)) for x in xs_eval], dtype=complex)
-        for m in range(n):
-            w = (vv[2 * m] - e, vv[2 * m + 1] - e, vv[2 * m + 2] - e)
-            psi, dpsi = _rk4_segment(psi, dpsi, w, h)
-            if record:
-                nodes_x.append(a + (m + 1) * h)
-                nodes_psi.append(psi)
-                nodes_dpsi.append(dpsi)
+    hs, ends, vv = _step_grid(v, cfg)
+    nodes_psi, nodes_dpsi = [psi[None]], [dpsi[None]]
+    block = max(1, _BLOCK_SIZE // len(ks))
+    for s in range(0, len(hs), block):
+        h = hs[s:s + block, None]
+        w = vv[:, s:s + block, None] - e
+        # the step's change of the unit vectors (1, 0) and (0, 1) gives the
+        # columns of d = (step matrix - I); d has shape (2, 2, steps, nk)
+        d = np.stack([np.stack(_rk4_increment(1.0, 0.0, w, h)),
+                      np.stack(_rk4_increment(0.0, 1.0, w, h))], axis=1)
+        if record:
+            p = _prefix_products(d)[:, :, :, None]     # broadcast over the solution axis
+            nodes_psi.append(psi + (p[0, 0] * psi + p[0, 1] * dpsi))
+            nodes_dpsi.append(dpsi + (p[1, 0] * psi + p[1, 1] * dpsi))
+            psi, dpsi = nodes_psi[-1][-1], nodes_dpsi[-1][-1]
+        else:
+            p = _product(d)
+            psi, dpsi = (psi + (p[0, 0] * psi + p[0, 1] * dpsi),
+                         dpsi + (p[1, 0] * psi + p[1, 1] * dpsi))
     if record:
-        return (np.array(nodes_x), np.stack(nodes_psi), np.stack(nodes_dpsi))
+        return (np.concatenate([[x_start], ends]), np.concatenate(nodes_psi),
+                np.concatenate(nodes_dpsi))
     return np.array([v.x_right + cfg.match_margin]), psi, dpsi
 
 
@@ -201,10 +292,11 @@ def _propagate_adaptive(v, ks, cfg, record):
 
 def _propagate(v, ks, cfg, record=False):
     ks = np.asarray(ks, dtype=float)
-    kmax = float(np.max(ks))
-    if cfg.method == "rk4" and cfg.step >= 2 * np.pi / (10 * kmax):
+    unresolved = ks[cfg.step >= 2 * np.pi / (10 * ks)]
+    if cfg.method == "rk4" and unresolved.size:
+        k = float(np.min(unresolved))
         raise StepTooLarge(
-            f"step {cfg.step} exceeds 2*pi/(10*k) = {2 * np.pi / (10 * kmax):.4g} at k = {kmax}")
+            f"step {cfg.step} exceeds 2*pi/(10*k) = {2 * np.pi / (10 * k):.4g} at k = {k}", k=k)
     _check_decay(v, cfg)
     if cfg.method == "adaptive":
         return _propagate_adaptive(v, ks, cfg, record)
@@ -220,15 +312,20 @@ def _extract(psi, dpsi, k, x):
 
 
 def integrate_batch(v: LocalPotential, ks: Sequence[float], cfg: IntegrationConfig | None = None):
-    """Amplitudes for many wave numbers in one sweep (shared x-grid)."""
+    """Amplitudes for many wave numbers in one sweep (shared x-grid).
+
+    A k-dependent failure names the lowest failing k in the error's ``k``.
+    """
     cfg = cfg or IntegrationConfig()
     ks = np.asarray([as_wavenumber(k).k for k in ks], dtype=float)
     xs, psi, dpsi = _propagate(v, ks, cfg, record=False)
     x_end = xs[-1]
     a, b = _extract(psi, dpsi, ks, x_end)
     wr = np.abs(psi[0] * dpsi[1] - psi[1] * dpsi[0])
-    if np.any(wr < 1e-8 * 2 * ks):
-        raise DegenerateSolutions("solution pair lost independence during integration")
+    lost = ks[wr < 1e-8 * 2 * ks]
+    if lost.size:
+        raise DegenerateSolutions("solution pair lost independence during integration",
+                                  k=float(np.min(lost)))
     out = []
     for j in range(len(ks)):
         out.append(AsymptoticAmplitudes(
@@ -291,9 +388,12 @@ def sampled_potential(x: Sequence[float], v: Sequence[complex]) -> LocalPotentia
     if np.any(np.diff(x) <= 0):
         raise ValueError("sample positions must be strictly increasing")
 
-    def evaluate(xx: float) -> complex:
-        if xx <= x[0] or xx >= x[-1]:
-            return 0.0
-        return complex(np.interp(xx, x, v.real), np.interp(xx, x, v.imag))
+    def evaluate(xx):
+        xx = np.asarray(xx, dtype=float)
+        out = np.zeros(xx.shape, dtype=complex)
+        inside = (xx > x[0]) & (xx < x[-1])
+        out.real[inside] = np.interp(xx[inside], x, v.real)
+        out.imag[inside] = np.interp(xx[inside], x, v.imag)
+        return out[()]
 
     return LocalPotential(evaluate=evaluate, x_left=float(x[0]), x_right=float(x[-1]))

@@ -122,10 +122,9 @@ def square_well_potential(p: SquareWellParams, x0: float = 0.0) -> LocalPotentia
     v_right = complex(-p.v0, -p.v1)
     lo, mid, hi = x0 - p.b, x0, x0 + p.b
 
-    def evaluate(x: float) -> complex:
-        if x < lo or x > hi:
-            return 0.0
-        return v_left if x < mid else v_right
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        return np.where((x < lo) | (x > hi), 0.0, np.where(x < mid, v_left, v_right))[()]
 
     return LocalPotential(evaluate=evaluate, x_left=lo, x_right=hi, breakpoints=(mid,))
 
@@ -218,16 +217,31 @@ def lattice_potential(p: LatticeParams) -> LocalPotential:
         edges.append((lo, lo + w.b, lo + 2 * w.b))
     v_left = complex(-w.v0, w.v1)
     v_right = complex(-w.v0, -w.v1)
+    los, mids, his = (np.array(col) for col in zip(*edges))
 
-    def evaluate(x: float) -> complex:
-        for lo, mid, hi in edges:
-            if lo <= x <= hi:
-                return v_left if x < mid else v_right
-        return 0.0
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        j = np.maximum(np.searchsorted(los, x, side="right") - 1, 0)   # last well with lo <= x
+        inside = (x >= los[j]) & (x <= his[j])
+        return np.where(inside, np.where(x < mids[j], v_left, v_right), 0.0)[()]
 
     breakpoints = tuple(b for e in edges for b in e)
     return LocalPotential(evaluate=evaluate, x_left=edges[0][0], x_right=edges[-1][2],
                           breakpoints=breakpoints)
+
+
+def _truncated(profile, cutoff: float):
+    """``evaluate`` for V = profile(x) on |x| <= cutoff and 0 beyond, at a
+    scalar or an array x; ``profile`` gets an array of the inside points."""
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape, dtype=complex)
+        inside = np.abs(x) <= cutoff
+        out[inside] = profile(x[inside])
+        return out[()]
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +356,12 @@ def scarf_potential(p: ScarfParams, cutoff: float = 20.0) -> LocalPotential:
     c1 = lam * (2 * p.s + 1)
     shift = complex(0.0, p.eps)
 
-    def evaluate(x: float) -> complex:
-        if abs(x) > cutoff:
-            return 0.0
+    def profile(x):
         z = x + shift
-        ch = cmath.cosh(z)
-        return (c0 + c1 * cmath.sinh(z)) / (ch * ch)
+        ch = np.cosh(z)
+        return (c0 + c1 * np.sinh(z)) / (ch * ch)
 
-    return LocalPotential(evaluate=evaluate, x_left=-cutoff, x_right=cutoff)
+    return LocalPotential(evaluate=_truncated(profile, cutoff), x_left=-cutoff, x_right=cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +412,8 @@ def centrifugal_pt_phase(p: CentrifugalParams) -> complex:
 def centrifugal_potential(p: CentrifugalParams, cutoff: float = 50.0) -> LocalPotential:
     """Truncated profile; the 1/x^2 tail makes truncation the accuracy limit."""
 
-    def evaluate(x: float) -> complex:
-        if abs(x) > cutoff:
-            return 0.0
-        z = complex(x, p.eps)
+    def profile(x):
+        z = x + 1j * p.eps
         return p.alpha_strength / (z * z)
 
-    return LocalPotential(evaluate=evaluate, x_left=-cutoff, x_right=cutoff)
+    return LocalPotential(evaluate=_truncated(profile, cutoff), x_left=-cutoff, x_right=cutoff)

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .core import ScatteringCoefficients, as_wavenumber
 from .errors import QuadratureFailure, ResonancePole
@@ -69,6 +68,8 @@ class SeparableKernel:
             # even real form factors have real transforms, and the
             # scattering solution is only valid for those (checked at use)
             def ft(q: float) -> float:
+                from scipy.integrate import quad
+
                 return quad(lambda x: f(x) * math.cos(q * x), -support, support,
                             points=[0.0], limit=400)[0]
             return ft
@@ -204,6 +205,8 @@ def compute_n(kernel: SeparableKernel, sign: str, k) -> complex:
                                              kernel.delta, kv)
         return 0.5j / kv * _yamaguchi_j(kernel.alpha, kernel.beta, kernel.gamma,
                                         kernel.delta, -kv)
+    from scipy.integrate import quad
+
     s = 1.0 if sign == "plus" else -1.0
     L = kernel.support
     inner_cache: dict = {}
@@ -324,6 +327,8 @@ def _convolution(kernel: SeparableKernel, sign: str, x: float, kv: float) -> tup
         pref = -0.5j / kv if sign == "plus" else 0.5j / kv
         return (pref * _yamaguchi_inner(x, kernel.alpha, kernel.gamma, kk),
                 pref * _yamaguchi_inner_d(x, kernel.alpha, kernel.gamma, kk))
+    from scipy.integrate import quad
+
     L = kernel.support
     s = 1.0 if sign == "plus" else -1.0
     pref = -0.5j / kv if sign == "plus" else 0.5j / kv

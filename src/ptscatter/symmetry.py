@@ -80,7 +80,7 @@ def classify_local_potential(v: LocalPotential, sample_count: int = 512,
     candidate shift x0 (skipped when plain parity already holds).
     """
     xs = _sample_grid(v, sample_count)
-    vals = np.array([v.evaluate(float(x)) for x in xs], dtype=complex)
+    vals = v.sample(xs)
     rev = vals[::-1]  # V(-x) on a symmetric grid
     t_flag = float(np.max(np.abs(vals.imag))) < tol
     p_flag = float(np.max(np.abs(vals - rev))) < tol
@@ -89,7 +89,7 @@ def classify_local_potential(v: LocalPotential, sample_count: int = 512,
     pg_flag, x0 = p_flag, (0.0 if p_flag else None)
     if not p_flag and search_x0:
         def mismatch(c):
-            ref = np.array([v.evaluate(float(c - x)) for x in xs], dtype=complex)
+            ref = v.sample(c - xs)
             return float(np.max(np.abs(vals - ref)))
 
         # a reflection-symmetric potential has a symmetric support and a

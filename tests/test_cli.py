@@ -104,6 +104,22 @@ class TestCompare:
         assert code == 0
         assert json.loads(out.read_text())["summary"]["max_rel_diff"] < 1e-5
 
+    def test_one_integration_sweep_for_the_whole_grid(self, tmp_path, monkeypatch):
+        import ptscatter.cli as cli
+
+        calls = []
+
+        def counted(v, ks, cfg=None):
+            calls.append(len(ks))
+            return integrate_batch(v, ks, cfg)
+
+        integrate_batch = cli.integrate_batch
+        monkeypatch.setattr(cli, "integrate_batch", counted)
+        out = tmp_path / "cmp.json"
+        assert run_cli(["compare", "--potential", "square-well", "--kcount", "5",
+                        "--kmax", "3", "--out", str(out)]) == 0
+        assert calls == [5]
+
     def test_yamaguchi_has_no_numeric_route(self, capsys):
         code = run_cli(["compare", "--potential", "yamaguchi"])
         assert code == 2
@@ -190,6 +206,25 @@ class TestLattice:
         _, rows = read_csv(out)
         assert rows[0]["overflow"] == "1"
 
+    def test_strong_well_rows_finite_unless_flagged(self, tmp_path):
+        # |M| passes 1e154 long before the 1e300 overflow flag, where the
+        # elementwise det M = M_RR M_LL - M_RL M_LR overflows
+        out = tmp_path / "strong.csv"
+        assert run_cli(["lattice", "--v0", "1", "--v1", "30", "--b", "0.5", "--a", "0.5",
+                        "--n", "1", "--n-max", "400", "--kmin", "0.5", "--kmax", "3",
+                        "--kcount", "4", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        values = np.array([[float(r[h]) for h in header[2:8]] for r in rows])
+        flagged = np.array([r["overflow"] == "1" for r in rows])
+        assert len(rows) == 1600 and 0 < flagged.sum() < len(rows)
+        ok = values[~flagged]
+        assert np.all(np.isfinite(ok))
+        # where det M comes from det(T)^n it is 1, and |T_rl| = |det M T_lr|
+        huge = ok[:, 0] < 1e-160           # |M_RR| = 1/|T_lr| > 1e160
+        assert huge.sum() > 0
+        assert np.max(np.abs(ok[huge, 4] + 1j * ok[huge, 5] - 1)) < 1e-6
+        assert np.allclose(ok[huge, 2], ok[huge, 0], rtol=1e-6, atol=0)
+
 
 class TestGoldenFiles:
     """Byte-level regressions: 17-significant-digit cells, Unix newlines."""
@@ -257,6 +292,11 @@ class TestConfigAndErrors:
         _, rows = read_csv(out)
         # real sampled well: near-unitary rows
         assert abs(float(rows[0]["unitarity_defect"])) < 1e-3
+
+    def test_import_does_not_load_scipy_integrate(self):
+        code = "import sys, ptscatter.cli; print('scipy.integrate' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "ptscatter.cli", "scan",

@@ -1,15 +1,21 @@
 """Direct-integration oracle: convergence, consistency, failure modes."""
 
+import math
+
 import numpy as np
 import pytest
 
 from ptscatter import (
+    CentrifugalParams,
     IntegrationConfig,
+    LatticeParams,
     LocalPotential,
     ScarfParams,
     SquareWellParams,
+    centrifugal_potential,
     integrate_batch,
     integrate_two_solutions,
+    lattice_potential,
     numeric_coefficients,
     phase_relation_residual,
     sampled_potential,
@@ -145,6 +151,11 @@ class TestFailureModes:
         with pytest.raises(StepTooLarge):
             integrate_two_solutions(zero_potential(), 10.0, IntegrationConfig(step=0.1))
 
+    def test_step_too_large_names_lowest_offending_k(self):
+        with pytest.raises(StepTooLarge, match="at k = 80.0") as info:
+            integrate_batch(zero_potential(), [5.0, 90.0, 80.0], IntegrationConfig(step=0.05))
+        assert info.value.k == 80.0
+
     def test_non_decayed_potential(self):
         bad = LocalPotential(evaluate=lambda x: 0.5, x_left=-1.0, x_right=1.0)
         with pytest.raises(NonDecayedPotential):
@@ -168,3 +179,98 @@ class TestSampledPotential:
     def test_rejects_malformed_samples(self):
         with pytest.raises(ValueError):
             sampled_potential([0.0, 0.0], [1.0, 1.0])
+
+
+def per_step_rk4(v, ks, cfg):
+    """The RK4 recursion one step at a time, every node recorded.
+
+    Same segments, half-step samples (nudged inside each segment) and step
+    formula as the integrator, which composes the steps as block products.
+    Returns (x, psi, dpsi) with psi/dpsi of shape (nnodes, 2, nk).
+    """
+    ks = np.asarray(ks, dtype=float)
+    e = ks * ks
+    x0, x1 = v.x_left - cfg.match_margin, v.x_right + cfg.match_margin
+    pts = sorted({x0, v.x_left, v.x_right, x1} | {b for b in v.breakpoints if x0 < b < x1})
+    psi = np.stack([np.exp(1j * ks * x0), np.exp(-1j * ks * x0)])
+    dpsi = np.stack([1j * ks * psi[0], -1j * ks * psi[1]])
+    xs, psis, dpsis = [x0], [psi], [dpsi]
+    for a, c in zip(pts[:-1], pts[1:]):
+        n = max(1, math.ceil((c - a) / cfg.step))
+        h = (c - a) / n
+        nudge = 1e-9 * (c - a)
+        vv = [complex(v.evaluate(min(max(a + (h / 2) * j, a + nudge), c - nudge)))
+              for j in range(2 * n + 1)]
+        for m in range(n):
+            w0, w1, w2 = vv[2 * m] - e, vv[2 * m + 1] - e, vv[2 * m + 2] - e
+            k1p, k1d = dpsi, w0 * psi
+            k2p, k2d = dpsi + (h / 2) * k1d, w1 * (psi + (h / 2) * k1p)
+            k3p, k3d = dpsi + (h / 2) * k2d, w1 * (psi + (h / 2) * k2p)
+            k4p, k4d = dpsi + h * k3d, w2 * (psi + h * k3p)
+            psi = psi + (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p)
+            dpsi = dpsi + (h / 6) * (k1d + 2 * k2d + 2 * k3d + k4d)
+            xs.append(a + (m + 1) * h)
+            psis.append(psi)
+            dpsis.append(dpsi)
+    return np.array(xs), np.stack(psis), np.stack(dpsis)
+
+
+def _rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestBlockPropagator:
+    """Block step-matrix products reproduce the per-step RK4 recursion."""
+
+    KS = [0.4, 1.3, 2.9]
+    XS = np.linspace(-3.0, 3.0, 601)
+    CASES = {
+        "scarf": (scarf_potential(ScarfParams(1.3, 0.7), cutoff=20.0), 2e-3),
+        "pt-well": (square_well_potential(WELL), 1e-3),
+        "lattice-8": (lattice_potential(LatticeParams(WELL, a=0.5, n=8)), 1e-3),
+        "sampled": (sampled_potential(XS, -2.0 / np.cosh(XS) ** 2
+                                      + 0.3j * np.tanh(XS) / np.cosh(XS)), 1e-3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_per_step_recursion(self, case):
+        v, step = self.CASES[case]
+        cfg = IntegrationConfig(step=step)
+        xs, psi, dpsi = per_step_rk4(v, self.KS, cfg)
+        ks = np.array(self.KS)
+
+        # end amplitudes, per k relative to the largest of them
+        ika = 1j * ks
+        a = 0.5 * (psi[-1] + dpsi[-1] / ika) * np.exp(-ika * xs[-1])
+        b = 0.5 * (psi[-1] - dpsi[-1] / ika) * np.exp(ika * xs[-1])
+        for j, amps in enumerate(integrate_batch(v, self.KS, cfg)):
+            got = np.array([amps.a1p, amps.a2p, amps.b1p, amps.b2p])
+            assert _rel(got, np.array([a[0, j], a[1, j], b[0, j], b[1, j]])) < 1e-12
+
+        # recorded nodes of the left-incident solution at the middle k
+        wf = wavefunction_on_grid(v, self.KS[1], "left-incident", cfg)
+        beta = -b[0, 1] / b[1, 1]
+        assert np.array_equal(wf.x, xs)
+        assert _rel(wf.psi, psi[:, 0, 1] + beta * psi[:, 1, 1]) < 1e-12
+        assert _rel(wf.dpsi, dpsi[:, 0, 1] + beta * dpsi[:, 1, 1]) < 1e-12
+
+
+class TestSample:
+    XS = np.concatenate([np.linspace(-60.0, 60.0, 2401),
+                         [-1.0, -0.5, 0.0, 0.5, 1.0, 20.0, -20.0, 50.0]])
+
+    @pytest.mark.parametrize("v", [
+        square_well_potential(WELL, x0=0.3),
+        lattice_potential(LatticeParams(WELL, a=0.5, n=8)),
+        scarf_potential(ScarfParams(1.3, 0.7, eps=0.2), cutoff=20.0),
+        centrifugal_potential(CentrifugalParams(1.0, 0.1)),
+        sampled_potential(np.linspace(-2.0, 2.0, 101), np.linspace(-2.0, 2.0, 101) ** 2 * (1 + 0.5j)),
+        LocalPotential(evaluate=lambda x: -1.0 / math.cosh(x) ** 2, x_left=-30.0, x_right=30.0),
+        LocalPotential(evaluate=lambda x: 0.5, x_left=-1.0, x_right=1.0),
+    ], ids=["square-well", "lattice", "scarf", "centrifugal", "sampled", "scalar-only",
+            "constant"])
+    def test_sample_equals_pointwise_evaluate(self, v):
+        xs = np.concatenate([self.XS, v.breakpoints, [v.x_left, v.x_right]])
+        got = v.sample(xs)
+        assert got.shape == xs.shape and got.dtype == complex
+        assert np.array_equal(got, [complex(v.evaluate(float(x))) for x in xs])
