@@ -4,7 +4,6 @@ from .core import (
     DEFAULT_TOL,
     AsymptoticAmplitudes,
     ScatteringCoefficients,
-    SMatrix,
     TransferMatrix,
     WaveNumber,
     as_wavenumber,
@@ -54,7 +53,6 @@ from .potentials import (
     square_well_transfer_interfaces,
 )
 from .separable import (
-    KernelSymmetryClass,
     NonlocalIntermediates,
     SeparableKernel,
     compute_n,

@@ -1,10 +1,11 @@
 """Command-line front end: k-grid scans, analytic-vs-numeric comparison,
 symmetry reports and lattice sweeps, emitted as CSV or JSON.
 
-Exit codes: 0 ok, 2 configuration error, 3 solver error, 4 comparison
-threshold exceeded.  CSV cells carry 17 significant digits with Unix
-newlines so outputs are bit-stable; parallel and serial runs produce
-byte-identical files (rows are computed per k and sorted before writing).
+Exit codes: 0 ok, 2 configuration error, 3 solver error (named with the
+failing k when one k is at fault), 4 comparison threshold exceeded.  CSV
+cells carry 17 significant digits with Unix newlines so outputs are
+bit-stable.  ``--parallel`` is accepted and ignored: every k grid is
+evaluated serially, in order.
 """
 
 from __future__ import annotations
@@ -14,15 +15,14 @@ import cmath
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import potentials, separable, symmetry
-from .core import SMatrix, coefficients_from_amplitudes, smatrix_from_transfer
+from .core import coefficients_from_amplitudes, smatrix_from_transfer
 from .errors import ScatteringError, TransferOverflow
-from .numeric import IntegrationConfig, integrate_batch, numeric_coefficients, sampled_potential
+from .numeric import IntegrationConfig, integrate_batch, sampled_potential
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,13 +56,50 @@ def _csv(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+# -- evaluation over the k grid -----------------------------------------------
+
+def _blame(exc, k):
+    """Name k as the failing wave number unless the error names one already."""
+    if getattr(exc, "k", None) is None:
+        exc.k = k
+
+
+def _over_k(fn, ks, *columns) -> list:
+    """fn(k, *row) for each k in order, with row taken from the columns in
+    step; a solver or arithmetic error names its k."""
+    out = []
+    for k, *row in zip(ks, *columns):
+        try:
+            out.append(fn(k, *row))
+        except (ScatteringError, ArithmeticError) as exc:
+            _blame(exc, k)
+            raise
+    return out
+
+
+def _each_k(closed_form):
+    return lambda ks: _over_k(closed_form, ks)
+
+
+def _integrated(potential, cfg):
+    """Coefficients over the grid from one ``integrate_batch`` sweep."""
+    def sweep(ks):
+        try:
+            amps = integrate_batch(potential, ks, cfg)
+        except (ScatteringError, ArithmeticError) as exc:
+            _blame(exc, ks[0])
+            raise
+        return _over_k(lambda k, a: coefficients_from_amplitudes(a), ks, amps)
+    return sweep
+
+
 # -- potential construction ---------------------------------------------------
 
 @dataclass
 class Problem:
     kind: str
     label: dict
-    coefficients: object            # k -> ScatteringCoefficients
+    coefficients: object            # k grid -> [ScatteringCoefficients]
     local: bool
     potential: object = None        # LocalPotential when one exists
     kernel: object = None
@@ -75,7 +112,7 @@ def build_problem(args) -> Problem:
     if kind == "square-well":
         p = potentials.SquareWellParams(v0=args.v0, v1=args.v1, b=args.b)
         return Problem(kind=kind, label={"kind": kind, "v0": args.v0, "v1": args.v1, "b": args.b},
-                       coefficients=lambda k: potentials.square_well_coefficients(p, k),
+                       coefficients=_each_k(lambda k: potentials.square_well_coefficients(p, k)),
                        local=True, potential=potentials.square_well_potential(p))
     if kind == "multi-well":
         p = potentials.LatticeParams(well=potentials.SquareWellParams(args.v0, args.v1, args.b),
@@ -83,8 +120,8 @@ def build_problem(args) -> Problem:
         return Problem(kind=kind,
                        label={"kind": kind, "v0": args.v0, "v1": args.v1, "b": args.b,
                               "a": args.a, "n": args.n},
-                       coefficients=lambda k: smatrix_from_transfer(
-                           potentials.multi_well_transfer(p, k)).to_coefficients(),
+                       coefficients=_each_k(lambda k: smatrix_from_transfer(
+                           potentials.multi_well_transfer(p, k))),
                        local=True, potential=potentials.lattice_potential(p))
     if kind == "scarf":
         lam = complex(args.lambda_re, args.lambda_im)
@@ -93,13 +130,13 @@ def build_problem(args) -> Problem:
         return Problem(kind=kind,
                        label={"kind": kind, "s": args.s, "lambda_re": args.lambda_re,
                               "lambda_im": args.lambda_im, "eps": eps},
-                       coefficients=lambda k: potentials.scarf_coefficients(p, k),
+                       coefficients=_each_k(lambda k: potentials.scarf_coefficients(p, k)),
                        local=True, potential=potentials.scarf_potential(p, cutoff=args.cutoff))
     if kind == "centrifugal":
         eps = 0.1 if args.eps is None else args.eps
         p = potentials.CentrifugalParams(alpha_strength=args.strength, eps=eps)
         return Problem(kind=kind, label={"kind": kind, "strength": args.strength, "eps": eps},
-                       coefficients=lambda k: potentials.centrifugal_coefficients(p, k),
+                       coefficients=_each_k(lambda k: potentials.centrifugal_coefficients(p, k)),
                        local=True,
                        potential=potentials.centrifugal_potential(p, cutoff=args.cutoff))
     if kind == "yamaguchi":
@@ -109,7 +146,7 @@ def build_problem(args) -> Problem:
         return Problem(kind=kind,
                        label={"kind": kind, "gamma": args.gamma, "delta": args.delta,
                               "alpha": args.alpha, "beta": args.beta, "strength": args.strength},
-                       coefficients=lambda k: separable.nonlocal_coefficients(kernel, k),
+                       coefficients=_each_k(lambda k: separable.nonlocal_coefficients(kernel, k)),
                        local=False, kernel=kernel)
     # custom-sampled
     if not args.samples_file:
@@ -118,38 +155,21 @@ def build_problem(args) -> Problem:
     if data.shape[1] < 3:
         raise ConfigError("samples file needs columns x, re(V), im(V)")
     pot = sampled_potential(data[:, 0], data[:, 1] + 1j * data[:, 2])
-    cfg = IntegrationConfig(step=args.step)
     return Problem(kind=kind, label={"kind": kind, "samples_file": args.samples_file},
-                   coefficients=lambda k: numeric_coefficients(pot, k, cfg),
+                   coefficients=_integrated(pot, IntegrationConfig(step=args.step)),
                    local=True, potential=pot)
 
 
-def _k_grid(args) -> np.ndarray:
+def _k_grid(args) -> list:
     if args.kmin <= 0:
         raise ConfigError(f"kmin must be > 0, got {args.kmin}")
     if args.kcount < 1:
         raise ConfigError(f"kcount must be >= 1, got {args.kcount}")
     if args.kcount == 1:
-        return np.array([args.kmin])
+        return [float(args.kmin)]
     if args.kmax <= args.kmin:
         raise ConfigError("kmax must be > kmin")
-    return np.linspace(args.kmin, args.kmax, args.kcount)
-
-
-def _map_k(fn, ks, parallel: bool):
-    """Evaluate fn on each k, keeping (k, result-or-error) sorted by k."""
-    def safe(k):
-        try:
-            return (float(k), fn(float(k)), None)
-        except ScatteringError as exc:
-            return (float(k), None, exc)
-
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            out = list(pool.map(safe, ks))
-    else:
-        out = [safe(k) for k in ks]
-    return sorted(out, key=lambda t: t[0])
+    return np.linspace(args.kmin, args.kmax, args.kcount).tolist()
 
 
 # -- subcommands --------------------------------------------------------------
@@ -160,22 +180,16 @@ SCAN_HEADER = ["k", "t_lr_re", "t_lr_im", "r_lr_re", "r_lr_im", "t_rl_re", "t_rl
 
 
 def _scan_row(k: float, c) -> list:
-    s = SMatrix.from_coefficients(c)
     return [k, c.t_lr.real, c.t_lr.imag, c.r_lr.real, c.r_lr.imag,
             c.t_rl.real, c.t_rl.imag, c.r_rl.real, c.r_rl.imag,
-            abs(c.t_lr) ** 2, abs(c.r_lr) ** 2, abs(s.det),
+            abs(c.t_lr) ** 2, abs(c.r_lr) ** 2, abs(c.det),
             abs(c.t_lr) ** 2 + abs(c.r_lr) ** 2 - 1.0]
 
 
 def cmd_scan(args) -> int:
     problem = build_problem(args)
     ks = _k_grid(args)
-    results = _map_k(problem.coefficients, ks, args.parallel)
-    for k, _, err in results:
-        if err is not None:
-            print(f"solver error at k = {k}: {err}", file=sys.stderr)
-            return EXIT_SOLVER
-    rows = [_scan_row(k, c) for k, c, _ in results]
+    rows = _over_k(_scan_row, ks, problem.coefficients(ks))
     if args.format == "csv":
         _write_text(args.out, _csv(SCAN_HEADER, rows))
     else:
@@ -190,23 +204,19 @@ def cmd_compare(args) -> int:
     if problem.potential is None or problem.kind in ("custom-sampled",):
         raise ConfigError(f"potential kind {problem.kind!r} has no analytic/numeric route pair")
     ks = _k_grid(args)
-    cfg = IntegrationConfig(step=args.step)
-
-    analytic = _map_k(problem.coefficients, ks, args.parallel)
-    try:
-        amps = dict(zip(ks.tolist(), integrate_batch(problem.potential, ks, cfg)))
-        numeric = _map_k(lambda k: coefficients_from_amplitudes(amps[k]), ks, False)
-    except ScatteringError as exc:
-        numeric = [(ks[0] if exc.k is None else exc.k, None, exc)]
-    failed = [(k, err) for k, _, err in analytic + numeric if err is not None]
+    routes, failed = [], []
+    for route in (problem.coefficients, _integrated(problem.potential,
+                                                    IntegrationConfig(step=args.step))):
+        try:
+            routes.append(route(ks))
+        except (ScatteringError, ArithmeticError) as exc:
+            failed.append(exc)
     if failed:
-        k, err = min(failed, key=lambda t: t[0])
-        print(f"solver error at k = {k}: {err}", file=sys.stderr)
-        return EXIT_SOLVER
+        raise min(failed, key=lambda exc: exc.k)
 
     names = ("t_lr", "r_lr", "t_rl", "r_rl")
     rows, rels = [], []
-    for (k, ca, _), (_, cn, _) in zip(analytic, numeric):
+    for k, ca, cn in zip(ks, *routes):
         entry = {"k": k}
         for name in names:
             a, n = getattr(ca, name), getattr(cn, name)
@@ -228,54 +238,36 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-_SUITE_PREFIXES = {"local": "local_", "p": "p_", "p_generalized": "pg_", "t": "t_",
-                   "hermitian_t": "ht_", "pt": "pt_"}
-
-
 def cmd_symmetry(args) -> int:
     problem = build_problem(args)
     ks = _k_grid(args)
     if problem.kernel is not None:
-        kc = separable.kernel_symmetry_class(problem.kernel)
-        cls = symmetry.SymmetryClass(hermitian=kc.hermitian, parity=kc.parity,
-                                     time_reversal=kc.time_reversal, pt=kc.pt)
-        cls_payload = {"hermitian": kc.hermitian, "parity": kc.parity,
-                       "time_reversal": kc.time_reversal, "pt": kc.pt,
-                       "symmetric_xy": kc.symmetric_xy, "reality": kc.reality}
+        cls = separable.kernel_symmetry_class(problem.kernel)
+        extra = ("symmetric_xy", "reality")
     else:
         cls = symmetry.classify_local_potential(problem.potential)
-        cls_payload = {"hermitian": cls.hermitian, "parity": cls.parity,
-                       "time_reversal": cls.time_reversal, "pt": cls.pt,
-                       "parity_generalized": cls.parity_generalized, "x0": cls.x0}
+        extra = ("parity_generalized", "x0")
+    cls_payload = {name: getattr(cls, name)
+                   for name in ("hermitian", "parity", "time_reversal", "pt", *extra)}
 
-    def per_k(k):
-        s = SMatrix.from_coefficients(problem.coefficients(k))
-        rel = symmetry.check_s_relations(s, cls, local=problem.local, k=k)
-        ex = symmetry.exact_asymptotic_pt_check(s)
-        return rel, ex
-
-    results = _map_k(per_k, ks, args.parallel)
-    for k, _, err in results:
-        if err is not None:
-            print(f"solver error at k = {k}: {err}", file=sys.stderr)
-            return EXIT_SOLVER
     relations, exact = [], []
     suite_hold: dict = {}
-    for k, (rel, ex), _ in results:
-        for r in rel:
+
+    def report(k, s):
+        for r in symmetry.check_s_relations(s, cls, local=problem.local, k=k):
             relations.append({"k": k, "name": r.name, "anchor": r.anchor,
                               "residual": None if math.isnan(r.residual) else r.residual,
                               "tolerance": r.tolerance, "holds": r.holds,
                               "applicable": r.applicable})
-            for suite, prefix in _SUITE_PREFIXES.items():
-                if r.name.startswith(prefix):
-                    if r.applicable:
-                        prev = suite_hold.get(suite, True)
-                        suite_hold[suite] = prev and r.holds
+            if r.applicable:
+                suite_hold[r.suite] = suite_hold.get(r.suite, True) and r.holds
+        ex = symmetry.exact_asymptotic_pt_check(s)
         exact.append({"k": k, "is_exact": ex.is_exact,
                       "theta_lr": ex.theta_lr, "theta_rl": ex.theta_rl})
+
+    _over_k(report, ks, problem.coefficients(ks))
     suites = {suite: ("holds" if suite_hold[suite] else "violated") if suite in suite_hold
-              else "not-applicable" for suite in _SUITE_PREFIXES}
+              else "not-applicable" for suite in symmetry.SUITES}
     payload = {"potential": problem.label, "class": cls_payload, "suites": suites,
                "relations": relations, "exact_asymptotic_pt": exact}
     _write_text(args.out, json.dumps(payload, indent=2) + "\n")
@@ -298,7 +290,7 @@ def cmd_lattice(args) -> int:
         except TransferOverflow:
             nan = float("nan")
             return [n, k, nan, nan, nan, nan, nan, nan, 1]
-        c = smatrix_from_transfer(m).to_coefficients()
+        c = smatrix_from_transfer(m)
         det, abs_t_rl = m.det, abs(c.t_rl)
         if not cmath.isfinite(det):
             # the elementwise det overflows once |M| > ~1e154; the edge
@@ -307,14 +299,7 @@ def cmd_lattice(args) -> int:
             abs_t_rl = abs(det * c.t_lr)
         return [n, k, abs(c.t_lr), abs(c.r_lr), abs_t_rl, abs(c.r_rl), det.real, det.imag, 0]
 
-    rows = []
-    for n in n_values:
-        results = _map_k(lambda k, n=n: one(n, k), ks, args.parallel)
-        for k, row, err in results:
-            if err is not None:
-                print(f"solver error at k = {k}: {err}", file=sys.stderr)
-                return EXIT_SOLVER
-            rows.append(row)
+    rows = [row for n in n_values for row in _over_k(lambda k, n=n: one(n, k), ks)]
     _write_text(args.out, _csv(LATTICE_HEADER, rows))
     return EXIT_OK
 
@@ -405,8 +390,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ScatteringError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
+    except (ScatteringError, ArithmeticError) as exc:
+        at = "" if getattr(exc, "k", None) is None else f" at k = {exc.k}"
+        print(f"solver error{at}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

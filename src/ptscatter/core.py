@@ -37,6 +37,13 @@ class WaveNumber:
         return self.k * self.k
 
 
+def _require_finite(owner: str, **values):
+    """ValueError naming the first non-finite (real or complex) parameter."""
+    for name, value in values.items():
+        if not cmath.isfinite(value):
+            raise ValueError(f"{owner} parameter {name} must be finite, got {value}")
+
+
 def as_wavenumber(k) -> WaveNumber:
     """Coerce a float or WaveNumber to WaveNumber (validates k > 0)."""
     if isinstance(k, WaveNumber):
@@ -71,38 +78,23 @@ class AsymptoticAmplitudes:
 
 @dataclass(frozen=True)
 class ScatteringCoefficients:
-    """Transmission/reflection coefficients for both incidence directions."""
+    """Transmission/reflection coefficients for both incidence directions.
+
+    Read as the S matrix [[T_lr, R_rl], [R_lr, T_rl]] (rows/columns ordered
+    (R, L)), which maps incoming to outgoing amplitudes.
+    """
 
     t_lr: complex
     r_lr: complex
     t_rl: complex
     r_rl: complex
 
-
-@dataclass(frozen=True)
-class SMatrix:
-    """2x2 scattering matrix, rows/columns ordered (R, L)."""
-
-    s_rr: complex
-    s_rl: complex
-    s_lr: complex
-    s_ll: complex
-
-    @classmethod
-    def from_coefficients(cls, c: ScatteringCoefficients) -> "SMatrix":
-        return cls(s_rr=c.t_lr, s_rl=c.r_rl, s_lr=c.r_lr, s_ll=c.t_rl)
-
-    def to_coefficients(self) -> ScatteringCoefficients:
-        return ScatteringCoefficients(
-            t_lr=self.s_rr, r_lr=self.s_lr, t_rl=self.s_ll, r_rl=self.s_rl
-        )
-
     def as_array(self) -> np.ndarray:
-        return np.array([[self.s_rr, self.s_rl], [self.s_lr, self.s_ll]])
+        return np.array([[self.t_lr, self.r_rl], [self.r_lr, self.t_rl]])
 
     @property
     def det(self) -> complex:
-        return self.s_rr * self.s_ll - self.s_rl * self.s_lr
+        return self.t_lr * self.t_rl - self.r_rl * self.r_lr
 
 
 @dataclass(frozen=True)
@@ -150,22 +142,21 @@ def coefficients_from_amplitudes(amps: AsymptoticAmplitudes) -> ScatteringCoeffi
     )
 
 
-def smatrix_from_transfer(m: TransferMatrix, tol: float = 1e-12) -> SMatrix:
+def smatrix_from_transfer(m: TransferMatrix, tol: float = 1e-12) -> ScatteringCoefficients:
     """Invert the transfer matrix into S; the pole of 1/M_RR is a spectral singularity."""
     if abs(m.m_rr) < tol:
         raise TransmissionPole(f"|M_RR| = {abs(m.m_rr)} below {tol}")
-    t_lr = 1.0 / m.m_rr
-    return SMatrix(
-        s_rr=t_lr,
-        s_lr=m.m_lr / m.m_rr,
-        s_rl=-m.m_rl / m.m_rr,
-        s_ll=m.det / m.m_rr,
+    return ScatteringCoefficients(
+        t_lr=1.0 / m.m_rr,
+        r_lr=m.m_lr / m.m_rr,
+        t_rl=m.det / m.m_rr,
+        r_rl=-m.m_rl / m.m_rr,
     )
 
 
-def transfer_from_smatrix(s: SMatrix, tol: float = 1e-300) -> TransferMatrix:
+def transfer_from_smatrix(s: ScatteringCoefficients, tol: float = 1e-300) -> TransferMatrix:
     """Exact algebraic inverse of ``smatrix_from_transfer``."""
-    t_lr, r_lr, t_rl, r_rl = s.s_rr, s.s_lr, s.s_ll, s.s_rl
+    t_lr, r_lr, t_rl, r_rl = s.t_lr, s.r_lr, s.t_rl, s.r_rl
     if abs(t_lr) <= tol:
         raise ZeroTransmission("T(L->R) = 0, transfer matrix undefined")
     return TransferMatrix(

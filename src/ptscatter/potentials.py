@@ -20,6 +20,7 @@ from .core import (
     AsymptoticAmplitudes,
     ScatteringCoefficients,
     TransferMatrix,
+    _require_finite,
     as_wavenumber,
     smatrix_from_transfer,
 )
@@ -43,6 +44,7 @@ class SquareWellParams:
     b: float
 
     def __post_init__(self):
+        _require_finite("square-well", v0=self.v0, v1=self.v1, b=self.b)
         if self.v0 < 0:
             raise ValueError("v0 must be >= 0")
         if not self.b > 0:
@@ -113,7 +115,7 @@ def square_well_transfer_interfaces(p: SquareWellParams, k) -> TransferMatrix:
 
 def square_well_coefficients(p: SquareWellParams, k) -> ScatteringCoefficients:
     """Coefficients via the transfer matrix; T equals 1/M_RR in both directions."""
-    return smatrix_from_transfer(square_well_transfer(p, k)).to_coefficients()
+    return smatrix_from_transfer(square_well_transfer(p, k))
 
 
 def square_well_potential(p: SquareWellParams, x0: float = 0.0) -> LocalPotential:
@@ -142,6 +144,7 @@ class LatticeParams:
     n: int
 
     def __post_init__(self):
+        _require_finite("lattice", a=self.a)
         if not self.a > 0:
             raise ValueError("half-gap a must be > 0")
         if self.n < 1:
@@ -262,6 +265,7 @@ class ScarfParams:
     eps: float = 0.0
 
     def __post_init__(self):
+        _require_finite("Scarf", s=self.s, lam=self.lam, eps=self.eps)
         if not abs(self.eps) < math.pi / 2:
             raise ValueError("|eps| must be < pi/2 to keep the potential regular")
 
@@ -376,6 +380,7 @@ class CentrifugalParams:
     eps: float
 
     def __post_init__(self):
+        _require_finite("centrifugal", alpha_strength=self.alpha_strength, eps=self.eps)
         if self.eps == 0.0:
             raise ValueError("eps must be non-zero")
         if self.nu.real <= -0.5:

@@ -21,9 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ScatteringCoefficients, as_wavenumber
+from .core import ScatteringCoefficients, _require_finite, as_wavenumber
 from .errors import QuadratureFailure, ResonancePole
 from .numeric import WavefunctionGrid
+from .symmetry import SymmetryClass
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,7 @@ class SeparableKernel:
     @classmethod
     def yamaguchi(cls, gamma: float, delta: float, alpha: float = 0.0,
                   beta: float = 0.0, lam: float = 1.0) -> "SeparableKernel":
+        _require_finite("Yamaguchi", gamma=gamma, delta=delta, alpha=alpha, beta=beta, lam=lam)
         if gamma <= 0 or delta <= 0:
             raise ValueError("gamma and delta must be > 0")
         return cls(
@@ -82,18 +84,6 @@ class SeparableKernel:
         return self.gamma is not None and self.delta is not None
 
 
-@dataclass(frozen=True)
-class KernelSymmetryClass:
-    """Kernel symmetry flags (reality, x<->y symmetry, hermiticity, P, T, PT)."""
-
-    reality: bool
-    symmetric_xy: bool
-    hermitian: bool
-    parity: bool
-    time_reversal: bool
-    pt: bool
-
-
 def _same_function(f, g, support, tol):
     xs = np.linspace(-support, support, 257)
     return max(abs(f(float(x)) - g(float(x))) for x in xs) < tol
@@ -104,7 +94,7 @@ def _even_function(f, support, tol):
     return max(abs(f(float(x)) - f(float(-x))) for x in xs) < tol
 
 
-def kernel_symmetry_class(kernel: SeparableKernel, tol: float = 1e-10) -> KernelSymmetryClass:
+def kernel_symmetry_class(kernel: SeparableKernel, tol: float = 1e-10) -> SymmetryClass:
     """Classify the kernel: phases decide reality/T, form factors the rest.
 
     Reality and T invariance need alpha = beta = 0; x<->y symmetry needs
@@ -119,7 +109,7 @@ def kernel_symmetry_class(kernel: SeparableKernel, tol: float = 1e-10) -> Kernel
         g_even = _even_function(kernel.g, kernel.support, tol)
         h_even = _even_function(kernel.h, kernel.support, tol)
     zero_phases = abs(kernel.alpha) < tol and abs(kernel.beta) < tol
-    return KernelSymmetryClass(
+    return SymmetryClass(
         reality=zero_phases,
         symmetric_xy=abs(kernel.alpha - kernel.beta) < tol and g_eq_h,
         hermitian=abs(kernel.alpha + kernel.beta) < tol and g_eq_h,
@@ -377,9 +367,3 @@ def nonlocal_wavefunction(kernel: SeparableKernel, k, direction: str,
                    + lam * i_pm * dconv)
     name = "left-incident" if direction == "left" else "right-incident"
     return WavefunctionGrid(x=grid, psi=psi, dpsi=dpsi, k=kv, direction=name)
-
-
-def kernel_value(kernel: SeparableKernel, x: float, y: float) -> complex:
-    """K(x, y) without the strength lam."""
-    return (kernel.g(x) * cmath.exp(1j * kernel.alpha * x)
-            * kernel.h(y) * cmath.exp(1j * kernel.beta * y))

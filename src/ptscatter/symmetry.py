@@ -16,13 +16,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SMatrix, as_wavenumber
+from .core import ScatteringCoefficients, as_wavenumber
 from .numeric import LocalPotential
+
+
+#: the relation suites, in report order
+SUITES = ("local", "p", "p_generalized", "t", "hermitian_t", "pt")
 
 
 @dataclass(frozen=True)
 class SymmetryClass:
-    """Detected invariances of a potential (or kernel) at sampling tolerance."""
+    """Detected invariances of a potential (or kernel) at sampling tolerance.
+
+    ``parity_generalized`` and ``x0`` are found for local potentials only;
+    ``reality`` and ``symmetric_xy`` (K(x,y) = K(y,x)) for kernels only.
+    """
 
     hermitian: bool = False
     parity: bool = False
@@ -30,6 +38,8 @@ class SymmetryClass:
     pt: bool = False
     parity_generalized: bool = False
     x0: float | None = None
+    reality: bool = False
+    symmetric_xy: bool = False
 
 
 @dataclass(frozen=True)
@@ -38,6 +48,7 @@ class RelationRecord:
 
     ``applicable`` is False when the relation presupposes non-vanishing
     S elements that are absent (it is then reported, not evaluated).
+    ``suite`` is the entry of ``SUITES`` whose class switched it on.
     """
 
     name: str
@@ -45,6 +56,7 @@ class RelationRecord:
     residual: float
     tolerance: float
     holds: bool
+    suite: str
     applicable: bool = True
 
 
@@ -113,17 +125,7 @@ def classify_local_potential(v: LocalPotential, sample_count: int = 512,
     )
 
 
-def _record(records, name, anchor, residual, tol):
-    records.append(RelationRecord(name=name, anchor=anchor, residual=float(residual),
-                                  tolerance=tol, holds=float(residual) <= tol))
-
-
-def _record_na(records, name, anchor, tol):
-    records.append(RelationRecord(name=name, anchor=anchor, residual=float("nan"),
-                                  tolerance=tol, holds=False, applicable=False))
-
-
-def check_s_relations(s: SMatrix, cls: SymmetryClass, local: bool,
+def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool,
                       tol: float = 1e-10, k=None) -> RelationReport:
     """Evaluate every relation suite switched on by the detected class.
 
@@ -138,69 +140,52 @@ def check_s_relations(s: SMatrix, cls: SymmetryClass, local: bool,
     det = s.det
     all_nonzero = bool(np.min(np.abs(mat)) >= tol)
 
+    def record(suite, name, anchor, residual, applicable=True):
+        residual = float(residual) if applicable else float("nan")
+        records.append(RelationRecord(name=name, anchor=anchor, residual=residual,
+                                      tolerance=tol, holds=applicable and residual <= tol,
+                                      applicable=applicable, suite=suite))
+
     if local:
-        _record(records, "local_equal_transmission", "T_lr = T_rl",
-                abs(s.s_rr - s.s_ll), tol)
+        record("local", "local_equal_transmission", "T_lr = T_rl", abs(s.t_lr - s.t_rl))
 
     if cls.parity:
-        _record(records, "p_equal_transmission", "S_RR = S_LL",
-                abs(s.s_rr - s.s_ll), tol)
-        _record(records, "p_equal_reflection", "S_RL = S_LR",
-                abs(s.s_rl - s.s_lr), tol)
+        record("p", "p_equal_transmission", "S_RR = S_LL", abs(s.t_lr - s.t_rl))
+        record("p", "p_equal_reflection", "S_RL = S_LR", abs(s.r_rl - s.r_lr))
 
     if cls.parity_generalized and not cls.parity and cls.x0 is not None and k is not None:
         kv = as_wavenumber(k).k
-        _record(records, "pg_equal_transmission", "S_RR = S_LL",
-                abs(s.s_rr - s.s_ll), tol)
-        _record(records, "pg_reflection_phase",
-                "R_rl e^{ikX0} = R_lr e^{-ikX0}",
-                abs(s.s_rl * cmath.exp(1j * kv * cls.x0)
-                    - s.s_lr * cmath.exp(-1j * kv * cls.x0)), tol)
+        record("p_generalized", "pg_equal_transmission", "S_RR = S_LL", abs(s.t_lr - s.t_rl))
+        record("p_generalized", "pg_reflection_phase", "R_rl e^{ikX0} = R_lr e^{-ikX0}",
+               abs(s.r_rl * cmath.exp(1j * kv * cls.x0) - s.r_lr * cmath.exp(-1j * kv * cls.x0)))
 
     if cls.time_reversal:
-        if all_nonzero:
-            _record(records, "t_reflection_moduli", "|S_LR| = |S_RL|",
-                    abs(abs(s.s_lr) - abs(s.s_rl)), tol)
-            _record(records, "t_transmission_product_real", "Im(T_rl conj(T_lr)) = 0",
-                    abs((s.s_ll * s.s_rr.conjugate()).imag), tol)
-            _record(records, "t_unimodular_det", "|det S| = 1", abs(abs(det) - 1.0), tol)
-        else:
-            for name, anchor in (("t_reflection_moduli", "|S_LR| = |S_RL|"),
-                                 ("t_transmission_product_real", "Im(T_rl conj(T_lr)) = 0"),
-                                 ("t_unimodular_det", "|det S| = 1")):
-                _record_na(records, name, anchor, tol)
+        record("t", "t_reflection_moduli", "|S_LR| = |S_RL|",
+               abs(abs(s.r_lr) - abs(s.r_rl)), all_nonzero)
+        record("t", "t_transmission_product_real", "Im(T_rl conj(T_lr)) = 0",
+               abs((s.t_rl * s.t_lr.conjugate()).imag), all_nonzero)
+        record("t", "t_unimodular_det", "|det S| = 1", abs(abs(det) - 1.0), all_nonzero)
 
     if cls.hermitian and cls.time_reversal:
-        _record(records, "ht_unitarity", "S^dag S = 1",
-                float(np.max(np.abs(mat.conj().T @ mat - np.eye(2)))), tol)
-        _record(records, "ht_equal_transmission", "S_RR = S_LL",
-                abs(s.s_rr - s.s_ll), tol)
-        _record(records, "ht_reflection_moduli", "|R_lr| = |R_rl|",
-                abs(abs(s.s_lr) - abs(s.s_rl)), tol)
+        record("hermitian_t", "ht_unitarity", "S^dag S = 1",
+               np.max(np.abs(mat.conj().T @ mat - np.eye(2))))
+        record("hermitian_t", "ht_equal_transmission", "S_RR = S_LL", abs(s.t_lr - s.t_rl))
+        record("hermitian_t", "ht_reflection_moduli", "|R_lr| = |R_rl|",
+               abs(abs(s.r_lr) - abs(s.r_rl)))
 
     if cls.pt:
-        _record(records, "pt_inverse_conjugate", "S^-1 = S*",
-                float(np.max(np.abs(mat @ mat.conj() - np.eye(2)))), tol)
-        _record(records, "pt_unimodular_det", "|det S| = 1", abs(abs(det) - 1.0), tol)
-        _record(records, "pt_transmission_moduli", "|T_lr| = |T_rl|",
-                abs(abs(s.s_rr) - abs(s.s_ll)), tol)
-        _record(records, "pt_reflection_product_real", "Im(R_rl conj(R_lr)) = 0",
-                abs((s.s_rl * s.s_lr.conjugate()).imag), tol)
+        record("pt", "pt_inverse_conjugate", "S^-1 = S*",
+               np.max(np.abs(mat @ mat.conj() - np.eye(2))))
+        record("pt", "pt_unimodular_det", "|det S| = 1", abs(abs(det) - 1.0))
+        record("pt", "pt_transmission_moduli", "|T_lr| = |T_rl|", abs(abs(s.t_lr) - abs(s.t_rl)))
+        record("pt", "pt_reflection_product_real", "Im(R_rl conj(R_lr)) = 0",
+               abs((s.r_rl * s.r_lr.conjugate()).imag))
         if local:
-            _record(records, "pt_local_equal_transmission", "T_lr = T_rl",
-                    abs(s.s_rr - s.s_ll), tol)
-            if all_nonzero:
-                _record(records, "pt_local_lr_phase_lock",
-                        "R_lr conj(T_lr) + conj(R_lr) T_lr = 0",
-                        abs(s.s_lr * s.s_rr.conjugate() + s.s_lr.conjugate() * s.s_rr), tol)
-                _record(records, "pt_local_rl_phase_lock",
-                        "R_rl conj(T_rl) + conj(R_rl) T_rl = 0",
-                        abs(s.s_rl * s.s_ll.conjugate() + s.s_rl.conjugate() * s.s_ll), tol)
-            else:
-                _record_na(records, "pt_local_lr_phase_lock",
-                           "R_lr conj(T_lr) + conj(R_lr) T_lr = 0", tol)
-                _record_na(records, "pt_local_rl_phase_lock",
-                           "R_rl conj(T_rl) + conj(R_rl) T_rl = 0", tol)
+            record("pt", "pt_local_equal_transmission", "T_lr = T_rl", abs(s.t_lr - s.t_rl))
+            record("pt", "pt_local_lr_phase_lock", "R_lr conj(T_lr) + conj(R_lr) T_lr = 0",
+                   abs(s.r_lr * s.t_lr.conjugate() + s.r_lr.conjugate() * s.t_lr), all_nonzero)
+            record("pt", "pt_local_rl_phase_lock", "R_rl conj(T_rl) + conj(R_rl) T_rl = 0",
+                   abs(s.r_rl * s.t_rl.conjugate() + s.r_rl.conjugate() * s.t_rl), all_nonzero)
 
     return RelationReport(records=tuple(records))
 
@@ -214,7 +199,7 @@ class ExactPtResult:
     theta_rl: float
 
 
-def exact_asymptotic_pt_check(s: SMatrix, tol: float = 1e-10) -> ExactPtResult:
+def exact_asymptotic_pt_check(s: ScatteringCoefficients, tol: float = 1e-10) -> ExactPtResult:
     """Detect reflectionless, unimodular-transmission S matrices.
 
     The scattering states are themselves eigenstates of the combined
@@ -224,8 +209,8 @@ def exact_asymptotic_pt_check(s: SMatrix, tol: float = 1e-10) -> ExactPtResult:
     (the split between the eigenvalue phase and the incident-amplitude
     phase is not observable from S alone).
     """
-    is_exact = (abs(s.s_lr) < tol and abs(s.s_rl) < tol
-                and abs(abs(s.s_rr) - 1.0) < tol and abs(abs(s.s_ll) - 1.0) < tol)
-    theta_lr = (-cmath.phase(s.s_rr)) % (2 * math.pi) if s.s_rr != 0 else float("nan")
-    theta_rl = (-cmath.phase(s.s_ll)) % (2 * math.pi) if s.s_ll != 0 else float("nan")
+    is_exact = (abs(s.r_lr) < tol and abs(s.r_rl) < tol
+                and abs(abs(s.t_lr) - 1.0) < tol and abs(abs(s.t_rl) - 1.0) < tol)
+    theta_lr = (-cmath.phase(s.t_lr)) % (2 * math.pi) if s.t_lr != 0 else float("nan")
+    theta_rl = (-cmath.phase(s.t_rl)) % (2 * math.pi) if s.t_rl != 0 else float("nan")
     return ExactPtResult(is_exact=is_exact, theta_lr=theta_lr, theta_rl=theta_rl)

@@ -9,13 +9,13 @@ def rng():
 
 def random_smatrix(rng, invertible=True):
     """Random complex S matrix with nonzero T(L->R) (and det, if asked)."""
-    from ptscatter import SMatrix
+    from ptscatter import ScatteringCoefficients
 
     while True:
         vals = rng.normal(size=8)
-        s = SMatrix(s_rr=complex(vals[0], vals[1]), s_rl=complex(vals[2], vals[3]),
-                    s_lr=complex(vals[4], vals[5]), s_ll=complex(vals[6], vals[7]))
-        if abs(s.s_rr) > 0.1 and (not invertible or abs(s.det) > 0.05):
+        s = ScatteringCoefficients(t_lr=complex(vals[0], vals[1]), r_rl=complex(vals[2], vals[3]),
+                                   r_lr=complex(vals[4], vals[5]), t_rl=complex(vals[6], vals[7]))
+        if abs(s.t_lr) > 0.1 and (not invertible or abs(s.det) > 0.05):
             return s
 
 

@@ -16,7 +16,6 @@ from ptscatter import (
     LatticeParams,
     ScarfParams,
     SeparableKernel,
-    SMatrix,
     SquareWellParams,
     WaveNumber,
     asymptotic_current,
@@ -163,7 +162,7 @@ def test_criterion_06_pt_relation_suite():
     worst_sinv, worst_det, worst_teq, worst_phase = 0.0, 0.0, 0.0, 0.0
     for k in np.linspace(0.2, 4.0, 50):
         c = square_well_coefficients(PT_WELL, WaveNumber(float(k)))
-        s = SMatrix.from_coefficients(c).as_array()
+        s = c.as_array()
         worst_sinv = max(worst_sinv, float(np.max(np.abs(s @ s.conj() - np.eye(2)))))
         worst_det = max(worst_det, abs(abs(np.linalg.det(s)) - 1.0))
         worst_teq = max(worst_teq, abs(c.t_lr - c.t_rl) / abs(c.t_lr))
@@ -189,7 +188,7 @@ def test_criterion_07_multi_well():
     diff2 = float(np.max(np.abs(got2.as_array() - explicit.as_array())))
 
     p8 = LatticeParams(well, a=0.5, n=8)
-    t_analytic = smatrix_from_transfer(multi_well_transfer(p8, k)).to_coefficients().t_lr
+    t_analytic = smatrix_from_transfer(multi_well_transfer(p8, k)).t_lr
     c = numeric_coefficients(lattice_potential(p8), k, IntegrationConfig(step=1e-3))
     diff8 = abs(abs(c.t_lr) - abs(t_analytic)) / abs(t_analytic)
     elapsed = time.time() - t0
@@ -225,13 +224,13 @@ def test_criterion_08_nonlocal_yamaguchi():
 
 def test_criterion_09_exact_asymptotic_pt():
     c_cf = centrifugal_coefficients(CentrifugalParams(2.0, 0.1), 1.0)
-    s_cf = SMatrix.from_coefficients(c_cf)
+    s_cf = c_cf
     c_rs = scarf_coefficients(ScarfParams(2.0, 1j), 1.0)
-    s_rs = SMatrix.from_coefficients(c_rs)
+    s_rs = c_rs
     flags_ok = (exact_asymptotic_pt_check(s_cf).is_exact
                 and exact_asymptotic_pt_check(s_rs).is_exact)
     well_flags = [exact_asymptotic_pt_check(
-        SMatrix.from_coefficients(square_well_coefficients(PT_WELL, k))).is_exact
+        square_well_coefficients(PT_WELL, k)).is_exact
         for k in (0.7, 1.0, 1.9)]
     worst_unit = 0.0
     for s in (s_cf, s_rs):

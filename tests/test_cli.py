@@ -5,8 +5,10 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from ptscatter.cli import main
+
 
 def run_cli(args):
     return main(list(args))
@@ -247,6 +249,32 @@ class TestGoldenFiles:
         golden = open(f"{self.GOLDEN_DIR}/golden_lattice_sweep.csv", "rb").read()
         assert out.read_bytes() == golden
 
+    def test_pt_square_well_symmetry_matches_golden(self, tmp_path):
+        out = tmp_path / "sym.json"
+        assert run_cli(["symmetry", "--potential", "square-well", "--v0", "1", "--v1", "0.5",
+                        "--b", "1", "--kmin", "0.5", "--kmax", "2.5", "--kcount", "5",
+                        "--out", str(out)]) == 0
+        golden = open(f"{self.GOLDEN_DIR}/golden_symmetry_square_well.json", "rb").read()
+        assert out.read_bytes() == golden
+
+    def test_asymmetric_yamaguchi_symmetry_matches_golden(self, tmp_path):
+        # a kernel's class block carries symmetric_xy/reality, not x0
+        out = tmp_path / "sym.json"
+        assert run_cli(["symmetry", "--potential", "yamaguchi", "--gamma", "1", "--delta", "2",
+                        "--alpha", "0.3", "--beta", "0.7", "--strength", "1",
+                        "--kmin", "0.5", "--kmax", "2", "--kcount", "3",
+                        "--out", str(out)]) == 0
+        golden = open(f"{self.GOLDEN_DIR}/golden_symmetry_yamaguchi.json", "rb").read()
+        assert out.read_bytes() == golden
+
+    def test_square_well_compare_matches_golden(self, tmp_path):
+        out = tmp_path / "cmp.json"
+        assert run_cli(["compare", "--potential", "square-well", "--v0", "1", "--v1", "0.5",
+                        "--b", "1", "--kmin", "0.5", "--kmax", "2", "--kcount", "4",
+                        "--out", str(out)]) == 0
+        golden = open(f"{self.GOLDEN_DIR}/golden_compare_square_well.json", "rb").read()
+        assert out.read_bytes() == golden
+
 
 class TestConfigAndErrors:
     def test_config_file_with_flag_override(self, tmp_path):
@@ -292,6 +320,61 @@ class TestConfigAndErrors:
         _, rows = read_csv(out)
         # real sampled well: near-unitary rows
         assert abs(float(rows[0]["unitarity_defect"])) < 1e-3
+
+    def test_custom_sampled_scan_is_one_sweep(self, tmp_path, monkeypatch):
+        import ptscatter.cli as cli
+        from ptscatter import IntegrationConfig, numeric_coefficients, sampled_potential
+
+        xs = np.linspace(-2, 2, 2001)
+        v = np.where(np.abs(xs) <= 1, -1.0 + 0.3j * np.sign(xs), 0.0)
+        samples = tmp_path / "pot.csv"
+        np.savetxt(samples, np.column_stack([xs, v.real, v.imag]), delimiter=",")
+        calls = []
+
+        def counted(pot, ks, cfg=None):
+            calls.append(len(ks))
+            return integrate_batch(pot, ks, cfg)
+
+        integrate_batch = cli.integrate_batch
+        monkeypatch.setattr(cli, "integrate_batch", counted)
+        out = tmp_path / "scan.csv"
+        assert run_cli(["scan", "--potential", "custom-sampled", "--samples-file",
+                        str(samples), "--kcount", "5", "--kmax", "2", "--out", str(out)]) == 0
+        assert calls == [5]
+        _, rows = read_csv(out)
+        pot, cfg = sampled_potential(xs, v), IntegrationConfig(step=1e-3)
+        for row in rows:
+            c = numeric_coefficients(pot, float(row["k"]), cfg)
+            for name in ("t_lr", "r_lr", "t_rl", "r_rl"):
+                got = complex(float(row[f"{name}_re"]), float(row[f"{name}_im"]))
+                assert abs(got - getattr(c, name)) < 1e-13
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--v1", "nan"],
+        ["scan", "--b", "inf"],
+        ["lattice", "--a", "inf"],
+        ["scan", "--potential", "yamaguchi", "--gamma", "nan"],
+        ["scan", "--potential", "yamaguchi", "--alpha", "inf"],
+        ["scan", "--potential", "centrifugal", "--strength", "nan"],
+        ["scan", "--potential", "scarf", "--lambda-im", "inf"],
+        ["symmetry", "--potential", "scarf", "--s", "nan"],
+    ])
+    def test_non_finite_parameter_is_config_error(self, argv, capsys):
+        assert run_cli(argv + ["--kcount", "2", "--kmax", "1"]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, k", [
+        (["scan", "--potential", "square-well", "--v1", "1e4", "--b", "10"], "0.2"),
+        (["lattice", "--v1", "1e4", "--b", "10"], "0.2"),
+        (["compare", "--potential", "square-well", "--v1", "1e4", "--b", "10"], "0.2"),
+        (["scan", "--potential", "scarf", "--kmin", "220"], "230.0"),
+        (["symmetry", "--potential", "scarf", "--kmin", "220"], "230.0"),
+    ])
+    def test_arithmetic_error_is_solver_error_naming_k(self, argv, k, capsys):
+        assert run_cli(argv + ["--kmax", "240", "--kcount", "3"]) == 3
+        reported = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("solver error")]
+        assert len(reported) == 1 and reported[0].startswith(f"solver error at k = {k}: ")
 
     def test_import_does_not_load_scipy_integrate(self):
         code = "import sys, ptscatter.cli; print('scipy.integrate' in sys.modules)"

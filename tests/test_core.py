@@ -87,7 +87,7 @@ class TestCoefficientsFromAmplitudes:
 class TestSMatrixTransferConversion:
     def test_identity_transfer_gives_identity_s(self):
         s = smatrix_from_transfer(TransferMatrix.identity())
-        assert s.s_rr == 1 and s.s_lr == 0 and s.s_rl == 0 and s.s_ll == 1
+        assert s.t_lr == 1 and s.r_lr == 0 and s.r_rl == 0 and s.t_rl == 1
 
     def test_identity_s_gives_identity_transfer(self):
         s = smatrix_from_transfer(TransferMatrix.identity())
@@ -98,7 +98,7 @@ class TestSMatrixTransferConversion:
         m = square_well_transfer(SquareWellParams(1.0, 0.5, 1.0), 1.0)
         s = smatrix_from_transfer(m)
         assert abs(m.det - 1.0) < 1e-12
-        assert abs(s.s_rr - s.s_ll) < 1e-14
+        assert abs(s.t_lr - s.t_rl) < 1e-14
 
     def test_round_trip_m_to_s_to_m(self, rng):
         for _ in range(100):
@@ -115,10 +115,8 @@ class TestSMatrixTransferConversion:
                 np.abs(s.as_array()))
 
     def test_reflectionless_scarf_gives_diagonal_transfer(self):
-        from ptscatter import SMatrix
-
         c = scarf_coefficients(ScarfParams(s=2, lam=1j), 1.0)
-        m = transfer_from_smatrix(SMatrix.from_coefficients(c))
+        m = transfer_from_smatrix(c)
         assert abs(m.m_rl) < 1e-12 and abs(m.m_lr) < 1e-12
         assert abs(m.m_rr - 1.0 / c.t_lr) < 1e-12
 
@@ -127,10 +125,10 @@ class TestSMatrixTransferConversion:
             smatrix_from_transfer(TransferMatrix(m_rr=0.0, m_rl=1.0, m_lr=1.0, m_ll=1.0))
 
     def test_zero_transmission_raises(self):
-        from ptscatter import SMatrix
+        from ptscatter import ScatteringCoefficients
 
         with pytest.raises(ZeroTransmission):
-            transfer_from_smatrix(SMatrix(s_rr=0.0, s_rl=0.5, s_lr=0.5, s_ll=1.0))
+            transfer_from_smatrix(ScatteringCoefficients(t_lr=0.0, r_rl=0.5, r_lr=0.5, t_rl=1.0))
 
 
 class TestShiftCompose:
@@ -152,10 +150,7 @@ class TestShiftCompose:
         shifted = shift_transfer(square_well_transfer(p, k), 2.0, k)
         amps = integrate_two_solutions(square_well_potential(p, x0=2.0), k,
                                        IntegrationConfig(step=1e-3))
-        from ptscatter import SMatrix
-
-        numeric = transfer_from_smatrix(SMatrix.from_coefficients(
-            coefficients_from_amplitudes(amps)))
+        numeric = transfer_from_smatrix(coefficients_from_amplitudes(amps))
         assert np.max(np.abs(numeric.as_array() - shifted.as_array())) < 1e-6
 
     def test_compose_with_identity(self, rng):

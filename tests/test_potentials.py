@@ -82,11 +82,10 @@ class TestSquareWell:
         p = SquareWellParams(1.0, 0.5, 1.0)
         k = WaveNumber(1.0)
         want = square_well_transfer(p, k).as_array()
-        from ptscatter import SMatrix, transfer_from_smatrix
+        from ptscatter import transfer_from_smatrix
 
         amps = integrate_two_solutions(square_well_potential(p), k, IntegrationConfig(step=1e-3))
-        got = transfer_from_smatrix(
-            SMatrix.from_coefficients(coefficients_from_amplitudes(amps))).as_array()
+        got = transfer_from_smatrix(coefficients_from_amplitudes(amps)).as_array()
         assert np.max(np.abs(got - want)) < 1e-6 * np.max(np.abs(want))
 
     def test_matches_numeric_oracle_random_parameters(self, rng):
@@ -169,7 +168,7 @@ class TestLattice:
     def test_eight_wells_match_assembled_numeric_profile(self):
         p = LatticeParams(self.WELL, a=0.5, n=8)
         k = WaveNumber(1.2)
-        t_analytic = smatrix_from_transfer(multi_well_transfer(p, k)).to_coefficients().t_lr
+        t_analytic = smatrix_from_transfer(multi_well_transfer(p, k)).t_lr
         c = numeric_coefficients(lattice_potential(p), k, IntegrationConfig(step=1e-3))
         assert abs(abs(c.t_lr) - abs(t_analytic)) < 1e-5 * abs(t_analytic)
 

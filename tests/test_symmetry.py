@@ -9,7 +9,6 @@ from ptscatter import (
     LocalPotential,
     ScarfParams,
     SeparableKernel,
-    SMatrix,
     SquareWellParams,
     SymmetryClass,
     WaveNumber,
@@ -66,7 +65,7 @@ class TestClassification:
 class TestRelationSuites:
     def test_pt_square_well_suite(self):
         cls = classify_local_potential(square_well_potential(PT_WELL))
-        s = SMatrix.from_coefficients(square_well_coefficients(PT_WELL, 1.0))
+        s = square_well_coefficients(PT_WELL, 1.0)
         report = check_s_relations(s, cls, local=True)
         assert report.by_name("pt_inverse_conjugate").residual < 1e-10
         assert report.by_name("pt_local_equal_transmission").residual < 1e-14
@@ -78,7 +77,7 @@ class TestRelationSuites:
 
     def test_hermitian_scarf_unitarity_suite(self):
         cls = classify_local_potential(scarf_potential(ScarfParams(1.3, 0.7)))
-        s = SMatrix.from_coefficients(scarf_coefficients(ScarfParams(1.3, 0.7), 0.9))
+        s = scarf_coefficients(ScarfParams(1.3, 0.7), 0.9)
         report = check_s_relations(s, cls, local=True, tol=1e-9)
         assert report.by_name("ht_unitarity").residual < 1e-9
         assert report.all_hold
@@ -88,7 +87,7 @@ class TestRelationSuites:
                              x_left=-20.0, x_right=20.0)
         cls = classify_local_potential(pot)
         # Poeschl-Teller-like: use the Scarf closed form at lam = 0
-        s = SMatrix.from_coefficients(scarf_coefficients(ScarfParams(1.3, 0.0), 0.9))
+        s = scarf_coefficients(ScarfParams(1.3, 0.0), 0.9)
         report = check_s_relations(s, cls, local=True, tol=1e-9)
         assert report.by_name("p_equal_transmission").holds
         assert report.by_name("p_equal_reflection").holds
@@ -117,7 +116,7 @@ class TestRelationSuites:
         """|det S| = 1 and |T_lr| = |T_rl| hold; T_lr = T_rl fails (non-local)."""
         kernel = SeparableKernel.yamaguchi(gamma=1.0, delta=2.0, alpha=0.3, beta=0.7, lam=1.0)
         c = nonlocal_coefficients(kernel, 1.0)
-        s = SMatrix.from_coefficients(c)
+        s = c
         cls = SymmetryClass(pt=True)
         report = check_s_relations(s, cls, local=False)
         assert report.by_name("pt_unimodular_det").holds
@@ -125,7 +124,7 @@ class TestRelationSuites:
         assert report.by_name("pt_inverse_conjugate").holds
         assert report.all_hold
         # the local-only equality genuinely fails here
-        assert abs(s.s_rr - s.s_ll) > 1e-3
+        assert abs(s.t_lr - s.t_rl) > 1e-3
         assert not any(r.name == "pt_local_equal_transmission" for r in report)
 
     def test_suites_follow_flags_over_k_grid(self):
@@ -146,14 +145,14 @@ class TestRelationSuites:
         for pot, solver in cases:
             cls = classify_local_potential(pot)
             for k in np.linspace(0.2, 4.0, 50):
-                s = SMatrix.from_coefficients(solver(WaveNumber(float(k))))
+                s = solver(WaveNumber(float(k)))
                 report = check_s_relations(s, cls, local=True, tol=1e-9)
                 assert report.all_hold, (cls, k, [(r.name, r.residual) for r in report
                                                   if r.applicable and not r.holds])
 
     def test_tightening_tolerance_never_flips_to_true(self):
         cls = classify_local_potential(square_well_potential(PT_WELL))
-        s = SMatrix.from_coefficients(square_well_coefficients(PT_WELL, 1.0))
+        s = square_well_coefficients(PT_WELL, 1.0)
         loose = check_s_relations(s, cls, local=True, tol=1e-6)
         tight = check_s_relations(s, cls, local=True, tol=1e-12)
         for rl, rt in zip(loose, tight):
@@ -162,7 +161,7 @@ class TestRelationSuites:
 
     def test_reflectionless_marks_ratio_relations_not_applicable(self):
         c = centrifugal_coefficients(CentrifugalParams(2.0, 0.1), 1.0)
-        s = SMatrix.from_coefficients(c)
+        s = c
         cls = SymmetryClass(pt=True)
         report = check_s_relations(s, cls, local=True)
         lock = report.by_name("pt_local_lr_phase_lock")
@@ -172,25 +171,70 @@ class TestRelationSuites:
 class TestExactAsymptoticPt:
     def test_centrifugal_is_exact(self):
         c = centrifugal_coefficients(CentrifugalParams(2.0, 0.1), 1.0)
-        res = exact_asymptotic_pt_check(SMatrix.from_coefficients(c))
+        res = exact_asymptotic_pt_check(c)
         assert res.is_exact
         assert abs(res.theta_lr) < 1e-12  # T = 1 exactly
 
     def test_reflectionless_scarf_is_exact(self):
         c = scarf_coefficients(ScarfParams(2.0, 1j), 1.0)
-        res = exact_asymptotic_pt_check(SMatrix.from_coefficients(c))
+        res = exact_asymptotic_pt_check(c)
         assert res.is_exact
         # T = e^{-i theta}: the reported angle reproduces the transmission
         assert abs(np.exp(-1j * res.theta_lr) - c.t_lr) < 1e-12
 
     def test_pt_square_well_is_not_exact(self):
         c = square_well_coefficients(PT_WELL, 1.0)
-        assert not exact_asymptotic_pt_check(SMatrix.from_coefficients(c)).is_exact
+        assert not exact_asymptotic_pt_check(c).is_exact
 
     def test_exactness_implies_unitarity(self):
         for c in (centrifugal_coefficients(CentrifugalParams(2.0, 0.1), 1.0),
                   scarf_coefficients(ScarfParams(3.0, 2j), 0.7)):
-            s = SMatrix.from_coefficients(c)
+            s = c
             if exact_asymptotic_pt_check(s).is_exact:
                 m = s.as_array()
                 assert np.max(np.abs(m.conj().T @ m - np.eye(2))) < 1e-9
+
+
+class TestRelationSuiteField:
+    # the suite each relation belongs to, as the report once read it off the name
+    PREFIXES = {"local": "local_", "p": "p_", "p_generalized": "pg_", "t": "t_",
+                "hermitian_t": "ht_", "pt": "pt_"}
+
+    def test_suite_field_matches_name_prefix(self):
+        from ptscatter import (centrifugal_potential, shift_transfer, smatrix_from_transfer,
+                               square_well_transfer)
+        from ptscatter.symmetry import SUITES
+
+        cf = CentrifugalParams(2.0, 0.1)
+        even = LocalPotential(evaluate=lambda x: -1.0 / math.cosh(x) ** 2,
+                              x_left=-20.0, x_right=20.0)
+        k = WaveNumber(1.1)
+        shifted = smatrix_from_transfer(
+            shift_transfer(square_well_transfer(HERMITIAN_WELL, k), 2.0, k))
+        kernel = SeparableKernel.yamaguchi(gamma=1.0, delta=2.0, alpha=0.3, beta=0.7, lam=1.0)
+        cases = [
+            (classify_local_potential(square_well_potential(PT_WELL)),
+             square_well_coefficients(PT_WELL, k), True),
+            (classify_local_potential(square_well_potential(HERMITIAN_WELL)),
+             square_well_coefficients(HERMITIAN_WELL, k), True),
+            (classify_local_potential(scarf_potential(ScarfParams(1.3, 0.7))),
+             scarf_coefficients(ScarfParams(1.3, 0.7), k), True),
+            (classify_local_potential(even), scarf_coefficients(ScarfParams(1.3, 0.0), k), True),
+            (classify_local_potential(square_well_potential(HERMITIAN_WELL, x0=2.0), tol=1e-8),
+             shifted, True),
+            (SymmetryClass(hermitian=True, time_reversal=True, parity_generalized=True, x0=1.0),
+             shifted, True),
+            (SymmetryClass(pt=True), nonlocal_coefficients(kernel, k), False),
+            (SymmetryClass(pt=True), centrifugal_coefficients(cf, k), True),
+            (SymmetryClass(time_reversal=True), centrifugal_coefficients(cf, k), True),
+            (classify_local_potential(centrifugal_potential(cf)),
+             centrifugal_coefficients(cf, k), True),
+        ]
+        seen = set()
+        for cls, s, local in cases:
+            for r in check_s_relations(s, cls, local=local, k=k):
+                want = [suite for suite, prefix in self.PREFIXES.items()
+                        if r.name.startswith(prefix)]
+                assert [r.suite] == want, (r.name, r.suite)
+                seen.add(r.suite)
+        assert seen == set(SUITES) == set(self.PREFIXES)
