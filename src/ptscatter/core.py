@@ -12,11 +12,14 @@ Conventions (units hbar = 2m = 1, energy E = k^2, k > 0 strictly):
 from __future__ import annotations
 
 import cmath
+import math
+import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DegenerateSolutions, TransmissionPole, ZeroTransmission
+from .errors import DegenerateSolutions, ScatteringError, TransmissionPole, ZeroTransmission
 
 #: default absolute tolerance on dimensionless matrix elements
 DEFAULT_TOL = 1e-10
@@ -81,7 +84,8 @@ class ScatteringCoefficients:
     """Transmission/reflection coefficients for both incidence directions.
 
     Read as the S matrix [[T_lr, R_rl], [R_lr, T_rl]] (rows/columns ordered
-    (R, L)), which maps incoming to outgoing amplitudes.
+    (R, L)), which maps incoming to outgoing amplitudes.  Over a k grid
+    each coefficient is a complex column (an array over k).
     """
 
     t_lr: complex
@@ -94,6 +98,9 @@ class ScatteringCoefficients:
 
     @property
     def det(self) -> complex:
+        if np.ndim(self.t_lr):
+            t_lr, r_rl = _PyComplex.of(self.t_lr), _PyComplex.of(self.r_rl)
+            return (t_lr * self.t_rl - r_rl * self.r_lr).array()
         return self.t_lr * self.t_rl - self.r_rl * self.r_lr
 
 
@@ -146,12 +153,24 @@ def smatrix_from_transfer(m: TransferMatrix, tol: float = 1e-12) -> ScatteringCo
     """Invert the transfer matrix into S; the pole of 1/M_RR is a spectral singularity."""
     if abs(m.m_rr) < tol:
         raise TransmissionPole(f"|M_RR| = {abs(m.m_rr)} below {tol}")
-    return ScatteringCoefficients(
-        t_lr=1.0 / m.m_rr,
-        r_lr=m.m_lr / m.m_rr,
-        t_rl=m.det / m.m_rr,
-        r_rl=-m.m_rl / m.m_rr,
-    )
+    return _smatrix(m.m_rr, m.m_rl, m.m_lr, m.m_ll)
+
+
+def _smatrix(m_rr, m_rl, m_lr, m_ll) -> ScatteringCoefficients:
+    det = m_rr * m_ll - m_rl * m_lr
+    return ScatteringCoefficients(t_lr=1.0 / m_rr, r_lr=m_lr / m_rr, t_rl=det / m_rr,
+                                  r_rl=-m_rl / m_rr)
+
+
+def smatrix_columns(m_rr, m_rl, m_lr, m_ll, tol: float = 1e-12):
+    """``smatrix_from_transfer`` over columns of M elements (``_PyComplex``).
+
+    Returns the four coefficient columns and the mask of the k where the
+    per-k inversion raises (|M_RR| < tol) or |M_RR| is out of range.
+    """
+    size = abs(m_rr)
+    c = _smatrix(m_rr, m_rl, m_lr, m_ll)
+    return [z.array() for z in (c.t_lr, c.r_lr, c.t_rl, c.r_rl)], ~((size >= tol) & (size < 1e300))
 
 
 def transfer_from_smatrix(s: ScatteringCoefficients, tol: float = 1e-300) -> TransferMatrix:
@@ -209,3 +228,163 @@ def wronskian_residual(amps: AsymptoticAmplitudes, k) -> float:
     if denom == 0.0:
         return 0.0
     return abs(c.t_rl - c.t_lr) / denom
+
+
+# -- k grids as columns ---------------------------------------------------------
+
+class _PyComplex:
+    """A column of complex numbers whose arithmetic rounds as CPython's does.
+
+    numpy's complex product and quotient round differently from CPython's
+    (fused multiply-adds), so a grid computed with them would differ from
+    the per-k code in the last bits.  These follow CPython's ``_Py_c_prod``
+    and ``_Py_c_quot`` step by step in float64 array operations, which round
+    exactly as Python floats do.  Python floats and complex numbers and numpy
+    arrays mix in as CPython promotes them (a real x is (x, 0.0)), so every
+    element equals the Python expression at its k, signed zeros included.
+    ``abs`` is ``np.hypot``, CPython's own formula, but gives inf where
+    Python's raises OverflowError.
+    """
+
+    __array_ufunc__ = None      # numpy defers mixed operators to this class
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0.0):
+        self.re, self.im = re, im
+
+    @classmethod
+    def of(cls, z) -> "_PyComplex":
+        if isinstance(z, cls):
+            return z
+        if np.iscomplexobj(z):
+            return cls(np.real(z), np.imag(z))
+        return cls(z)
+
+    def array(self) -> np.ndarray:
+        out = np.empty(np.broadcast(self.re, self.im).shape, dtype=complex)
+        out.real, out.imag = self.re, self.im
+        return out
+
+    def conjugate(self) -> "_PyComplex":
+        return _PyComplex(self.re, -self.im)
+
+    def exp(self) -> "_PyComplex":
+        # numpy's complex exp is cmath.exp's formula below the overflow range
+        return _PyComplex.of(np.exp(self.array()))
+
+    def __neg__(self):
+        return _PyComplex(-self.re, -self.im)
+
+    def __abs__(self):
+        return np.hypot(self.re, self.im)
+
+    def __add__(self, other):
+        other = _PyComplex.of(other)
+        return _PyComplex(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__          # IEEE addition commutes exactly
+
+    def __sub__(self, other):
+        other = _PyComplex.of(other)
+        return _PyComplex(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return _PyComplex.of(other) - self
+
+    def __mul__(self, other):
+        b = _PyComplex.of(other)
+        return _PyComplex(self.re * b.re - self.im * b.im, self.re * b.im + self.im * b.re)
+
+    __rmul__ = __mul__          # so do the products and their sum
+
+    def __truediv__(self, other):
+        return _quotient(self, _PyComplex.of(other))
+
+    def __rtruediv__(self, other):
+        return _quotient(_PyComplex.of(other), self)
+
+
+def _quotient(a: _PyComplex, b: _PyComplex) -> _PyComplex:
+    """CPython's complex division: scale by the larger part of b.  NaN where
+    b = 0 (Python raises ZeroDivisionError) or b has a NaN part."""
+    by_real = np.abs(b.re) >= np.abs(b.im)
+    by_imag = np.abs(b.im) >= np.abs(b.re)
+    ratio = b.im / b.re
+    denom = b.re + b.im * ratio
+    re_r, im_r = (a.re + a.im * ratio) / denom, (a.im - a.re * ratio) / denom
+    ratio = b.re / b.im
+    denom = b.re * ratio + b.im
+    re_i, im_i = (a.re * ratio + a.im) / denom, (a.im * ratio - a.re) / denom
+    return _PyComplex(np.where(by_real, re_r, np.where(by_imag, re_i, np.nan)),
+                      np.where(by_real, im_r, np.where(by_imag, im_i, np.nan)))
+
+
+def _mapped(fn, *args) -> np.ndarray:
+    """fn over float columns element by element, on Python floats, so that
+    it rounds as the per-k code does; NaN where fn raises.  Scalars among
+    the arguments are repeated."""
+    n = max(np.size(a) for a in args)
+    cols = [np.broadcast_to(a, (n,)).tolist() for a in args]
+    try:
+        return np.fromiter(map(fn, *cols), dtype=float, count=n)
+    except (ArithmeticError, ValueError):
+        return np.array([_or_nan(fn, *row) for row in zip(*cols)], dtype=float)
+
+
+def _or_nan(fn, *args) -> float:
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError):
+        return math.nan
+
+
+#: the functions a closed form evaluates, at one Python float k ...
+SCALAR = SimpleNamespace(cos=math.cos, sin=math.sin, cosh=math.cosh, sinh=math.sinh,
+                         exp=math.exp, atan2=math.atan2, pow=operator.pow, cexp=cmath.exp,
+                         complex=lambda z: z)
+#: ... and over a float column, with the same rounding (numpy's cos and sin
+#: are libm's; cosh, sinh, exp, atan2 and ** are not, so they are mapped)
+COLUMN = SimpleNamespace(
+    cos=np.cos, sin=np.sin,
+    cosh=lambda x: _mapped(math.cosh, x), sinh=lambda x: _mapped(math.sinh, x),
+    exp=lambda x: _mapped(math.exp, x), atan2=lambda y, x: _mapped(math.atan2, y, x),
+    pow=lambda x, y: _mapped(operator.pow, x, y),
+    cexp=lambda z: _PyComplex.of(z).exp(), complex=_PyComplex.of)
+
+
+def on_grid(ks, at, columns=None) -> ScatteringCoefficients:
+    """One record of coefficient columns over the k grid ``ks``.
+
+    ``at(i)`` gives the record at ``ks[i]`` by the per-k code.  ``columns``,
+    if given, computes the whole grid at once: ``columns(ks)`` returns the
+    four coefficient columns, equal to the per-k values where they are
+    finite, and the mask of the k where the per-k code raises or branches
+    (poles, overflow).  Those k and every k with a non-finite coefficient
+    (all k if ``columns`` raises) are evaluated by ``at`` in grid order, so
+    the lowest failing k raises what the per-k loop raises, with the k
+    attached when the error names none.
+    """
+    ks = np.asarray(ks, dtype=float)
+    redo = ~((ks > 0) & np.isfinite(ks))
+    cols = None
+    if columns is not None:
+        try:
+            with np.errstate(all="ignore"):
+                values, unsure = columns(ks)
+            cols = [np.array(np.broadcast_to(c, ks.shape), dtype=complex) for c in values]
+            redo |= unsure | ~np.logical_and.reduce([np.isfinite(c) for c in cols])
+        except (ScatteringError, ArithmeticError, ValueError):
+            cols = None
+    if cols is None:
+        cols = [np.zeros(ks.shape, dtype=complex) for _ in range(4)]
+        redo[:] = True
+    for i in np.flatnonzero(redo):
+        try:
+            c = at(i)
+        except (ScatteringError, ArithmeticError) as exc:
+            if getattr(exc, "k", None) is None:
+                exc.k = float(ks[i])
+            raise
+        for col, z in zip(cols, (c.t_lr, c.r_lr, c.t_rl, c.r_rl)):
+            col[i] = z
+    return ScatteringCoefficients(*cols)

@@ -33,6 +33,10 @@ class NumeratorPole(GammaPole):
     """A numerator gamma factor sits on a pole; the ratio diverges."""
 
 
+class PrecisionLoss(ScatteringError):
+    """Cancellation leaves a closed form with too few correct digits."""
+
+
 class StepTooLarge(ScatteringError):
     """Integration step violates the points-per-wavelength criterion."""
 

@@ -318,11 +318,13 @@ def integrate_batch(v: LocalPotential, ks: Sequence[float], cfg: IntegrationConf
     """
     cfg = cfg or IntegrationConfig()
     ks = np.asarray([as_wavenumber(k).k for k in ks], dtype=float)
-    xs, psi, dpsi = _propagate(v, ks, cfg, record=False)
-    x_end = xs[-1]
-    a, b = _extract(psi, dpsi, ks, x_end)
-    wr = np.abs(psi[0] * dpsi[1] - psi[1] * dpsi[0])
-    lost = ks[wr < 1e-8 * 2 * ks]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a solution that overflows leaves a non-finite Wronskian, caught below
+        xs, psi, dpsi = _propagate(v, ks, cfg, record=False)
+        x_end = xs[-1]
+        a, b = _extract(psi, dpsi, ks, x_end)
+        wr = np.abs(psi[0] * dpsi[1] - psi[1] * dpsi[0])
+    lost = ks[~(np.isfinite(wr) & (wr >= 1e-8 * 2 * ks))]
     if lost.size:
         raise DegenerateSolutions("solution pair lost independence during integration",
                                   k=float(np.min(lost)))

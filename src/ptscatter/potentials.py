@@ -17,16 +17,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    COLUMN,
+    SCALAR,
     AsymptoticAmplitudes,
     ScatteringCoefficients,
     TransferMatrix,
+    _PyComplex,
     _require_finite,
     as_wavenumber,
+    on_grid,
+    smatrix_columns,
     smatrix_from_transfer,
 )
 from .errors import InvalidNu, TransferOverflow
 from .numeric import LocalPotential
-from .specfun import GammaRatio, gamma_ratio
+from .specfun import GammaRatio, gamma_ratio, gamma_ratio_columns
 
 OVERFLOW_LIMIT = 1e300
 
@@ -75,23 +80,26 @@ def square_well_transfer(p: SquareWellParams, k) -> TransferMatrix:
     The diagonal elements are invariant under v1 -> -v1 (alpha0 <-> alpha1)
     and det M = 1 identically.
     """
-    kv = as_wavenumber(k).k
-    alpha, phi = p.alpha(k), p.phi(k)
-    c = 2 * alpha * p.b * math.cos(phi)
-    s = 2 * alpha * p.b * math.sin(phi)
-    cp, sp = math.cos(phi), math.sin(phi)
-    even = cp * cp * math.cos(c) + sp * sp * math.cosh(s)
+    return TransferMatrix(*_square_well_elements(p, as_wavenumber(k).k))
+
+
+def _square_well_elements(p: SquareWellParams, kv, f=SCALAR) -> tuple:
+    """(M_RR, M_RL, M_LR, M_LL) at a float kv, or over a float column kv
+    with ``f = COLUMN`` (the same operations, rounded as at one k)."""
+    e = kv * kv
+    alpha = f.pow(f.pow(e + p.v0, 2) + p.v1 ** 2, 0.25)     # SquareWellParams.alpha
+    phi = 0.5 * f.atan2(p.v1, e + p.v0)                     # SquareWellParams.phi
+    c = 2 * alpha * p.b * f.cos(phi)
+    s = 2 * alpha * p.b * f.sin(phi)
+    cp, sp = f.cos(phi), f.sin(phi)
+    even = cp * cp * f.cos(c) + sp * sp * f.cosh(s)
     km = (kv * kv - alpha * alpha) / (2 * kv * alpha)
     kp = (kv * kv + alpha * alpha) / (2 * kv * alpha)
-    odd = km * sp * math.sinh(s) + kp * cp * math.sin(c)
-    cross = sp * cp * (math.cos(c) - math.cosh(s))
-    off = km * cp * math.sin(c) + kp * sp * math.sinh(s)
-    return TransferMatrix(
-        m_rr=cmath.exp(2j * kv * p.b) * (even - 1j * odd),
-        m_ll=cmath.exp(-2j * kv * p.b) * (even + 1j * odd),
-        m_rl=1j * (cross + off),
-        m_lr=1j * (cross - off),
-    )
+    odd = km * sp * f.sinh(s) + kp * cp * f.sin(c)
+    cross = sp * cp * (f.cos(c) - f.cosh(s))
+    off = km * cp * f.sin(c) + kp * sp * f.sinh(s)
+    return (f.cexp(2j * kv * p.b) * (even - 1j * odd), f.complex(1j * (cross + off)),
+            f.complex(1j * (cross - off)), f.cexp(-2j * kv * p.b) * (even + 1j * odd))
 
 
 def square_well_transfer_interfaces(p: SquareWellParams, k) -> TransferMatrix:
@@ -114,7 +122,13 @@ def square_well_transfer_interfaces(p: SquareWellParams, k) -> TransferMatrix:
 
 
 def square_well_coefficients(p: SquareWellParams, k) -> ScatteringCoefficients:
-    """Coefficients via the transfer matrix; T equals 1/M_RR in both directions."""
+    """Coefficients via the transfer matrix; T equals 1/M_RR in both directions.
+
+    ``k`` may be an array of wave numbers: the record then holds columns.
+    """
+    if np.ndim(k):
+        return on_grid(k, lambda i: square_well_coefficients(p, k[i]),
+                       lambda ks: smatrix_columns(*_square_well_elements(p, ks, COLUMN)))
     return smatrix_from_transfer(square_well_transfer(p, k))
 
 
@@ -320,18 +334,28 @@ def scarf_amplitudes(p: ScarfParams, k) -> AsymptoticAmplitudes:
     )
 
 
-def _scarf_t(s: float, lam: complex, k: float) -> complex:
+def _scarf_t_args(s: float, lam: complex, ik):
+    """Numerator and denominator gamma arguments of T, given ik = 1j*k."""
     half = 0.5
-    ik = 1j * k
-    return gamma_ratio(GammaRatio(
-        (-s - ik, s + 1 - ik, half + 1j * lam - ik, half - 1j * lam - ik),
-        (-ik, 1 - ik, half - ik, half - ik),
-    ))
+    return ((-s - ik, s + 1 - ik, half + 1j * lam - ik, half - 1j * lam - ik),
+            (-ik, 1 - ik, half - ik, half - ik))
+
+
+def _scarf_t(s: float, lam: complex, k: float) -> complex:
+    return gamma_ratio(GammaRatio(*_scarf_t_args(s, lam, 1j * k)))
+
+
+def _scarf_rfac_parts(s: float, lam: complex) -> tuple:
+    """(a, b) with R/T = a/cosh(pi k) + b/sinh(pi k).  cos(pi s) and sin(pi s)
+    take s mod 2, exactly, so that a huge s keeps its phase."""
+    s = math.fmod(s, 2.0)
+    return (math.cos(math.pi * s) * cmath.sinh(math.pi * lam),
+            1j * math.sin(math.pi * s) * cmath.cosh(math.pi * lam))
 
 
 def _scarf_rfac(s: float, lam: complex, k: float) -> complex:
-    return (math.cos(math.pi * s) * cmath.sinh(math.pi * lam) / math.cosh(math.pi * k)
-            + 1j * math.sin(math.pi * s) * cmath.cosh(math.pi * lam) / math.sinh(math.pi * k))
+    a, b = _scarf_rfac_parts(s, lam)
+    return a / math.cosh(math.pi * k) + b / math.sinh(math.pi * k)
 
 
 def scarf_coefficients(p: ScarfParams, k) -> ScatteringCoefficients:
@@ -339,14 +363,31 @@ def scarf_coefficients(p: ScarfParams, k) -> ScatteringCoefficients:
 
     T is eps-independent and symmetric under lam -> -lam, so equal in both
     directions; the reflections obey R_lr(eps) = R_lr(0) e^{+2k eps} and
-    R_rl(eps, lam) = R_lr(eps, -lam) e^{-4k eps}.
+    R_rl(eps, lam) = R_lr(eps, -lam) e^{-4k eps}.  ``k`` may be an array of
+    wave numbers: the record then holds columns.
     """
+    if np.ndim(k):
+        return on_grid(k, lambda i: scarf_coefficients(p, k[i]), lambda ks: _scarf_columns(p, ks))
     kv = as_wavenumber(k).k
     lam = complex(p.lam)
     t = _scarf_t(p.s, lam, kv)
     r_lr = t * _scarf_rfac(p.s, lam, kv) * math.exp(2 * kv * p.eps)
     r_rl = t * _scarf_rfac(p.s, -lam, kv) * math.exp(-2 * kv * p.eps)
     return ScatteringCoefficients(t_lr=t, r_lr=r_lr, t_rl=t, r_rl=r_rl)
+
+
+def _scarf_columns(p: ScarfParams, ks: np.ndarray):
+    """``scarf_coefficients`` over a k column, and where the per-k code may differ."""
+    lam = complex(p.lam)
+    t, unsure = gamma_ratio_columns(*_scarf_t_args(p.s, lam, 1j * _PyComplex(ks)))
+    t = _PyComplex.of(t)
+    ch, sh = _PyComplex(COLUMN.cosh(math.pi * ks)), _PyComplex(COLUMN.sinh(math.pi * ks))
+    reflections = []
+    for signed_lam, shift in ((lam, 2 * ks * p.eps), (-lam, -2 * ks * p.eps)):
+        a, b = _scarf_rfac_parts(p.s, signed_lam)
+        reflections.append((t * (a / ch + b / sh) * COLUMN.exp(shift)).array())
+    t = t.array()
+    return [t, reflections[0], t, reflections[1]], unsure
 
 
 def scarf_potential(p: ScarfParams, cutoff: float = 20.0) -> LocalPotential:
@@ -404,7 +445,10 @@ def centrifugal_amplitudes(p: CentrifugalParams, k) -> AsymptoticAmplitudes:
 
 
 def centrifugal_coefficients(p: CentrifugalParams, k) -> ScatteringCoefficients:
-    """T = 1 and R = 0 in both directions, exactly, at every k."""
+    """T = 1 and R = 0 in both directions, exactly, at every k (or k array)."""
+    if np.ndim(k):
+        return on_grid(k, lambda i: centrifugal_coefficients(p, k[i]),
+                       lambda ks: ((1.0, 0.0, 1.0, 0.0), False))
     as_wavenumber(k)
     return ScatteringCoefficients(t_lr=1.0, r_lr=0.0, t_rl=1.0, r_rl=0.0)
 

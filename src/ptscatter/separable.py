@@ -21,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import ScatteringCoefficients, _require_finite, as_wavenumber
+from .core import (COLUMN, SCALAR, ScatteringCoefficients, _PyComplex, _require_finite,
+                   as_wavenumber, on_grid)
 from .errors import QuadratureFailure, ResonancePole
 from .numeric import WavefunctionGrid
 from .symmetry import SymmetryClass
@@ -140,16 +141,17 @@ def green_function(sign: str, x_minus_y: float, k) -> complex:
 # contain +-gamma or +-delta in their real part, so the expressions are
 # regular for every real alpha, beta, k and positive gamma, delta.
 
-def _yamaguchi_pieces(alpha: float, gamma: float, k: float):
+def _yamaguchi_pieces(alpha: float, gamma: float, k, f=SCALAR):
     """Coefficients of the piecewise-exponential inner integral.
 
     Inner(x >= 0) = gt * e^{ikx} + c2 * e^{(-gamma + i alpha) x} and
     Inner(x < 0) = gt_m * e^{-ikx} + c3 * e^{(gamma + i alpha) x}.
+    ``k`` may be a float column with ``f = core.COLUMN``.
     """
-    gt = 2 * gamma / (gamma * gamma + (k - alpha) ** 2)
-    gt_m = 2 * gamma / (gamma * gamma + (k + alpha) ** 2)
-    c2 = 1.0 / (-gamma + 1j * (alpha - k)) + 1.0 / (gamma - 1j * (alpha + k))
-    c3 = 1.0 / (gamma + 1j * (alpha - k)) - 1.0 / (gamma + 1j * (alpha + k))
+    gt = 2 * gamma / (gamma * gamma + f.pow(k - alpha, 2))
+    gt_m = 2 * gamma / (gamma * gamma + f.pow(k + alpha, 2))
+    c2 = 1.0 / f.complex(-gamma + 1j * (alpha - k)) + 1.0 / f.complex(gamma - 1j * (alpha + k))
+    c3 = 1.0 / f.complex(gamma + 1j * (alpha - k)) - 1.0 / f.complex(gamma + 1j * (alpha + k))
     return gt, gt_m, c2, c3
 
 
@@ -169,11 +171,11 @@ def _yamaguchi_inner_d(x: float, alpha: float, gamma: float, k: float) -> comple
             + (gamma + 1j * alpha) * c3 * cmath.exp((gamma + 1j * alpha) * x))
 
 
-def _yamaguchi_j(alpha: float, beta: float, gamma: float, delta: float, k: float) -> complex:
+def _yamaguchi_j(alpha: float, beta: float, gamma: float, delta: float, k, f=SCALAR) -> complex:
     """The double integral Int h e^{i beta x} e^{ik|x-y|} g e^{i alpha y}."""
-    gt, gt_m, c2, c3 = _yamaguchi_pieces(alpha, gamma, k)
-    return (gt_m / (delta + 1j * (beta - k))
-            + gt / (delta - 1j * (beta + k))
+    gt, gt_m, c2, c3 = _yamaguchi_pieces(alpha, gamma, k, f)
+    return (gt_m / f.complex(delta + 1j * (beta - k))
+            + gt / f.complex(delta - 1j * (beta + k))
             + c3 / (gamma + delta + 1j * (alpha + beta))
             + c2 / (gamma + delta - 1j * (alpha + beta)))
 
@@ -293,8 +295,12 @@ def nonlocal_coefficients(kernel: SeparableKernel, k) -> ScatteringCoefficients:
     T_lr = 1 - i*omega g~(k-a)h~(k+b) D+ and the right-to-left pair uses
     the dressed resolvent script-D-; for symmetric kernels (g = h, a = b)
     the two transmissions coincide identically, otherwise they differ by
-    i*omega*delta_t*D+*script-D-.
+    i*omega*delta_t*D+*script-D-.  ``k`` may be an array of wave numbers:
+    the record then holds columns.
     """
+    if np.ndim(k):
+        columns = (lambda ks: _yamaguchi_columns(kernel, ks)) if kernel.is_yamaguchi else None
+        return on_grid(k, lambda i: nonlocal_coefficients(kernel, k[i]), columns)
     kv = as_wavenumber(k).k
     mid = nonlocal_intermediates(kernel, kv)
     omega = mid.omega
@@ -308,6 +314,31 @@ def nonlocal_coefficients(kernel: SeparableKernel, k) -> ScatteringCoefficients:
         t_rl=1.0 - 1j * omega * g_p * h_m * mid.script_d_minus,
         r_rl=-1j * omega * g_m * h_m * mid.script_d_minus,
     )
+
+
+def _yamaguchi_columns(kernel: SeparableKernel, ks: np.ndarray):
+    """``nonlocal_coefficients`` of a Yamaguchi kernel over a k column, the
+    same operations as ``nonlocal_intermediates`` and ``nonlocal_coefficients``,
+    and the mask of the k where those raise or may overflow."""
+    al, be, lam, g_ft, h_ft = kernel.alpha, kernel.beta, kernel.lam, kernel.g_ft, kernel.h_ft
+    form = (al, be, kernel.gamma, kernel.delta)
+    om = _PyComplex(lam / (2 * ks))
+    n_plus = _PyComplex.of(-0.5j) / ks * _yamaguchi_j(*form, ks, COLUMN)
+    n_minus = _PyComplex.of(0.5j) / ks * _yamaguchi_j(*form, -ks, COLUMN)
+    g_m, g_p, h_p, h_m = g_ft(ks - al), g_ft(ks + al), h_ft(ks + be), h_ft(ks - be)
+    g1, g2 = g_m * h_p, g_p * h_m
+    den_plus = 1.0 - lam * n_plus
+    den_minus = 1.0 - lam * n_minus + 1j * om * (g2 + g1)
+    d_plus, script_d_minus = 1.0 / den_plus, 1.0 / den_minus
+    unsure = ((abs(den_plus) < 2e-12 * np.maximum(1.0, abs(lam * n_plus)))
+              | (abs(den_minus) < 2e-12 * np.maximum(1.0, abs(lam * n_minus)))
+              | (abs(1.0 - lam * n_minus) == 0.0) | ~(np.abs(ks) < 1e150))
+    for z in (n_plus, n_minus, lam * n_plus, lam * n_minus, den_plus, den_minus):
+        unsure |= ~(abs(z) < 1e300)
+    unsure |= ~(np.abs(g1) < 1e300) | ~(np.abs(g2) < 1e300)
+    columns = (1.0 - 1j * om * g_m * h_p * d_plus, -1j * om * g_p * h_p * d_plus,
+               1.0 - 1j * om * g_p * h_m * script_d_minus, -1j * om * g_m * h_m * script_d_minus)
+    return [z.array() for z in columns], unsure
 
 
 def _convolution(kernel: SeparableKernel, sign: str, x: float, kv: float) -> tuple:

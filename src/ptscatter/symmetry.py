@@ -5,18 +5,19 @@ parity means V(x) = V(-x), the combined reflection-conjugation invariance
 means V*(-x) = V(x), and generalised parity means V(X0 - x) = V(x) for
 some centre X0/2.  Each detected class switches on a suite of relations
 among the S-matrix elements; ``check_s_relations`` evaluates every
-applicable relation and reports one residual per relation.
+applicable relation and reports one residual per relation, or one residual
+column per relation when the S matrix holds columns over a k grid.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ScatteringCoefficients, as_wavenumber
+from .core import ScatteringCoefficients, WaveNumber, _PyComplex
 from .numeric import LocalPotential
 
 
@@ -48,7 +49,8 @@ class RelationRecord:
 
     ``applicable`` is False when the relation presupposes non-vanishing
     S elements that are absent (it is then reported, not evaluated).
-    ``suite`` is the entry of ``SUITES`` whose class switched it on.
+    ``suite`` is the entry of ``SUITES`` whose class switched it on.  Over a
+    k grid ``residual``, ``holds`` and ``applicable`` are columns.
     """
 
     name: str
@@ -125,6 +127,58 @@ def classify_local_potential(v: LocalPotential, sample_count: int = 512,
     )
 
 
+class _Failures:
+    """Errors the per-k code would raise, as (mask over k, error maker) in
+    the order that code meets them; ``raise_first`` raises the first error
+    at the lowest k where any mask holds."""
+
+    def __init__(self, k, n: int):
+        k = k.k if isinstance(k, WaveNumber) else k
+        self.k = None if k is None else np.broadcast_to(np.asarray(k, dtype=float), (n,))
+        self.n = n
+        self.found = []
+
+    def add(self, mask, make):
+        self.found.append((np.broadcast_to(mask, (self.n,)), make))
+
+    def modulus(self, z: _PyComplex, reached=True) -> np.ndarray:
+        """|z| as Python's abs, which raises where hypot overflows."""
+        m = abs(z)
+        self.add(reached & np.isinf(m) & np.isfinite(z.re) & np.isfinite(z.im),
+                 lambda i: OverflowError("absolute value too large"))
+        return m
+
+    def phases(self, z: _PyComplex) -> list:
+        """(-arg z) mod 2 pi per element (NaN where z = 0), by cmath.phase,
+        which raises where the angle underflows."""
+        out, errors = [], {}
+        for i, v in enumerate(z.array().tolist()):
+            try:
+                out.append((-cmath.phase(v)) % (2 * math.pi) if v != 0 else math.nan)
+            except (ArithmeticError, ValueError) as exc:
+                out.append(math.nan)
+                errors[i] = exc
+        mask = np.zeros(self.n, dtype=bool)
+        mask[list(errors)] = True
+        self.add(mask, errors.get)
+        return out
+
+    def raise_first(self):
+        hit = np.logical_or.reduce([mask for mask, _ in self.found], initial=False)
+        if np.any(hit):
+            i = int(np.argmax(hit))
+            exc = next(make(i) for mask, make in self.found if mask[i])
+            exc.k = None if self.k is None else float(self.k[i])
+            raise exc
+
+
+def _columns(s: ScatteringCoefficients) -> tuple:
+    """(t_lr, r_lr, t_rl, r_rl) as complex columns, and whether s is one matrix."""
+    one = np.ndim(s.t_lr) == 0
+    return tuple(_PyComplex.of(np.atleast_1d(np.asarray(z, dtype=complex)))
+                 for z in (s.t_lr, s.r_lr, s.t_rl, s.r_rl)), one
+
+
 def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool,
                       tol: float = 1e-10, k=None) -> RelationReport:
     """Evaluate every relation suite switched on by the detected class.
@@ -134,72 +188,95 @@ def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool
     hold for local potentials but not for non-local kernels.  Relations
     whose derivation presupposes non-vanishing S elements are reported as
     not applicable when any element is below tolerance.
+
+    ``s`` may hold columns over a k grid ``k``; every residual is then a
+    column, computed with the per-k code's rounding, and an error names the
+    lowest k the per-k code would fail at.
     """
+    (t_lr, r_lr, t_rl, r_rl), one = _columns(s)
     records: list = []
-    mat = s.as_array()
-    det = s.det
-    all_nonzero = bool(np.min(np.abs(mat)) >= tol)
+    fail = _Failures(k, len(t_lr.re))
+    with np.errstate(all="ignore"):
+        mat = np.stack([np.stack([t_lr.array(), r_rl.array()], -1),
+                        np.stack([r_lr.array(), t_rl.array()], -1)], -2)
+        det = t_lr * t_rl - r_rl * r_lr
+        all_nonzero = np.min(np.abs(mat), axis=(1, 2)) >= tol
 
-    def record(suite, name, anchor, residual, applicable=True):
-        residual = float(residual) if applicable else float("nan")
-        records.append(RelationRecord(name=name, anchor=anchor, residual=residual,
-                                      tolerance=tol, holds=applicable and residual <= tol,
-                                      applicable=applicable, suite=suite))
+        def record(suite, name, anchor, residual, applicable=True):
+            applicable = np.broadcast_to(applicable, all_nonzero.shape)
+            residual = np.where(applicable, residual, np.nan)
+            records.append(RelationRecord(name=name, anchor=anchor, residual=residual,
+                                          tolerance=tol, holds=applicable & (residual <= tol),
+                                          applicable=applicable, suite=suite))
 
-    if local:
-        record("local", "local_equal_transmission", "T_lr = T_rl", abs(s.t_lr - s.t_rl))
-
-    if cls.parity:
-        record("p", "p_equal_transmission", "S_RR = S_LL", abs(s.t_lr - s.t_rl))
-        record("p", "p_equal_reflection", "S_RL = S_LR", abs(s.r_rl - s.r_lr))
-
-    if cls.parity_generalized and not cls.parity and cls.x0 is not None and k is not None:
-        kv = as_wavenumber(k).k
-        record("p_generalized", "pg_equal_transmission", "S_RR = S_LL", abs(s.t_lr - s.t_rl))
-        record("p_generalized", "pg_reflection_phase", "R_rl e^{ikX0} = R_lr e^{-ikX0}",
-               abs(s.r_rl * cmath.exp(1j * kv * cls.x0) - s.r_lr * cmath.exp(-1j * kv * cls.x0)))
-
-    if cls.time_reversal:
-        record("t", "t_reflection_moduli", "|S_LR| = |S_RL|",
-               abs(abs(s.r_lr) - abs(s.r_rl)), all_nonzero)
-        record("t", "t_transmission_product_real", "Im(T_rl conj(T_lr)) = 0",
-               abs((s.t_rl * s.t_lr.conjugate()).imag), all_nonzero)
-        record("t", "t_unimodular_det", "|det S| = 1", abs(abs(det) - 1.0), all_nonzero)
-
-    if cls.hermitian and cls.time_reversal:
-        record("hermitian_t", "ht_unitarity", "S^dag S = 1",
-               np.max(np.abs(mat.conj().T @ mat - np.eye(2))))
-        record("hermitian_t", "ht_equal_transmission", "S_RR = S_LL", abs(s.t_lr - s.t_rl))
-        record("hermitian_t", "ht_reflection_moduli", "|R_lr| = |R_rl|",
-               abs(abs(s.r_lr) - abs(s.r_rl)))
-
-    if cls.pt:
-        record("pt", "pt_inverse_conjugate", "S^-1 = S*",
-               np.max(np.abs(mat @ mat.conj() - np.eye(2))))
-        record("pt", "pt_unimodular_det", "|det S| = 1", abs(abs(det) - 1.0))
-        record("pt", "pt_transmission_moduli", "|T_lr| = |T_rl|", abs(abs(s.t_lr) - abs(s.t_rl)))
-        record("pt", "pt_reflection_product_real", "Im(R_rl conj(R_lr)) = 0",
-               abs((s.r_rl * s.r_lr.conjugate()).imag))
         if local:
-            record("pt", "pt_local_equal_transmission", "T_lr = T_rl", abs(s.t_lr - s.t_rl))
-            record("pt", "pt_local_lr_phase_lock", "R_lr conj(T_lr) + conj(R_lr) T_lr = 0",
-                   abs(s.r_lr * s.t_lr.conjugate() + s.r_lr.conjugate() * s.t_lr), all_nonzero)
-            record("pt", "pt_local_rl_phase_lock", "R_rl conj(T_rl) + conj(R_rl) T_rl = 0",
-                   abs(s.r_rl * s.t_rl.conjugate() + s.r_rl.conjugate() * s.t_rl), all_nonzero)
+            record("local", "local_equal_transmission", "T_lr = T_rl", fail.modulus(t_lr - t_rl))
 
+        if cls.parity:
+            record("p", "p_equal_transmission", "S_RR = S_LL", fail.modulus(t_lr - t_rl))
+            record("p", "p_equal_reflection", "S_RL = S_LR", fail.modulus(r_rl - r_lr))
+
+        if cls.parity_generalized and not cls.parity and cls.x0 is not None and k is not None:
+            kv = _PyComplex(fail.k)
+            fail.add(~((kv.re > 0) & np.isfinite(kv.re)),
+                     lambda i: ValueError(f"wave number must be finite and > 0, got {fail.k[i]}"))
+            arg = 1j * kv * cls.x0
+            fail.add(np.isinf(arg.im), lambda i: ValueError("math domain error"))
+            record("p_generalized", "pg_equal_transmission", "S_RR = S_LL",
+                   fail.modulus(t_lr - t_rl))
+            record("p_generalized", "pg_reflection_phase", "R_rl e^{ikX0} = R_lr e^{-ikX0}",
+                   fail.modulus(r_rl * arg.exp() - r_lr * (-1j * kv * cls.x0).exp()))
+
+        if cls.time_reversal:
+            record("t", "t_reflection_moduli", "|S_LR| = |S_RL|",
+                   np.abs(fail.modulus(r_lr) - fail.modulus(r_rl)), all_nonzero)
+            record("t", "t_transmission_product_real", "Im(T_rl conj(T_lr)) = 0",
+                   np.abs((t_rl * t_lr.conjugate()).im), all_nonzero)
+            record("t", "t_unimodular_det", "|det S| = 1", np.abs(fail.modulus(det) - 1.0),
+                   all_nonzero)
+
+        if cls.hermitian and cls.time_reversal:
+            record("hermitian_t", "ht_unitarity", "S^dag S = 1",
+                   np.max(np.abs(np.conj(mat).transpose(0, 2, 1) @ mat - np.eye(2)), axis=(1, 2)))
+            record("hermitian_t", "ht_equal_transmission", "S_RR = S_LL", fail.modulus(t_lr - t_rl))
+            record("hermitian_t", "ht_reflection_moduli", "|R_lr| = |R_rl|",
+                   np.abs(fail.modulus(r_lr) - fail.modulus(r_rl)))
+
+        if cls.pt:
+            record("pt", "pt_inverse_conjugate", "S^-1 = S*",
+                   np.max(np.abs(mat @ np.conj(mat) - np.eye(2)), axis=(1, 2)))
+            record("pt", "pt_unimodular_det", "|det S| = 1", np.abs(fail.modulus(det) - 1.0))
+            record("pt", "pt_transmission_moduli", "|T_lr| = |T_rl|",
+                   np.abs(fail.modulus(t_lr) - fail.modulus(t_rl)))
+            record("pt", "pt_reflection_product_real", "Im(R_rl conj(R_lr)) = 0",
+                   np.abs((r_rl * r_lr.conjugate()).im))
+            if local:
+                record("pt", "pt_local_equal_transmission", "T_lr = T_rl",
+                       fail.modulus(t_lr - t_rl))
+                record("pt", "pt_local_lr_phase_lock", "R_lr conj(T_lr) + conj(R_lr) T_lr = 0",
+                       fail.modulus(r_lr * t_lr.conjugate() + r_lr.conjugate() * t_lr), all_nonzero)
+                record("pt", "pt_local_rl_phase_lock", "R_rl conj(T_rl) + conj(R_rl) T_rl = 0",
+                       fail.modulus(r_rl * t_rl.conjugate() + r_rl.conjugate() * t_rl), all_nonzero)
+
+    fail.raise_first()
+    if one:
+        records = [replace(r, residual=float(r.residual[0]), holds=bool(r.holds[0]),
+                           applicable=bool(r.applicable[0])) for r in records]
     return RelationReport(records=tuple(records))
 
 
 @dataclass(frozen=True)
 class ExactPtResult:
-    """Outcome of the exact-asymptotic-symmetry test on the S matrix."""
+    """Outcome of the exact-asymptotic-symmetry test on the S matrix
+    (columns over a k grid when the S matrix holds columns)."""
 
     is_exact: bool
     theta_lr: float
     theta_rl: float
 
 
-def exact_asymptotic_pt_check(s: ScatteringCoefficients, tol: float = 1e-10) -> ExactPtResult:
+def exact_asymptotic_pt_check(s: ScatteringCoefficients, tol: float = 1e-10,
+                              k=None) -> ExactPtResult:
     """Detect reflectionless, unimodular-transmission S matrices.
 
     The scattering states are themselves eigenstates of the combined
@@ -207,10 +284,20 @@ def exact_asymptotic_pt_check(s: ScatteringCoefficients, tol: float = 1e-10) -> 
     and both transmissions are unimodular; the reported angles are the
     combined transmission phases theta with T = e^{-i theta}, modulo 2 pi
     (the split between the eigenvalue phase and the incident-amplitude
-    phase is not observable from S alone).
+    phase is not observable from S alone).  ``k``, the grid of a column S
+    matrix, only names the k of an error.
     """
-    is_exact = (abs(s.r_lr) < tol and abs(s.r_rl) < tol
-                and abs(abs(s.t_lr) - 1.0) < tol and abs(abs(s.t_rl) - 1.0) < tol)
-    theta_lr = (-cmath.phase(s.t_lr)) % (2 * math.pi) if s.t_lr != 0 else float("nan")
-    theta_rl = (-cmath.phase(s.t_rl)) % (2 * math.pi) if s.t_rl != 0 else float("nan")
-    return ExactPtResult(is_exact=is_exact, theta_lr=theta_lr, theta_rl=theta_rl)
+    (t_lr, r_lr, t_rl, r_rl), one = _columns(s)
+    fail = _Failures(k, len(t_lr.re))
+    is_exact = True
+    with np.errstate(all="ignore"):
+        # the per-k test stops at its first false condition
+        for z, unit in ((r_lr, 0.0), (r_rl, 0.0), (t_lr, 1.0), (t_rl, 1.0)):
+            m = fail.modulus(z, reached=is_exact)
+            is_exact = is_exact & ((np.abs(m - 1.0) if unit else m) < tol)
+    theta_lr, theta_rl = fail.phases(t_lr), fail.phases(t_rl)
+    fail.raise_first()
+    if one:
+        return ExactPtResult(is_exact=bool(is_exact[0]), theta_lr=theta_lr[0], theta_rl=theta_rl[0])
+    return ExactPtResult(is_exact=is_exact, theta_lr=np.array(theta_lr),
+                         theta_rl=np.array(theta_rl))

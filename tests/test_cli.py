@@ -63,14 +63,6 @@ class TestScan:
         assert payload["potential"]["kind"] == "square-well"
         assert len(payload["rows"]) == 3 and "abs_det_s" in payload["rows"][0]
 
-    def test_parallel_matches_serial_byte_for_byte(self, tmp_path):
-        serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
-        base = ["scan", "--potential", "scarf", "--s", "1.3", "--lambda-re", "0.7",
-                "--eps", "0", "--kcount", "20", "--kmax", "3"]
-        assert run_cli(base + ["--out", str(serial)]) == 0
-        assert run_cli(base + ["--parallel", "--out", str(parallel)]) == 0
-        assert serial.read_bytes() == parallel.read_bytes()
-
     def test_stdout_output(self, capsys):
         assert run_cli(["scan", "--potential", "centrifugal", "--strength", "2",
                         "--eps", "0.1", "--kcount", "2", "--kmax", "1"]) == 0
@@ -274,6 +266,27 @@ class TestGoldenFiles:
                         "--out", str(out)]) == 0
         golden = open(f"{self.GOLDEN_DIR}/golden_compare_square_well.json", "rb").read()
         assert out.read_bytes() == golden
+
+
+    @pytest.mark.parametrize("golden, argv", [
+        ("golden_scan_scarf_hermitian.csv",
+         ["--potential", "scarf", "--s", "1.3", "--lambda-re", "0.7", "--eps", "0"]),
+        ("golden_scan_scarf_imaginary.csv",
+         ["--potential", "scarf", "--s", "1.3", "--lambda-im", "0.6", "--eps", "0"]),
+        ("golden_scan_scarf_shifted.csv",
+         ["--potential", "scarf", "--s", "1.3", "--lambda-re", "0.7", "--eps", "0.25"]),
+        ("golden_scan_yamaguchi.csv",
+         ["--potential", "yamaguchi", "--gamma", "1", "--delta", "2", "--alpha", "0.3",
+          "--beta", "0.7", "--strength", "1"]),
+        ("golden_scan_centrifugal.json",
+         ["--potential", "centrifugal", "--strength", "2", "--eps", "0.1", "--format", "json"]),
+    ])
+    def test_closed_form_scan_matches_golden(self, golden, argv, tmp_path):
+        # 200 k each, written by the per-k code before the closed forms took k grids
+        out = tmp_path / golden
+        assert run_cli(["scan", *argv, "--kmin", "0.2", "--kmax", "4", "--kcount", "200",
+                        "--out", str(out)]) == 0
+        assert out.read_bytes() == open(f"{self.GOLDEN_DIR}/{golden}", "rb").read()
 
 
 class TestConfigAndErrors:
