@@ -12,7 +12,7 @@ an error names the lowest failing k, as a loop over k would.
 from __future__ import annotations
 
 import argparse
-import cmath
+import itertools
 import json
 import math
 import sys
@@ -21,9 +21,9 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import potentials, separable, symmetry
-from .core import coefficients_from_amplitudes, on_grid, smatrix_from_transfer
-from .errors import ScatteringError, TransferOverflow
+from . import core, potentials, separable, symmetry
+from .core import _blame, coefficients_from_amplitudes, on_grid, smatrix_from_transfer
+from .errors import ScatteringError
 from .numeric import IntegrationConfig, integrate_batch, sampled_potential
 
 EXIT_OK = 0
@@ -116,12 +116,6 @@ def _json_text(value, indent: str = "") -> str:
 
 
 # -- evaluation over the k grid -----------------------------------------------
-
-def _blame(exc, k):
-    """Name k as the failing wave number unless the error names one already."""
-    if getattr(exc, "k", None) is None:
-        exc.k = k
-
 
 def _integrated(potential, cfg):
     """Coefficients over the grid from one ``integrate_batch`` sweep."""
@@ -360,32 +354,36 @@ LATTICE_TEMPLATE = "%d," + ",".join(["%.17g"] * 7) + ",%d"
 def cmd_lattice(args) -> int:
     well = potentials.SquareWellParams(v0=args.v0, v1=args.v1, b=args.b)
     ks = _k_grid(args)
-    n_values = list(range(args.n, (args.n_max or args.n) + 1))
-
-    def one(n, k):
-        p = potentials.LatticeParams(well=well, a=args.a, n=n)
-        try:
-            m = potentials.multi_well_transfer(p, k)
-        except TransferOverflow:
-            nan = float("nan")
-            return [n, k, nan, nan, nan, nan, nan, nan, 1]
-        c = smatrix_from_transfer(m)
-        det, abs_t_rl = m.det, abs(c.t_rl)
-        if not cmath.isfinite(det):
-            # the elementwise det overflows once |M| > ~1e154; the edge
-            # phases have unit det, so det M = det(T)^n, and T_rl = det M T_lr
-            det = potentials.lattice_tmatrix(p, k).det ** n
-            abs_t_rl = abs(det * c.t_lr)
-        return [n, k, abs(c.t_lr), abs(c.r_lr), abs_t_rl, abs(c.r_rl), det.real, det.imag, 0]
-
-    def row(n, k):
-        try:
-            return tuple(one(n, k))
-        except (ScatteringError, ArithmeticError) as exc:
-            _blame(exc, k)
-            raise
-
-    rows = (row(n, k) for n in n_values for k in ks)
+    n_max = args.n if args.n_max is None else args.n_max
+    if n_max < args.n:
+        raise ConfigError(f"n-max must be >= n = {args.n}, got {n_max}")
+    p = potentials.LatticeParams(well=well, a=args.a, n=args.n)
+    cells, blocks = potentials.lattice_transfer(p, ks, n_max)
+    # the edge phases have unit det, so det M = det(T)^n from the cell, and T_rl = det M T_lr
+    det_cell = [t[0][0] * t[1][1] - t[0][1] * t[1][0] for t in cells.tolist()]
+    rows, size = [], max(1, 4096 // len(ks))
+    while chunk := list(itertools.islice(blocks, size)):    # the rows of a few n as columns
+        ns, m, overflow = zip(*chunk)
+        m, overflow, n_col = np.concatenate(m), np.concatenate(overflow), [n for n in ns for _ in ks]
+        with np.errstate(all="ignore"):
+            (t_lr, r_lr, _, r_rl), unsure = core.smatrix_columns(
+                *(core._PyComplex.of(m[:, i // 2, i % 2]) for i in range(4)))
+            det = np.array([core._or_nan(pow, d, n) for n in ns for d in det_cell], dtype=complex)
+            t_rl = (core._PyComplex.of(det) * t_lr).array()
+            values = np.array([np.hypot(z.real, z.imag) for z in (t_lr, r_lr, t_rl, r_rl)]
+                              + [det.real, det.imag])
+        # the rows the columns cannot give, at a pole or not finite, come from
+        # the scalar code, which raises where it fails
+        for i in np.flatnonzero(~overflow & (unsure | ~np.all(np.isfinite(values), axis=0))):
+            try:
+                c = smatrix_from_transfer(core.TransferMatrix.from_array(m[i]))
+                d = det_cell[i % len(ks)] ** n_col[i]
+                values[:, i] = abs(c.t_lr), abs(c.r_lr), abs(d * c.t_lr), abs(c.r_rl), d.real, d.imag
+            except (ScatteringError, ArithmeticError) as exc:
+                _blame(exc, ks[i % len(ks)])
+                raise
+        values[:, overflow] = np.nan
+        rows.extend(zip(n_col, ks * len(ns), *values.tolist(), overflow.astype(int).tolist()))
     _write_text(args.out, _csv(LATTICE_HEADER, rows, LATTICE_TEMPLATE))
     return EXIT_OK
 

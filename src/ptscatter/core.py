@@ -352,6 +352,12 @@ COLUMN = SimpleNamespace(
     cexp=lambda z: _PyComplex.of(z).exp(), complex=_PyComplex.of)
 
 
+def _blame(exc, k):
+    """Name k as the failing wave number unless the error names one already."""
+    if getattr(exc, "k", None) is None:
+        exc.k = k
+
+
 def on_grid(ks, at, columns=None) -> ScatteringCoefficients:
     """One record of coefficient columns over the k grid ``ks``.
 
@@ -382,8 +388,7 @@ def on_grid(ks, at, columns=None) -> ScatteringCoefficients:
         try:
             c = at(i)
         except (ScatteringError, ArithmeticError) as exc:
-            if getattr(exc, "k", None) is None:
-                exc.k = float(ks[i])
+            _blame(exc, float(ks[i]))
             raise
         for col, z in zip(cols, (c.t_lr, c.r_lr, c.t_rl, c.r_rl)):
             col[i] = z

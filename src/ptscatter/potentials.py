@@ -22,6 +22,7 @@ from .core import (
     AsymptoticAmplitudes,
     ScatteringCoefficients,
     TransferMatrix,
+    _blame,
     _PyComplex,
     _require_finite,
     as_wavenumber,
@@ -29,7 +30,7 @@ from .core import (
     smatrix_columns,
     smatrix_from_transfer,
 )
-from .errors import InvalidNu, TransferOverflow
+from .errors import InvalidNu, ScatteringError, TransferOverflow
 from .numeric import LocalPotential
 from .specfun import GammaRatio, gamma_ratio, gamma_ratio_columns
 
@@ -190,39 +191,58 @@ def lattice_tmatrix(p: LatticeParams, k) -> TransferMatrix:
     )
 
 
-def _check_overflow(m: np.ndarray):
-    biggest = np.max(np.abs(m))
-    if not np.isfinite(biggest) or biggest > OVERFLOW_LIMIT:
-        raise TransferOverflow("transfer-matrix element exceeded 1e300")
+def lattice_transfer(p: LatticeParams, ks, n_max: int | None = None):
+    """The cell matrices T over the k column ``ks`` as a (K, 2, 2) stack, one
+    ``lattice_tmatrix`` per k (an error names the lowest k), and a generator
+    of (n, M, overflow) for n = p.n..n_max: M stacks conj(D(u1)) T^n
+    D(u1 + n*period); overflow, sticky over n, marks the k where a product so
+    far had an element above 1e300 or not finite.  T^{p.n} comes by repeated
+    squaring, as for one n at one k, each further power as T @ T^{n-1}."""
+    cells = []
+    for k in ks:
+        try:
+            cells.append(lattice_tmatrix(p, k).as_array())
+        except (ScatteringError, ArithmeticError) as exc:
+            _blame(exc, k)
+            raise
+    t, kv = np.array(cells, dtype=complex).reshape(-1, 2, 2), np.asarray(ks, dtype=float)
+    overflow = np.zeros(len(t), dtype=bool)
 
+    def phases(x):                  # diag(e^{ikx}, e^{-ikx}) over k
+        d = np.zeros_like(t)
+        d[:, 0, 0], d[:, 1, 1] = np.exp(1j * kv * x), np.exp(-1j * kv * x)
+        return d
 
-def _matrix_power(t: np.ndarray, n: int) -> np.ndarray:
-    """Repeated squaring with overflow detection (lattices can amplify flux)."""
-    result = np.eye(2, dtype=complex)
-    base = t.copy()
-    _check_overflow(base)
-    with np.errstate(over="ignore", invalid="ignore"):
-        while n:
-            if n & 1:
-                result = result @ base
-                _check_overflow(result)
-            n >>= 1
-            if n:
-                base = base @ base
-                _check_overflow(base)
-    return result
+    def checked(m):
+        nonlocal overflow
+        overflow = overflow | ~(np.max(np.abs(m), axis=(1, 2)) <= OVERFLOW_LIMIT)
+        return m
+
+    def blocks():
+        with np.errstate(over="ignore", invalid="ignore"):
+            power, base, n = np.broadcast_to(np.eye(2, dtype=complex), t.shape), checked(t), p.n
+            while n:
+                if n & 1:
+                    power = checked(power @ base)
+                n >>= 1
+                if n:
+                    base = checked(base @ base)
+        for n in range(p.n, (p.n if n_max is None else n_max) + 1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                if n > p.n:
+                    power = checked(t @ power)
+                m = phases(-p.u1) @ power @ phases(p.u1 + n * p.period)
+            yield n, m, overflow
+
+    return t, blocks()
 
 
 def multi_well_transfer(p: LatticeParams, k) -> TransferMatrix:
     """Transfer matrix of the n-well lattice: conj(D(u1)) T^n D(u1 + n*period)."""
-    kv = as_wavenumber(k).k
-    t = lattice_tmatrix(p, k).as_array()
-    tn = _matrix_power(t, p.n)
-    u1 = p.u1
-    d_left = np.diag([cmath.exp(-1j * kv * u1), cmath.exp(1j * kv * u1)])
-    v = u1 + p.n * p.period
-    d_right = np.diag([cmath.exp(1j * kv * v), cmath.exp(-1j * kv * v)])
-    return TransferMatrix.from_array(d_left @ tn @ d_right)
+    _, m, overflow = next(lattice_transfer(p, [as_wavenumber(k).k])[1])
+    if overflow[0]:
+        raise TransferOverflow("transfer-matrix element exceeded 1e300")
+    return TransferMatrix.from_array(m[0])
 
 
 def lattice_potential(p: LatticeParams) -> LocalPotential:

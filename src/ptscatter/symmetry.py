@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import ScatteringCoefficients, WaveNumber, _PyComplex
+from .errors import PrecisionLoss
 from .numeric import LocalPotential
 
 
@@ -94,7 +95,10 @@ def classify_local_potential(v: LocalPotential, sample_count: int = 512,
     candidate shift x0 (skipped when plain parity already holds).
     """
     xs = _sample_grid(v, sample_count)
-    vals = v.sample(xs)
+    with np.errstate(all="ignore"):
+        vals = v.sample(xs)
+    if not np.all(np.isfinite(vals)):
+        raise PrecisionLoss("potential profile is not finite on the sample grid; cannot classify it")
     rev = vals[::-1]  # V(-x) on a symmetric grid
     t_flag = float(np.max(np.abs(vals.imag))) < tol
     p_flag = float(np.max(np.abs(vals - rev))) < tol

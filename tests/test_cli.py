@@ -200,6 +200,46 @@ class TestLattice:
         _, rows = read_csv(out)
         assert rows[0]["overflow"] == "1"
 
+    def test_overflow_rows_carry_no_values(self, tmp_path):
+        out = tmp_path / "ovf.csv"
+        assert run_cli(["lattice", "--v0", "0", "--v1", "40", "--b", "1", "--a", "0.5",
+                        "--n", "4090", "--n-max", "4096", "--kmin", "0.3", "--kmax", "0.4",
+                        "--kcount", "2", "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert len(rows) == 14
+        assert all(r["overflow"] == "1" and {r[h] for h in header[2:8]} == {"nan"} for r in rows)
+
+    def test_band_gap_det_from_the_cell(self, tmp_path):
+        """Deep in a band gap the elementwise det M kept no digit (4.6e46);
+        det(T)^n from the cell keeps det M = 1 and |T_rl| = |T_lr|."""
+        out = tmp_path / "gap.csv"
+        assert run_cli(["lattice", "--v0", "1", "--v1", "0.3", "--b", "0.5", "--a", "0.5",
+                        "--n", "399", "--n-max", "399", "--kmin", "1.3620689655172415",
+                        "--kcount", "1", "--out", str(out)]) == 0
+        _, (row,) = read_csv(out)
+        det = complex(float(row["det_m_re"]), float(row["det_m_im"]))
+        t_lr, t_rl = float(row["abs_t_lr"]), float(row["abs_t_rl"])
+        assert row["overflow"] == "0" and t_lr < 1e-30
+        assert abs(det - 1) < 1e-12
+        assert abs(t_rl - t_lr) < 1e-12 * t_lr
+
+    @pytest.mark.parametrize("bounds", [["--n", "5", "--n-max", "3"], ["--n-max", "0"]])
+    def test_n_max_below_n_is_config_error(self, bounds, tmp_path, capsys):
+        out = tmp_path / "none.csv"
+        assert run_cli(["lattice", *bounds, "--kcount", "2", "--kmax", "1", "--out", str(out)]) == 2
+        assert "n-max" in capsys.readouterr().err and not out.exists()
+
+    def test_spectral_singularity_exits_3_naming_k(self, capsys):
+        """M_RR of the n = 1 lattice vanishes at the second k (a located
+        spectral singularity of the complex well): the first row in n, k
+        order that meets the pole is named."""
+        assert run_cli(["lattice", "--v0", "1", "--v1", "13.078802475944913", "--b", "1",
+                        "--kmin", "4.0", "--kmax", "4.164331013127829", "--kcount", "2",
+                        "--n", "1", "--n-max", "3", "--out", "-"]) == 3
+        err = capsys.readouterr().err
+        assert err == ("solver error at k = 4.164331013127829: "
+                       "|M_RR| = 2.7755575615628914e-16 below 1e-12\n")
+
     def test_strong_well_rows_finite_unless_flagged(self, tmp_path):
         # |M| passes 1e154 long before the 1e300 overflow flag, where the
         # elementwise det M = M_RR M_LL - M_RL M_LR overflows

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptscatter import (
     CentrifugalParams,
@@ -34,7 +36,50 @@ from ptscatter import (
     square_well_transfer,
     square_well_transfer_interfaces,
 )
-from ptscatter.errors import GammaPole, TransferOverflow
+from ptscatter.core import TransferMatrix, as_wavenumber
+from ptscatter.errors import GammaPole, ScatteringError, TransferOverflow
+from ptscatter.potentials import lattice_transfer
+
+
+def _checked(m):
+    biggest = np.max(np.abs(m))
+    if not np.isfinite(biggest) or biggest > 1e300:
+        raise TransferOverflow("transfer-matrix element exceeded 1e300")
+    return m
+
+
+def _matrix_power(t, n):
+    """T^n by repeated squaring, raising where a product overflows."""
+    result, base = np.eye(2, dtype=complex), _checked(t.copy())
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n:
+            if n & 1:
+                result = _checked(result @ base)
+            n >>= 1
+            if n:
+                base = _checked(base @ base)
+    return result
+
+
+def _log10_max_power(p: LatticeParams, k) -> float:
+    """log10 max|(T^n)_ij| from a product rescaled at every step."""
+    t, m, log_scale = lattice_tmatrix(p, k).as_array(), np.eye(2, dtype=complex), 0.0
+    for _ in range(p.n):
+        m = t @ m
+        s = float(np.max(np.abs(m)))
+        m, log_scale = m / s, log_scale + math.log10(s)
+    return log_scale
+
+
+def lattice_oracle(p: LatticeParams, k) -> np.ndarray:
+    """conj(D(u1)) T^n D(u1 + n*period) at one n and one k by its own power
+    of T: the per-(n, k) code that ``lattice_transfer`` replaced."""
+    kv = as_wavenumber(k).k
+    tn = _matrix_power(lattice_tmatrix(p, k).as_array(), p.n)
+    u1, v = p.u1, p.u1 + p.n * p.period
+    d_left = np.diag([cmath.exp(-1j * kv * u1), cmath.exp(1j * kv * u1)])
+    d_right = np.diag([cmath.exp(1j * kv * v), cmath.exp(-1j * kv * v)])
+    return d_left @ tn @ d_right
 
 
 class TestSquareWell:
@@ -176,6 +221,78 @@ class TestLattice:
         strong = SquareWellParams(0.0, 40.0, 1.0)
         with pytest.raises(TransferOverflow):
             multi_well_transfer(LatticeParams(strong, a=0.5, n=4096), WaveNumber(0.3))
+
+
+def _floats(lo, hi):
+    return st.floats(min_value=lo, max_value=hi)
+
+
+MILD = st.builds(SquareWellParams, v0=_floats(0.0, 2.0), v1=_floats(-1.0, 1.0), b=_floats(0.3, 1.0))
+STRONG = st.builds(SquareWellParams, v0=_floats(0.0, 2.0), v1=_floats(20.0, 40.0),
+                   b=_floats(0.4, 1.0))
+# wide cells whose hyperbolic terms overflow below some k: the cell raises there
+HUGE = st.builds(SquareWellParams, v0=_floats(0.0, 2.0), v1=_floats(50.0, 300.0),
+                 b=_floats(20.0, 100.0))
+
+
+class TestLatticeColumns:
+    """``lattice_transfer`` against the per-(n, k) repeated squaring."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(well=st.one_of(MILD, STRONG, HUGE), a=_floats(0.2, 1.0), n=st.integers(1, 4096),
+           ks=st.lists(_floats(0.1, 12.0), min_size=1, max_size=4))
+    def test_single_n_bit_identical_to_per_k_product(self, well, a, n, ks):
+        p = LatticeParams(well, a=a, n=n)
+        want = []
+        for k in ks:
+            try:
+                want.append(lattice_oracle(p, k))
+            except TransferOverflow:
+                want.append(None)
+            except (ScatteringError, ArithmeticError) as exc:
+                with pytest.raises(type(exc)) as raised:
+                    lattice_transfer(p, ks)
+                assert raised.value.k == k
+                return
+        blocks = list(lattice_transfer(p, ks)[1])
+        assert [b[0] for b in blocks] == [n]
+        _, m, overflow = blocks[0]
+        for i, w in enumerate(want):
+            assert overflow[i] == (w is None)
+            if w is not None:
+                assert np.array_equal(m[i], w)
+                assert multi_well_transfer(p, ks[i]) == TransferMatrix.from_array(w)
+
+    @settings(max_examples=12, deadline=None)
+    @given(well=MILD, a=_floats(0.2, 1.0), ks=st.lists(_floats(0.1, 4.0), min_size=1, max_size=3))
+    def test_sweep_agrees_with_per_n_powers(self, well, a, ks):
+        _, blocks = lattice_transfer(LatticeParams(well, a=a, n=1), ks, 400)
+        for n, m, overflow in blocks:
+            for i, k in enumerate(ks):
+                try:
+                    want = lattice_oracle(LatticeParams(well, a=a, n=n), k)
+                except TransferOverflow:
+                    assert overflow[i]
+                    continue
+                assert not overflow[i]
+                scale = max(float(np.max(np.abs(want))), 1.0) ** 2
+                assert np.max(np.abs(m[i] - want)) < 1e-10 * scale
+
+    @settings(max_examples=8, deadline=None)
+    @given(well=STRONG, a=_floats(0.2, 1.0), ks=st.lists(_floats(0.3, 3.0), min_size=1, max_size=2))
+    def test_sweep_overflow_flags_agree_off_the_threshold(self, well, a, ks):
+        _, blocks = lattice_transfer(LatticeParams(well, a=a, n=1), ks, 400)
+        for n, _, overflow in blocks:
+            p = LatticeParams(well, a=a, n=n)
+            for i, k in enumerate(ks):
+                try:
+                    lattice_oracle(p, k)
+                    flagged = False
+                except TransferOverflow:
+                    flagged = True
+                if overflow[i] != flagged:
+                    assert abs(_log10_max_power(p, k) - 300) < 20
+
 
 
 class TestScarf:

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from ptscatter import (
     CentrifugalParams,
@@ -22,6 +23,7 @@ from ptscatter import (
     square_well_coefficients,
     square_well_potential,
 )
+from ptscatter.errors import PrecisionLoss
 
 PT_WELL = SquareWellParams(1.0, 0.5, 1.0)
 HERMITIAN_WELL = SquareWellParams(1.0, 0.0, 1.0)
@@ -54,6 +56,11 @@ class TestClassification:
         assert hermitian.hermitian and hermitian.time_reversal and not hermitian.parity
         complex_one = classify_local_potential(scarf_potential(ScarfParams(1.3, 0.7j)))
         assert complex_one.pt and not complex_one.hermitian
+
+    def test_non_finite_profile_raises_precision_loss(self):
+        """A profile that overflows on the sample grid is not classified from NaN."""
+        with pytest.raises(PrecisionLoss, match="not finite"):
+            classify_local_potential(scarf_potential(ScarfParams(s=1e200, lam=0.7)))
 
     def test_centrifugal_classification(self):
         from ptscatter import centrifugal_potential
