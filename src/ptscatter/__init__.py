@@ -43,6 +43,7 @@ from .potentials import (
     centrifugal_pt_phase,
     lattice_potential,
     lattice_tmatrix,
+    multi_well_coefficients,
     multi_well_transfer,
     scarf_amplitudes,
     scarf_coefficients,

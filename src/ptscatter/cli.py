@@ -171,8 +171,7 @@ def build_problem(args) -> Problem:
         return Problem(kind=kind,
                        label={"kind": kind, "v0": args.v0, "v1": args.v1, "b": args.b,
                               "a": args.a, "n": args.n},
-                       coefficients=lambda ks: on_grid(ks, lambda i: smatrix_from_transfer(
-                           potentials.multi_well_transfer(p, ks[i]))),
+                       coefficients=lambda ks: potentials.multi_well_coefficients(p, ks),
                        local=True, potential=potentials.lattice_potential(p))
     if kind == "scarf":
         lam = complex(args.lambda_re, args.lambda_im)

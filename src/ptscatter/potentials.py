@@ -245,6 +245,17 @@ def multi_well_transfer(p: LatticeParams, k) -> TransferMatrix:
     return TransferMatrix.from_array(m[0])
 
 
+def multi_well_coefficients(p: LatticeParams, k) -> ScatteringCoefficients:
+    """Coefficients of the n-well lattice; ``k`` may be an array of wave numbers."""
+    if np.ndim(k):
+        def columns(ks):
+            _, m, overflow = next(lattice_transfer(p, ks)[1])
+            cols, unsure = smatrix_columns(*(_PyComplex.of(m[:, i // 2, i % 2]) for i in range(4)))
+            return cols, unsure | overflow
+        return on_grid(k, lambda i: multi_well_coefficients(p, k[i]), columns)
+    return smatrix_from_transfer(multi_well_transfer(p, k))
+
+
 def lattice_potential(p: LatticeParams) -> LocalPotential:
     """Piecewise profile of the assembled lattice (for the numeric oracle)."""
     w = p.well

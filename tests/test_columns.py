@@ -21,9 +21,11 @@ from ptscatter.core import SCALAR, ScatteringCoefficients, _PyComplex
 from ptscatter.errors import NumeratorPole, ResonancePole, ScatteringError, TransmissionPole
 from ptscatter.potentials import (
     CentrifugalParams,
+    LatticeParams,
     ScarfParams,
     SquareWellParams,
     centrifugal_coefficients,
+    multi_well_coefficients,
     scarf_coefficients,
     square_well_coefficients,
 )
@@ -85,6 +87,13 @@ class TestGridEqualsLoopOverK:
     def test_square_well(self, v0, v1, b, ks):
         p = SquareWellParams(v0, v1, b)
         assert_grid_matches(lambda k: square_well_coefficients(p, k), ks)
+
+    @SETTINGS
+    @given(finite(0, 5), st.one_of(finite(-2, 2), finite(-50, 50)), finite(0.1, 2), finite(0.1, 2),
+           st.integers(1, 600), grids(1e-3, 20))
+    def test_multi_well(self, v0, v1, b, a, n, ks):
+        p = LatticeParams(SquareWellParams(v0, v1, b), a=a, n=n)
+        assert_grid_matches(lambda k: multi_well_coefficients(p, k), ks)
 
     @SETTINGS
     @given(st.one_of(finite(-1.99, 1.99), finite(-1e6, 1e6)), finite(-10, 10), finite(-10, 10),
