@@ -6,7 +6,9 @@ failing k when one k is at fault), 4 comparison threshold exceeded.  CSV
 cells carry 17 significant digits with Unix newlines so outputs are
 bit-stable.  Closed forms and symmetry relations are evaluated over the
 whole k grid at once, as columns equal bit for bit to the per-k values, and
-an error names the lowest failing k, as a loop over k would.
+an error names the lowest failing k, as a loop over k would.  A command
+opens its output only once every value is computed, so a failed run writes
+no file; a large table is spelled by two processes, with the same bytes.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -39,20 +42,15 @@ class ConfigError(Exception):
     pass
 
 
-def _write_text(path: str | None, text: str):
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+# -- output: text and tables of rows, spelled in chunks -------------------------
 
+#: rows spelled by one ``%`` operation
+CHUNK_ROWS = 4096
+#: a table of at least this many values is spelled by two processes when two
+#: CPUs are free; on a 2-vCPU VM the fork, the pipe and the copy cost as much
+#: as the second process saves at about 20,000-26,000 values of a scan CSV
+FORK_VALUES = 40_000
 
-def _csv(header, rows, template) -> str:
-    """CSV text: the header, then ``template % row`` for each row (a tuple)."""
-    return "".join([",".join(header) + "\n", *(template % row + "\n" for row in rows)])
-
-
-# -- JSON in json.dumps(indent=2) layout, without its pure-Python encoder -------
 
 def _json_scalar(v) -> str:
     """One value spelled as ``json.dumps`` spells it."""
@@ -75,36 +73,8 @@ def _json_scalar(v) -> str:
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
-def _json_floats(column) -> list:
-    """A float column spelled value by value as ``json.dumps`` spells it."""
-    values = np.asarray(column, dtype=float)
-    if np.all(np.isfinite(values)):
-        return list(map(float.__repr__, values.tolist()))
-    return list(map(_json_scalar, values.tolist()))
-
-
-class _Rows:
-    """A list of JSON objects with the same keys, given as one column of
-    already spelled values per key."""
-
-    def __init__(self, **columns):
-        self.columns = columns
-
-    def text(self, indent: str) -> str:
-        rows = list(zip(*self.columns.values()))
-        if not rows:
-            return "[]"
-        inner = indent + "  "
-        fields = ",\n".join(f"{inner}  {encode_basestring_ascii(key).replace('%', '%%')}: %s"
-                            for key in self.columns)
-        template = f"{inner}{{\n{fields}\n{inner}}}"
-        return "[\n" + ",\n".join(template % row for row in rows) + f"\n{indent}]"
-
-
 def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)``; a _Rows stands for its list of objects."""
-    if isinstance(value, _Rows):
-        return value.text(indent)
+    """``json.dumps(value, indent=2)`` for a dict of dicts and scalars."""
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
@@ -113,6 +83,147 @@ def _json_text(value, indent: str = "") -> str:
                            for key, v in value.items())
         return f"{{\n{items}\n{indent}}}"
     return _json_scalar(value)
+
+
+def _finite(values: list) -> bool:
+    """Whether every value is a finite number: a NaN or an inf makes the sum
+    non-finite and None makes it raise (an overflow of the sum only costs the
+    slower spelling)."""
+    try:
+        return math.isfinite(sum(values))
+    except TypeError:
+        return False
+
+
+class _Table:
+    """Rows given as columns (arrays of one value per row), spelled as
+    ``head``, then ``row % values`` for each row with ``sep`` between rows,
+    then ``tail``; ``empty`` stands for a table without rows.
+
+    In a JSON table every slot is ``%s``, which spells a float as
+    ``float.__repr__``, as ``json.dumps`` does, and spells the str columns,
+    which hold JSON already; a chunk holding NaN, an inf or None is spelled
+    value by value by ``_json_scalar``.  ``lines`` is the number of JSON
+    objects in one row, so that a chunk holds about CHUNK_ROWS of them.
+    """
+
+    def __init__(self, columns, row, head="", sep="", tail="", empty=None, json=False, lines=1):
+        self.columns, self.row, self.head, self.sep, self.tail = columns, row, head, sep, tail
+        self.empty = head + tail if empty is None else empty
+        self.json, self.step = json, max(1, CHUNK_ROWS // max(1, lines))
+
+    def spell(self, lo: int, hi: int) -> str:
+        """Rows lo..hi-1, led by the separator unless lo is the first row."""
+        cols = [c[lo:hi].tolist() for c in self.columns]
+        if self.json:
+            numbers = [i for i, c in enumerate(self.columns) if c.dtype.kind != "U"]
+            if not all(_finite(cols[i]) for i in numbers):
+                for i in numbers:
+                    cols[i] = list(map(_json_scalar, cols[i]))
+        template = (self.sep if lo else "") + self.sep.join([self.row] * (hi - lo))
+        return template % tuple(itertools.chain.from_iterable(zip(*cols)))
+
+    def chunks(self, lo: int, hi: int):
+        return (self.spell(a, min(a + self.step, hi)) for a in range(lo, hi, self.step))
+
+    def write(self, fh):
+        rows = len(self.columns[0]) if self.columns else 0
+        if not rows:
+            fh.write(self.empty)
+            return
+        fh.write(self.head)
+        half, child = rows // 2, None
+        if (rows * len(self.columns) >= FORK_VALUES and hasattr(os, "fork")
+                and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+            fh.flush()
+            child = self._fork(half, rows)
+        if child is None:
+            fh.writelines(self.chunks(0, rows))
+        else:
+            pid, read = child
+            try:
+                with open(read, "rb") as pipe:
+                    fh.writelines(self.chunks(0, half))
+                    data = pipe.read()
+            finally:
+                status = os.waitpid(pid, 0)[1]
+            if status == 0 and len(data) == 8 + int.from_bytes(data[:8], "little"):
+                fh.write(data[8:].decode("ascii"))
+            else:           # the child failed or was cut short: spell its rows here
+                fh.writelines(self.chunks(half, rows))
+        fh.write(self.tail)
+
+    def _fork(self, lo: int, hi: int):
+        """(pid, read end of a pipe) of a child that sends rows lo..hi-1,
+        their length in bytes first, and leaves; None if no child starts.
+        The child only spells strings: it touches no file object and no
+        BLAS, whose threads it does not inherit."""
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            return None
+        if pid:
+            os.close(write)
+            return pid, read
+        code = 1
+        try:
+            os.close(read)
+            data = "".join(self.chunks(lo, hi)).encode("ascii")
+            for part in (len(data).to_bytes(8, "little"), data):
+                view = memoryview(part)
+                while view:
+                    view = view[os.write(write, view):]
+            code = 0
+        finally:            # never return into the caller's code
+            os._exit(code)
+
+
+def _csv_table(header, template, columns) -> _Table:
+    return _Table(columns, template + "\n", head=",".join(header) + "\n")
+
+
+def _json_table(objects) -> _Table:
+    """A JSON list, at the top level of a document, of rows of one object per
+    dict in ``objects``; a dict maps each key to a column (an array; bool
+    columns spell true/false) or to a constant, which the row template holds."""
+    columns, templates = [], []
+    for obj in objects:
+        fields = []
+        for key, v in obj.items():
+            if isinstance(v, np.ndarray):
+                columns.append(np.where(v, "true", "false") if v.dtype == bool else v)
+                value = "%s"
+            else:
+                value = _json_scalar(v).replace("%", "%%")
+            fields.append(f"      {encode_basestring_ascii(key).replace('%', '%%')}: {value}")
+        templates.append("    {\n" + ",\n".join(fields) + "\n    }")
+    return _Table(columns, ",\n".join(templates), head="[\n", sep=",\n", tail="\n  ]",
+                  empty="[]", json=True, lines=len(objects))
+
+
+def _json_document(doc: dict) -> list:
+    """``json.dumps(doc, indent=2)`` and a newline as parts for ``_write``:
+    text, and the tables that stand for lists of rows at the top level."""
+    parts = []
+    for i, (key, v) in enumerate(doc.items()):
+        parts.append(("{" if i == 0 else ",") + f"\n  {encode_basestring_ascii(key)}: ")
+        parts.append(v if isinstance(v, _Table) else _json_text(v, "  "))
+    return parts + ["\n}\n"]
+
+
+def _write(path: str | None, parts):
+    """Write the parts, text and tables, to path (stdout for None or "-")."""
+    def write(fh):
+        for part in parts:
+            part.write(fh) if isinstance(part, _Table) else fh.write(part)
+    if path in (None, "-"):
+        write(sys.stdout)
+    else:
+        with open(path, "w", newline="") as fh:
+            write(fh)
 
 
 # -- evaluation over the k grid -----------------------------------------------
@@ -236,16 +347,24 @@ SCAN_TEMPLATE = ",".join(["%.17g"] * len(SCAN_HEADER))
 
 
 def _moduli(ks, c) -> np.ndarray:
-    """|T_lr|^2, |R_lr|^2 and |det S| over the grid, by Python's abs and **,
-    which raise (naming k) where the per-k code overflows."""
-    out = []
-    try:
-        for t, r, d in zip(c.t_lr.tolist(), c.r_lr.tolist(), c.det.tolist()):
-            out.append((abs(t) ** 2, abs(r) ** 2, abs(d)))
-    except ArithmeticError as exc:
-        exc.k = ks[len(out)]
-        raise
-    return np.array(out, dtype=float).reshape(-1, 3).T
+    """|T_lr|^2, |R_lr|^2 and |det S| over the grid as Python's abs and **
+    give them per k (abs is ``np.hypot``); from the first k where one is not
+    finite on, by them, so that an overflow raises naming its k."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        t, r, d = (np.asarray(z, dtype=complex) for z in (c.t_lr, c.r_lr, c.det))
+        out = np.array([core.COLUMN.pow(np.hypot(t.real, t.imag), 2.0),
+                        core.COLUMN.pow(np.hypot(r.real, r.imag), 2.0), np.hypot(d.real, d.imag)])
+    unsure = np.flatnonzero(~np.all(np.isfinite(out), axis=0))
+    # Python's abs of a complex with a NaN part reports the errno earlier
+    # arithmetic left; abs(0j) clears it, as each k's ** does in a loop
+    abs(0j)
+    for j in range(unsure[0] if unsure.size else len(ks), len(ks)):
+        try:
+            out[:, j] = abs(complex(t[j])) ** 2, abs(complex(r[j])) ** 2, abs(complex(d[j]))
+        except ArithmeticError as exc:
+            exc.k = ks[j]
+            raise
+    return out
 
 
 def cmd_scan(args) -> int:
@@ -255,12 +374,12 @@ def cmd_scan(args) -> int:
     abs_t_sq, abs_r_sq, abs_det = _moduli(ks, c)
     columns = [ks, c.t_lr.real, c.t_lr.imag, c.r_lr.real, c.r_lr.imag, c.t_rl.real, c.t_rl.imag,
                c.r_rl.real, c.r_rl.imag, abs_t_sq, abs_r_sq, abs_det, abs_t_sq + abs_r_sq - 1.0]
-    columns = [np.asarray(col, dtype=float).tolist() for col in columns]
+    columns = [np.asarray(col, dtype=float) for col in columns]
     if args.format == "csv":
-        _write_text(args.out, _csv(SCAN_HEADER, zip(*columns), SCAN_TEMPLATE))
+        _write(args.out, [_csv_table(SCAN_HEADER, SCAN_TEMPLATE, columns)])
     else:
-        rows = _Rows(**{name: _json_floats(col) for name, col in zip(SCAN_HEADER, columns)})
-        _write_text(args.out, _json_text({"potential": problem.label, "rows": rows}) + "\n")
+        rows = _json_table([dict(zip(SCAN_HEADER, columns))])
+        _write(args.out, _json_document({"potential": problem.label, "rows": rows}))
     return EXIT_OK
 
 
@@ -289,7 +408,7 @@ def cmd_compare(args) -> int:
                "threshold": args.threshold, "threshold_exceeded": max(rels) > args.threshold}
     payload = {"potential": problem.label, "integration_step": args.step,
                "rows": rows, "summary": summary}
-    _write_text(args.out, json.dumps(payload, indent=2) + "\n")
+    _write(args.out, [json.dumps(payload, indent=2) + "\n"])
     if summary["threshold_exceeded"]:
         print(f"comparison threshold exceeded: max rel diff {max(rels):.3e} > {args.threshold}",
               file=sys.stderr)
@@ -322,26 +441,17 @@ def cmd_symmetry(args) -> int:
     suites = {suite: ("holds" if suite_hold[suite] else "violated") if suite in suite_hold
               else "not-applicable" for suite in symmetry.SUITES}
 
-    def by_k(field):
-        """One value per (k, relation), k outer, as the per-k report lists them."""
-        if not records:
-            return []
-        return np.stack([getattr(r, field) for r in records], axis=1).ravel().tolist()
-
-    k_text = _json_floats(ks)
-    relations = _Rows(
-        k=[text for text in k_text for _ in records],
-        name=[_json_scalar(r.name) for r in records] * len(ks),
-        anchor=[_json_scalar(r.anchor) for r in records] * len(ks),
-        residual=["null" if v != v else _json_scalar(v) for v in by_k("residual")],
-        tolerance=[_json_scalar(r.tolerance) for r in records] * len(ks),
-        holds=list(map(_json_scalar, by_k("holds"))),
-        applicable=list(map(_json_scalar, by_k("applicable"))))
-    exact_rows = _Rows(k=k_text, is_exact=list(map(_json_scalar, exact.is_exact.tolist())),
-                       theta_lr=_json_floats(exact.theta_lr), theta_rl=_json_floats(exact.theta_rl))
+    kv = np.asarray(ks, dtype=float)
+    relations = _json_table([
+        {"k": kv, "name": r.name, "anchor": r.anchor,
+         "residual": np.where(np.isnan(r.residual), None, r.residual),    # NaN spells null
+         "tolerance": r.tolerance, "holds": r.holds, "applicable": r.applicable}
+        for r in records])
+    exact_rows = _json_table([{"k": kv, "is_exact": exact.is_exact, "theta_lr": exact.theta_lr,
+                               "theta_rl": exact.theta_rl}])
     payload = {"potential": problem.label, "class": cls_payload, "suites": suites,
                "relations": relations, "exact_asymptotic_pt": exact_rows}
-    _write_text(args.out, _json_text(payload) + "\n")
+    _write(args.out, _json_document(payload))
     return EXIT_OK
 
 
@@ -360,10 +470,10 @@ def cmd_lattice(args) -> int:
     cells, blocks = potentials.lattice_transfer(p, ks, n_max)
     # the edge phases have unit det, so det M = det(T)^n from the cell, and T_rl = det M T_lr
     det_cell = [t[0][0] * t[1][1] - t[0][1] * t[1][0] for t in cells.tolist()]
-    rows, size = [], max(1, 4096 // len(ks))
+    ns_all, values_all, overflow_all, size = [], [], [], max(1, 4096 // len(ks))
     while chunk := list(itertools.islice(blocks, size)):    # the rows of a few n as columns
         ns, m, overflow = zip(*chunk)
-        m, overflow, n_col = np.concatenate(m), np.concatenate(overflow), [n for n in ns for _ in ks]
+        m, overflow = np.concatenate(m), np.concatenate(overflow)
         with np.errstate(all="ignore"):
             (t_lr, r_lr, _, r_rl), unsure = core.smatrix_columns(
                 *(core._PyComplex.of(m[:, i // 2, i % 2]) for i in range(4)))
@@ -376,14 +486,18 @@ def cmd_lattice(args) -> int:
         for i in np.flatnonzero(~overflow & (unsure | ~np.all(np.isfinite(values), axis=0))):
             try:
                 c = smatrix_from_transfer(core.TransferMatrix.from_array(m[i]))
-                d = det_cell[i % len(ks)] ** n_col[i]
+                d = det_cell[i % len(ks)] ** ns[i // len(ks)]
                 values[:, i] = abs(c.t_lr), abs(c.r_lr), abs(d * c.t_lr), abs(c.r_rl), d.real, d.imag
             except (ScatteringError, ArithmeticError) as exc:
                 _blame(exc, ks[i % len(ks)])
                 raise
         values[:, overflow] = np.nan
-        rows.extend(zip(n_col, ks * len(ns), *values.tolist(), overflow.astype(int).tolist()))
-    _write_text(args.out, _csv(LATTICE_HEADER, rows, LATTICE_TEMPLATE))
+        ns_all.extend(ns)
+        values_all.append(values)
+        overflow_all.append(overflow)
+    columns = [np.repeat(ns_all, len(ks)), np.tile(ks, len(ns_all)),
+               *np.concatenate(values_all, axis=1), np.concatenate(overflow_all)]
+    _write(args.out, [_csv_table(LATTICE_HEADER, LATTICE_TEMPLATE, columns)])
     return EXIT_OK
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,19 @@ import numpy as np
 import pytest
 
 from ptscatter.cli import main
+
+
+# argv (before --kmax 240 --kcount 3) whose run raises an ArithmeticError, and the k it names
+ARITHMETIC_ERRORS = [
+    (["scan", "--potential", "square-well", "--v1", "1e4", "--b", "10"], "0.2"),
+    (["lattice", "--v1", "1e4", "--b", "10"], "0.2"),
+    (["compare", "--potential", "square-well", "--v1", "1e4", "--b", "10"], "0.2"),
+    (["scan", "--potential", "scarf", "--kmin", "220"], "230.0"),
+    (["symmetry", "--potential", "scarf", "--kmin", "220"], "230.0"),
+]
+SPECTRAL_SINGULARITY = ["lattice", "--v0", "1", "--v1", "13.078802475944913", "--b", "1",
+                        "--kmin", "4.0", "--kmax", "4.164331013127829", "--kcount", "2",
+                        "--n", "1", "--n-max", "3"]
 
 
 def run_cli(args):
@@ -233,9 +247,7 @@ class TestLattice:
         """M_RR of the n = 1 lattice vanishes at the second k (a located
         spectral singularity of the complex well): the first row in n, k
         order that meets the pole is named."""
-        assert run_cli(["lattice", "--v0", "1", "--v1", "13.078802475944913", "--b", "1",
-                        "--kmin", "4.0", "--kmax", "4.164331013127829", "--kcount", "2",
-                        "--n", "1", "--n-max", "3", "--out", "-"]) == 3
+        assert run_cli(SPECTRAL_SINGULARITY + ["--out", "-"]) == 3
         err = capsys.readouterr().err
         assert err == ("solver error at k = 4.164331013127829: "
                        "|M_RR| = 2.7755575615628914e-16 below 1e-12\n")
@@ -260,10 +272,20 @@ class TestLattice:
         assert np.allclose(ok[huge, 2], ok[huge, 0], rtol=1e-6, atol=0)
 
 
+def no_fork():
+    raise AssertionError("os.fork called")
+
+
 class TestGoldenFiles:
-    """Byte-level regressions: 17-significant-digit cells, Unix newlines."""
+    """Byte-level regressions: 17-significant-digit cells, Unix newlines.
+    Every golden table is small, so it is spelled in one process."""
 
     GOLDEN_DIR = __file__.rsplit("/", 1)[0] + "/data"
+
+    @pytest.fixture(autouse=True)
+    def small_tables_never_fork(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", no_fork)
 
     def test_square_well_scan_matches_golden(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -416,13 +438,7 @@ class TestConfigAndErrors:
         assert run_cli(argv + ["--kcount", "2", "--kmax", "1"]) == 2
         assert "must be finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, k", [
-        (["scan", "--potential", "square-well", "--v1", "1e4", "--b", "10"], "0.2"),
-        (["lattice", "--v1", "1e4", "--b", "10"], "0.2"),
-        (["compare", "--potential", "square-well", "--v1", "1e4", "--b", "10"], "0.2"),
-        (["scan", "--potential", "scarf", "--kmin", "220"], "230.0"),
-        (["symmetry", "--potential", "scarf", "--kmin", "220"], "230.0"),
-    ])
+    @pytest.mark.parametrize("argv, k", ARITHMETIC_ERRORS)
     def test_arithmetic_error_is_solver_error_naming_k(self, argv, k, capsys):
         assert run_cli(argv + ["--kmax", "240", "--kcount", "3"]) == 3
         reported = [line for line in capsys.readouterr().err.splitlines()
@@ -439,3 +455,68 @@ class TestConfigAndErrors:
                                "--potential", "square-well", "--kcount", "2",
                                "--kmax", "1"], capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout.startswith("k,")
+
+
+class TestOutputProcesses:
+    """Large tables are spelled by two processes, with the same bytes."""
+
+    LARGE = [  # each table above FORK_VALUES values
+        ["scan", "--potential", "scarf", "--kcount", "4000"],
+        ["scan", "--potential", "centrifugal", "--kcount", "4000", "--format", "json"],
+        ["symmetry", "--potential", "square-well", "--kcount", "2000"],
+        ["lattice", "--n", "1", "--n-max", "100", "--kcount", "50"],
+    ]
+
+    def run(self, monkeypatch, tmp_path, argv, cpus):
+        """Output bytes and the number of forks of argv run with ``cpus`` CPUs."""
+        forks, fork = [], os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "fork", counted)
+        out = tmp_path / f"out-{cpus}"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        return out.read_bytes(), len(forks)
+
+    @pytest.mark.parametrize("argv", LARGE, ids=lambda argv: "-".join(argv[:3]))
+    def test_forked_equals_one_process(self, argv, monkeypatch, tmp_path):
+        one, none = self.run(monkeypatch, tmp_path, argv, cpus=1)
+        two, forks = self.run(monkeypatch, tmp_path, argv, cpus=2)
+        assert none == 0 and forks >= 1 and two == one
+
+    def test_failing_child_is_replaced_by_the_parent(self, monkeypatch, tmp_path):
+        import ptscatter.cli as cli
+
+        argv = self.LARGE[0]
+        one, _ = self.run(monkeypatch, tmp_path, argv, cpus=1)
+        parent, spell = os.getpid(), cli._Table.spell
+
+        def spell_here_only(table, lo, hi):
+            if os.getpid() != parent:
+                raise RuntimeError("speller failed in the child")
+            return spell(table, lo, hi)
+
+        monkeypatch.setattr(cli._Table, "spell", spell_here_only)
+        two, forks = self.run(monkeypatch, tmp_path, argv, cpus=2)
+        assert forks == 1 and two == one
+
+    def test_small_tables_never_fork(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run_cli(["compare", "--potential", "square-well", "--out",
+                        str(tmp_path / "cmp.json")]) == 0
+        assert run_cli(["scan", "--kcount", "50", "--out", str(tmp_path / "scan.csv")]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        SPECTRAL_SINGULARITY,
+        ["scan", "--potential", "scarf", "--s", "1e17", "--lambda-re", "0.7", "--kcount", "20"],
+        *(argv + ["--kmax", "240", "--kcount", "3"] for argv, _ in ARITHMETIC_ERRORS),
+    ], ids=lambda argv: "-".join(argv[:3]))
+    def test_solver_error_writes_no_file(self, argv, tmp_path, capsys):
+        out = tmp_path / "none"
+        assert run_cli(argv + ["--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("solver error at k = ")
+        assert not out.exists()

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptscatter import separable
-from ptscatter.cli import _json_scalar, _json_text, _Rows, main
+from ptscatter.cli import CHUNK_ROWS, _json_document, _json_table, _moduli, _write, main
 from ptscatter.core import SCALAR, ScatteringCoefficients, _PyComplex
 from ptscatter.errors import NumeratorPole, ResonancePole, ScatteringError, TransmissionPole
 from ptscatter.potentials import (
@@ -234,16 +234,86 @@ class TestRelationColumns:
         assert info.value.k == 2.0
 
 
+def parts_wide():
+    """Real or imaginary parts: moderate, near the overflow of |z|^2 or |z|, inf and NaN."""
+    return st.one_of(finite(-3, 3), finite(1e154, 1e308), finite(-1e308, -1e154),
+                     st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
+
+
+class TestModuliColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(*[parts_wide()] * 8), min_size=1, max_size=12))
+    def test_columns_equal_the_loop_over_k(self, rows):
+        ks = np.linspace(0.3, 3.0, len(rows)).tolist()
+        c = ScatteringCoefficients(*(np.array([complex(r[2 * i], r[2 * i + 1]) for r in rows])
+                                     for i in range(4)))
+        expected = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            dets = c.det.tolist()
+        abs(0j)     # a loop from a clean errno (Python's abs reads it at a NaN part)
+        try:
+            for t, r, d in zip(c.t_lr.tolist(), c.r_lr.tolist(), dets):
+                expected.append((abs(t) ** 2, abs(r) ** 2, abs(d)))
+        except ArithmeticError as exc:
+            with pytest.raises(type(exc)) as info:
+                _moduli(ks, c)
+            assert str(info.value) == str(exc) and info.value.k == ks[len(expected)]
+            return
+        got = _moduli(ks, c)
+        for j, row in enumerate(expected):
+            assert all(same_float(a, b) for a, b in zip(got[:, j], row)), j
+
+    def test_many_moderate_values(self):
+        # numpy's square rounds differently from Python's ** on ~0.1% of
+        # such values, too few for the examples above to meet
+        rng = np.random.default_rng(5)
+        z = rng.normal(size=(4, 2, 20000)) * 10.0 ** rng.uniform(-3, 3, size=(4, 2, 20000))
+        c = ScatteringCoefficients(*(re + 1j * im for re, im in z))
+        expected = [(abs(t) ** 2, abs(r) ** 2, abs(d))
+                    for t, r, d in zip(c.t_lr.tolist(), c.r_lr.tolist(), c.det.tolist())]
+        got = _moduli(np.linspace(0.3, 3.0, 20000).tolist(), c)
+        assert np.array_equal(got.T.view(np.uint64), np.array(expected).view(np.uint64))
+
+
+def written(tmp_path, parts) -> str:
+    out = tmp_path / "out.json"
+    _write(str(out), parts)
+    return out.read_text()
+
+
 class TestJsonWriter:
-    def test_rows_and_blocks_match_json_dumps(self):
+    NAME = "rél \"x\" 50%"
+
+    def objects(self, rows):
+        """Rows of dicts with the keys k, name, flag, residual, n as the
+        writer's columns; name is the same in every row."""
+        column = lambda key, dtype: np.array([r[key] for r in rows], dtype=dtype)
+        return {"k": column("k", float), "name": self.NAME, "flag": column("flag", bool),
+                "residual": column("residual", object), "n": column("n", int)}
+
+    def test_rows_and_blocks_match_json_dumps(self, tmp_path):
         values = [0.1, -0.0, math.nan, math.inf, -math.inf, 1e-300, 2.0, 12345678.9]
-        rows = [{"k": v, "name": "rél \"x\" 50%", "flag": i % 2 == 0,
+        rows = [{"k": v, "name": self.NAME, "flag": i % 2 == 0,
                  "residual": None if i == 3 else v, "n": i} for i, v in enumerate(values)]
-        columns = {key: [_json_scalar(r[key]) for r in rows] for key in rows[0]}
         doc = {"potential": {"kind": "scarf", "s": 1.3, "n": 2, "file": None},
                "empty": {}, "rows": rows, "no_rows": []}
-        ours = dict(doc, rows=_Rows(**columns), no_rows=_Rows(k=[]))
-        assert _json_text(ours) == json.dumps(doc, indent=2)
+        ours = dict(doc, rows=_json_table([self.objects(rows)]), no_rows=_json_table([]))
+        assert written(tmp_path, _json_document(ours)) == json.dumps(doc, indent=2) + "\n"
+
+    def test_non_finite_values_in_a_later_chunk(self, tmp_path):
+        # two objects per row; the first chunk is all finite, the last holds
+        # NaN, +-inf and None
+        size = CHUNK_ROWS + 300
+        ks = np.linspace(0.2, 4.0, size)
+        rows = [{"k": k, "name": self.NAME, "flag": i % 3 == 0, "residual": k / 7, "n": i}
+                for i, k in enumerate(ks.tolist())]
+        for i, v in zip(range(size - 4, size), (math.nan, math.inf, -math.inf, None)):
+            rows[i] = dict(rows[i], k=-math.inf if v is None else v, residual=v)
+        doubled = dict(self.objects(rows), name="second")
+        doc = {"potential": {"kind": "square-well"},
+               "rows": [obj for r in rows for obj in (r, dict(r, name="second"))]}
+        ours = dict(doc, rows=_json_table([self.objects(rows), doubled]))
+        assert written(tmp_path, _json_document(ours)) == json.dumps(doc, indent=2) + "\n"
 
 
 class TestScarfAtHugeS:
