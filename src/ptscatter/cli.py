@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import core, potentials, separable, symmetry
+from . import core, potentials
 from .core import _blame, coefficients_from_amplitudes, on_grid, smatrix_from_transfer
 from .errors import ScatteringError
 from .numeric import IntegrationConfig, integrate_batch, sampled_potential
@@ -301,6 +301,8 @@ def build_problem(args) -> Problem:
                        local=True,
                        potential=potentials.centrifugal_potential(p, cutoff=args.cutoff))
     if kind == "yamaguchi":
+        from . import separable
+
         kernel = separable.SeparableKernel.yamaguchi(
             gamma=args.gamma, delta=args.delta, alpha=args.alpha, beta=args.beta,
             lam=args.strength)
@@ -384,6 +386,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if not (math.isfinite(args.threshold) and args.threshold >= 0):
+        raise ConfigError(f"threshold must be finite and >= 0, got {args.threshold}")
     problem = build_problem(args)
     if problem.potential is None or problem.kind in ("custom-sampled",):
         raise ConfigError(f"potential kind {problem.kind!r} has no analytic/numeric route pair")
@@ -417,6 +421,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_symmetry(args) -> int:
+    from . import separable, symmetry
+
     problem = build_problem(args)
     ks = _k_grid(args)
     s = problem.coefficients(ks)
@@ -503,59 +509,70 @@ def cmd_lattice(args) -> int:
 
 # -- argument plumbing --------------------------------------------------------
 
-_DEFAULTS = {
-    "v0": 1.0, "v1": 0.5, "b": 1.0, "a": 0.5, "n": 1, "n_max": None,
-    "s": 1.3, "lambda_re": 0.7, "lambda_im": 0.0, "eps": None,
-    "alpha": 0.0, "beta": 0.0, "gamma": 1.0, "delta": 1.0, "strength": 1.0,
-    "kmin": 0.2, "kmax": 4.0, "kcount": 50,
-    "out": None, "format": "csv",
-    "step": 1e-3, "cutoff": 20.0, "threshold": 1e-5,
-    "potential": "square-well", "samples_file": None, "config": None,
+#: every flag and config key: its default and the type of its value (a tuple
+#: lists the strings it may be)
+_OPTIONS = {
+    "potential": ("square-well", POTENTIAL_KINDS),
+    "v0": (1.0, float), "v1": (0.5, float), "b": (1.0, float), "a": (0.5, float),
+    "n": (1, int), "n_max": (None, int),
+    "s": (1.3, float), "lambda_re": (0.7, float), "lambda_im": (0.0, float), "eps": (None, float),
+    "alpha": (0.0, float), "beta": (0.0, float), "gamma": (1.0, float), "delta": (1.0, float),
+    "strength": (1.0, float),
+    "kmin": (0.2, float), "kmax": (4.0, float), "kcount": (50, int),
+    "out": (None, str), "format": ("csv", ("csv", "json")),
+    "step": (1e-3, float), "cutoff": (20.0, float), "threshold": (1e-5, float),
+    "samples_file": (None, str), "config": (None, str),
 }
 
 
 def _add_common(sub):
-    sub.add_argument("--potential", choices=POTENTIAL_KINDS)
-    sub.add_argument("--v0", type=float)
-    sub.add_argument("--v1", type=float)
-    sub.add_argument("--b", type=float)
-    sub.add_argument("--a", type=float)
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--n-max", dest="n_max", type=int)
-    sub.add_argument("--s", type=float)
-    sub.add_argument("--lambda-re", dest="lambda_re", type=float)
-    sub.add_argument("--lambda-im", dest="lambda_im", type=float)
-    sub.add_argument("--eps", type=float)
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--beta", type=float)
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--delta", type=float)
-    sub.add_argument("--strength", type=float)
-    sub.add_argument("--kmin", type=float)
-    sub.add_argument("--kmax", type=float)
-    sub.add_argument("--kcount", type=int)
-    sub.add_argument("--out")
-    sub.add_argument("--format", choices=("csv", "json"))
-    sub.add_argument("--step", type=float)
-    sub.add_argument("--cutoff", type=float)
-    sub.add_argument("--threshold", type=float)
-    sub.add_argument("--samples-file", dest="samples_file")
-    sub.add_argument("--config", help="JSON file with defaults; explicit flags win")
+    for key, (_, kind) in _OPTIONS.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(kind, tuple):
+            sub.add_argument(flag, dest=key, choices=kind)
+        elif key == "config":
+            sub.add_argument(flag, help="JSON file with defaults; explicit flags win")
+        else:
+            sub.add_argument(flag, dest=key, type=None if kind is str else kind)
+
+
+_KIND_NAMES = {float: "a number", int: "an integer", str: "a string"}
+
+
+def _config_value(key, value):
+    """A config file's value for ``key`` as its flag would give it; null keeps
+    a default that is unset."""
+    default, kind = _OPTIONS[key]
+    if value is None and default is None:
+        return None
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is float and number:
+        try:
+            return float(value)
+        except OverflowError:           # an integer beyond the float range
+            pass
+    elif (kind is int and number and isinstance(value, int) or kind is str and isinstance(value, str)
+          or isinstance(kind, tuple) and value in kind):
+        return value
+    expected = f"one of {list(kind)}" if isinstance(kind, tuple) else _KIND_NAMES[kind]
+    raise ConfigError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
 
 
 def _merge_config(args) -> argparse.Namespace:
-    merged = dict(_DEFAULTS)
+    merged = {key: default for key, (default, _) in _OPTIONS.items()}
     if args.config:
         try:
             with open(args.config) as fh:
                 file_values = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        unknown = set(file_values) - set(_DEFAULTS)
+        if not isinstance(file_values, dict):
+            raise ConfigError(f"config file must hold a JSON object, got {type(file_values).__name__}")
+        unknown = set(file_values) - set(_OPTIONS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_values)
-    for key in _DEFAULTS:
+        merged.update((key, _config_value(key, value)) for key, value in file_values.items())
+    for key in _OPTIONS:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val

@@ -243,14 +243,15 @@ class _PyComplex:
     arrays mix in as CPython promotes them (a real x is (x, 0.0)), so every
     element equals the Python expression at its k, signed zeros included.
     ``abs`` is ``np.hypot``, CPython's own formula, but gives inf where
-    Python's raises OverflowError.
+    Python's raises OverflowError.  The parts are ``real`` and ``imag``, as
+    on a Python complex, so that one formula serves both.
     """
 
     __array_ufunc__ = None      # numpy defers mixed operators to this class
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
     def __init__(self, re, im=0.0):
-        self.re, self.im = re, im
+        self.real, self.imag = re, im
 
     @classmethod
     def of(cls, z) -> "_PyComplex":
@@ -261,39 +262,39 @@ class _PyComplex:
         return cls(z)
 
     def array(self) -> np.ndarray:
-        out = np.empty(np.broadcast(self.re, self.im).shape, dtype=complex)
-        out.real, out.imag = self.re, self.im
+        out = np.empty(np.broadcast(self.real, self.imag).shape, dtype=complex)
+        out.real, out.imag = self.real, self.imag
         return out
 
     def conjugate(self) -> "_PyComplex":
-        return _PyComplex(self.re, -self.im)
+        return _PyComplex(self.real, -self.imag)
 
     def exp(self) -> "_PyComplex":
         # numpy's complex exp is cmath.exp's formula below the overflow range
         return _PyComplex.of(np.exp(self.array()))
 
     def __neg__(self):
-        return _PyComplex(-self.re, -self.im)
+        return _PyComplex(-self.real, -self.imag)
 
     def __abs__(self):
-        return np.hypot(self.re, self.im)
+        return np.hypot(self.real, self.imag)
 
     def __add__(self, other):
         other = _PyComplex.of(other)
-        return _PyComplex(self.re + other.re, self.im + other.im)
+        return _PyComplex(self.real + other.real, self.imag + other.imag)
 
     __radd__ = __add__          # IEEE addition commutes exactly
 
     def __sub__(self, other):
         other = _PyComplex.of(other)
-        return _PyComplex(self.re - other.re, self.im - other.im)
+        return _PyComplex(self.real - other.real, self.imag - other.imag)
 
     def __rsub__(self, other):
         return _PyComplex.of(other) - self
 
     def __mul__(self, other):
         b = _PyComplex.of(other)
-        return _PyComplex(self.re * b.re - self.im * b.im, self.re * b.im + self.im * b.re)
+        return _PyComplex(self.real * b.real - self.imag * b.imag, self.real * b.imag + self.imag * b.real)
 
     __rmul__ = __mul__          # so do the products and their sum
 
@@ -307,14 +308,14 @@ class _PyComplex:
 def _quotient(a: _PyComplex, b: _PyComplex) -> _PyComplex:
     """CPython's complex division: scale by the larger part of b.  NaN where
     b = 0 (Python raises ZeroDivisionError) or b has a NaN part."""
-    by_real = np.abs(b.re) >= np.abs(b.im)
-    by_imag = np.abs(b.im) >= np.abs(b.re)
-    ratio = b.im / b.re
-    denom = b.re + b.im * ratio
-    re_r, im_r = (a.re + a.im * ratio) / denom, (a.im - a.re * ratio) / denom
-    ratio = b.re / b.im
-    denom = b.re * ratio + b.im
-    re_i, im_i = (a.re * ratio + a.im) / denom, (a.im * ratio - a.re) / denom
+    by_real = np.abs(b.real) >= np.abs(b.imag)
+    by_imag = np.abs(b.imag) >= np.abs(b.real)
+    ratio = b.imag / b.real
+    denom = b.real + b.imag * ratio
+    re_r, im_r = (a.real + a.imag * ratio) / denom, (a.imag - a.real * ratio) / denom
+    ratio = b.real / b.imag
+    denom = b.real * ratio + b.imag
+    re_i, im_i = (a.real * ratio + a.imag) / denom, (a.imag * ratio - a.real) / denom
     return _PyComplex(np.where(by_real, re_r, np.where(by_imag, re_i, np.nan)),
                       np.where(by_real, im_r, np.where(by_imag, im_i, np.nan)))
 

@@ -148,7 +148,7 @@ class _Failures:
     def modulus(self, z: _PyComplex, reached=True) -> np.ndarray:
         """|z| as Python's abs, which raises where hypot overflows."""
         m = abs(z)
-        self.add(reached & np.isinf(m) & np.isfinite(z.re) & np.isfinite(z.im),
+        self.add(reached & np.isinf(m) & np.isfinite(z.real) & np.isfinite(z.imag),
                  lambda i: OverflowError("absolute value too large"))
         return m
 
@@ -199,7 +199,7 @@ def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool
     """
     (t_lr, r_lr, t_rl, r_rl), one = _columns(s)
     records: list = []
-    fail = _Failures(k, len(t_lr.re))
+    fail = _Failures(k, len(t_lr.real))
     with np.errstate(all="ignore"):
         mat = np.stack([np.stack([t_lr.array(), r_rl.array()], -1),
                         np.stack([r_lr.array(), t_rl.array()], -1)], -2)
@@ -222,10 +222,10 @@ def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool
 
         if cls.parity_generalized and not cls.parity and cls.x0 is not None and k is not None:
             kv = _PyComplex(fail.k)
-            fail.add(~((kv.re > 0) & np.isfinite(kv.re)),
+            fail.add(~((kv.real > 0) & np.isfinite(kv.real)),
                      lambda i: ValueError(f"wave number must be finite and > 0, got {fail.k[i]}"))
             arg = 1j * kv * cls.x0
-            fail.add(np.isinf(arg.im), lambda i: ValueError("math domain error"))
+            fail.add(np.isinf(arg.imag), lambda i: ValueError("math domain error"))
             record("p_generalized", "pg_equal_transmission", "S_RR = S_LL",
                    fail.modulus(t_lr - t_rl))
             record("p_generalized", "pg_reflection_phase", "R_rl e^{ikX0} = R_lr e^{-ikX0}",
@@ -235,7 +235,7 @@ def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool
             record("t", "t_reflection_moduli", "|S_LR| = |S_RL|",
                    np.abs(fail.modulus(r_lr) - fail.modulus(r_rl)), all_nonzero)
             record("t", "t_transmission_product_real", "Im(T_rl conj(T_lr)) = 0",
-                   np.abs((t_rl * t_lr.conjugate()).im), all_nonzero)
+                   np.abs((t_rl * t_lr.conjugate()).imag), all_nonzero)
             record("t", "t_unimodular_det", "|det S| = 1", np.abs(fail.modulus(det) - 1.0),
                    all_nonzero)
 
@@ -253,7 +253,7 @@ def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool
             record("pt", "pt_transmission_moduli", "|T_lr| = |T_rl|",
                    np.abs(fail.modulus(t_lr) - fail.modulus(t_rl)))
             record("pt", "pt_reflection_product_real", "Im(R_rl conj(R_lr)) = 0",
-                   np.abs((r_rl * r_lr.conjugate()).im))
+                   np.abs((r_rl * r_lr.conjugate()).imag))
             if local:
                 record("pt", "pt_local_equal_transmission", "T_lr = T_rl",
                        fail.modulus(t_lr - t_rl))
@@ -292,7 +292,7 @@ def exact_asymptotic_pt_check(s: ScatteringCoefficients, tol: float = 1e-10,
     matrix, only names the k of an error.
     """
     (t_lr, r_lr, t_rl, r_rl), one = _columns(s)
-    fail = _Failures(k, len(t_lr.re))
+    fail = _Failures(k, len(t_lr.real))
     is_exact = True
     with np.errstate(all="ignore"):
         # the per-k test stops at its first false condition

@@ -368,6 +368,37 @@ class TestConfigAndErrors:
         assert run_cli(["scan", "--config", str(cfg)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("values, key", [
+        ({"kmin": "0.3"}, "kmin"), ({"v1": None}, "v1"), ({"kcount": 2.5}, "kcount"),
+        ({"format": "xml"}, "format"), ({"kcount": True}, "kcount"), ({"n_max": 3.0}, "n_max"),
+        ({"out": 1}, "out"), ({"kmax": 10 ** 400}, "kmax")])
+    def test_config_value_of_the_wrong_type_names_its_key(self, values, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        assert run_cli(["scan", "--config", str(cfg), "--out", os.devnull]) == 2
+        assert f"configuration error: config key {key!r} must be" in capsys.readouterr().err
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert run_cli(["scan", "--config", str(cfg)]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+
+    def test_config_integers_and_nulls_read_as_their_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kmin": 1, "kmax": 2, "kcount": 2, "eps": None, "n_max": None}))
+        from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        assert run_cli(["scan", "--config", str(cfg), "--out", str(from_file)]) == 0
+        assert run_cli(["scan", "--kmin", "1", "--kmax", "2", "--kcount", "2",
+                        "--out", str(from_flags)]) == 0
+        assert from_file.read_bytes() == from_flags.read_bytes()
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1e-5"])
+    def test_threshold_must_be_finite_and_not_negative(self, threshold, capsys):
+        assert run_cli(["compare", "--kcount", "2", f"--threshold={threshold}",
+                        "--out", os.devnull]) == 2
+        assert "threshold must be finite and >= 0" in capsys.readouterr().err
+
     def test_bad_kmin_is_config_error(self, capsys):
         assert run_cli(["scan", "--potential", "square-well", "--kmin", "-1"]) == 2
 
@@ -449,6 +480,12 @@ class TestConfigAndErrors:
         code = "import sys, ptscatter.cli; print('scipy.integrate' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+    def test_import_leaves_unused_modules_unloaded(self):
+        code = ("import sys, ptscatter.cli; "
+                "print(*(f'ptscatter.{m}' in sys.modules for m in ('separable', 'symmetry', 'current')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout.split() == ["False"] * 3
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "ptscatter.cli", "scan",

@@ -1,7 +1,10 @@
-"""Property test: the command line keeps its exit-code contract for any number."""
+"""Property test: the command line keeps its exit-code contract for any number,
+given as a flag or as a config-file value of any JSON type."""
 
+import json
 import math
 import os
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,11 @@ NUMBERS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0.0, 1e-300, 1e4, 1e300, -1e300, math.nan, math.inf, -math.inf]),
 )
+# a JSON value of each type, numbers of both JSON kinds
+OTHERS = st.sampled_from([True, False, None, "", "0.3", "csv", "json", "xml", [1, 2], {}, 10 ** 400])
+VALUES = st.one_of(NUMBERS, st.integers(-3, 3), OTHERS)
+# a grid size stays small whatever its type
+KCOUNTS = st.one_of(st.integers(-1, 3), NUMBERS, OTHERS)
 FLAGS = {
     "square-well": ("v0", "v1", "b"),
     "scarf": ("s", "lambda-re", "lambda-im", "eps"),
@@ -22,16 +30,32 @@ FLAGS = {
 
 @st.composite
 def invocations(draw):
+    """(argv, config): flags on the command line, or the same keys and any
+    JSON values (now and then not an object) in a config file."""
     command = draw(st.sampled_from(["scan", "symmetry", "lattice"]))
     potential = "square-well" if command == "lattice" else draw(st.sampled_from(sorted(FLAGS)))
-    argv = [command, "--potential", potential, "--kcount", str(draw(st.integers(1, 3)))]
-    for flag in FLAGS[potential] + ("kmin", "kmax"):
-        if draw(st.booleans()):
-            argv.append(f"--{flag}={draw(NUMBERS)!r}")
-    return argv + ["--out", os.devnull]
+    argv = [command, "--potential", potential]
+    keys = [flag for flag in FLAGS[potential] + ("kmin", "kmax") if draw(st.booleans())]
+    if draw(st.booleans()):
+        argv += ["--kcount", str(draw(st.integers(1, 3)))]
+        argv += [f"--{flag}={draw(NUMBERS)!r}" for flag in keys]
+        return argv + ["--out", os.devnull], None
+    config = {key.replace("-", "_"): draw(VALUES) for key in keys + ["format"] * draw(st.booleans())}
+    config["kcount"] = draw(KCOUNTS)
+    if draw(st.integers(0, 9)) == 0:
+        config = draw(st.one_of(OTHERS, NUMBERS))
+    return argv + ["--out", os.devnull], config
 
 
 @settings(max_examples=60, deadline=None)
 @given(invocations())
-def test_exit_code_contract(argv):
-    assert main(argv) in (0, 2, 3, 4)
+def test_exit_code_contract(invocation):
+    argv, config = invocation
+    if config is None:
+        assert main(argv) in (0, 2, 3, 4)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        assert main(argv + ["--config", path]) in (0, 2, 3, 4)

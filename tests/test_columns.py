@@ -172,7 +172,7 @@ class TestErrorsAtTheLowestFailingK:
                 return pole if k == k_pole else j
             j = _PyComplex.of(j)
             at = np.asarray(k) == k_pole
-            return _PyComplex(np.where(at, pole.real, j.re), np.where(at, pole.imag, j.im))
+            return _PyComplex(np.where(at, pole.real, j.real), np.where(at, pole.imag, j.imag))
 
         monkeypatch.setattr(separable, "_yamaguchi_j", j_with_pole)
         with pytest.raises(ResonancePole):
@@ -345,17 +345,17 @@ class TestCommandLine:
         cfg.write_text(json.dumps({"parallel": True}))
         assert main(["scan", "--config", str(cfg)]) == 2
 
-    def test_scipy_special_loads_only_for_gamma_functions(self, tmp_path):
+    def test_no_scarf_command_loads_scipy_special(self, tmp_path):
         golden = __file__.rsplit("/", 1)[0] + "/data/golden_scan_scarf_hermitian.csv"
-        code = ("import sys; from ptscatter.cli import main; rc = main(sys.argv[1:]); "
-                "print(rc, 'scipy.special' in sys.modules)")
-        well = subprocess.run([sys.executable, "-c", code, "scan", "--kcount", "5",
-                               "--out", str(tmp_path / "w.csv")], capture_output=True, text=True)
-        assert well.stdout.split() == ["0", "False"]
         out = tmp_path / "scarf.csv"
-        scarf = subprocess.run([sys.executable, "-c", code, "scan", "--potential", "scarf",
-                                "--s", "1.3", "--lambda-re", "0.7", "--eps", "0", "--kmin", "0.2",
-                                "--kmax", "4", "--kcount", "200", "--out", str(out)],
-                               capture_output=True, text=True)
-        assert scarf.stdout.split() == ["0", "True"]
+        scarf = ["--potential", "scarf", "--s", "1.3", "--lambda-re", "0.7", "--eps", "0",
+                 "--out", str(out)]
+        runs = [["scan", "--kcount", "5", "--out", str(tmp_path / "well.csv")],
+                ["compare", *scarf, "--kmin", "0.5", "--kcount", "1"],
+                ["symmetry", *scarf, "--kcount", "5"],
+                ["scan", *scarf, "--kmin", "0.2", "--kmax", "4", "--kcount", "200"]]
+        code = ("import json, sys; from ptscatter.cli import main; "
+                "print(*(main(a) for a in json.loads(sys.argv[1])), 'scipy.special' in sys.modules)")
+        run = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], capture_output=True, text=True)
+        assert run.stdout.split() == ["0", "0", "0", "0", "False"], run.stderr
         assert out.read_bytes() == open(golden, "rb").read()
