@@ -9,6 +9,14 @@ whole k grid at once, as columns equal bit for bit to the per-k values, and
 an error names the lowest failing k, as a loop over k would.  A command
 opens its output only once every value is computed, so a failed run writes
 no file; a large table is spelled by two processes, with the same bytes.
+
+A command loads only the modules it uses: ``numeric`` where it integrates
+or builds a sampled profile (``compare``, ``symmetry`` of a local potential,
+custom-sampled), ``specfun`` for Scarf, and ``separable`` and ``symmetry``
+for Yamaguchi kernels and the ``symmetry`` command.  Run as the process's
+own command line (``main()`` without argv, as the console script does),
+``main`` flushes stdout and stderr and ends the process with its exit code
+at once, without the interpreter's teardown; ``main(argv)`` returns the code.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ import numpy as np
 from . import core, potentials
 from .core import _blame, coefficients_from_amplitudes, on_grid, smatrix_from_transfer
 from .errors import ScatteringError
-from .numeric import IntegrationConfig, integrate_batch, sampled_potential
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -228,8 +235,12 @@ def _write(path: str | None, parts):
 
 # -- evaluation over the k grid -----------------------------------------------
 
-def _integrated(potential, cfg):
+def _integrated(potential, step: float):
     """Coefficients over the grid from one ``integrate_batch`` sweep."""
+    from .numeric import IntegrationConfig, integrate_batch
+
+    cfg = IntegrationConfig(step=step)
+
     def sweep(ks):
         try:
             amps = integrate_batch(potential, ks, cfg)
@@ -263,7 +274,7 @@ class Problem:
     label: dict
     coefficients: object            # k grid -> ScatteringCoefficients of columns
     local: bool
-    potential: object = None        # LocalPotential when one exists
+    potential: object = None        # () -> LocalPotential, for the kinds that have one
     kernel: object = None
 
 
@@ -275,7 +286,7 @@ def build_problem(args) -> Problem:
         p = potentials.SquareWellParams(v0=args.v0, v1=args.v1, b=args.b)
         return Problem(kind=kind, label={"kind": kind, "v0": args.v0, "v1": args.v1, "b": args.b},
                        coefficients=lambda ks: potentials.square_well_coefficients(p, ks),
-                       local=True, potential=potentials.square_well_potential(p))
+                       local=True, potential=lambda: potentials.square_well_potential(p))
     if kind == "multi-well":
         p = potentials.LatticeParams(well=potentials.SquareWellParams(args.v0, args.v1, args.b),
                                      a=args.a, n=args.n)
@@ -283,23 +294,28 @@ def build_problem(args) -> Problem:
                        label={"kind": kind, "v0": args.v0, "v1": args.v1, "b": args.b,
                               "a": args.a, "n": args.n},
                        coefficients=lambda ks: potentials.multi_well_coefficients(p, ks),
-                       local=True, potential=potentials.lattice_potential(p))
+                       local=True, potential=lambda: potentials.lattice_potential(p))
     if kind == "scarf":
         lam = complex(args.lambda_re, args.lambda_im)
         eps = 0.0 if args.eps is None else args.eps
         p = potentials.ScarfParams(s=args.s, lam=lam, eps=eps)
+        # the truncated profile is built only by the commands that use it, but
+        # every command rejects a cutoff it could not be built with
+        core._require_support(-args.cutoff, args.cutoff)
         return Problem(kind=kind,
                        label={"kind": kind, "s": args.s, "lambda_re": args.lambda_re,
                               "lambda_im": args.lambda_im, "eps": eps},
                        coefficients=lambda ks: potentials.scarf_coefficients(p, ks),
-                       local=True, potential=potentials.scarf_potential(p, cutoff=args.cutoff))
+                       local=True,
+                       potential=lambda: potentials.scarf_potential(p, cutoff=args.cutoff))
     if kind == "centrifugal":
         eps = 0.1 if args.eps is None else args.eps
         p = potentials.CentrifugalParams(alpha_strength=args.strength, eps=eps)
+        core._require_support(-args.cutoff, args.cutoff)
         return Problem(kind=kind, label={"kind": kind, "strength": args.strength, "eps": eps},
                        coefficients=lambda ks: potentials.centrifugal_coefficients(p, ks),
                        local=True,
-                       potential=potentials.centrifugal_potential(p, cutoff=args.cutoff))
+                       potential=lambda: potentials.centrifugal_potential(p, cutoff=args.cutoff))
     if kind == "yamaguchi":
         from . import separable
 
@@ -312,6 +328,8 @@ def build_problem(args) -> Problem:
                        coefficients=lambda ks: separable.nonlocal_coefficients(kernel, ks),
                        local=False, kernel=kernel)
     # custom-sampled
+    from .numeric import sampled_potential
+
     if not args.samples_file:
         raise ConfigError("custom-sampled potential requires --samples-file")
     data = np.loadtxt(args.samples_file, delimiter=",", ndmin=2)
@@ -319,8 +337,7 @@ def build_problem(args) -> Problem:
         raise ConfigError("samples file needs columns x, re(V), im(V)")
     pot = sampled_potential(data[:, 0], data[:, 1] + 1j * data[:, 2])
     return Problem(kind=kind, label={"kind": kind, "samples_file": args.samples_file},
-                   coefficients=_integrated(pot, IntegrationConfig(step=args.step)),
-                   local=True, potential=pot)
+                   coefficients=_integrated(pot, args.step), local=True, potential=lambda: pot)
 
 
 def _k_grid(args) -> list:
@@ -391,8 +408,9 @@ def cmd_compare(args) -> int:
     problem = build_problem(args)
     if problem.potential is None or problem.kind in ("custom-sampled",):
         raise ConfigError(f"potential kind {problem.kind!r} has no analytic/numeric route pair")
+    potential = problem.potential()
     ks = _k_grid(args)
-    numeric = _integrated(problem.potential, IntegrationConfig(step=args.step))
+    numeric = _integrated(potential, args.step)
     routes = _lowest_failure(lambda: problem.coefficients(ks), lambda: numeric(ks))
 
     names = ("t_lr", "r_lr", "t_rl", "r_rl")
@@ -424,13 +442,14 @@ def cmd_symmetry(args) -> int:
     from . import separable, symmetry
 
     problem = build_problem(args)
+    potential = None if problem.potential is None else problem.potential()
     ks = _k_grid(args)
     s = problem.coefficients(ks)
     if problem.kernel is not None:
         cls = separable.kernel_symmetry_class(problem.kernel)
         extra = ("symmetric_xy", "reality")
     else:
-        cls = symmetry.classify_local_potential(problem.potential)
+        cls = symmetry.classify_local_potential(potential)
         extra = ("parity_generalized", "x0")
     cls_payload = {name: getattr(cls, name)
                    for name in ("hermitian", "parity", "time_reversal", "pt", *extra)}
@@ -581,6 +600,24 @@ def _merge_config(args) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.  Without argv, the command
+    line is the process's own: then stdout and stderr are flushed and the
+    process ends with the code, skipping the interpreter's teardown (modules,
+    objects and threads it would free or join at exit), unless a flush
+    fails, as on a closed pipe, when the code is returned for Python's own
+    exit to report.  An exception that escapes the command unwinds as usual."""
+    code = _run(argv)
+    if argv is None:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (AttributeError, OSError, ValueError):
+            return code
+        os._exit(code)
+    return code
+
+
+def _run(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="ptscatter",
         description="transmission/reflection scans for complex local and separable non-local potentials")

@@ -47,6 +47,12 @@ def _require_finite(owner: str, **values):
             raise ValueError(f"{owner} parameter {name} must be finite, got {value}")
 
 
+def _require_support(x_left: float, x_right: float):
+    """ValueError unless [x_left, x_right] is a support: x_left < x_right."""
+    if not x_left < x_right:
+        raise ValueError("x_left must be < x_right")
+
+
 def as_wavenumber(k) -> WaveNumber:
     """Coerce a float or WaveNumber to WaveNumber (validates k > 0)."""
     if isinstance(k, WaveNumber):

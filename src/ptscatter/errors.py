@@ -33,6 +33,10 @@ class NumeratorPole(GammaPole):
     """A numerator gamma factor sits on a pole; the ratio diverges."""
 
 
+class NonFiniteArgument(ScatteringError):
+    """A special function was given a NaN or infinite argument."""
+
+
 class PrecisionLoss(ScatteringError):
     """Cancellation leaves a closed form with too few correct digits."""
 

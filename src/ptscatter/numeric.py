@@ -16,7 +16,6 @@ the result is the per-step RK4 recursion up to rounding.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,13 +24,12 @@ import numpy as np
 from .core import (
     AsymptoticAmplitudes,
     ScatteringCoefficients,
+    _require_support,
     as_wavenumber,
     coefficients_from_amplitudes,
     wronskian_residual,
 )
 from .errors import DegenerateSolutions, NonDecayedPotential, StepTooLarge
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -53,8 +51,7 @@ class LocalPotential:
     breakpoints: tuple = ()
 
     def __post_init__(self):
-        if not self.x_left < self.x_right:
-            raise ValueError("x_left must be < x_right")
+        _require_support(self.x_left, self.x_right)
 
     def sample(self, xs) -> np.ndarray:
         """V at every position of ``xs`` as a complex array of the same shape."""
@@ -347,11 +344,15 @@ def integrate_two_solutions(v: LocalPotential, k, cfg: IntegrationConfig | None 
 
 
 def numeric_coefficients(v: LocalPotential, k, cfg: IntegrationConfig | None = None) -> ScatteringCoefficients:
-    """Transmission/reflection coefficients by direct integration."""
+    """Transmission/reflection coefficients by direct integration.  The
+    Wronskian residual goes to this module's logger at DEBUG level; logging
+    loads on the first call, not with the module."""
+    import logging
+
     kv = as_wavenumber(k)
     amps = integrate_two_solutions(v, kv, cfg)
     res = wronskian_residual(amps, kv)
-    log.debug("numeric_coefficients k=%g wronskian residual %.3e", kv.k, res)
+    logging.getLogger(__name__).debug("numeric_coefficients k=%g wronskian residual %.3e", kv.k, res)
     return coefficients_from_amplitudes(amps)
 
 

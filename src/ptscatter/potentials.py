@@ -5,7 +5,9 @@ periodic n-well lattice built from it, the hyperbolic Scarf (Scarf II)
 potential including complex coordinate shifts, and the regularised
 inverse-square (centrifugal) potential.  Each entry also provides a
 LocalPotential factory so the direct integrator can be run on the same
-physics as an independent cross-check.
+physics as an independent cross-check.  ``numeric`` is imported when such a
+profile is built and ``specfun`` when a Scarf value is evaluated, so the
+closed forms alone load neither.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,8 +34,9 @@ from .core import (
     smatrix_from_transfer,
 )
 from .errors import InvalidNu, ScatteringError, TransferOverflow
-from .numeric import LocalPotential
-from .specfun import GammaRatio, gamma_ratio, gamma_ratio_columns
+
+if TYPE_CHECKING:
+    from .numeric import LocalPotential
 
 OVERFLOW_LIMIT = 1e300
 
@@ -135,6 +139,8 @@ def square_well_coefficients(p: SquareWellParams, k) -> ScatteringCoefficients:
 
 def square_well_potential(p: SquareWellParams, x0: float = 0.0) -> LocalPotential:
     """LocalPotential of the well centred at x0 (for the numeric oracle)."""
+    from .numeric import LocalPotential
+
     v_left = complex(-p.v0, p.v1)
     v_right = complex(-p.v0, -p.v1)
     lo, mid, hi = x0 - p.b, x0, x0 + p.b
@@ -258,6 +264,8 @@ def multi_well_coefficients(p: LatticeParams, k) -> ScatteringCoefficients:
 
 def lattice_potential(p: LatticeParams) -> LocalPotential:
     """Piecewise profile of the assembled lattice (for the numeric oracle)."""
+    from .numeric import LocalPotential
+
     w = p.well
     edges = []
     for j in range(p.n):
@@ -317,6 +325,8 @@ class ScarfParams:
 
 def _scarf_raw_amplitudes(s: float, lam: complex, k: float):
     """The eight eps = 0 amplitudes as (log-prefactor, GammaRatio) pairs."""
+    from .specfun import GammaRatio, gamma_ratio
+
     i = 1j
     ln2 = math.log(2.0)
     half = 0.5
@@ -373,6 +383,8 @@ def _scarf_t_args(s: float, lam: complex, ik):
 
 
 def _scarf_t(s: float, lam: complex, k: float) -> complex:
+    from .specfun import GammaRatio, gamma_ratio
+
     return gamma_ratio(GammaRatio(*_scarf_t_args(s, lam, 1j * k)))
 
 
@@ -409,6 +421,8 @@ def scarf_coefficients(p: ScarfParams, k) -> ScatteringCoefficients:
 
 def _scarf_columns(p: ScarfParams, ks: np.ndarray):
     """``scarf_coefficients`` over a k column, and where the per-k code may differ."""
+    from .specfun import gamma_ratio_columns
+
     lam = complex(p.lam)
     t, unsure = gamma_ratio_columns(*_scarf_t_args(p.s, lam, 1j * _PyComplex(ks)))
     t = _PyComplex.of(t)
@@ -427,6 +441,8 @@ def scarf_potential(p: ScarfParams, cutoff: float = 20.0) -> LocalPotential:
     A non-zero eps is a complex coordinate shift: the profile evaluated on
     the real line is V(x + i*eps), a complex potential in its own right.
     """
+    from .numeric import LocalPotential
+
     lam = complex(p.lam)
     c0 = lam * lam - p.s * (p.s + 1)
     c1 = lam * (2 * p.s + 1)
@@ -491,6 +507,7 @@ def centrifugal_pt_phase(p: CentrifugalParams) -> complex:
 
 def centrifugal_potential(p: CentrifugalParams, cutoff: float = 50.0) -> LocalPotential:
     """Truncated profile; the 1/x^2 tail makes truncation the accuracy limit."""
+    from .numeric import LocalPotential
 
     def profile(x):
         z = x + 1j * p.eps

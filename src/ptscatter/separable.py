@@ -17,15 +17,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .core import (COLUMN, SCALAR, ScatteringCoefficients, _PyComplex, _require_finite,
                    as_wavenumber, on_grid)
 from .errors import QuadratureFailure, ResonancePole
-from .numeric import WavefunctionGrid
-from .symmetry import SymmetryClass
+
+if TYPE_CHECKING:
+    from .numeric import WavefunctionGrid
+    from .symmetry import SymmetryClass
 
 
 @dataclass(frozen=True)
@@ -102,6 +104,8 @@ def kernel_symmetry_class(kernel: SeparableKernel, tol: float = 1e-10) -> Symmet
     alpha = beta with g = h; hermiticity alpha = -beta with g = h; P needs
     vanishing phases and even factors; PT needs only even factors.
     """
+    from .symmetry import SymmetryClass
+
     if kernel.is_yamaguchi:
         g_eq_h = abs(kernel.gamma - kernel.delta) < tol
         g_even = h_even = True
@@ -378,6 +382,8 @@ def nonlocal_wavefunction(kernel: SeparableKernel, k, direction: str,
     the outgoing Green's function, 'right' the right-incident one from the
     incoming Green's function with (c, d) = (R_rl, T_rl).
     """
+    from .numeric import WavefunctionGrid
+
     kv = as_wavenumber(k).k
     grid = np.asarray(grid, dtype=float)
     mid = nonlocal_intermediates(kernel, kv)

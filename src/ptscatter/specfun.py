@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import COLUMN, SCALAR, _PyComplex, _quotient
-from .errors import GammaPole, NumeratorPole, PrecisionLoss
+from .errors import GammaPole, NonFiniteArgument, NumeratorPole, PrecisionLoss
 
 #: how close to a non-positive integer counts as sitting on a pole
 POLE_TOL = 1e-12
@@ -267,17 +267,17 @@ def _branches(f, z, log_gamma):
             (True, _by_recurrence))
 
 
-def _at_one(z, mirror, log_gamma):
+def _at_one(f, z, mirror, log_gamma):
     """log Gamma at a Python complex z: the conjugate of ``mirror``, the value
     at conj(z), if that is exact, else the first branch z takes."""
     if mirror is not None and mirror.imag != 0:
         return mirror.conjugate()
-    for taken, branch in _branches(_SCALAR, z, log_gamma):
+    for taken, branch in _branches(f, z, log_gamma):
         if taken:
-            return branch(_SCALAR, z)
+            return branch(f, z)
 
 
-def _over_column(z, mirror, log_gamma):
+def _over_column(f, z, mirror, log_gamma):
     """log Gamma over a column: the conjugate of ``mirror`` where exact, and
     each branch over the other elements that take it."""
     if mirror is None:
@@ -287,10 +287,10 @@ def _over_column(z, mirror, log_gamma):
         out = _PyComplex(mirror.real.copy(), -mirror.imag)
         left = out.imag == 0
     with np.errstate(all="ignore"):
-        for taken, branch in _branches(_COLUMN, z, log_gamma):
+        for taken, branch in _branches(f, z, log_gamma):
             at = left & taken
             if at.any():
-                got = branch(_COLUMN, _PyComplex(z.real[at], z.imag[at]))
+                got = branch(f, _PyComplex(z.real[at], z.imag[at]))
                 out.real[at], out.imag[at] = got.real, got.imag
                 left &= ~at
     return out
@@ -314,6 +314,18 @@ _COLUMN = SimpleNamespace(
     lowest=lambda x: np.min(x, initial=np.inf), evaluate=_over_column)
 
 
+def _once_per_column(fn):
+    """fn over float columns, evaluated once for each distinct column."""
+    done = {}
+
+    def once(x):
+        key = x.tobytes()
+        if key not in done:
+            done[key] = fn(x)
+        return done[key]
+    return once
+
+
 def _log_gammas(f, args) -> list:
     """``scipy.special.loggamma`` at each argument off the poles: Python
     complex numbers with ``f = _SCALAR``, equal-length columns with
@@ -321,13 +333,18 @@ def _log_gammas(f, args) -> list:
     again, nor one equal to the conjugate of an earlier one: scipy's log
     Gamma is conjugate-symmetric but for the sign of a zero imaginary part,
     and that is evaluated.  The reflection 1 - z of one argument is often
-    the conjugate of another, so the larger real parts go first."""
+    the conjugate of another, so the larger real parts go first; and two
+    reflected arguments often share pi Im z (-ik and -s - ik), whose
+    element-by-element cosh and sinh are then evaluated once."""
+    if f is _COLUMN:
+        f = SimpleNamespace(**{**vars(f), "cosh": _once_per_column(f.cosh),
+                               "sinh": _once_per_column(f.sinh)})
     done = {}
 
     def log_gamma(z):
         key = f.key(z)
         if key not in done:
-            done[key] = f.evaluate(z, done.get(f.key(z.conjugate())), log_gamma)
+            done[key] = f.evaluate(f, z, done.get(f.key(z.conjugate())), log_gamma)
         return done[key]
 
     for z in sorted(args, key=lambda z: -f.lowest(z.real)):
@@ -340,16 +357,27 @@ def _log_gammas(f, args) -> list:
 def is_gamma_pole(z: complex, tol: float = POLE_TOL) -> bool:
     """True when z is within tol of a non-positive integer."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        return False
     n = round(z.real)
     return n <= 0 and abs(z.real - n) <= tol and abs(z.imag) <= tol
+
+
+def _require_finite_args(args):
+    """NonFiniteArgument naming the first argument with a NaN or infinite part."""
+    for z in args:
+        if not cmath.isfinite(z):
+            raise NonFiniteArgument(f"log-gamma argument {z} is not finite")
 
 
 def complex_log_gamma(z: complex) -> complex:
     """Principal-branch log Gamma(z).
 
-    Raises GammaPole at the non-positive integers.
+    Raises GammaPole at the non-positive integers and NonFiniteArgument at
+    a NaN or infinite part.
     """
     z = complex(z)
+    _require_finite_args([z])
     if is_gamma_pole(z):
         raise GammaPole(f"log-gamma pole at z = {z}")
     return _log_gammas(_SCALAR, [z])[0]
@@ -373,8 +401,10 @@ def gamma_ratio(r: GammaRatio) -> complex:
     A pole among the numerator factors raises NumeratorPole; a pole among
     the denominator factors contributes a factor 1/Gamma = 0, so the whole
     ratio evaluates to 0 (1/Gamma is entire).  Log-gamma terms so large that
-    the sum keeps an error above CANCELLATION_TOL raise PrecisionLoss.
+    the sum keeps an error above CANCELLATION_TOL raise PrecisionLoss, and
+    a NaN or infinite argument raises NonFiniteArgument.
     """
+    _require_finite_args(r.numerator_args + r.denominator_args)
     for z in r.numerator_args:
         if is_gamma_pole(z):
             raise NumeratorPole(f"numerator gamma pole at z = {z}")
@@ -399,12 +429,16 @@ def gamma_ratio_columns(numerator_args, denominator_args):
 
     Returns the ratio column, equal to ``gamma_ratio`` elementwise where
     finite, and the mask of the elements where ``gamma_ratio`` raises or
-    returns early (poles, cancellation) or the exponential overflows.
+    returns early (poles, cancellation) or the exponential overflows.  A NaN
+    or infinite argument anywhere raises NonFiniteArgument.
     """
     args = numerator_args + denominator_args
     length = max(np.size(z.real) for z in args)
     columns = [_PyComplex(*(np.broadcast_to(np.asarray(x, dtype=float), (length,)) for x in (z.real, z.imag)))
                for z in args]
+    for z in columns:
+        bad = np.flatnonzero(~(np.isfinite(z.real) & np.isfinite(z.imag)))
+        _require_finite_args([complex(z.real[i], z.imag[i]) for i in bad[:1]])
     if 0 < length < ELEMENTWISE_BELOW:
         with np.errstate(all="ignore"):
             rows = [_log_gammas(_SCALAR, [complex(z.real[i], z.imag[i]) for z in columns])
@@ -416,8 +450,8 @@ def gamma_ratio_columns(numerator_args, denominator_args):
     log_sum, size = 0.0 + 0.0j, 0.0
     for j, (z, lg) in enumerate(zip(args, logs)):
         n = np.round(z.real)
-        unsure = unsure | ~np.isfinite(n) | ((n <= 0) & (np.abs(z.real - n) <= 2 * POLE_TOL)
-                                             & (np.abs(z.imag) <= 2 * POLE_TOL))
+        unsure = unsure | ((n <= 0) & (np.abs(z.real - n) <= 2 * POLE_TOL)
+                           & (np.abs(z.imag) <= 2 * POLE_TOL))
         log_sum = log_sum + lg if j < len(numerator_args) else log_sum - lg
         size = size + abs(lg)
     # cmath.exp scales its argument differently from numpy's above ~709

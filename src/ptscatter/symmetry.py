@@ -14,12 +14,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import ScatteringCoefficients, WaveNumber, _PyComplex
 from .errors import PrecisionLoss
-from .numeric import LocalPotential
+
+if TYPE_CHECKING:
+    from .numeric import LocalPotential
 
 
 #: the relation suites, in report order

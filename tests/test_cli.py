@@ -113,7 +113,7 @@ class TestCompare:
         assert json.loads(out.read_text())["summary"]["max_rel_diff"] < 1e-5
 
     def test_one_integration_sweep_for_the_whole_grid(self, tmp_path, monkeypatch):
-        import ptscatter.cli as cli
+        import ptscatter.numeric as numeric
 
         calls = []
 
@@ -121,8 +121,8 @@ class TestCompare:
             calls.append(len(ks))
             return integrate_batch(v, ks, cfg)
 
-        integrate_batch = cli.integrate_batch
-        monkeypatch.setattr(cli, "integrate_batch", counted)
+        integrate_batch = numeric.integrate_batch
+        monkeypatch.setattr(numeric, "integrate_batch", counted)
         out = tmp_path / "cmp.json"
         assert run_cli(["compare", "--potential", "square-well", "--kcount", "5",
                         "--kmax", "3", "--out", str(out)]) == 0
@@ -428,7 +428,7 @@ class TestConfigAndErrors:
         assert abs(float(rows[0]["unitarity_defect"])) < 1e-3
 
     def test_custom_sampled_scan_is_one_sweep(self, tmp_path, monkeypatch):
-        import ptscatter.cli as cli
+        import ptscatter.numeric as numeric
         from ptscatter import IntegrationConfig, numeric_coefficients, sampled_potential
 
         xs = np.linspace(-2, 2, 2001)
@@ -441,8 +441,8 @@ class TestConfigAndErrors:
             calls.append(len(ks))
             return integrate_batch(pot, ks, cfg)
 
-        integrate_batch = cli.integrate_batch
-        monkeypatch.setattr(cli, "integrate_batch", counted)
+        integrate_batch = numeric.integrate_batch
+        monkeypatch.setattr(numeric, "integrate_batch", counted)
         out = tmp_path / "scan.csv"
         assert run_cli(["scan", "--potential", "custom-sampled", "--samples-file",
                         str(samples), "--kcount", "5", "--kmax", "2", "--out", str(out)]) == 0
@@ -482,16 +482,108 @@ class TestConfigAndErrors:
         assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
     def test_import_leaves_unused_modules_unloaded(self):
-        code = ("import sys, ptscatter.cli; "
-                "print(*(f'ptscatter.{m}' in sys.modules for m in ('separable', 'symmetry', 'current')))")
+        unused = ("numeric", "specfun", "separable", "symmetry", "current")
+        code = f"import sys, ptscatter.cli; print(*(f'ptscatter.{{m}}' in sys.modules for m in {unused}))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0 and proc.stdout.split() == ["False"] * 3
+        assert proc.returncode == 0 and proc.stdout.split() == ["False"] * len(unused)
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["lattice", "--n", "1", "--n-max", "3", "--kcount", "4"], []),
+        (["scan", "--potential", "square-well", "--kcount", "4"], []),
+        (["scan", "--potential", "centrifugal", "--kcount", "4"], []),
+        (["scan", "--potential", "scarf", "--kcount", "30"], ["specfun"]),
+        (["scan", "--potential", "scarf", "--kcount", "4"], ["specfun"]),
+        (["symmetry", "--potential", "yamaguchi", "--kcount", "4"], []),
+        (["compare", "--potential", "square-well", "--kcount", "2"], ["numeric"]),
+    ], ids=["lattice", "scan-square-well", "scan-centrifugal", "scan-scarf-columns",
+            "scan-scarf-per-k", "symmetry-yamaguchi", "compare-square-well"])
+    def test_command_loads_only_what_it_uses(self, argv, loaded, tmp_path):
+        """numeric and specfun load only for a command that integrates or
+        builds a profile, or evaluates a Scarf closed form."""
+        code = ("import json, sys; from ptscatter.cli import main; "
+                "code = main(json.loads(sys.argv[1])); "
+                "print(code, *(f'ptscatter.{m}' in sys.modules for m in ('numeric', 'specfun')))")
+        argv = argv + ["--out", str(tmp_path / "out")]
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                              capture_output=True, text=True)
+        assert proc.stdout.split() == ["0", str("numeric" in loaded), str("specfun" in loaded)], \
+            proc.stderr
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "ptscatter.cli", "scan",
                                "--potential", "square-well", "--kcount", "2",
                                "--kmax", "1"], capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout.startswith("k,")
+
+
+def run_command_line(argv, code="from ptscatter.cli import main; main()"):
+    """argv run in a fresh interpreter as its own command line: ``main()``
+    without argv, as the console script calls it; stdout is block-buffered,
+    as it is by default for a pipe, so that only a flush sends its tail."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=env)
+
+
+class TestCommandLineProcess:
+    """``main()`` without argv ends its process at once, with the exit code,
+    after flushing stdout and stderr; ``main(argv)`` returns the code."""
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--potential", "scarf", "--kcount", "50"],
+        ["scan", "--potential", "yamaguchi", "--kcount", "7", "--format", "json"],
+        ["scan", "--potential", "centrifugal", "--kcount", "4000", "--format", "json"],
+        ["lattice", "--n", "1", "--n-max", "5", "--kcount", "9"],
+    ], ids=["scan-scarf", "scan-yamaguchi-json", "scan-centrifugal-json-forked", "lattice"])
+    def test_piped_stdout_equals_the_file(self, argv, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        proc = run_command_line(argv)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == out.read_bytes()
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["scan", "--kmin", "-1"], 2, "configuration error: kmin must be > 0"),
+        (["lattice", "--n", "3", "--n-max", "2"], 2, "configuration error: n-max must be >= n"),
+        (["scan", "--potential", "scarf", "--s", "1e17", "--lambda-re", "0.7", "--kcount", "20"],
+         3, "solver error at k = 0.2: "),
+        (["compare", "--potential", "scarf", "--s", "1.3", "--lambda-re", "0.7", "--eps", "0",
+          "--cutoff", "4", "--kcount", "3", "--kmax", "1.5"], 4, "comparison threshold exceeded"),
+    ], ids=["config", "n-max", "solver", "threshold"])
+    def test_exit_codes_and_messages(self, argv, code, message, capsys):
+        assert run_cli(argv) == code
+        here = capsys.readouterr()
+        proc = run_command_line(argv)
+        assert proc.returncode == code
+        assert proc.stderr.decode().startswith(message)
+        assert (proc.stdout.decode(), proc.stderr.decode()) == (here.out, here.err)
+
+    @pytest.mark.parametrize("argv", [["scan", "--no-such-flag"], ["scan", "--potential", "x"], []])
+    def test_argument_error_exits_2(self, argv):
+        proc = run_command_line(argv)
+        assert proc.returncode == 2 and proc.stderr.startswith(b"usage: ptscatter")
+
+    def test_exception_unwinds_through_main(self):
+        code = ("from ptscatter.cli import main\n"
+                "try:\n    main()\nexcept SystemExit as exc:\n    print('unwound', exc.code)")
+        proc = run_command_line(["scan", "--no-such-flag"], code)
+        assert (proc.returncode, proc.stdout) == (0, b"unwound 2\n")
+
+    def test_main_with_argv_returns(self, tmp_path):
+        code = ("import sys; from ptscatter.cli import main; "
+                "print('returned', main(sys.argv[1:]), main(sys.argv[1:] + ['--kmin', '-1']))")
+        proc = run_command_line(["scan", "--kcount", "2", "--out", str(tmp_path / "out")], code)
+        assert (proc.returncode, proc.stdout) == (0, b"returned 0 2\n")
+
+    def test_failed_flush_returns_the_code(self):
+        """A stdout whose flush fails (a closed pipe) leaves the exit to Python,
+        which flushes it again, reports the error and exits with 120."""
+        code = ("import io, sys; from ptscatter.cli import main\n"
+                "class Closed(io.StringIO):\n"
+                "    def flush(self):\n        raise BrokenPipeError(32, 'Broken pipe')\n"
+                "sys.stdout = Closed()\n"
+                "print('returned', main(), file=sys.stderr)")
+        proc = run_command_line(["scan", "--kcount", "2"], code)
+        assert proc.returncode == 120 and proc.stderr.startswith(b"returned 0\n")
 
 
 class TestOutputProcesses:

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from ptscatter import GammaRatio, complex_log_gamma, gamma_ratio, specfun
 from ptscatter.core import _PyComplex
-from ptscatter.errors import GammaPole, NumeratorPole
+from ptscatter.errors import GammaPole, NonFiniteArgument, NumeratorPole
 
 # (z, mpmath.loggamma(z) at 40 dps)
 GOLDEN = [
@@ -322,3 +322,36 @@ def test_complex_quotient_is_libgccs(a, b, c, d):
         column = specfun._divdc3_columns(_PyComplex(np.array([a]), np.array([b])),
                                          _PyComplex(np.array([c]), np.array([d])))
     assert _bits(column.array()[0]) == _bits(got)
+
+
+# -- arguments with a NaN or infinite part ------------------------------------------
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_ANY_PART = st.one_of(_parts(-50, 50), _NON_FINITE)
+NON_FINITE = st.one_of(st.builds(complex, _NON_FINITE, _ANY_PART),
+                       st.builds(complex, _ANY_PART, _NON_FINITE))
+
+
+class TestNonFiniteArguments:
+    @given(NON_FINITE)
+    @example(complex(math.nan, 0))
+    @example(complex(math.inf, 0))
+    @example(complex(1, math.nan))
+    def test_log_gamma_and_ratio_raise(self, z):
+        with pytest.raises(NonFiniteArgument):
+            complex_log_gamma(z)
+        for num, den in (([z], [1.0]), ([1.0], [z]), ([-2.0], [z]), ([z], [-2.0])):
+            with pytest.raises(NonFiniteArgument):
+                gamma_ratio(GammaRatio(num, den))
+        assert specfun.is_gamma_pole(z) is False
+
+    @settings(max_examples=30, deadline=None)
+    @given(NON_FINITE, st.sampled_from([1, 7, 2 * specfun.ELEMENTWISE_BELOW]), st.data())
+    def test_columns_raise(self, z, length, data):
+        at = data.draw(st.integers(0, length - 1))
+        real, imag = np.linspace(0.5, 3.0, length), np.linspace(-1.0, 1.0, length)
+        real[at], imag[at] = z.real, z.imag
+        bad, good = _PyComplex(real, imag), _PyComplex(np.full(length, 1.5), imag)
+        for num, den in (([bad], [good]), ([good], [good, bad])):
+            with pytest.raises(NonFiniteArgument):
+                specfun.gamma_ratio_columns(num, den)
