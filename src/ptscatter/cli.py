@@ -9,6 +9,11 @@ whole k grid at once, as columns equal bit for bit to the per-k values, and
 an error names the lowest failing k, as a loop over k would.  A command
 opens its output only once every value is computed, so a failed run writes
 no file; a large table is spelled by two processes, with the same bytes.
+Table floats are spelled a column at a time by ``spell``, as ``"%.17g" % x``
+(CSV) and ``float.__repr__`` (JSON) spell them, byte for byte; CPython
+still spells each value that ``spell`` cannot round with certainty (within
+1e-6 of a tie or an interval edge, in units of the 17th digit) and each
+with |x| outside [1e-250, 1e250].
 
 A command loads only the modules it uses: ``numeric`` where it integrates
 or builds a sampled profile (``compare``, ``symmetry`` of a local potential,
@@ -51,11 +56,16 @@ class ConfigError(Exception):
 
 # -- output: text and tables of rows, spelled in chunks -------------------------
 
-#: rows spelled by one ``%`` operation
-CHUNK_ROWS = 4096
+#: a chunk, spelled at once, holds at most CHUNK_VALUES values, counting each
+#: distinct column of a row once (on a 2-vCPU VM 16,384-32,768 spelled a
+#: closed-form-scan's tables fastest), and at most CHUNK_ROWS rows, which
+#: bounds the chunk's bytes when its rows hold long constant text
+CHUNK_ROWS, CHUNK_VALUES = 16384, 32768
 #: a table of at least this many values is spelled by two processes when two
-#: CPUs are free; on a 2-vCPU VM the fork, the pipe and the copy cost as much
-#: as the second process saves at about 20,000-26,000 values of a scan CSV
+#: CPUs are free.  On a 2-vCPU VM, with columns spelled in numpy, the fork,
+#: the pipe and the copy cost about as much as the second process saves up
+#: to some 20,000 rows of a scan CSV (260,000 values), and below that at most
+#: ~2 ms; at 30,000 rows two processes save ~16% of the spelling
 FORK_VALUES = 40_000
 
 
@@ -92,49 +102,92 @@ def _json_text(value, indent: str = "") -> str:
     return _json_scalar(value)
 
 
-def _finite(values: list) -> bool:
-    """Whether every value is a finite number: a NaN or an inf makes the sum
-    non-finite and None makes it raise (an overflow of the sum only costs the
-    slower spelling)."""
-    try:
-        return math.isfinite(sum(values))
-    except TypeError:
-        return False
+class _Column:
+    """One value per row, spelled in ``style``: "%.17g" or "json" (a float
+    as ``json.dumps`` spells it, null where ``nulls`` is set), "%d" (an int
+    or a bool) or "bool" (true/false)."""
+
+    def __init__(self, values: np.ndarray, style: str, nulls: np.ndarray | None = None):
+        self.values, self.style, self.nulls = values, style, nulls
+
+    def fields(self, lo: int, hi: int):
+        """``spell`` fields of rows lo..hi-1 of an int or bool column; for a
+        float column, the text of their one value when all are equal, and
+        None else."""
+        values = self.values[lo:hi]
+        if self.style in ("%d", "bool"):
+            from . import spell
+
+            return spell.integers(values) if self.style == "%d" else spell.words(values, ("false", "true"))
+        nulls = None if self.nulls is None else self.nulls[lo:hi]
+        bits = values.view(np.uint64)
+        if np.all(bits == bits[0]) and (nulls is None or np.all(nulls == nulls[0])):
+            if nulls is not None and nulls[0]:
+                return b"null"
+            v = float(values[0])
+            return ("%.17g" % v if self.style == "%.17g" else _json_scalar(v)).encode("ascii")
+        return None
 
 
 class _Table:
-    """Rows given as columns (arrays of one value per row), spelled as
-    ``head``, then ``row % values`` for each row with ``sep`` between rows,
-    then ``tail``; ``empty`` stands for a table without rows.
+    """Rows given as columns, spelled as ``head``, then each row with ``sep``
+    between rows, then ``tail``; ``empty`` stands for a table without rows.
+    A row is ``texts[0]``, the first column's value, ``texts[1]``, ... ,
+    the last column's value, ``texts[-1]``.
 
-    In a JSON table every slot is ``%s``, which spells a float as
-    ``float.__repr__``, as ``json.dumps`` does, and spells the str columns,
-    which hold JSON already; a chunk holding NaN, an inf or None is spelled
-    value by value by ``_json_scalar``.  ``lines`` is the number of JSON
-    objects in one row, so that a chunk holds about CHUNK_ROWS of them.
+    A chunk of rows is built as one byte array from the constant texts and
+    the columns' ``spell`` fields, whose bytes are CPython's, and its NUL
+    padding is deleted.  The float columns of one style are spelled by one
+    call; a column object that appears more than once is spelled once, and
+    a column whose rows in the chunk hold one value becomes constant text.
     """
 
-    def __init__(self, columns, row, head="", sep="", tail="", empty=None, json=False, lines=1):
-        self.columns, self.row, self.head, self.sep, self.tail = columns, row, head, sep, tail
+    def __init__(self, columns, texts, head="", sep="", tail="", empty=None):
+        self.columns, self.head, self.sep, self.tail = columns, head, sep, tail
+        self.texts = [text.encode("ascii") for text in texts]
+        self.texts[0] = sep.encode("ascii") + self.texts[0]
         self.empty = head + tail if empty is None else empty
-        self.json, self.step = json, max(1, CHUNK_ROWS // max(1, lines))
+        self.step = max(1, min(CHUNK_ROWS, CHUNK_VALUES // max(1, len(set(map(id, columns))))))
 
     def spell(self, lo: int, hi: int) -> str:
         """Rows lo..hi-1, led by the separator unless lo is the first row."""
-        cols = [c[lo:hi].tolist() for c in self.columns]
-        if self.json:
-            numbers = [i for i, c in enumerate(self.columns) if c.dtype.kind != "U"]
-            if not all(_finite(cols[i]) for i in numbers):
-                for i in numbers:
-                    cols[i] = list(map(_json_scalar, cols[i]))
-        template = (self.sep if lo else "") + self.sep.join([self.row] * (hi - lo))
-        return template % tuple(itertools.chain.from_iterable(zip(*cols)))
+        spelled, floats = {}, {}
+        for column in self.columns:
+            if id(column) not in spelled:
+                spelled[id(column)] = column.fields(lo, hi)
+                if spelled[id(column)] is None:
+                    floats.setdefault(column.style, []).append(column)
+        for style, columns in floats.items():
+            from . import spell
+
+            nulls = None
+            if any(c.nulls is not None for c in columns):
+                nulls = np.concatenate([np.zeros(hi - lo, dtype=bool) if c.nulls is None else c.nulls[lo:hi]
+                                        for c in columns])
+            fields = spell.floats(np.concatenate([c.values[lo:hi] for c in columns]), style, nulls)
+            for i, column in enumerate(columns):         # less the slots its rows leave empty
+                field = fields[:, i * (hi - lo):(i + 1) * (hi - lo)]
+                spelled[id(column)] = field[np.any(field, axis=1)]
+        parts = [self.texts[0]]             # constant texts and field arrays in turn
+        for column, text in zip(self.columns, self.texts[1:]):
+            field = spelled[id(column)]
+            if isinstance(field, bytes):
+                parts[-1] += field + text
+            else:
+                parts += [field, text]
+        rows = np.empty((hi - lo, sum(map(len, parts))), dtype=np.uint8)
+        at = 0
+        for part in parts:
+            rows[:, at:at + len(part)] = np.frombuffer(part, np.uint8) if isinstance(part, bytes) else part.T
+            at += len(part)
+        data = rows.tobytes().replace(b"\0", b"")
+        return data[len(self.sep) if lo == 0 else 0:].decode("ascii")
 
     def chunks(self, lo: int, hi: int):
         return (self.spell(a, min(a + self.step, hi)) for a in range(lo, hi, self.step))
 
     def write(self, fh):
-        rows = len(self.columns[0]) if self.columns else 0
+        rows = len(self.columns[0].values) if self.columns else 0
         if not rows:
             fh.write(self.empty)
             return
@@ -188,27 +241,43 @@ class _Table:
             os._exit(code)
 
 
-def _csv_table(header, template, columns) -> _Table:
-    return _Table(columns, template + "\n", head=",".join(header) + "\n")
+def _csv_table(header, styles, columns) -> _Table:
+    """A CSV table with a header line; ``styles`` gives each column's style."""
+    return _Table([_Column(np.asarray(c), style) for c, style in zip(columns, styles)],
+                  [""] + [","] * (len(columns) - 1) + ["\n"], head=",".join(header) + "\n")
 
 
-def _json_table(objects) -> _Table:
+def _json_column(v: np.ndarray, nan_is_null: bool) -> _Column:
+    if v.dtype == bool:
+        return _Column(v, "bool")
+    if v.dtype.kind in "iu":
+        return _Column(v, "%d")
+    if v.dtype == object:           # floats and None
+        nulls = np.array([x is None for x in v.tolist()], dtype=bool)
+        return _Column(np.where(nulls, np.nan, v).astype(float), "json", nulls)
+    return _Column(v, "json", np.isnan(v) if nan_is_null else None)
+
+
+def _json_table(objects, nan_is_null=()) -> _Table:
     """A JSON list, at the top level of a document, of rows of one object per
-    dict in ``objects``; a dict maps each key to a column (an array; bool
-    columns spell true/false) or to a constant, which the row template holds."""
-    columns, templates = [], []
-    for obj in objects:
-        fields = []
-        for key, v in obj.items():
-            if isinstance(v, np.ndarray):
-                columns.append(np.where(v, "true", "false") if v.dtype == bool else v)
-                value = "%s"
+    dict in ``objects``; a dict maps each key to a column (an array of
+    floats, ints, bools, or floats and None) or to a constant.  A NaN in the
+    float column of a key in ``nan_is_null`` is spelled null."""
+    columns, texts, made = [], [""], {}
+    for i, obj in enumerate(objects):
+        texts[-1] += (",\n" if i else "") + "    {\n"
+        for j, (key, v) in enumerate(obj.items()):
+            texts[-1] += (",\n" if j else "") + f"      {encode_basestring_ascii(key)}: "
+            if isinstance(v, np.ndarray):       # one column object per array
+                null = key in nan_is_null
+                if (id(v), null) not in made:
+                    made[id(v), null] = _json_column(v, null)
+                columns.append(made[id(v), null])
+                texts.append("")
             else:
-                value = _json_scalar(v).replace("%", "%%")
-            fields.append(f"      {encode_basestring_ascii(key).replace('%', '%%')}: {value}")
-        templates.append("    {\n" + ",\n".join(fields) + "\n    }")
-    return _Table(columns, ",\n".join(templates), head="[\n", sep=",\n", tail="\n  ]",
-                  empty="[]", json=True, lines=len(objects))
+                texts[-1] += _json_scalar(v)
+        texts[-1] += "\n    }"
+    return _Table(columns, texts, head="[\n", sep=",\n", tail="\n  ]", empty="[]")
 
 
 def _json_document(doc: dict) -> list:
@@ -362,9 +431,6 @@ SCAN_HEADER = ["k", "t_lr_re", "t_lr_im", "r_lr_re", "r_lr_im", "t_rl_re", "t_rl
                "unitarity_defect"]
 
 
-SCAN_TEMPLATE = ",".join(["%.17g"] * len(SCAN_HEADER))
-
-
 def _moduli(ks, c) -> np.ndarray:
     """|T_lr|^2, |R_lr|^2 and |det S| over the grid as Python's abs and **
     give them per k (abs is ``np.hypot``); from the first k where one is not
@@ -395,7 +461,7 @@ def cmd_scan(args) -> int:
                c.r_rl.real, c.r_rl.imag, abs_t_sq, abs_r_sq, abs_det, abs_t_sq + abs_r_sq - 1.0]
     columns = [np.asarray(col, dtype=float) for col in columns]
     if args.format == "csv":
-        _write(args.out, [_csv_table(SCAN_HEADER, SCAN_TEMPLATE, columns)])
+        _write(args.out, [_csv_table(SCAN_HEADER, ["%.17g"] * len(SCAN_HEADER), columns)])
     else:
         rows = _json_table([dict(zip(SCAN_HEADER, columns))])
         _write(args.out, _json_document({"potential": problem.label, "rows": rows}))
@@ -468,10 +534,9 @@ def cmd_symmetry(args) -> int:
 
     kv = np.asarray(ks, dtype=float)
     relations = _json_table([
-        {"k": kv, "name": r.name, "anchor": r.anchor,
-         "residual": np.where(np.isnan(r.residual), None, r.residual),    # NaN spells null
+        {"k": kv, "name": r.name, "anchor": r.anchor, "residual": r.residual,
          "tolerance": r.tolerance, "holds": r.holds, "applicable": r.applicable}
-        for r in records])
+        for r in records], nan_is_null={"residual"})
     exact_rows = _json_table([{"k": kv, "is_exact": exact.is_exact, "theta_lr": exact.theta_lr,
                                "theta_rl": exact.theta_rl}])
     payload = {"potential": problem.label, "class": cls_payload, "suites": suites,
@@ -482,7 +547,7 @@ def cmd_symmetry(args) -> int:
 
 LATTICE_HEADER = ["n", "k", "abs_t_lr", "abs_r_lr", "abs_t_rl", "abs_r_rl",
                   "det_m_re", "det_m_im", "overflow"]
-LATTICE_TEMPLATE = "%d," + ",".join(["%.17g"] * 7) + ",%d"
+LATTICE_STYLES = ["%d"] + ["%.17g"] * 7 + ["%d"]
 
 
 def cmd_lattice(args) -> int:
@@ -522,7 +587,7 @@ def cmd_lattice(args) -> int:
         overflow_all.append(overflow)
     columns = [np.repeat(ns_all, len(ks)), np.tile(ks, len(ns_all)),
                *np.concatenate(values_all, axis=1), np.concatenate(overflow_all)]
-    _write(args.out, [_csv_table(LATTICE_HEADER, LATTICE_TEMPLATE, columns)])
+    _write(args.out, [_csv_table(LATTICE_HEADER, LATTICE_STYLES, columns)])
     return EXIT_OK
 
 

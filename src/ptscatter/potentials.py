@@ -170,6 +170,9 @@ class LatticeParams:
             raise ValueError("half-gap a must be > 0")
         if self.n < 1:
             raise ValueError("well count n must be >= 1")
+        if not all(map(math.isfinite, (self.period, self.u1, self.u1 + self.n * self.period))):
+            raise ValueError(f"half-gap a = {self.a} and half-width b = {self.well.b} put the "
+                             f"lattice period or well edges beyond the float range")
 
     @property
     def period(self) -> float:
@@ -424,9 +427,15 @@ def _scarf_columns(p: ScarfParams, ks: np.ndarray):
     from .specfun import gamma_ratio_columns
 
     lam = complex(p.lam)
-    t, unsure = gamma_ratio_columns(*_scarf_t_args(p.s, lam, 1j * _PyComplex(ks)))
+    hyperbolic = {}
+    t, unsure = gamma_ratio_columns(*_scarf_t_args(p.s, lam, 1j * _PyComplex(ks)), hyperbolic)
     t = _PyComplex.of(t)
-    ch, sh = _PyComplex(COLUMN.cosh(math.pi * ks)), _PyComplex(COLUMN.sinh(math.pi * ks))
+    # the reflection of -ik evaluates cosh and sinh at -pi k, and glibc's
+    # cosh is exactly even and its sinh exactly odd
+    pik = math.pi * ks
+    ch, sh = (hyperbolic.get((name, (-pik).tobytes())) for name in ("cosh", "sinh"))
+    ch = _PyComplex(COLUMN.cosh(pik) if ch is None else ch)
+    sh = _PyComplex(COLUMN.sinh(pik) if sh is None else -sh)
     reflections = []
     for signed_lam, shift in ((lam, 2 * ks * p.eps), (-lam, -2 * ks * p.eps)):
         a, b = _scarf_rfac_parts(p.s, signed_lam)

@@ -314,19 +314,19 @@ _COLUMN = SimpleNamespace(
     lowest=lambda x: np.min(x, initial=np.inf), evaluate=_over_column)
 
 
-def _once_per_column(fn):
-    """fn over float columns, evaluated once for each distinct column."""
-    done = {}
+def _once_per_column(fn, name: str, done: dict):
+    """fn over float columns, evaluated once for each distinct column and
+    kept in ``done`` under (name, the column's bytes)."""
 
     def once(x):
-        key = x.tobytes()
+        key = (name, x.tobytes())
         if key not in done:
             done[key] = fn(x)
         return done[key]
     return once
 
 
-def _log_gammas(f, args) -> list:
+def _log_gammas(f, args, hyperbolic=None) -> list:
     """``scipy.special.loggamma`` at each argument off the poles: Python
     complex numbers with ``f = _SCALAR``, equal-length columns with
     ``f = _COLUMN``.  An argument equal to an earlier one is not evaluated
@@ -335,10 +335,12 @@ def _log_gammas(f, args) -> list:
     and that is evaluated.  The reflection 1 - z of one argument is often
     the conjugate of another, so the larger real parts go first; and two
     reflected arguments often share pi Im z (-ik and -s - ik), whose
-    element-by-element cosh and sinh are then evaluated once."""
+    element-by-element cosh and sinh are then evaluated once, and kept in
+    the dict ``hyperbolic`` when one is given."""
     if f is _COLUMN:
-        f = SimpleNamespace(**{**vars(f), "cosh": _once_per_column(f.cosh),
-                               "sinh": _once_per_column(f.sinh)})
+        hyperbolic = {} if hyperbolic is None else hyperbolic
+        f = SimpleNamespace(**{**vars(f), "cosh": _once_per_column(f.cosh, "cosh", hyperbolic),
+                               "sinh": _once_per_column(f.sinh, "sinh", hyperbolic)})
     done = {}
 
     def log_gamma(z):
@@ -424,8 +426,11 @@ def gamma_ratio(r: GammaRatio) -> complex:
     return cmath.exp(log_sum)
 
 
-def gamma_ratio_columns(numerator_args, denominator_args):
+def gamma_ratio_columns(numerator_args, denominator_args, hyperbolic=None):
     """``gamma_ratio`` over columns of arguments (``core._PyComplex``).
+    The cosh and sinh columns that reflections evaluate go into the dict
+    ``hyperbolic``, when one is given, under ("cosh" or "sinh", the bytes
+    of pi Im z).
 
     Returns the ratio column, equal to ``gamma_ratio`` elementwise where
     finite, and the mask of the elements where ``gamma_ratio`` raises or
@@ -445,7 +450,7 @@ def gamma_ratio_columns(numerator_args, denominator_args):
                     for i in range(length)]
         logs = [_PyComplex.of(np.array(lgs)) for lgs in zip(*rows)]
     else:
-        logs = _log_gammas(_COLUMN, columns)
+        logs = _log_gammas(_COLUMN, columns, hyperbolic)
     unsure = False
     log_sum, size = 0.0 + 0.0j, 0.0
     for j, (z, lg) in enumerate(zip(args, logs)):

@@ -243,6 +243,17 @@ class TestLattice:
         assert run_cli(["lattice", *bounds, "--kcount", "2", "--kmax", "1", "--out", str(out)]) == 2
         assert "n-max" in capsys.readouterr().err and not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["lattice", "--a", "1e308", "--b", "1e308"],
+        ["scan", "--potential", "multi-well", "--a", "1e308", "--b", "1e300", "--n", "3"],
+    ], ids=["lattice", "scan-multi-well"])
+    def test_period_beyond_float_range_is_config_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "none.csv"
+        assert run_cli(argv + ["--kcount", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: half-gap a = 1e+308 and half-width b = 1e+3")
+        assert "beyond the float range" in err and not out.exists()
+
     def test_spectral_singularity_exits_3_naming_k(self, capsys):
         """M_RR of the n = 1 lattice vanishes at the second k (a located
         spectral singularity of the complex well): the first row in n, k
@@ -482,7 +493,7 @@ class TestConfigAndErrors:
         assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
     def test_import_leaves_unused_modules_unloaded(self):
-        unused = ("numeric", "specfun", "separable", "symmetry", "current")
+        unused = ("numeric", "specfun", "separable", "symmetry", "current", "spell")
         code = f"import sys, ptscatter.cli; print(*(f'ptscatter.{{m}}' in sys.modules for m in {unused}))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout.split() == ["False"] * len(unused)

@@ -6,7 +6,7 @@ import math
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptscatter.cli import main
@@ -49,6 +49,11 @@ def invocations(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(invocations())
+# wells whose lattice period or edges overflow are configuration errors
+@example((["lattice", "--potential", "square-well", "--a=1e308", "--b=1e308", "--kcount", "2",
+           "--out", os.devnull], None))
+@example((["scan", "--potential", "multi-well", "--a=1e308", "--b=1e300", "--n", "3",
+           "--kcount", "2", "--out", os.devnull], None))
 def test_exit_code_contract(invocation):
     argv, config = invocation
     if config is None:
