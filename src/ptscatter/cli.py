@@ -5,8 +5,8 @@ Exit codes: 0 ok, 2 configuration error, 3 solver error (named with the
 failing k when one k is at fault), 4 comparison threshold exceeded.  CSV
 cells carry 17 significant digits with Unix newlines so outputs are
 bit-stable.  Closed forms and symmetry relations are evaluated over the
-whole k grid at once, as columns equal bit for bit to the per-k values, and
-an error names the lowest failing k, as a loop over k would.  A command
+whole k grid at once (one k is a one-element grid), and a failure is the
+named ScatteringError at the first failing k.  A command
 opens its output only once every value is computed, so a failed run writes
 no file; a large table is spelled by two processes, with the same bytes.
 Table floats are spelled a column at a time by ``spell``, as ``"%.17g" % x``
@@ -38,8 +38,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import core, potentials
-from .core import _blame, coefficients_from_amplitudes, on_grid, smatrix_from_transfer
-from .errors import ScatteringError
+from .errors import ScatteringError, TransferOverflow
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -313,26 +312,12 @@ def _integrated(potential, step: float):
     def sweep(ks):
         try:
             amps = integrate_batch(potential, ks, cfg)
-        except (ScatteringError, ArithmeticError) as exc:
-            _blame(exc, ks[0])
+        except ScatteringError as exc:
+            exc.k = ks[0] if exc.k is None else exc.k
             raise
-        return on_grid(ks, lambda i: coefficients_from_amplitudes(amps[i]))
+        columns = {name: np.array([getattr(a, name) for a in amps]) for name in vars(amps[0])}
+        return core._quotients(core.AsymptoticAmplitudes(**columns), np.asarray(ks, dtype=float))
     return sweep
-
-
-def _lowest_failure(*calls) -> list:
-    """The results of the calls, each over the whole grid; if any fails,
-    the failure at the lowest k (the earlier call's on a tie), as one loop
-    over k making every call at each k would raise."""
-    results, failed = [], []
-    for call in calls:
-        try:
-            results.append(call())
-        except (ScatteringError, ArithmeticError) as exc:
-            failed.append(exc)
-    if failed:
-        raise min(failed, key=lambda exc: exc.k)
-    return results
 
 
 # -- potential construction ---------------------------------------------------
@@ -433,22 +418,14 @@ SCAN_HEADER = ["k", "t_lr_re", "t_lr_im", "r_lr_re", "r_lr_im", "t_rl_re", "t_rl
 
 def _moduli(ks, c) -> np.ndarray:
     """|T_lr|^2, |R_lr|^2 and |det S| over the grid as Python's abs and **
-    give them per k (abs is ``np.hypot``); from the first k where one is not
-    finite on, by them, so that an overflow raises naming its k."""
+    give them at each k (abs is ``np.hypot``); TransferOverflow names the
+    first k where one is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
         t, r, d = (np.asarray(z, dtype=complex) for z in (c.t_lr, c.r_lr, c.det))
         out = np.array([core.COLUMN.pow(np.hypot(t.real, t.imag), 2.0),
                         core.COLUMN.pow(np.hypot(r.real, r.imag), 2.0), np.hypot(d.real, d.imag)])
-    unsure = np.flatnonzero(~np.all(np.isfinite(out), axis=0))
-    # Python's abs of a complex with a NaN part reports the errno earlier
-    # arithmetic left; abs(0j) clears it, as each k's ** does in a loop
-    abs(0j)
-    for j in range(unsure[0] if unsure.size else len(ks), len(ks)):
-        try:
-            out[:, j] = abs(complex(t[j])) ** 2, abs(complex(r[j])) ** 2, abs(complex(d[j]))
-        except ArithmeticError as exc:
-            exc.k = ks[j]
-            raise
+    core._raise_first([(~np.all(np.isfinite(out), axis=0), lambda i: TransferOverflow(
+        "|T_lr|^2, |R_lr|^2 or |det S| exceeded the float range"))], ks)
     return out
 
 
@@ -477,7 +454,16 @@ def cmd_compare(args) -> int:
     potential = problem.potential()
     ks = _k_grid(args)
     numeric = _integrated(potential, args.step)
-    routes = _lowest_failure(lambda: problem.coefficients(ks), lambda: numeric(ks))
+    # both routes over the whole grid; the failure at the lowest k is raised,
+    # the closed form's on a tie
+    routes, failed = [], []
+    for route in (problem.coefficients, numeric):
+        try:
+            routes.append(route(ks))
+        except ScatteringError as exc:
+            failed.append(exc)
+    if failed:
+        raise min(failed, key=lambda exc: exc.k)
 
     names = ("t_lr", "r_lr", "t_rl", "r_rl")
     values = {name: [getattr(c, name).tolist() for c in routes] for name in names}
@@ -520,10 +506,8 @@ def cmd_symmetry(args) -> int:
     cls_payload = {name: getattr(cls, name)
                    for name in ("hermitian", "parity", "time_reversal", "pt", *extra)}
 
-    report, exact = _lowest_failure(
-        lambda: symmetry.check_s_relations(s, cls, local=problem.local, k=ks),
-        lambda: symmetry.exact_asymptotic_pt_check(s, k=ks))
-    records = report.records
+    records = symmetry.check_s_relations(s, cls, local=problem.local, k=ks).records
+    exact = symmetry.exact_asymptotic_pt_check(s)
     suite_hold: dict = {}
     for r in records:
         if np.any(r.applicable):
@@ -558,6 +542,8 @@ def cmd_lattice(args) -> int:
         raise ConfigError(f"n-max must be >= n = {args.n}, got {n_max}")
     p = potentials.LatticeParams(well=well, a=args.a, n=args.n)
     cells, blocks = potentials.lattice_transfer(p, ks, n_max)
+    core._raise_first([(~np.all(np.isfinite(cells), axis=(1, 2)),
+                        lambda i: TransferOverflow(core.OUT_OF_RANGE))], ks)
     # the edge phases have unit det, so det M = det(T)^n from the cell, and T_rl = det M T_lr
     det_cell = [t[0][0] * t[1][1] - t[0][1] * t[1][0] for t in cells.tolist()]
     ns_all, values_all, overflow_all, size = [], [], [], max(1, 4096 // len(ks))
@@ -565,22 +551,14 @@ def cmd_lattice(args) -> int:
         ns, m, overflow = zip(*chunk)
         m, overflow = np.concatenate(m), np.concatenate(overflow)
         with np.errstate(all="ignore"):
-            (t_lr, r_lr, _, r_rl), unsure = core.smatrix_columns(
+            (t_lr, r_lr, _, r_rl), faults = core._smatrix(
                 *(core._PyComplex.of(m[:, i // 2, i % 2]) for i in range(4)))
             det = np.array([core._or_nan(pow, d, n) for n in ns for d in det_cell], dtype=complex)
-            t_rl = (core._PyComplex.of(det) * t_lr).array()
-            values = np.array([np.hypot(z.real, z.imag) for z in (t_lr, r_lr, t_rl, r_rl)]
-                              + [det.real, det.imag])
-        # the rows the columns cannot give, at a pole or not finite, come from
-        # the scalar code, which raises where it fails
-        for i in np.flatnonzero(~overflow & (unsure | ~np.all(np.isfinite(values), axis=0))):
-            try:
-                c = smatrix_from_transfer(core.TransferMatrix.from_array(m[i]))
-                d = det_cell[i % len(ks)] ** ns[i // len(ks)]
-                values[:, i] = abs(c.t_lr), abs(c.r_lr), abs(d * c.t_lr), abs(c.r_rl), d.real, d.imag
-            except (ScatteringError, ArithmeticError) as exc:
-                _blame(exc, ks[i % len(ks)])
-                raise
+            t_rl = core._PyComplex.of(det) * t_lr
+            values = np.array([abs(z) for z in (t_lr, r_lr, t_rl, r_rl)] + [det.real, det.imag])
+        # a row that is not flagged, at a pole or not finite, is a solver error
+        faults.append((~np.all(np.isfinite(values), axis=0), lambda i: TransferOverflow(core.OUT_OF_RANGE)))
+        core._raise_first([(mask & ~overflow, make) for mask, make in faults], np.tile(ks, len(ns)))
         values[:, overflow] = np.nan
         ns_all.extend(ns)
         values_all.append(values)

@@ -7,19 +7,26 @@ Conventions (units hbar = 2m = 1, energy E = k^2, k > 0 strictly):
       S = [[T_lr, R_rl], [R_lr, T_rl]],
 * M maps the amplitudes at x -> +inf to those at x -> -inf,
       (A_-, B_-)^T = M (A_+, B_+)^T,   det M = T_rl / T_lr.
+
+The closed forms take one wave number or a grid of them and evaluate the
+grid as columns (``_PyComplex``, ``COLUMN``); a scalar k is a one-element
+grid whose record holds Python complex numbers.  A failure is the named
+ScatteringError at the first failing k (``_record``).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DegenerateSolutions, ScatteringError, TransmissionPole, ZeroTransmission
+from .errors import DegenerateSolutions, TransferOverflow, TransmissionPole, ZeroTransmission
 
 #: default absolute tolerance on dimensionless matrix elements
 DEFAULT_TOL = 1e-10
@@ -104,10 +111,10 @@ class ScatteringCoefficients:
 
     @property
     def det(self) -> complex:
-        if np.ndim(self.t_lr):
-            t_lr, r_rl = _PyComplex.of(self.t_lr), _PyComplex.of(self.r_rl)
-            return (t_lr * self.t_rl - r_rl * self.r_lr).array()
-        return self.t_lr * self.t_rl - self.r_rl * self.r_lr
+        t_lr, r_rl = _PyComplex.of(self.t_lr), _PyComplex.of(self.r_rl)
+        with np.errstate(all="ignore"):     # Python's complex product overflows silently
+            det = (t_lr * self.t_rl - r_rl * self.r_lr).array()
+        return det if det.ndim else complex(det)
 
 
 @dataclass(frozen=True)
@@ -140,43 +147,44 @@ def coefficients_from_amplitudes(amps: AsymptoticAmplitudes) -> ScatteringCoeffi
     """Form the four coefficient quotients from two independent solutions.
 
     Raises DegenerateSolutions when the shared denominator
-    d = a2m*b1p - a1m*b2p vanishes relative to its constituent terms.
+    d = a2m*b1p - a1m*b2p vanishes relative to its constituent terms, and
+    TransferOverflow where a quotient is not finite.
     """
-    t1 = amps.a2m * amps.b1p
-    t2 = amps.a1m * amps.b2p
-    d = t1 - t2
-    if abs(d) < 1e-12 * max(abs(t1), abs(t2), 1e-300):
-        raise DegenerateSolutions(f"denominator |{d}| too small; solutions not independent")
-    return ScatteringCoefficients(
-        t_lr=(amps.a2p * amps.b1p - amps.a1p * amps.b2p) / d,
-        r_lr=(amps.b1p * amps.b2m - amps.b1m * amps.b2p) / d,
-        t_rl=(amps.a2m * amps.b1m - amps.a1m * amps.b2m) / d,
-        r_rl=(amps.a1p * amps.a2m - amps.a1m * amps.a2p) / d,
-    )
+    return _quotients(amps, None)
+
+
+def _quotients(amps: AsymptoticAmplitudes, ks) -> ScatteringCoefficients:
+    """``coefficients_from_amplitudes`` of amplitude columns over the k grid
+    ``ks``, which an error names (None: of one solution pair)."""
+    a = SimpleNamespace(**{name: _PyComplex.of(np.atleast_1d(z)) for name, z in vars(amps).items()})
+    with np.errstate(all="ignore"):
+        t1, t2 = a.a2m * a.b1p, a.a1m * a.b2p
+        d = t1 - t2
+        degenerate = abs(d) < 1e-12 * np.maximum(np.maximum(abs(t1), abs(t2)), 1e-300)
+        columns = ((a.a2p * a.b1p - a.a1p * a.b2p) / d, (a.b1p * a.b2m - a.b1m * a.b2p) / d,
+                   (a.a2m * a.b1m - a.a1m * a.b2m) / d, (a.a1p * a.a2m - a.a1m * a.a2p) / d)
+        return _record(ks, np.ndim(amps.a1p) == 0, columns, [(degenerate, lambda i: DegenerateSolutions(
+            f"denominator |{complex(d.real[i], d.imag[i])}| too small; solutions not independent"))])
 
 
 def smatrix_from_transfer(m: TransferMatrix, tol: float = 1e-12) -> ScatteringCoefficients:
-    """Invert the transfer matrix into S; the pole of 1/M_RR is a spectral singularity."""
-    if abs(m.m_rr) < tol:
-        raise TransmissionPole(f"|M_RR| = {abs(m.m_rr)} below {tol}")
-    return _smatrix(m.m_rr, m.m_rl, m.m_lr, m.m_ll)
+    """Invert the transfer matrix into S; the pole of 1/M_RR is a spectral
+    singularity (TransmissionPole), and a coefficient that is not finite
+    raises TransferOverflow."""
+    elements = (_PyComplex.of(np.atleast_1d(z)) for z in (m.m_rr, m.m_rl, m.m_lr, m.m_ll))
+    with np.errstate(all="ignore"):
+        return _record(None, True, *_smatrix(*elements, tol))
 
 
-def _smatrix(m_rr, m_rl, m_lr, m_ll) -> ScatteringCoefficients:
-    det = m_rr * m_ll - m_rl * m_lr
-    return ScatteringCoefficients(t_lr=1.0 / m_rr, r_lr=m_lr / m_rr, t_rl=det / m_rr,
-                                  r_rl=-m_rl / m_rr)
-
-
-def smatrix_columns(m_rr, m_rl, m_lr, m_ll, tol: float = 1e-12):
-    """``smatrix_from_transfer`` over columns of M elements (``_PyComplex``).
-
-    Returns the four coefficient columns and the mask of the k where the
-    per-k inversion raises (|M_RR| < tol) or |M_RR| is out of range.
-    """
+def _smatrix(m_rr, m_rl, m_lr, m_ll, tol: float = 1e-12):
+    """The four coefficients of columns of M elements (``_PyComplex``), and
+    their faults: TransmissionPole where |M_RR| < tol, TransferOverflow
+    where |M_RR| is not finite."""
     size = abs(m_rr)
-    c = _smatrix(m_rr, m_rl, m_lr, m_ll)
-    return [z.array() for z in (c.t_lr, c.r_lr, c.t_rl, c.r_rl)], ~((size >= tol) & (size < 1e300))
+    det = m_rr * m_ll - m_rl * m_lr
+    faults = [(size < tol, lambda i: TransmissionPole(f"|M_RR| = {float(size[i])} below {tol}")),
+              (~np.isfinite(size), lambda i: TransferOverflow(OUT_OF_RANGE))]
+    return (1.0 / m_rr, m_lr / m_rr, det / m_rr, -m_rl / m_rr), faults
 
 
 def transfer_from_smatrix(s: ScatteringCoefficients, tol: float = 1e-300) -> TransferMatrix:
@@ -238,19 +246,18 @@ def wronskian_residual(amps: AsymptoticAmplitudes, k) -> float:
 
 # -- k grids as columns ---------------------------------------------------------
 
+
 class _PyComplex:
     """A column of complex numbers whose arithmetic rounds as CPython's does.
 
     numpy's complex product and quotient round differently from CPython's
-    (fused multiply-adds), so a grid computed with them would differ from
-    the per-k code in the last bits.  These follow CPython's ``_Py_c_prod``
-    and ``_Py_c_quot`` step by step in float64 array operations, which round
+    (fused multiply-adds).  These follow CPython's ``_Py_c_prod`` and
+    ``_Py_c_quot`` step by step in float64 array operations, which round
     exactly as Python floats do.  Python floats and complex numbers and numpy
     arrays mix in as CPython promotes them (a real x is (x, 0.0)), so every
     element equals the Python expression at its k, signed zeros included.
     ``abs`` is ``np.hypot``, CPython's own formula, but gives inf where
-    Python's raises OverflowError.  The parts are ``real`` and ``imag``, as
-    on a Python complex, so that one formula serves both.
+    Python's raises OverflowError.  Callers ignore floating-point warnings.
     """
 
     __array_ufunc__ = None      # numpy defers mixed operators to this class
@@ -263,9 +270,9 @@ class _PyComplex:
     def of(cls, z) -> "_PyComplex":
         if isinstance(z, cls):
             return z
-        if np.iscomplexobj(z):
-            return cls(np.real(z), np.imag(z))
-        return cls(z)
+        if isinstance(z, float) or not (isinstance(z, complex) or np.iscomplexobj(z)):
+            return cls(z)
+        return cls(z.real, z.imag)
 
     def array(self) -> np.ndarray:
         out = np.empty(np.broadcast(self.real, self.imag).shape, dtype=complex)
@@ -276,8 +283,17 @@ class _PyComplex:
         return _PyComplex(self.real, -self.imag)
 
     def exp(self) -> "_PyComplex":
-        # numpy's complex exp is cmath.exp's formula below the overflow range
-        return _PyComplex.of(np.exp(self.array()))
+        """cmath.exp: numpy's (glibc's) complex exp, but for x = Re z above
+        log(DBL_MAX / 4), where cmath rounds exp(x - 1) cos y e and
+        exp(x - 1) sin y e; not finite where cmath.exp raises."""
+        z = self.array()
+        out = _PyComplex.of(np.asarray(np.exp(z)))
+        big = z.real > _LOG_LARGE
+        if np.any(big):
+            scale = COLUMN.exp(z.real[big] - 1.0)
+            out.real[big] = scale * np.cos(z.imag[big]) * math.e
+            out.imag[big] = scale * np.sin(z.imag[big]) * math.e
+        return out
 
     def __neg__(self):
         return _PyComplex(-self.real, -self.imag)
@@ -315,23 +331,22 @@ def _quotient(a: _PyComplex, b: _PyComplex) -> _PyComplex:
     """CPython's complex division: scale by the larger part of b.  NaN where
     b = 0 (Python raises ZeroDivisionError) or b has a NaN part."""
     by_real = np.abs(b.real) >= np.abs(b.imag)
-    by_imag = np.abs(b.imag) >= np.abs(b.real)
-    ratio = b.imag / b.real
-    denom = b.real + b.imag * ratio
-    re_r, im_r = (a.real + a.imag * ratio) / denom, (a.imag - a.real * ratio) / denom
-    ratio = b.real / b.imag
-    denom = b.real * ratio + b.imag
-    re_i, im_i = (a.real * ratio + a.imag) / denom, (a.imag * ratio - a.real) / denom
-    return _PyComplex(np.where(by_real, re_r, np.where(by_imag, re_i, np.nan)),
-                      np.where(by_real, im_r, np.where(by_imag, im_i, np.nan)))
+    # (c, d) = (b_re, b_im) where |b_re| >= |b_im|, else (b_im, b_re)
+    c, d = np.where(by_real, b.real, b.imag), np.where(by_real, b.imag, b.real)
+    ratio = d / c
+    denom = c + d * ratio
+    re = np.where(by_real, a.real + a.imag * ratio, a.imag + a.real * ratio) / denom
+    im = np.where(by_real, a.imag - a.real * ratio, a.imag * ratio - a.real) / denom
+    return _PyComplex(re, im)
 
 
 def _mapped(fn, *args) -> np.ndarray:
     """fn over float columns element by element, on Python floats, so that
-    it rounds as the per-k code does; NaN where fn raises.  Scalars among
+    it rounds as Python's math does; NaN where fn raises.  Scalars among
     the arguments are repeated."""
-    n = max(np.size(a) for a in args)
-    cols = [np.broadcast_to(a, (n,)).tolist() for a in args]
+    cols = [np.ravel(a).tolist() for a in args]
+    n = max(map(len, cols))
+    cols = [col * n if len(col) == 1 else col for col in cols]
     try:
         return np.fromiter(map(fn, *cols), dtype=float, count=n)
     except (ArithmeticError, ValueError):
@@ -345,58 +360,72 @@ def _or_nan(fn, *args) -> float:
         return math.nan
 
 
-#: the functions a closed form evaluates, at one Python float k ...
-SCALAR = SimpleNamespace(cos=math.cos, sin=math.sin, cosh=math.cosh, sinh=math.sinh,
-                         exp=math.exp, atan2=math.atan2, pow=operator.pow, cexp=cmath.exp,
-                         complex=lambda z: z)
-#: ... and over a float column, with the same rounding (numpy's cos and sin
-#: are libm's; cosh, sinh, exp, atan2 and ** are not, so they are mapped)
+#: the functions a closed form evaluates over a float column, rounded as
+#: Python's math rounds them at one float (numpy's cos and sin are libm's;
+#: cosh, sinh, exp, atan2 and ** are not, so they are mapped)
 COLUMN = SimpleNamespace(
     cos=np.cos, sin=np.sin,
     cosh=lambda x: _mapped(math.cosh, x), sinh=lambda x: _mapped(math.sinh, x),
     exp=lambda x: _mapped(math.exp, x), atan2=lambda y, x: _mapped(math.atan2, y, x),
     pow=lambda x, y: _mapped(operator.pow, x, y),
     cexp=lambda z: _PyComplex.of(z).exp(), complex=_PyComplex.of)
+#: cmath.exp scales exp(x) by e^-1 above this
+_LOG_LARGE = math.log(sys.float_info.max / 4)
+
+#: the message of a TransferOverflow where a closed form is not finite
+OUT_OF_RANGE = "a closed-form intermediate exceeded the float range"
 
 
-def _blame(exc, k):
-    """Name k as the failing wave number unless the error names one already."""
-    if getattr(exc, "k", None) is None:
-        exc.k = k
+def _closed_form(formula, kind=None):
+    """The closed form of one wave number k or a sequence of them whose
+    ``formula(params, ks)`` gives the columns of a ``kind`` record (default
+    ScatteringCoefficients) over the float column ks and their faults
+    (``_record``).  A scalar k is a one-element grid whose record holds
+    Python complex numbers."""
+
+    @functools.wraps(formula)
+    def closed_form(params, k):
+        ks, one = _wavenumbers(k)
+        with np.errstate(all="ignore"):
+            columns, faults = formula(params, ks)
+            return _record(ks, one, columns, faults, kind)
+    return closed_form
 
 
-def on_grid(ks, at, columns=None) -> ScatteringCoefficients:
-    """One record of coefficient columns over the k grid ``ks``.
+def _wavenumbers(k) -> tuple:
+    """k, one wave number or a sequence, as a float column, and whether it is
+    one; ValueError names the first that is not finite and > 0."""
+    k = k.k if isinstance(k, WaveNumber) else k
+    ks = np.atleast_1d(np.asarray(k, dtype=float))
+    for bad in ks[~((ks > 0) & np.isfinite(ks))][:1]:
+        raise ValueError(f"wave number must be finite and > 0, got {float(bad)}")
+    return ks, np.ndim(k) == 0
 
-    ``at(i)`` gives the record at ``ks[i]`` by the per-k code.  ``columns``,
-    if given, computes the whole grid at once: ``columns(ks)`` returns the
-    four coefficient columns, equal to the per-k values where they are
-    finite, and the mask of the k where the per-k code raises or branches
-    (poles, overflow).  Those k and every k with a non-finite coefficient
-    (all k if ``columns`` raises) are evaluated by ``at`` in grid order, so
-    the lowest failing k raises what the per-k loop raises, with the k
-    attached when the error names none.
-    """
-    ks = np.asarray(ks, dtype=float)
-    redo = ~((ks > 0) & np.isfinite(ks))
-    cols = None
-    if columns is not None:
-        try:
-            with np.errstate(all="ignore"):
-                values, unsure = columns(ks)
-            cols = [np.array(np.broadcast_to(c, ks.shape), dtype=complex) for c in values]
-            redo |= unsure | ~np.logical_and.reduce([np.isfinite(c) for c in cols])
-        except (ScatteringError, ArithmeticError, ValueError):
-            cols = None
-    if cols is None:
-        cols = [np.zeros(ks.shape, dtype=complex) for _ in range(4)]
-        redo[:] = True
-    for i in np.flatnonzero(redo):
-        try:
-            c = at(i)
-        except (ScatteringError, ArithmeticError) as exc:
-            _blame(exc, float(ks[i]))
-            raise
-        for col, z in zip(cols, (c.t_lr, c.r_lr, c.t_rl, c.r_rl)):
-            col[i] = z
-    return ScatteringCoefficients(*cols)
+
+def _raise_first(faults, ks=None):
+    """Raise the error of the first element where one of ``faults`` holds,
+    naming that element's k in ``ks``.  Faults are (mask, make) pairs in the
+    order the formula meets them; make(i) gives the error at element i, and
+    the first fault that holds at the element makes it."""
+    hits = []
+    for n, (mask, _) in enumerate(faults):
+        at = np.flatnonzero(mask)
+        if at.size:
+            hits.append((at[0], n))
+    if hits:
+        i, n = min(hits)
+        exc = faults[n][1](i)
+        exc.k = None if ks is None else float(ks[i])
+        raise exc
+
+
+def _record(ks, one: bool, columns, faults=(), kind=None) -> ScatteringCoefficients:
+    """The coefficient columns (t_lr, r_lr, t_rl, r_rl), or those of another
+    record ``kind``, over the grid ``ks`` as one record (of Python complex
+    numbers if ``one``), after raising the first of ``faults`` and
+    TransferOverflow where a value is not finite."""
+    cols = np.broadcast_arrays(*(_PyComplex.of(z).array() for z in columns),
+                               *(() if ks is None else (ks,)))[:4]
+    finite = np.logical_and.reduce([np.isfinite(c) for c in cols])
+    _raise_first([*faults, (~finite, lambda i: TransferOverflow(OUT_OF_RANGE))], ks)
+    return (kind or ScatteringCoefficients)(*(complex(c[0]) if one else np.array(c) for c in cols))

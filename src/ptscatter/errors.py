@@ -50,7 +50,8 @@ class NonDecayedPotential(ScatteringError):
 
 
 class TransferOverflow(ScatteringError):
-    """A transfer-matrix element exceeded the overflow threshold."""
+    """A transfer-matrix element exceeded the overflow threshold, or a
+    closed-form intermediate exceeded the float range."""
 
 
 class QuadratureFailure(ScatteringError):

@@ -13,6 +13,7 @@ closed forms alone load neither.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -21,19 +22,18 @@ import numpy as np
 
 from .core import (
     COLUMN,
-    SCALAR,
     AsymptoticAmplitudes,
     ScatteringCoefficients,
     TransferMatrix,
-    _blame,
+    _closed_form,
+    _or_nan,
     _PyComplex,
     _require_finite,
+    _smatrix,
+    _wavenumbers,
     as_wavenumber,
-    on_grid,
-    smatrix_columns,
-    smatrix_from_transfer,
 )
-from .errors import InvalidNu, ScatteringError, TransferOverflow
+from .errors import InvalidNu, TransferOverflow
 
 if TYPE_CHECKING:
     from .numeric import LocalPotential
@@ -79,18 +79,20 @@ class SquareWellParams:
         return self.alpha(k) * cmath.exp(1j * self.phi(k))
 
 
+@functools.partial(_closed_form, kind=TransferMatrix)
 def square_well_transfer(p: SquareWellParams, k) -> TransferMatrix:
     """Closed-form transfer matrix of the well centred at the origin.
 
     The diagonal elements are invariant under v1 -> -v1 (alpha0 <-> alpha1)
-    and det M = 1 identically.
+    and det M = 1 identically.  ``k`` may be an array of wave numbers: the
+    matrix then holds columns.
     """
-    return TransferMatrix(*_square_well_elements(p, as_wavenumber(k).k))
+    return _square_well_elements(p, k), []
 
 
-def _square_well_elements(p: SquareWellParams, kv, f=SCALAR) -> tuple:
-    """(M_RR, M_RL, M_LR, M_LL) at a float kv, or over a float column kv
-    with ``f = COLUMN`` (the same operations, rounded as at one k)."""
+def _square_well_elements(p: SquareWellParams, kv) -> tuple:
+    """(M_RR, M_RL, M_LR, M_LL) over a float column kv."""
+    f = COLUMN
     e = kv * kv
     alpha = f.pow(f.pow(e + p.v0, 2) + p.v1 ** 2, 0.25)     # SquareWellParams.alpha
     phi = 0.5 * f.atan2(p.v1, e + p.v0)                     # SquareWellParams.phi
@@ -126,15 +128,13 @@ def square_well_transfer_interfaces(p: SquareWellParams, k) -> TransferMatrix:
     return TransferMatrix.from_array(m)
 
 
+@_closed_form
 def square_well_coefficients(p: SquareWellParams, k) -> ScatteringCoefficients:
     """Coefficients via the transfer matrix; T equals 1/M_RR in both directions.
 
     ``k`` may be an array of wave numbers: the record then holds columns.
     """
-    if np.ndim(k):
-        return on_grid(k, lambda i: square_well_coefficients(p, k[i]),
-                       lambda ks: smatrix_columns(*_square_well_elements(p, ks, COLUMN)))
-    return smatrix_from_transfer(square_well_transfer(p, k))
+    return _smatrix(*_square_well_elements(p, k))
 
 
 def square_well_potential(p: SquareWellParams, x0: float = 0.0) -> LocalPotential:
@@ -187,34 +187,31 @@ class LatticeParams:
         return self.n * self.period
 
 
+@functools.partial(_closed_form, kind=TransferMatrix)
 def lattice_tmatrix(p: LatticeParams, k) -> TransferMatrix:
-    """Cell transfer matrix T absorbing the per-period displacement phases."""
-    kv = as_wavenumber(k).k
-    m = square_well_transfer(p.well, k)
+    """Cell transfer matrix T absorbing the per-period displacement phases
+    (columns for an array of wave numbers)."""
+    return _cell(p, k), []
+
+
+def _cell(p: LatticeParams, kv) -> tuple:
+    """The elements of the cell matrix T over a float column kv."""
+    m_rr, m_rl, m_lr, m_ll = _square_well_elements(p.well, kv)
     a, b = p.a, p.well.b
-    return TransferMatrix(
-        m_rr=m.m_rr * cmath.exp(-2j * kv * (a + b)),
-        m_rl=m.m_rl * cmath.exp(2j * kv * a),
-        m_lr=m.m_lr * cmath.exp(-2j * kv * a),
-        m_ll=m.m_ll * cmath.exp(2j * kv * (a + b)),
-    )
+    return (m_rr * COLUMN.cexp(-2j * kv * (a + b)), m_rl * COLUMN.cexp(2j * kv * a),
+            m_lr * COLUMN.cexp(-2j * kv * a), m_ll * COLUMN.cexp(2j * kv * (a + b)))
 
 
 def lattice_transfer(p: LatticeParams, ks, n_max: int | None = None):
-    """The cell matrices T over the k column ``ks`` as a (K, 2, 2) stack, one
-    ``lattice_tmatrix`` per k (an error names the lowest k), and a generator
-    of (n, M, overflow) for n = p.n..n_max: M stacks conj(D(u1)) T^n
-    D(u1 + n*period); overflow, sticky over n, marks the k where a product so
-    far had an element above 1e300 or not finite.  T^{p.n} comes by repeated
-    squaring, as for one n at one k, each further power as T @ T^{n-1}."""
-    cells = []
-    for k in ks:
-        try:
-            cells.append(lattice_tmatrix(p, k).as_array())
-        except (ScatteringError, ArithmeticError) as exc:
-            _blame(exc, k)
-            raise
-    t, kv = np.array(cells, dtype=complex).reshape(-1, 2, 2), np.asarray(ks, dtype=float)
+    """The cell matrices T over the k column ``ks`` as a (K, 2, 2) stack and a
+    generator of (n, M, overflow) for n = p.n..n_max: M stacks conj(D(u1))
+    T^n D(u1 + n*period); overflow, sticky over n, marks the k where the cell
+    or a product so far had an element above 1e300 or not finite.  T^{p.n}
+    comes by repeated squaring, as for one n at one k, each further power as
+    T @ T^{n-1}."""
+    kv = _wavenumbers(ks)[0]
+    with np.errstate(all="ignore"):
+        t = np.stack([_PyComplex.of(z).array() for z in _cell(p, kv)], axis=-1).reshape(-1, 2, 2)
     overflow = np.zeros(len(t), dtype=bool)
 
     def phases(x):                  # diag(e^{ikx}, e^{-ikx}) over k
@@ -254,15 +251,13 @@ def multi_well_transfer(p: LatticeParams, k) -> TransferMatrix:
     return TransferMatrix.from_array(m[0])
 
 
+@_closed_form
 def multi_well_coefficients(p: LatticeParams, k) -> ScatteringCoefficients:
     """Coefficients of the n-well lattice; ``k`` may be an array of wave numbers."""
-    if np.ndim(k):
-        def columns(ks):
-            _, m, overflow = next(lattice_transfer(p, ks)[1])
-            cols, unsure = smatrix_columns(*(_PyComplex.of(m[:, i // 2, i % 2]) for i in range(4)))
-            return cols, unsure | overflow
-        return on_grid(k, lambda i: multi_well_coefficients(p, k[i]), columns)
-    return smatrix_from_transfer(multi_well_transfer(p, k))
+    _, m, overflow = next(lattice_transfer(p, k)[1])
+    columns, faults = _smatrix(*(_PyComplex.of(m[:, i // 2, i % 2]) for i in range(4)))
+    return columns, [(overflow, lambda i: TransferOverflow("transfer-matrix element exceeded 1e300")),
+                     *faults]
 
 
 def lattice_potential(p: LatticeParams) -> LocalPotential:
@@ -385,25 +380,16 @@ def _scarf_t_args(s: float, lam: complex, ik):
             (-ik, 1 - ik, half - ik, half - ik))
 
 
-def _scarf_t(s: float, lam: complex, k: float) -> complex:
-    from .specfun import GammaRatio, gamma_ratio
-
-    return gamma_ratio(GammaRatio(*_scarf_t_args(s, lam, 1j * k)))
-
-
 def _scarf_rfac_parts(s: float, lam: complex) -> tuple:
-    """(a, b) with R/T = a/cosh(pi k) + b/sinh(pi k).  cos(pi s) and sin(pi s)
-    take s mod 2, exactly, so that a huge s keeps its phase."""
+    """(a, b) with R/T = a/cosh(pi k) + b/sinh(pi k), NaN where sinh or cosh
+    of pi lam overflows.  cos(pi s) and sin(pi s) take s mod 2, exactly, so
+    that a huge s keeps its phase."""
     s = math.fmod(s, 2.0)
-    return (math.cos(math.pi * s) * cmath.sinh(math.pi * lam),
-            1j * math.sin(math.pi * s) * cmath.cosh(math.pi * lam))
+    return (math.cos(math.pi * s) * _or_nan(cmath.sinh, math.pi * lam),
+            1j * math.sin(math.pi * s) * _or_nan(cmath.cosh, math.pi * lam))
 
 
-def _scarf_rfac(s: float, lam: complex, k: float) -> complex:
-    a, b = _scarf_rfac_parts(s, lam)
-    return a / math.cosh(math.pi * k) + b / math.sinh(math.pi * k)
-
-
+@_closed_form
 def scarf_coefficients(p: ScarfParams, k) -> ScatteringCoefficients:
     """Closed-form coefficients, valid where individual amplitudes may pole.
 
@@ -412,36 +398,22 @@ def scarf_coefficients(p: ScarfParams, k) -> ScatteringCoefficients:
     R_rl(eps, lam) = R_lr(eps, -lam) e^{-4k eps}.  ``k`` may be an array of
     wave numbers: the record then holds columns.
     """
-    if np.ndim(k):
-        return on_grid(k, lambda i: scarf_coefficients(p, k[i]), lambda ks: _scarf_columns(p, ks))
-    kv = as_wavenumber(k).k
-    lam = complex(p.lam)
-    t = _scarf_t(p.s, lam, kv)
-    r_lr = t * _scarf_rfac(p.s, lam, kv) * math.exp(2 * kv * p.eps)
-    r_rl = t * _scarf_rfac(p.s, -lam, kv) * math.exp(-2 * kv * p.eps)
-    return ScatteringCoefficients(t_lr=t, r_lr=r_lr, t_rl=t, r_rl=r_rl)
-
-
-def _scarf_columns(p: ScarfParams, ks: np.ndarray):
-    """``scarf_coefficients`` over a k column, and where the per-k code may differ."""
     from .specfun import gamma_ratio_columns
 
-    lam = complex(p.lam)
-    hyperbolic = {}
-    t, unsure = gamma_ratio_columns(*_scarf_t_args(p.s, lam, 1j * _PyComplex(ks)), hyperbolic)
+    lam, hyperbolic = complex(p.lam), {}
+    t, faults = gamma_ratio_columns(*_scarf_t_args(p.s, lam, 1j * _PyComplex(k)), hyperbolic)
     t = _PyComplex.of(t)
     # the reflection of -ik evaluates cosh and sinh at -pi k, and glibc's
     # cosh is exactly even and its sinh exactly odd
-    pik = math.pi * ks
+    pik = math.pi * k
     ch, sh = (hyperbolic.get((name, (-pik).tobytes())) for name in ("cosh", "sinh"))
     ch = _PyComplex(COLUMN.cosh(pik) if ch is None else ch)
     sh = _PyComplex(COLUMN.sinh(pik) if sh is None else -sh)
     reflections = []
-    for signed_lam, shift in ((lam, 2 * ks * p.eps), (-lam, -2 * ks * p.eps)):
+    for signed_lam, shift in ((lam, 2 * k * p.eps), (-lam, -2 * k * p.eps)):
         a, b = _scarf_rfac_parts(p.s, signed_lam)
-        reflections.append((t * (a / ch + b / sh) * COLUMN.exp(shift)).array())
-    t = t.array()
-    return [t, reflections[0], t, reflections[1]], unsure
+        reflections.append(t * (a / ch + b / sh) * COLUMN.exp(shift))
+    return (t, reflections[0], t, reflections[1]), faults
 
 
 def scarf_potential(p: ScarfParams, cutoff: float = 20.0) -> LocalPotential:
@@ -500,13 +472,10 @@ def centrifugal_amplitudes(p: CentrifugalParams, k) -> AsymptoticAmplitudes:
     )
 
 
+@_closed_form
 def centrifugal_coefficients(p: CentrifugalParams, k) -> ScatteringCoefficients:
     """T = 1 and R = 0 in both directions, exactly, at every k (or k array)."""
-    if np.ndim(k):
-        return on_grid(k, lambda i: centrifugal_coefficients(p, k[i]),
-                       lambda ks: ((1.0, 0.0, 1.0, 0.0), False))
-    as_wavenumber(k)
-    return ScatteringCoefficients(t_lr=1.0, r_lr=0.0, t_rl=1.0, r_rl=0.0)
+    return (1.0, 0.0, 1.0, 0.0), []
 
 
 def centrifugal_pt_phase(p: CentrifugalParams) -> complex:

@@ -21,9 +21,9 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .core import (COLUMN, SCALAR, ScatteringCoefficients, _PyComplex, _require_finite,
-                   as_wavenumber, on_grid)
-from .errors import QuadratureFailure, ResonancePole
+from .core import (COLUMN, OUT_OF_RANGE, ScatteringCoefficients, _closed_form, _PyComplex,
+                   _raise_first, _record, _require_finite, _wavenumbers, as_wavenumber)
+from .errors import QuadratureFailure, ResonancePole, TransferOverflow
 
 if TYPE_CHECKING:
     from .numeric import WavefunctionGrid
@@ -145,43 +145,51 @@ def green_function(sign: str, x_minus_y: float, k) -> complex:
 # contain +-gamma or +-delta in their real part, so the expressions are
 # regular for every real alpha, beta, k and positive gamma, delta.
 
-def _yamaguchi_pieces(alpha: float, gamma: float, k, f=SCALAR):
-    """Coefficients of the piecewise-exponential inner integral.
+def _yamaguchi_pieces(alpha: float, gamma: float, k):
+    """Coefficients of the piecewise-exponential inner integral over a float
+    column k.
 
     Inner(x >= 0) = gt * e^{ikx} + c2 * e^{(-gamma + i alpha) x} and
     Inner(x < 0) = gt_m * e^{-ikx} + c3 * e^{(gamma + i alpha) x}.
-    ``k`` may be a float column with ``f = core.COLUMN``.
     """
-    gt = 2 * gamma / (gamma * gamma + f.pow(k - alpha, 2))
-    gt_m = 2 * gamma / (gamma * gamma + f.pow(k + alpha, 2))
-    c2 = 1.0 / f.complex(-gamma + 1j * (alpha - k)) + 1.0 / f.complex(gamma - 1j * (alpha + k))
-    c3 = 1.0 / f.complex(gamma + 1j * (alpha - k)) - 1.0 / f.complex(gamma + 1j * (alpha + k))
+    gt = 2 * gamma / (gamma * gamma + COLUMN.pow(k - alpha, 2))
+    gt_m = 2 * gamma / (gamma * gamma + COLUMN.pow(k + alpha, 2))
+    c2 = 1.0 / _PyComplex.of(-gamma + 1j * (alpha - k)) + 1.0 / _PyComplex.of(gamma - 1j * (alpha + k))
+    c3 = 1.0 / _PyComplex.of(gamma + 1j * (alpha - k)) - 1.0 / _PyComplex.of(gamma + 1j * (alpha + k))
     return gt, gt_m, c2, c3
 
 
-def _yamaguchi_inner(x: float, alpha: float, gamma: float, k: float) -> complex:
-    gt, gt_m, c2, c3 = _yamaguchi_pieces(alpha, gamma, k)
+def _yamaguchi_inner(x: float, alpha: float, gamma: float, k: float) -> tuple:
+    """(Inner(x), d/dx Inner(x)) at one k."""
+    with np.errstate(all="ignore"):
+        pieces = _yamaguchi_pieces(alpha, gamma, np.array([k]))
+    gt, gt_m, c2, c3 = (complex(_PyComplex.of(z).array()[0]) for z in pieces)
     if x >= 0:
-        return gt * cmath.exp(1j * k * x) + c2 * cmath.exp((-gamma + 1j * alpha) * x)
-    return gt_m * cmath.exp(-1j * k * x) + c3 * cmath.exp((gamma + 1j * alpha) * x)
+        rate = -gamma + 1j * alpha
+        wave, decay = cmath.exp(1j * k * x), cmath.exp(rate * x)
+        return gt * wave + c2 * decay, 1j * k * gt * wave + rate * c2 * decay
+    rate = gamma + 1j * alpha
+    wave, decay = cmath.exp(-1j * k * x), cmath.exp(rate * x)
+    return gt_m * wave + c3 * decay, -1j * k * gt_m * wave + rate * c3 * decay
 
 
-def _yamaguchi_inner_d(x: float, alpha: float, gamma: float, k: float) -> complex:
+def _yamaguchi_j(alpha: float, beta: float, gamma: float, delta: float, k) -> _PyComplex:
+    """The double integral Int h e^{i beta x} e^{ik|x-y|} g e^{i alpha y} over
+    a float column k."""
     gt, gt_m, c2, c3 = _yamaguchi_pieces(alpha, gamma, k)
-    if x >= 0:
-        return (1j * k * gt * cmath.exp(1j * k * x)
-                + (-gamma + 1j * alpha) * c2 * cmath.exp((-gamma + 1j * alpha) * x))
-    return (-1j * k * gt_m * cmath.exp(-1j * k * x)
-            + (gamma + 1j * alpha) * c3 * cmath.exp((gamma + 1j * alpha) * x))
-
-
-def _yamaguchi_j(alpha: float, beta: float, gamma: float, delta: float, k, f=SCALAR) -> complex:
-    """The double integral Int h e^{i beta x} e^{ik|x-y|} g e^{i alpha y}."""
-    gt, gt_m, c2, c3 = _yamaguchi_pieces(alpha, gamma, k, f)
-    return (gt_m / f.complex(delta + 1j * (beta - k))
-            + gt / f.complex(delta - 1j * (beta + k))
+    return (gt_m / _PyComplex.of(delta + 1j * (beta - k))
+            + gt / _PyComplex.of(delta - 1j * (beta + k))
             + c3 / (gamma + delta + 1j * (alpha + beta))
             + c2 / (gamma + delta - 1j * (alpha + beta)))
+
+
+def _yamaguchi_n(kernel: SeparableKernel, ks) -> tuple:
+    """(N+, N-) of a Yamaguchi kernel over the float column ks, from the
+    double integral at k and -k in one column."""
+    j = _yamaguchi_j(kernel.alpha, kernel.beta, kernel.gamma, kernel.delta, np.concatenate([ks, -ks]))
+    n = len(ks)
+    return (_PyComplex.of(-0.5j) / ks * _PyComplex(j.real[:n], j.imag[:n]),
+            _PyComplex.of(0.5j) / ks * _PyComplex(j.real[n:], j.imag[n:]))
 
 
 def compute_n(kernel: SeparableKernel, sign: str, k) -> complex:
@@ -196,11 +204,9 @@ def compute_n(kernel: SeparableKernel, sign: str, k) -> complex:
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     if kernel.is_yamaguchi:
-        if sign == "plus":
-            return -0.5j / kv * _yamaguchi_j(kernel.alpha, kernel.beta, kernel.gamma,
-                                             kernel.delta, kv)
-        return 0.5j / kv * _yamaguchi_j(kernel.alpha, kernel.beta, kernel.gamma,
-                                        kernel.delta, -kv)
+        with np.errstate(all="ignore"):
+            n = _yamaguchi_n(kernel, np.array([kv]))[sign == "minus"]
+        return complex(n.array()[0])
     from scipy.integrate import quad
 
     s = 1.0 if sign == "plus" else -1.0
@@ -256,43 +262,81 @@ def nonlocal_intermediates(kernel: SeparableKernel, k) -> NonlocalIntermediates:
     """Evaluate N+-, the resolvent factors and the transmission-difference numerator.
 
     lam*N+- = -+(i*omega/2)[g~(k-a)h~(k+b) + g~(k+a)h~(k-b)] + Q with Q real
-    for even form factors; delta_t is the numerator of T_rl - T_lr.
+    for even form factors; delta_t is the numerator of T_rl - T_lr.  ``k``
+    may be an array of wave numbers: every field is then a column.
     """
-    kv = as_wavenumber(k).k
-    if not kernel.is_yamaguchi:
+    ks, one = _wavenumbers(k)
+    with np.errstate(all="ignore"):
+        mid, _, faults = _intermediates(kernel, ks)
+    _raise_first(faults, ks)
+    fields = (np.asarray(getattr(z, "array", lambda: z)()) for z in vars(mid).values())
+    return NonlocalIntermediates(*(z[0].item() if one else z for z in fields))
+
+
+def _intermediates(kernel: SeparableKernel, ks) -> tuple:
+    """``nonlocal_intermediates`` over the float column ks (``_PyComplex``
+    columns, omega a float column), the coefficient columns (T_lr, R_lr,
+    T_rl, R_rl) and the faults: ResonancePole where a denominator vanishes,
+    TransferOverflow where an intermediate or its modulus is not finite."""
+    if kernel.is_yamaguchi:
+        (n_plus, n_minus), faults = _yamaguchi_n(kernel, ks), []
+    else:
         # the Green's-function solution uses h~(-k-b) = h~(k+b) and
         # g~(-k-a) = g~(k+a), which hold only for even form factors
         if not (_even_function(kernel.g, kernel.support, 1e-9)
                 and _even_function(kernel.h, kernel.support, 1e-9)):
             raise ValueError("nonlocal coefficients require even form factors")
-    lam = kernel.lam
-    omega = lam / (2 * kv)
-    np_ = compute_n(kernel, "plus", kv)
-    nm_ = compute_n(kernel, "minus", kv)
-    g1 = kernel.g_ft(kv - kernel.alpha) * kernel.h_ft(kv + kernel.beta)
-    g2 = kernel.g_ft(kv + kernel.alpha) * kernel.h_ft(kv - kernel.beta)
-    den_plus = 1.0 - lam * np_
-    if abs(den_plus) < 1e-12 * max(1.0, abs(lam * np_)):
-        raise ResonancePole(f"1 - lam*N+ vanishes at k = {kv}")
-    den_minus = 1.0 - lam * nm_ + 1j * omega * (g2 + g1)
-    if abs(den_minus) < 1e-12 * max(1.0, abs(lam * nm_)):
-        raise ResonancePole(f"script-D denominator vanishes at k = {kv}")
-    d_plus = 1.0 / den_plus
-    script_d_minus = 1.0 / den_minus
-    q_part = lam * (np_ + nm_) / 2
-    i_plus = kernel.h_ft(kv + kernel.beta) * d_plus
-    delta_t = (g1 - g2 + lam * (np_ * g2 - nm_ * g1) + 1j * omega * g1 * (g2 + g1))
+        (n_plus, n_minus), faults = _quadrature_n(kernel, ks)
+
+    def ft(f, q):       # Yamaguchi's transforms take a column, the others one q
+        return f(q) if kernel.is_yamaguchi else np.array([f(x) for x in q.tolist()])
+    al, be, lam = kernel.alpha, kernel.beta, kernel.lam
+    g_m, g_p, h_p, h_m = (ft(kernel.g_ft, ks - al), ft(kernel.g_ft, ks + al),
+                          ft(kernel.h_ft, ks + be), ft(kernel.h_ft, ks - be))
+    omega = lam / (2 * ks)
+    om = _PyComplex(omega)
+    g1, g2 = g_m * h_p, g_p * h_m
+    lam_plus, lam_minus = lam * n_plus, lam * n_minus
+    den_plus = 1.0 - lam_plus
+    den_minus = 1.0 - lam_minus + 1j * om * (g2 + g1)
+    d_plus, script_d_minus = 1.0 / den_plus, 1.0 / den_minus
     # I- needs the right-incident constants (c-, d-) = (R_rl, T_rl)
-    t_rl = 1.0 - 1j * omega * g2 * script_d_minus
-    r_rl = -1j * omega * kernel.g_ft(kv - kernel.alpha) * kernel.h_ft(kv - kernel.beta) * script_d_minus
-    dm = 1.0 / (1.0 - lam * nm_)
-    i_minus = (r_rl * kernel.h_ft(kv + kernel.beta) + t_rl * kernel.h_ft(kv - kernel.beta)) * dm
-    return NonlocalIntermediates(
-        n_plus=np_, n_minus=nm_, d_plus=d_plus, script_d_minus=script_d_minus,
-        q_part=q_part, i_plus=i_plus, i_minus=i_minus, omega=omega, delta_t=delta_t,
-    )
+    t_rl = 1.0 - 1j * om * g2 * script_d_minus
+    r_rl = -1j * om * g_m * h_m * script_d_minus
+    mid = NonlocalIntermediates(
+        n_plus=n_plus, n_minus=n_minus, d_plus=d_plus, script_d_minus=script_d_minus,
+        q_part=lam * (n_plus + n_minus) / 2, i_plus=h_p * d_plus,
+        i_minus=(r_rl * h_p + t_rl * h_m) * (1.0 / (1.0 - lam_minus)), omega=omega,
+        delta_t=g1 - g2 + lam * (n_plus * g2 - n_minus * g1) + 1j * om * g1 * (g2 + g1))
+    coefficients = (1.0 - 1j * om * g_m * h_p * d_plus, -1j * om * g_p * h_p * d_plus,
+                    1.0 - 1j * om * g_p * h_m * script_d_minus,
+                    -1j * om * g_m * h_m * script_d_minus)
+    finite = np.logical_and.reduce([np.isfinite(_PyComplex.of(z).array())
+                                    for z in (*vars(mid).values(), abs(den_plus), abs(den_minus))])
+    pole_plus = abs(den_plus) < 1e-12 * np.maximum(1.0, abs(lam_plus))
+    pole_minus = abs(den_minus) < 1e-12 * np.maximum(1.0, abs(lam_minus))
+    return mid, coefficients, faults + [
+        (pole_plus, lambda i: ResonancePole(f"1 - lam*N+ vanishes at k = {float(ks[i])}")),
+        (pole_minus, lambda i: ResonancePole(f"script-D denominator vanishes at k = {float(ks[i])}")),
+        (~finite, lambda i: TransferOverflow(OUT_OF_RANGE))]
 
 
+def _quadrature_n(kernel: SeparableKernel, ks) -> tuple:
+    """(N+, N-) of a generic kernel at each k by quadrature, in grid order up
+    to the first k where it fails: NaN from there on, and the fault that
+    names that k."""
+    n = np.full((2, len(ks)), complex(math.nan, math.nan))
+    for i, kv in enumerate(ks.tolist()):
+        try:
+            n[:, i] = compute_n(kernel, "plus", kv), compute_n(kernel, "minus", kv)
+        except QuadratureFailure as exc:
+            # bound as a default: Python deletes ``exc`` when the handler exits
+            return (_PyComplex.of(n[0]), _PyComplex.of(n[1])), [(np.arange(len(ks)) == i,
+                                                                 lambda _, exc=exc: exc)]
+    return (_PyComplex.of(n[0]), _PyComplex.of(n[1])), []
+
+
+@_closed_form
 def nonlocal_coefficients(kernel: SeparableKernel, k) -> ScatteringCoefficients:
     """All four coefficients of the separable kernel.
 
@@ -302,56 +346,17 @@ def nonlocal_coefficients(kernel: SeparableKernel, k) -> ScatteringCoefficients:
     i*omega*delta_t*D+*script-D-.  ``k`` may be an array of wave numbers:
     the record then holds columns.
     """
-    if np.ndim(k):
-        columns = (lambda ks: _yamaguchi_columns(kernel, ks)) if kernel.is_yamaguchi else None
-        return on_grid(k, lambda i: nonlocal_coefficients(kernel, k[i]), columns)
-    kv = as_wavenumber(k).k
-    mid = nonlocal_intermediates(kernel, kv)
-    omega = mid.omega
-    g_m = kernel.g_ft(kv - kernel.alpha)
-    g_p = kernel.g_ft(kv + kernel.alpha)
-    h_p = kernel.h_ft(kv + kernel.beta)
-    h_m = kernel.h_ft(kv - kernel.beta)
-    return ScatteringCoefficients(
-        t_lr=1.0 - 1j * omega * g_m * h_p * mid.d_plus,
-        r_lr=-1j * omega * g_p * h_p * mid.d_plus,
-        t_rl=1.0 - 1j * omega * g_p * h_m * mid.script_d_minus,
-        r_rl=-1j * omega * g_m * h_m * mid.script_d_minus,
-    )
-
-
-def _yamaguchi_columns(kernel: SeparableKernel, ks: np.ndarray):
-    """``nonlocal_coefficients`` of a Yamaguchi kernel over a k column, the
-    same operations as ``nonlocal_intermediates`` and ``nonlocal_coefficients``,
-    and the mask of the k where those raise or may overflow."""
-    al, be, lam, g_ft, h_ft = kernel.alpha, kernel.beta, kernel.lam, kernel.g_ft, kernel.h_ft
-    form = (al, be, kernel.gamma, kernel.delta)
-    om = _PyComplex(lam / (2 * ks))
-    n_plus = _PyComplex.of(-0.5j) / ks * _yamaguchi_j(*form, ks, COLUMN)
-    n_minus = _PyComplex.of(0.5j) / ks * _yamaguchi_j(*form, -ks, COLUMN)
-    g_m, g_p, h_p, h_m = g_ft(ks - al), g_ft(ks + al), h_ft(ks + be), h_ft(ks - be)
-    g1, g2 = g_m * h_p, g_p * h_m
-    den_plus = 1.0 - lam * n_plus
-    den_minus = 1.0 - lam * n_minus + 1j * om * (g2 + g1)
-    d_plus, script_d_minus = 1.0 / den_plus, 1.0 / den_minus
-    unsure = ((abs(den_plus) < 2e-12 * np.maximum(1.0, abs(lam * n_plus)))
-              | (abs(den_minus) < 2e-12 * np.maximum(1.0, abs(lam * n_minus)))
-              | (abs(1.0 - lam * n_minus) == 0.0) | ~(np.abs(ks) < 1e150))
-    for z in (n_plus, n_minus, lam * n_plus, lam * n_minus, den_plus, den_minus):
-        unsure |= ~(abs(z) < 1e300)
-    unsure |= ~(np.abs(g1) < 1e300) | ~(np.abs(g2) < 1e300)
-    columns = (1.0 - 1j * om * g_m * h_p * d_plus, -1j * om * g_p * h_p * d_plus,
-               1.0 - 1j * om * g_p * h_m * script_d_minus, -1j * om * g_m * h_m * script_d_minus)
-    return [z.array() for z in columns], unsure
+    _, coefficients, faults = _intermediates(kernel, k)
+    return coefficients, faults
 
 
 def _convolution(kernel: SeparableKernel, sign: str, x: float, kv: float) -> tuple:
     """(value, d/dx) of Int G_sign(x - y) g(y) e^{i alpha y} dy."""
     if kernel.is_yamaguchi:
-        kk = kv if sign == "plus" else -kv
         pref = -0.5j / kv if sign == "plus" else 0.5j / kv
-        return (pref * _yamaguchi_inner(x, kernel.alpha, kernel.gamma, kk),
-                pref * _yamaguchi_inner_d(x, kernel.alpha, kernel.gamma, kk))
+        inner, inner_d = _yamaguchi_inner(x, kernel.alpha, kernel.gamma,
+                                          kv if sign == "plus" else -kv)
+        return pref * inner, pref * inner_d
     from scipy.integrate import quad
 
     L = kernel.support
@@ -384,16 +389,19 @@ def nonlocal_wavefunction(kernel: SeparableKernel, k, direction: str,
     """
     from .numeric import WavefunctionGrid
 
-    kv = as_wavenumber(k).k
+    ks = np.array([as_wavenumber(k).k])
+    kv = float(ks[0])
     grid = np.asarray(grid, dtype=float)
-    mid = nonlocal_intermediates(kernel, kv)
-    coeffs = nonlocal_coefficients(kernel, kv)
+    with np.errstate(all="ignore"):
+        mid, coefficients, faults = _intermediates(kernel, ks)
+        coeffs = _record(ks, True, coefficients, faults)
     if direction == "left":
         c, d, i_pm, sign = 1.0, 0.0, mid.i_plus, "plus"
     elif direction == "right":
         c, d, i_pm, sign = coeffs.r_rl, coeffs.t_rl, mid.i_minus, "minus"
     else:
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+    i_pm = complex(i_pm.array()[0])
     psi = np.empty(len(grid), dtype=complex)
     dpsi = np.empty(len(grid), dtype=complex)
     lam = kernel.lam

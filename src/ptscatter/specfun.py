@@ -28,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import COLUMN, SCALAR, _PyComplex, _quotient
-from .errors import GammaPole, NonFiniteArgument, NumeratorPole, PrecisionLoss
+from .core import COLUMN, _PyComplex, _quotient, _raise_first
+from .errors import GammaPole, NonFiniteArgument, NumeratorPole, PrecisionLoss, TransferOverflow
 
 #: how close to a non-positive integer counts as sitting on a pole
 POLE_TOL = 1e-12
@@ -37,8 +37,8 @@ POLE_TOL = 1e-12
 #: moduli) a ratio may carry; a bigger one leaves fewer than 8 digits
 CANCELLATION_TOL = 1e-8
 #: columns shorter than this are evaluated one element at a time: the column
-#: code makes a few thousand numpy calls (~5 ms) whatever the length, the
-#: scalar code takes ~0.25 ms per element for the eight arguments of T
+#: code makes a few thousand numpy calls (~5 ms) whatever the length, one
+#: element takes ~0.25 ms on Python complex numbers for the eight arguments of T
 ELEMENTWISE_BELOW = 20
 
 # scipy's series coefficients, as scipy/special/_precompute/loggamma.py prints
@@ -298,10 +298,10 @@ def _over_column(f, z, mirror, log_gamma):
 
 #: the functions the branches evaluate, at one Python complex ...
 _SCALAR = SimpleNamespace(
-    **vars(SCALAR), cpair=complex, log=lambda z: complex(np.log(z)), fma_by=_fma_by, div=_divdc3,
-    where=lambda c, x, y: x if c else y, pick=lambda c, z, w: z if c else w, any=bool,
-    fmod=math.fmod, floor=math.floor, copysign=math.copysign,
-    signbit=lambda x: math.copysign(1.0, x) < 0,
+    sin=math.sin, cosh=math.cosh, sinh=math.sinh, cpair=complex, log=lambda z: complex(np.log(z)),
+    fma_by=_fma_by, div=_divdc3, where=lambda c, x, y: x if c else y,
+    pick=lambda c, z, w: z if c else w, any=bool, fmod=math.fmod, floor=math.floor,
+    copysign=math.copysign, signbit=lambda x: math.copysign(1.0, x) < 0,
     key=lambda z: struct.pack("dd", z.real, z.imag), lowest=float, evaluate=_at_one)
 #: ... and over equal-length columns, rounded the same (numpy's complex log is
 #: glibc's clog)
@@ -356,20 +356,17 @@ def _log_gammas(f, args, hyperbolic=None) -> list:
 
 # -- public API ---------------------------------------------------------------------
 
+def _on_pole(z, tol: float = POLE_TOL):
+    """Where z (a complex number or a ``_PyComplex`` column) is within tol of
+    a non-positive integer."""
+    n = np.round(z.real)
+    with np.errstate(invalid="ignore"):
+        return (n <= 0) & (np.abs(z.real - n) <= tol) & (np.abs(z.imag) <= tol)
+
+
 def is_gamma_pole(z: complex, tol: float = POLE_TOL) -> bool:
     """True when z is within tol of a non-positive integer."""
-    z = complex(z)
-    if not cmath.isfinite(z):
-        return False
-    n = round(z.real)
-    return n <= 0 and abs(z.real - n) <= tol and abs(z.imag) <= tol
-
-
-def _require_finite_args(args):
-    """NonFiniteArgument naming the first argument with a NaN or infinite part."""
-    for z in args:
-        if not cmath.isfinite(z):
-            raise NonFiniteArgument(f"log-gamma argument {z} is not finite")
+    return bool(_on_pole(complex(z), tol))
 
 
 def complex_log_gamma(z: complex) -> complex:
@@ -379,7 +376,8 @@ def complex_log_gamma(z: complex) -> complex:
     a NaN or infinite part.
     """
     z = complex(z)
-    _require_finite_args([z])
+    if not cmath.isfinite(z):
+        raise NonFiniteArgument(f"log-gamma argument {z} is not finite")
     if is_gamma_pole(z):
         raise GammaPole(f"log-gamma pole at z = {z}")
     return _log_gammas(_SCALAR, [z])[0]
@@ -403,62 +401,52 @@ def gamma_ratio(r: GammaRatio) -> complex:
     A pole among the numerator factors raises NumeratorPole; a pole among
     the denominator factors contributes a factor 1/Gamma = 0, so the whole
     ratio evaluates to 0 (1/Gamma is entire).  Log-gamma terms so large that
-    the sum keeps an error above CANCELLATION_TOL raise PrecisionLoss, and
-    a NaN or infinite argument raises NonFiniteArgument.
+    the sum keeps an error above CANCELLATION_TOL raise PrecisionLoss, a
+    ratio beyond the float range raises TransferOverflow, and a NaN or
+    infinite argument raises NonFiniteArgument.
     """
-    _require_finite_args(r.numerator_args + r.denominator_args)
-    for z in r.numerator_args:
-        if is_gamma_pole(z):
-            raise NumeratorPole(f"numerator gamma pole at z = {z}")
-    for z in r.denominator_args:
-        if is_gamma_pole(z):
-            return 0.0
-    logs = _log_gammas(_SCALAR, r.numerator_args + r.denominator_args)
-    size = sum(abs(lg) for lg in logs)
-    if size * sys.float_info.epsilon > CANCELLATION_TOL:
-        raise PrecisionLoss(f"log-gamma terms of total size {size:.3g} cancel; "
-                            f"the ratio would carry an error above {CANCELLATION_TOL:g}")
-    log_sum = 0.0 + 0.0j
-    for lg in logs[:len(r.numerator_args)]:
-        log_sum += lg
-    for lg in logs[len(r.numerator_args):]:
-        log_sum -= lg
-    return cmath.exp(log_sum)
+    one = [[_PyComplex(np.array([z.real]), np.array([z.imag])) for z in args]
+           for args in (r.numerator_args, r.denominator_args)]
+    ratio, faults = gamma_ratio_columns(*one)
+    _raise_first(faults)
+    return complex(ratio[0])
 
 
 def gamma_ratio_columns(numerator_args, denominator_args, hyperbolic=None):
-    """``gamma_ratio`` over columns of arguments (``core._PyComplex``).
-    The cosh and sinh columns that reflections evaluate go into the dict
-    ``hyperbolic``, when one is given, under ("cosh" or "sinh", the bytes
-    of pi Im z).
-
-    Returns the ratio column, equal to ``gamma_ratio`` elementwise where
-    finite, and the mask of the elements where ``gamma_ratio`` raises or
-    returns early (poles, cancellation) or the exponential overflows.  A NaN
-    or infinite argument anywhere raises NonFiniteArgument.
-    """
-    args = numerator_args + denominator_args
-    length = max(np.size(z.real) for z in args)
-    columns = [_PyComplex(*(np.broadcast_to(np.asarray(x, dtype=float), (length,)) for x in (z.real, z.imag)))
-               for z in args]
-    for z in columns:
-        bad = np.flatnonzero(~(np.isfinite(z.real) & np.isfinite(z.imag)))
-        _require_finite_args([complex(z.real[i], z.imag[i]) for i in bad[:1]])
-    if 0 < length < ELEMENTWISE_BELOW:
-        with np.errstate(all="ignore"):
-            rows = [_log_gammas(_SCALAR, [complex(z.real[i], z.imag[i]) for z in columns])
+    """``gamma_ratio`` over columns of arguments (``core._PyComplex``): the
+    ratio column, 0 where a denominator argument is on a pole, and the
+    faults NumeratorPole, PrecisionLoss and TransferOverflow (see
+    ``core._raise_first``).  A NaN or infinite argument raises
+    NonFiniteArgument.  The cosh and sinh columns that reflections evaluate
+    go into the dict ``hyperbolic``, when one is given, under ("cosh" or
+    "sinh", the bytes of pi Im z)."""
+    args, m = [*numerator_args, *denominator_args], len(numerator_args)
+    length = max((np.size(z.real) for z in args), default=1)
+    re, im = np.empty((len(args), length)), np.empty((len(args), length))
+    for j, z in enumerate(args):
+        re[j], im[j] = z.real, z.imag
+    for j, i in np.argwhere(~(np.isfinite(re) & np.isfinite(im)))[:1]:
+        raise NonFiniteArgument(f"log-gamma argument {complex(re[j, i], im[j, i])} is not finite")
+    with np.errstate(all="ignore"):
+        if 0 < length < ELEMENTWISE_BELOW:
+            rows = [_log_gammas(_SCALAR, [complex(*parts) for parts in zip(re[:, i].tolist(), im[:, i].tolist())])
                     for i in range(length)]
-        logs = [_PyComplex.of(np.array(lgs)) for lgs in zip(*rows)]
-    else:
-        logs = _log_gammas(_COLUMN, columns, hyperbolic)
-    unsure = False
-    log_sum, size = 0.0 + 0.0j, 0.0
-    for j, (z, lg) in enumerate(zip(args, logs)):
-        n = np.round(z.real)
-        unsure = unsure | ((n <= 0) & (np.abs(z.real - n) <= 2 * POLE_TOL)
-                           & (np.abs(z.imag) <= 2 * POLE_TOL))
-        log_sum = log_sum + lg if j < len(numerator_args) else log_sum - lg
-        size = size + abs(lg)
-    # cmath.exp scales its argument differently from numpy's above ~709
-    unsure = unsure | ~(size * sys.float_info.epsilon <= CANCELLATION_TOL / 2) | ~(log_sum.real < 700)
-    return log_sum.exp().array(), unsure
+            logs = [_PyComplex.of(np.array(lgs)) for lgs in zip(*rows)]
+        else:
+            logs = _log_gammas(_COLUMN, [_PyComplex(*parts) for parts in zip(re, im)], hyperbolic)
+        log_sum, size = _PyComplex(np.zeros(length), np.zeros(length)), np.zeros(length)
+        for j, lg in enumerate(logs):
+            log_sum = log_sum + lg if j < m else log_sum - lg
+            size = size + abs(lg)
+        poles = _on_pole(_PyComplex(re, im))
+        zero = np.any(poles[m:], axis=0)
+        ratio = np.where(zero, 0j, log_sum.exp().array())
+        lossy = ~zero & (size * sys.float_info.epsilon > CANCELLATION_TOL)
+
+    def pole_at(j):
+        return lambda i: NumeratorPole(f"numerator gamma pole at z = {complex(re[j, i], im[j, i])}")
+    faults = [(poles[j], pole_at(j)) for j in range(m)]
+    return ratio, faults + [
+        (lossy, lambda i: PrecisionLoss(f"log-gamma terms of total size {float(size[i]):.3g} cancel; "
+                                        f"the ratio would carry an error above {CANCELLATION_TOL:g}")),
+        (~np.isfinite(ratio), lambda i: TransferOverflow("the gamma ratio exceeded the float range"))]

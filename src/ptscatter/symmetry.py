@@ -11,15 +11,14 @@ column per relation when the S matrix holds columns over a k grid.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import ScatteringCoefficients, WaveNumber, _PyComplex
-from .errors import PrecisionLoss
+from .core import COLUMN, ScatteringCoefficients, _PyComplex, _raise_first, _wavenumbers
+from .errors import PrecisionLoss, TransferOverflow
 
 if TYPE_CHECKING:
     from .numeric import LocalPotential
@@ -134,51 +133,6 @@ def classify_local_potential(v: LocalPotential, sample_count: int = 512,
     )
 
 
-class _Failures:
-    """Errors the per-k code would raise, as (mask over k, error maker) in
-    the order that code meets them; ``raise_first`` raises the first error
-    at the lowest k where any mask holds."""
-
-    def __init__(self, k, n: int):
-        k = k.k if isinstance(k, WaveNumber) else k
-        self.k = None if k is None else np.broadcast_to(np.asarray(k, dtype=float), (n,))
-        self.n = n
-        self.found = []
-
-    def add(self, mask, make):
-        self.found.append((np.broadcast_to(mask, (self.n,)), make))
-
-    def modulus(self, z: _PyComplex, reached=True) -> np.ndarray:
-        """|z| as Python's abs, which raises where hypot overflows."""
-        m = abs(z)
-        self.add(reached & np.isinf(m) & np.isfinite(z.real) & np.isfinite(z.imag),
-                 lambda i: OverflowError("absolute value too large"))
-        return m
-
-    def phases(self, z: _PyComplex) -> list:
-        """(-arg z) mod 2 pi per element (NaN where z = 0), by cmath.phase,
-        which raises where the angle underflows."""
-        out, errors = [], {}
-        for i, v in enumerate(z.array().tolist()):
-            try:
-                out.append((-cmath.phase(v)) % (2 * math.pi) if v != 0 else math.nan)
-            except (ArithmeticError, ValueError) as exc:
-                out.append(math.nan)
-                errors[i] = exc
-        mask = np.zeros(self.n, dtype=bool)
-        mask[list(errors)] = True
-        self.add(mask, errors.get)
-        return out
-
-    def raise_first(self):
-        hit = np.logical_or.reduce([mask for mask, _ in self.found], initial=False)
-        if np.any(hit):
-            i = int(np.argmax(hit))
-            exc = next(make(i) for mask, make in self.found if mask[i])
-            exc.k = None if self.k is None else float(self.k[i])
-            raise exc
-
-
 def _columns(s: ScatteringCoefficients) -> tuple:
     """(t_lr, r_lr, t_rl, r_rl) as complex columns, and whether s is one matrix."""
     one = np.ndim(s.t_lr) == 0
@@ -196,13 +150,21 @@ def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool
     whose derivation presupposes non-vanishing S elements are reported as
     not applicable when any element is below tolerance.
 
-    ``s`` may hold columns over a k grid ``k``; every residual is then a
-    column, computed with the per-k code's rounding, and an error names the
-    lowest k the per-k code would fail at.
+    ``s`` may hold columns over a k grid ``k`` (a scalar k is repeated);
+    every residual is then a column, computed with CPython's rounding at
+    each k.  A modulus of finite parts or a generalised-parity phase k*x0
+    beyond the float range raises TransferOverflow naming the first such k.
     """
     (t_lr, r_lr, t_rl, r_rl), one = _columns(s)
-    records: list = []
-    fail = _Failures(k, len(t_lr.real))
+    ks = None if k is None else np.broadcast_to(np.asarray(getattr(k, "k", k), dtype=float),
+                                                t_lr.real.shape)
+    records, overflow = [], []          # overflow: where |z| is infinite, z finite
+
+    def modulus(z: _PyComplex) -> np.ndarray:
+        m = abs(z)
+        overflow.append(np.isinf(m) & np.isfinite(z.real) & np.isfinite(z.imag))
+        return m
+
     with np.errstate(all="ignore"):
         mat = np.stack([np.stack([t_lr.array(), r_rl.array()], -1),
                         np.stack([r_lr.array(), t_rl.array()], -1)], -2)
@@ -217,55 +179,54 @@ def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool
                                           applicable=applicable, suite=suite))
 
         if local:
-            record("local", "local_equal_transmission", "T_lr = T_rl", fail.modulus(t_lr - t_rl))
+            record("local", "local_equal_transmission", "T_lr = T_rl", modulus(t_lr - t_rl))
 
         if cls.parity:
-            record("p", "p_equal_transmission", "S_RR = S_LL", fail.modulus(t_lr - t_rl))
-            record("p", "p_equal_reflection", "S_RL = S_LR", fail.modulus(r_rl - r_lr))
+            record("p", "p_equal_transmission", "S_RR = S_LL", modulus(t_lr - t_rl))
+            record("p", "p_equal_reflection", "S_RL = S_LR", modulus(r_rl - r_lr))
 
         if cls.parity_generalized and not cls.parity and cls.x0 is not None and k is not None:
-            kv = _PyComplex(fail.k)
-            fail.add(~((kv.real > 0) & np.isfinite(kv.real)),
-                     lambda i: ValueError(f"wave number must be finite and > 0, got {fail.k[i]}"))
+            kv = _PyComplex(_wavenumbers(ks)[0])
             arg = 1j * kv * cls.x0
-            fail.add(np.isinf(arg.imag), lambda i: ValueError("math domain error"))
+            overflow.append(np.isinf(arg.imag))
             record("p_generalized", "pg_equal_transmission", "S_RR = S_LL",
-                   fail.modulus(t_lr - t_rl))
+                   modulus(t_lr - t_rl))
             record("p_generalized", "pg_reflection_phase", "R_rl e^{ikX0} = R_lr e^{-ikX0}",
-                   fail.modulus(r_rl * arg.exp() - r_lr * (-1j * kv * cls.x0).exp()))
+                   modulus(r_rl * arg.exp() - r_lr * (-1j * kv * cls.x0).exp()))
 
         if cls.time_reversal:
             record("t", "t_reflection_moduli", "|S_LR| = |S_RL|",
-                   np.abs(fail.modulus(r_lr) - fail.modulus(r_rl)), all_nonzero)
+                   np.abs(modulus(r_lr) - modulus(r_rl)), all_nonzero)
             record("t", "t_transmission_product_real", "Im(T_rl conj(T_lr)) = 0",
                    np.abs((t_rl * t_lr.conjugate()).imag), all_nonzero)
-            record("t", "t_unimodular_det", "|det S| = 1", np.abs(fail.modulus(det) - 1.0),
+            record("t", "t_unimodular_det", "|det S| = 1", np.abs(modulus(det) - 1.0),
                    all_nonzero)
 
         if cls.hermitian and cls.time_reversal:
             record("hermitian_t", "ht_unitarity", "S^dag S = 1",
                    np.max(np.abs(np.conj(mat).transpose(0, 2, 1) @ mat - np.eye(2)), axis=(1, 2)))
-            record("hermitian_t", "ht_equal_transmission", "S_RR = S_LL", fail.modulus(t_lr - t_rl))
+            record("hermitian_t", "ht_equal_transmission", "S_RR = S_LL", modulus(t_lr - t_rl))
             record("hermitian_t", "ht_reflection_moduli", "|R_lr| = |R_rl|",
-                   np.abs(fail.modulus(r_lr) - fail.modulus(r_rl)))
+                   np.abs(modulus(r_lr) - modulus(r_rl)))
 
         if cls.pt:
             record("pt", "pt_inverse_conjugate", "S^-1 = S*",
                    np.max(np.abs(mat @ np.conj(mat) - np.eye(2)), axis=(1, 2)))
-            record("pt", "pt_unimodular_det", "|det S| = 1", np.abs(fail.modulus(det) - 1.0))
+            record("pt", "pt_unimodular_det", "|det S| = 1", np.abs(modulus(det) - 1.0))
             record("pt", "pt_transmission_moduli", "|T_lr| = |T_rl|",
-                   np.abs(fail.modulus(t_lr) - fail.modulus(t_rl)))
+                   np.abs(modulus(t_lr) - modulus(t_rl)))
             record("pt", "pt_reflection_product_real", "Im(R_rl conj(R_lr)) = 0",
                    np.abs((r_rl * r_lr.conjugate()).imag))
             if local:
                 record("pt", "pt_local_equal_transmission", "T_lr = T_rl",
-                       fail.modulus(t_lr - t_rl))
+                       modulus(t_lr - t_rl))
                 record("pt", "pt_local_lr_phase_lock", "R_lr conj(T_lr) + conj(R_lr) T_lr = 0",
-                       fail.modulus(r_lr * t_lr.conjugate() + r_lr.conjugate() * t_lr), all_nonzero)
+                       modulus(r_lr * t_lr.conjugate() + r_lr.conjugate() * t_lr), all_nonzero)
                 record("pt", "pt_local_rl_phase_lock", "R_rl conj(T_rl) + conj(R_rl) T_rl = 0",
-                       fail.modulus(r_rl * t_rl.conjugate() + r_rl.conjugate() * t_rl), all_nonzero)
+                       modulus(r_rl * t_rl.conjugate() + r_rl.conjugate() * t_rl), all_nonzero)
 
-    fail.raise_first()
+    _raise_first([(np.logical_or.reduce(overflow, initial=False),
+                   lambda i: TransferOverflow("a modulus or the phase k*x0 exceeded the float range"))], ks)
     if one:
         records = [replace(r, residual=float(r.residual[0]), holds=bool(r.holds[0]),
                            applicable=bool(r.applicable[0])) for r in records]
@@ -292,19 +253,16 @@ def exact_asymptotic_pt_check(s: ScatteringCoefficients, tol: float = 1e-10,
     combined transmission phases theta with T = e^{-i theta}, modulo 2 pi
     (the split between the eigenvalue phase and the incident-amplitude
     phase is not observable from S alone).  ``k``, the grid of a column S
-    matrix, only names the k of an error.
+    matrix, is not used: the test has no failure to name a k for.
     """
     (t_lr, r_lr, t_rl, r_rl), one = _columns(s)
-    fail = _Failures(k, len(t_lr.real))
-    is_exact = True
     with np.errstate(all="ignore"):
-        # the per-k test stops at its first false condition
-        for z, unit in ((r_lr, 0.0), (r_rl, 0.0), (t_lr, 1.0), (t_rl, 1.0)):
-            m = fail.modulus(z, reached=is_exact)
-            is_exact = is_exact & ((np.abs(m - 1.0) if unit else m) < tol)
-    theta_lr, theta_rl = fail.phases(t_lr), fail.phases(t_rl)
-    fail.raise_first()
+        is_exact = ((abs(r_lr) < tol) & (abs(r_rl) < tol)
+                    & (np.abs(abs(t_lr) - 1.0) < tol) & (np.abs(abs(t_rl) - 1.0) < tol))
+        theta_lr, theta_rl = (np.where((z.real == 0) & (z.imag == 0), np.nan,
+                                       np.mod(-COLUMN.atan2(z.imag, z.real), 2 * math.pi))
+                              for z in (t_lr, t_rl))
     if one:
-        return ExactPtResult(is_exact=bool(is_exact[0]), theta_lr=theta_lr[0], theta_rl=theta_rl[0])
-    return ExactPtResult(is_exact=is_exact, theta_lr=np.array(theta_lr),
-                         theta_rl=np.array(theta_rl))
+        return ExactPtResult(is_exact=bool(is_exact[0]), theta_lr=float(theta_lr[0]),
+                             theta_rl=float(theta_rl[0]))
+    return ExactPtResult(is_exact=is_exact, theta_lr=theta_lr, theta_rl=theta_rl)

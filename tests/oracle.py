@@ -1,0 +1,196 @@
+"""Per-k reference formulas for the closed forms.
+
+The package evaluates every closed form over a column of wave numbers.
+These are the same formulas written once more at one Python float k, with
+``math``, ``cmath`` and CPython's complex arithmetic, so that each column
+element can be checked against them bit for bit.  They raise where Python
+raises (``OverflowError`` from ``math.cosh``, ``ZeroDivisionError``, ...);
+the package raises a named ``ScatteringError`` at such a k, and at a k
+where these give a coefficient that is not finite.
+"""
+
+import cmath
+import math
+import sys
+
+import numpy as np
+
+from ptscatter import specfun
+from ptscatter.errors import NumeratorPole, PrecisionLoss, ResonancePole, TransferOverflow, TransmissionPole
+
+
+def smatrix(m_rr, m_rl, m_lr, m_ll, tol=1e-12) -> tuple:
+    """(T_lr, R_lr, T_rl, R_rl) from the transfer-matrix elements."""
+    if abs(m_rr) < tol:
+        raise TransmissionPole(f"|M_RR| = {abs(m_rr)} below {tol}")
+    det = m_rr * m_ll - m_rl * m_lr
+    return 1.0 / m_rr, m_lr / m_rr, det / m_rr, -m_rl / m_rr
+
+
+# -- square well, lattice ----------------------------------------------------------
+
+def square_well_elements(p, kv) -> tuple:
+    e = kv * kv
+    alpha = ((e + p.v0) ** 2 + p.v1 ** 2) ** 0.25
+    phi = 0.5 * math.atan2(p.v1, e + p.v0)
+    c = 2 * alpha * p.b * math.cos(phi)
+    s = 2 * alpha * p.b * math.sin(phi)
+    cp, sp = math.cos(phi), math.sin(phi)
+    even = cp * cp * math.cos(c) + sp * sp * math.cosh(s)
+    km = (kv * kv - alpha * alpha) / (2 * kv * alpha)
+    kp = (kv * kv + alpha * alpha) / (2 * kv * alpha)
+    odd = km * sp * math.sinh(s) + kp * cp * math.sin(c)
+    cross = sp * cp * (math.cos(c) - math.cosh(s))
+    off = km * cp * math.sin(c) + kp * sp * math.sinh(s)
+    return (cmath.exp(2j * kv * p.b) * (even - 1j * odd), 1j * (cross + off),
+            1j * (cross - off), cmath.exp(-2j * kv * p.b) * (even + 1j * odd))
+
+
+def square_well_coefficients(p, kv) -> tuple:
+    return smatrix(*square_well_elements(p, kv))
+
+
+def lattice_cell(p, kv) -> np.ndarray:
+    """The cell matrix T, the well's M with the per-period displacement phases."""
+    m_rr, m_rl, m_lr, m_ll = square_well_elements(p.well, kv)
+    a, b = p.a, p.well.b
+    return np.array([[m_rr * cmath.exp(-2j * kv * (a + b)), m_rl * cmath.exp(2j * kv * a)],
+                     [m_lr * cmath.exp(-2j * kv * a), m_ll * cmath.exp(2j * kv * (a + b))]])
+
+
+def checked(m):
+    biggest = np.max(np.abs(m))
+    if not np.isfinite(biggest) or biggest > 1e300:
+        raise TransferOverflow("transfer-matrix element exceeded 1e300")
+    return m
+
+
+def matrix_power(t, n):
+    """T^n by repeated squaring, raising where a product overflows."""
+    result, base = np.eye(2, dtype=complex), checked(t.copy())
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n:
+            if n & 1:
+                result = checked(result @ base)
+            n >>= 1
+            if n:
+                base = checked(base @ base)
+    return result
+
+
+def multi_well_transfer(p, kv) -> np.ndarray:
+    """conj(D(u1)) T^n D(u1 + n*period) at one n and one k by its own power of T."""
+    tn = matrix_power(lattice_cell(p, kv), p.n)
+    u1, v = p.u1, p.u1 + p.n * p.period
+    d_left = np.diag([cmath.exp(-1j * kv * u1), cmath.exp(1j * kv * u1)])
+    d_right = np.diag([cmath.exp(1j * kv * v), cmath.exp(-1j * kv * v)])
+    return d_left @ tn @ d_right
+
+
+def multi_well_coefficients(p, kv) -> tuple:
+    m = multi_well_transfer(p, kv)
+    return smatrix(*(complex(z) for z in m.ravel()))
+
+
+# -- Scarf -------------------------------------------------------------------------
+
+def is_gamma_pole(z, tol=specfun.POLE_TOL) -> bool:
+    n = round(z.real)
+    return n <= 0 and abs(z.real - n) <= tol and abs(z.imag) <= tol
+
+
+def gamma_ratio(numerator_args, denominator_args):
+    """exp(sum log Gamma(numerator) - sum log Gamma(denominator)): a pole
+    among the numerator arguments raises, among the denominator ones gives
+    0, and terms so large that their sum keeps an error above
+    ``specfun.CANCELLATION_TOL`` raise."""
+    for z in numerator_args:
+        if is_gamma_pole(z):
+            raise NumeratorPole(f"numerator gamma pole at z = {z}")
+    for z in denominator_args:
+        if is_gamma_pole(z):
+            return 0.0
+    logs = specfun._log_gammas(specfun._SCALAR, list(numerator_args) + list(denominator_args))
+    size = 0.0
+    for lg in logs:
+        size += abs(lg)
+    if size * sys.float_info.epsilon > specfun.CANCELLATION_TOL:
+        raise PrecisionLoss(f"log-gamma terms of total size {size:.3g} cancel; "
+                            f"the ratio would carry an error above {specfun.CANCELLATION_TOL:g}")
+    log_sum = 0.0 + 0.0j
+    for lg in logs[:len(numerator_args)]:
+        log_sum += lg
+    for lg in logs[len(numerator_args):]:
+        log_sum -= lg
+    return cmath.exp(log_sum)
+
+
+def scarf_reflection_factor(s, lam, kv) -> complex:
+    """R/T = cos(pi s) sinh(pi lam) / cosh(pi k) + i sin(pi s) cosh(pi lam) / sinh(pi k)."""
+    s = math.fmod(s, 2.0)
+    a = math.cos(math.pi * s) * cmath.sinh(math.pi * lam)
+    b = 1j * math.sin(math.pi * s) * cmath.cosh(math.pi * lam)
+    return a / math.cosh(math.pi * kv) + b / math.sinh(math.pi * kv)
+
+
+def scarf_coefficients(p, kv) -> tuple:
+    s, lam, ik, half = p.s, complex(p.lam), 1j * kv, 0.5
+    t = gamma_ratio((-s - ik, s + 1 - ik, half + 1j * lam - ik, half - 1j * lam - ik),
+                    (-ik, 1 - ik, half - ik, half - ik))
+    r_lr = t * scarf_reflection_factor(s, lam, kv) * math.exp(2 * kv * p.eps)
+    r_rl = t * scarf_reflection_factor(s, -lam, kv) * math.exp(-2 * kv * p.eps)
+    return t, r_lr, t, r_rl
+
+
+# -- Yamaguchi kernels ---------------------------------------------------------------
+
+def yamaguchi_j(alpha, beta, gamma, delta, k) -> complex:
+    """Int h e^{i beta x} e^{ik|x-y|} g e^{i alpha y} in closed form."""
+    gt = 2 * gamma / (gamma * gamma + (k - alpha) ** 2)
+    gt_m = 2 * gamma / (gamma * gamma + (k + alpha) ** 2)
+    c2 = 1.0 / (-gamma + 1j * (alpha - k)) + 1.0 / (gamma - 1j * (alpha + k))
+    c3 = 1.0 / (gamma + 1j * (alpha - k)) - 1.0 / (gamma + 1j * (alpha + k))
+    return (gt_m / (delta + 1j * (beta - k)) + gt / (delta - 1j * (beta + k))
+            + c3 / (gamma + delta + 1j * (alpha + beta)) + c2 / (gamma + delta - 1j * (alpha + beta)))
+
+
+def nonlocal_coefficients(kernel, kv) -> tuple:
+    """The coefficients of a Yamaguchi kernel, after every intermediate of
+    ``nonlocal_intermediates`` and its resonance checks."""
+    form = (kernel.alpha, kernel.beta, kernel.gamma, kernel.delta)
+    lam = kernel.lam
+    omega = lam / (2 * kv)
+    np_ = -0.5j / kv * yamaguchi_j(*form, kv)
+    nm_ = 0.5j / kv * yamaguchi_j(*form, -kv)
+    g_m, g_p = kernel.g_ft(kv - kernel.alpha), kernel.g_ft(kv + kernel.alpha)
+    h_p, h_m = kernel.h_ft(kv + kernel.beta), kernel.h_ft(kv - kernel.beta)
+    g1, g2 = g_m * h_p, g_p * h_m
+    den_plus = 1.0 - lam * np_
+    if abs(den_plus) < 1e-12 * max(1.0, abs(lam * np_)):
+        raise ResonancePole(f"1 - lam*N+ vanishes at k = {kv}")
+    den_minus = 1.0 - lam * nm_ + 1j * omega * (g2 + g1)
+    if abs(den_minus) < 1e-12 * max(1.0, abs(lam * nm_)):
+        raise ResonancePole(f"script-D denominator vanishes at k = {kv}")
+    d_plus = 1.0 / den_plus
+    script_d_minus = 1.0 / den_minus
+    t_rl = 1.0 - 1j * omega * g2 * script_d_minus
+    r_rl = -1j * omega * g_m * h_m * script_d_minus
+    intermediates = (np_, nm_, d_plus, script_d_minus, lam * (np_ + nm_) / 2, h_p * d_plus,
+                     (r_rl * h_p + t_rl * h_m) * (1.0 / (1.0 - lam * nm_)),
+                     g1 - g2 + lam * (np_ * g2 - nm_ * g1) + 1j * omega * g1 * (g2 + g1))
+    if not all(map(cmath.isfinite, intermediates)):
+        raise OverflowError("a non-local intermediate is not finite")
+    return (1.0 - 1j * omega * g_m * h_p * d_plus, -1j * omega * g_p * h_p * d_plus,
+            1.0 - 1j * omega * g_p * h_m * script_d_minus, -1j * omega * g_m * h_m * script_d_minus)
+
+
+# -- command-line moduli, phases -------------------------------------------------------
+
+def moduli(t_lr, r_lr, det) -> tuple:
+    """|T_lr|^2, |R_lr|^2 and |det S| as a scan row holds them."""
+    return abs(t_lr) ** 2, abs(r_lr) ** 2, abs(det)
+
+
+def phase(t) -> float:
+    """theta with t = |t| e^{-i theta}, in [0, 2 pi); NaN at t = 0."""
+    return (-math.atan2(t.imag, t.real)) % (2 * math.pi) if t != 0 else math.nan

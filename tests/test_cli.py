@@ -9,15 +9,24 @@ import numpy as np
 import pytest
 
 from ptscatter.cli import main
+from ptscatter.core import OUT_OF_RANGE
 
-
-# argv (before --kmax 240 --kcount 3) whose run raises an ArithmeticError, and the k it names
+# argv (before --kmax 240 --kcount 3) whose closed form leaves the float range, and the k it names
 ARITHMETIC_ERRORS = [
     (["scan", "--potential", "square-well", "--v1", "1e4", "--b", "10"], "0.2"),
     (["lattice", "--v1", "1e4", "--b", "10"], "0.2"),
     (["compare", "--potential", "square-well", "--v1", "1e4", "--b", "10"], "0.2"),
     (["scan", "--potential", "scarf", "--kmin", "220"], "230.0"),
     (["symmetry", "--potential", "scarf", "--kmin", "220"], "230.0"),
+]
+# argv whose closed form leaves the float range, and the first k where it does
+OUT_OF_RANGE_RUNS = [
+    (["scan", "--potential", "scarf", "--kmin", "230", "--kmax", "231", "--kcount", "2"], "230.0"),
+    (["scan", "--potential", "square-well", "--v1", "1e4", "--b", "10"], "0.2"),
+    (["scan", "--potential", "scarf", "--lambda-re", "300"], "0.2"),
+    (["symmetry", "--potential", "scarf", "--lambda-re", "300", "--kcount", "3"], "0.2"),
+    (["lattice", "--v1", "1e4", "--b", "10", "--kcount", "3"], "0.2"),
+    (["scan", "--potential", "yamaguchi", "--alpha", "1e300", "--kcount", "3"], "0.2"),
 ]
 SPECTRAL_SINGULARITY = ["lattice", "--v0", "1", "--v1", "13.078802475944913", "--b", "1",
                         "--kmin", "4.0", "--kmax", "4.164331013127829", "--kcount", "2",
@@ -486,6 +495,11 @@ class TestConfigAndErrors:
         reported = [line for line in capsys.readouterr().err.splitlines()
                     if line.startswith("solver error")]
         assert len(reported) == 1 and reported[0].startswith(f"solver error at k = {k}: ")
+
+    @pytest.mark.parametrize("argv, k", OUT_OF_RANGE_RUNS)
+    def test_out_of_range_is_a_named_solver_error(self, argv, k, capsys):
+        assert run_cli(argv + ["--out", os.devnull]) == 3
+        assert capsys.readouterr().err == f"solver error at k = {k}: {OUT_OF_RANGE}\n"
 
     def test_import_does_not_load_scipy_integrate(self):
         code = "import sys, ptscatter.cli; print('scipy.integrate' in sys.modules)"

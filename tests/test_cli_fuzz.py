@@ -54,6 +54,16 @@ def invocations(draw):
            "--out", os.devnull], None))
 @example((["scan", "--potential", "multi-well", "--a=1e308", "--b=1e300", "--n", "3",
            "--kcount", "2", "--out", os.devnull], None))
+# closed forms that leave the float range are solver errors
+@example((["scan", "--potential", "scarf", "--kmin", "230", "--kmax", "231", "--kcount", "2",
+           "--out", os.devnull], None))
+@example((["scan", "--potential", "square-well", "--v1", "1e4", "--b", "10", "--out", os.devnull], None))
+@example((["scan", "--potential", "scarf", "--lambda-re", "300", "--out", os.devnull], None))
+@example((["symmetry", "--potential", "scarf", "--lambda-re", "300", "--kcount", "3",
+           "--out", os.devnull], None))
+@example((["lattice", "--v1", "1e4", "--b", "10", "--kcount", "3", "--out", os.devnull], None))
+@example((["scan", "--potential", "yamaguchi", "--alpha", "1e300", "--kcount", "3",
+           "--out", os.devnull], None))
 def test_exit_code_contract(invocation):
     argv, config = invocation
     if config is None:

@@ -1,24 +1,29 @@
 """Closed forms, relation checks and writers over a whole k grid.
 
-A grid call must give, bit for bit, what a loop over k gives (every cell,
-signed zeros included), and raise what that loop raises first: the same
-error class and message, at the lowest failing k.
+A grid call must give, bit for bit, what the per-k formulas of ``oracle``
+give in a loop over k (every cell, signed zeros included).  At the first k
+where that loop raises or gives a coefficient that is not finite, the grid
+call raises a ScatteringError naming that k: the loop's own error, class
+and message, where the loop raised a ScatteringError.
 """
 
+import cmath
 import json
 import math
 import subprocess
 import sys
 
 import numpy as np
+import oracle
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptscatter import separable
 from ptscatter.cli import CHUNK_ROWS, _json_document, _json_table, _moduli, _write, main
-from ptscatter.core import SCALAR, ScatteringCoefficients, _PyComplex
-from ptscatter.errors import NumeratorPole, ResonancePole, ScatteringError, TransmissionPole
+from ptscatter.core import ScatteringCoefficients, _PyComplex
+from ptscatter.errors import (NumeratorPole, ResonancePole, ScatteringError, TransferOverflow,
+                              TransmissionPole)
 from ptscatter.potentials import (
     CentrifugalParams,
     LatticeParams,
@@ -44,30 +49,43 @@ def same_float(a, b) -> bool:
     return (math.isnan(a) and math.isnan(b)) or a.view(np.uint64) == b.view(np.uint64)
 
 
-def per_k(fn, ks):
-    """Records of a loop over k, or (error, k) of its first failure."""
+def per_k(fn, ks, finite=lambda record: all(map(cmath.isfinite, record))):
+    """Records of a loop over k, or (error, k) of its first failure: where
+    fn raises (the error) or gives a record that is not ``finite`` (None)."""
     records = []
     for k in ks:
         try:
-            records.append(fn(float(k)))
-        except (ScatteringError, ArithmeticError) as exc:
+            record = fn(float(k))
+        except (ScatteringError, ArithmeticError, ValueError) as exc:
             return exc, float(k)
+        if not finite(record):
+            return None, float(k)
+        records.append(record)
     return records
 
 
-def assert_grid_matches(fn, ks):
-    expected = per_k(fn, ks)
+def assert_raises_like(call, failure):
+    """call() raises at the k of the loop's first failure: the loop's error
+    where that is a ScatteringError, else any ScatteringError."""
+    exc, k = failure
+    with pytest.raises(ScatteringError) as info:
+        call()
+    assert info.value.k == k
+    if isinstance(exc, ScatteringError):
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+
+
+def assert_grid_matches(fn, reference, ks):
+    """fn over the grid ks against the per-k ``reference`` (T_lr, R_lr, T_rl, R_rl)."""
+    expected = per_k(reference, ks)
     if isinstance(expected, tuple):
-        exc, k = expected
-        with pytest.raises(type(exc)) as info:
-            fn(np.asarray(ks))
-        assert str(info.value) == str(exc) and info.value.k == k
+        assert_raises_like(lambda: fn(np.asarray(ks)), expected)
         return
     grid = fn(np.asarray(ks))
-    for name in FIELDS:
-        assert np.array_equal(bits(getattr(grid, name)),
-                              bits([getattr(c, name) for c in expected])), name
-    assert np.array_equal(bits(grid.det), bits([c.det for c in expected]))
+    for i, name in enumerate(FIELDS):
+        assert np.array_equal(bits(getattr(grid, name)), bits([c[i] for c in expected])), name
+    assert np.array_equal(bits(grid.det), bits([t_lr * t_rl - r_rl * r_lr
+                                                for t_lr, r_lr, t_rl, r_rl in expected]))
 
 
 def finite(lo, hi):
@@ -86,39 +104,68 @@ class TestGridEqualsLoopOverK:
     @given(finite(0, 50), finite(-50, 50), finite(0.01, 10), grids(1e-6, 300))
     def test_square_well(self, v0, v1, b, ks):
         p = SquareWellParams(v0, v1, b)
-        assert_grid_matches(lambda k: square_well_coefficients(p, k), ks)
+        assert_grid_matches(lambda k: square_well_coefficients(p, k),
+                            lambda k: oracle.square_well_coefficients(p, k), ks)
 
     @SETTINGS
     @given(finite(0, 5), st.one_of(finite(-2, 2), finite(-50, 50)), finite(0.1, 2), finite(0.1, 2),
            st.integers(1, 600), grids(1e-3, 20))
     def test_multi_well(self, v0, v1, b, a, n, ks):
         p = LatticeParams(SquareWellParams(v0, v1, b), a=a, n=n)
-        assert_grid_matches(lambda k: multi_well_coefficients(p, k), ks)
+        assert_grid_matches(lambda k: multi_well_coefficients(p, k),
+                            lambda k: oracle.multi_well_coefficients(p, k), ks)
 
     @SETTINGS
     @given(st.one_of(finite(-1.99, 1.99), finite(-1e6, 1e6)), finite(-10, 10), finite(-10, 10),
            finite(-1.5, 1.5), grids(1e-14, 300))
     def test_scarf(self, s, lam_re, lam_im, eps, ks):
         p = ScarfParams(s=s, lam=complex(lam_re, lam_im), eps=eps)
-        assert_grid_matches(lambda k: scarf_coefficients(p, k), ks)
+        assert_grid_matches(lambda k: scarf_coefficients(p, k),
+                            lambda k: oracle.scarf_coefficients(p, k), ks)
 
     @SETTINGS
     @given(finite(0.01, 10), finite(0.01, 10), finite(-10, 10), finite(-10, 10), finite(-50, 50),
            grids(1e-6, 1e4))
+    # alpha + beta = 0, the default kernel and every hermitian one: the
+    # closed form divides by the real gamma + delta + i (alpha + beta)
+    @example(1.0, 2.0, 0.0, 0.0, 1.0, [0.2, 1.3, 4.0])
+    @example(1.0, 1.0, 0.3, -0.3, -2.5, [0.2, 1.3, 4.0])
     def test_yamaguchi(self, gamma, delta, alpha, beta, lam, ks):
         kernel = separable.SeparableKernel.yamaguchi(gamma=gamma, delta=delta, alpha=alpha,
                                                      beta=beta, lam=lam)
-        assert_grid_matches(lambda k: separable.nonlocal_coefficients(kernel, k), ks)
+        assert_grid_matches(lambda k: separable.nonlocal_coefficients(kernel, k),
+                            lambda k: oracle.nonlocal_coefficients(kernel, k), ks)
 
     @SETTINGS
     @given(finite(-0.2, 5), finite(0.01, 1), grids(1e-6, 300))
     def test_centrifugal(self, strength, eps, ks):
         p = CentrifugalParams(alpha_strength=strength, eps=eps)
-        assert_grid_matches(lambda k: centrifugal_coefficients(p, k), ks)
+        assert_grid_matches(lambda k: centrifugal_coefficients(p, k), lambda k: (1.0, 0.0, 1.0, 0.0), ks)
 
     def test_scalar_k_gives_python_complex(self):
         c = square_well_coefficients(SquareWellParams(1.0, 0.5, 1.0), 1.3)
         assert all(type(getattr(c, name)) is complex for name in FIELDS)
+
+    def test_scalar_det_is_python_complex_and_overflows_silently(self):
+        big = complex(1e200, 1e200)
+        c = ScatteringCoefficients(big, 0j, big, 1e-300j)
+        assert type(c.det) is complex and repr(c.det) == repr(big * big - 1e-300j * 0j)
+        assert type(square_well_coefficients(SquareWellParams(1.0, 0.5, 1.0), 1.3).det) is complex
+
+    @pytest.mark.parametrize("fn", [
+        lambda k: square_well_coefficients(SquareWellParams(1.0, 0.5, 1.0), k),
+        lambda k: multi_well_coefficients(LatticeParams(SquareWellParams(1.0, 0.5, 1.0), 0.5, 3), k),
+        lambda k: scarf_coefficients(ScarfParams(1.3, 0.7j, 0.2), k),
+        lambda k: centrifugal_coefficients(CentrifugalParams(1.0, 0.1), k),
+        lambda k: separable.nonlocal_coefficients(
+            separable.SeparableKernel.yamaguchi(1.0, 2.0, 0.3, 0.7), k)],
+        ids=["square-well", "multi-well", "scarf", "centrifugal", "yamaguchi"])
+    def test_scalar_k_is_the_one_element_grid(self, fn):
+        # a scalar k is the one-element grid, as Python complex numbers
+        one, grid = fn(1.3), fn(np.array([0.4, 1.3]))
+        for name in FIELDS:
+            assert type(getattr(one, name)) is complex
+            assert np.array_equal(bits([getattr(one, name)]), bits(getattr(grid, name)[1:]))
 
 
 class TestErrorsAtTheLowestFailingK:
@@ -128,7 +175,8 @@ class TestErrorsAtTheLowestFailingK:
         k_pole = 4.164331013127829
         with pytest.raises(TransmissionPole):
             square_well_coefficients(p, k_pole)
-        assert_grid_matches(lambda k: square_well_coefficients(p, k), [1.0, k_pole, 5.0])
+        assert_grid_matches(lambda k: square_well_coefficients(p, k),
+                            lambda k: oracle.square_well_coefficients(p, k), [1.0, k_pole, 5.0])
 
     def test_numerator_pole_below_an_overflow(self):
         # integer s puts -s - ik on a pole at k ~ 0; cosh(pi k) overflows at 230
@@ -136,15 +184,17 @@ class TestErrorsAtTheLowestFailingK:
         with pytest.raises(NumeratorPole) as info:
             scarf_coefficients(p, np.array([1e-13, 1.0, 230.0]))
         assert info.value.k == 1e-13
-        assert_grid_matches(lambda k: scarf_coefficients(p, k), [1e-13, 1.0, 230.0])
+        assert_grid_matches(lambda k: scarf_coefficients(p, k),
+                            lambda k: oracle.scarf_coefficients(p, k), [1e-13, 1.0, 230.0])
 
     def test_overflow_below_a_cancellation(self):
         # the later stage (cosh) fails at the lower k, the earlier (log-gamma) at the higher
         p = ScarfParams(s=1.3, lam=0.7)
-        with pytest.raises(OverflowError) as info:
+        with pytest.raises(TransferOverflow, match="exceeded the float range") as info:
             scarf_coefficients(p, np.array([0.5, 230.0, 1e7]))
         assert info.value.k == 230.0
-        assert_grid_matches(lambda k: scarf_coefficients(p, k), [0.5, 230.0, 1e7])
+        assert_grid_matches(lambda k: scarf_coefficients(p, k),
+                            lambda k: oracle.scarf_coefficients(p, k), [0.5, 230.0, 1e7])
 
     def test_lowest_failing_k_is_named_by_the_cli(self, capsys):
         assert main(["scan", "--potential", "scarf", "--s", "1", "--kmin", "1e-13",
@@ -152,33 +202,34 @@ class TestErrorsAtTheLowestFailingK:
         assert capsys.readouterr().err.startswith("solver error at k = 1e-13: numerator gamma pole")
         assert main(["scan", "--potential", "scarf", "--kmin", "230", "--kmax", "1e7",
                      "--kcount", "2", "--out", "/dev/null"]) == 3
-        assert capsys.readouterr().err == "solver error at k = 230.0: math range error\n"
+        assert capsys.readouterr().err == ("solver error at k = 230.0: a closed-form "
+                                           "intermediate exceeded the float range\n")
 
     def test_denominator_gamma_pole_gives_zero(self):
         p = ScarfParams(s=0.3, lam=0.7)
         c = scarf_coefficients(p, np.array([1e-13, 1.0]))
         assert c.t_lr[0] == 0
-        assert_grid_matches(lambda k: scarf_coefficients(p, k), [1e-13, 1.0])
+        assert_grid_matches(lambda k: scarf_coefficients(p, k),
+                            lambda k: oracle.scarf_coefficients(p, k), [1e-13, 1.0])
 
     def test_resonance_pole(self, monkeypatch):
         kernel = separable.SeparableKernel.yamaguchi(gamma=1.0, delta=2.0, alpha=0.3, beta=0.7,
                                                      lam=1.5)
-        k_pole, original = 1.25, separable._yamaguchi_j
+        # N+ = 1/lam at k_pole, so that 1 - lam*N+ vanishes there
+        k_pole, pole = 1.25, 2j * 1.25 / kernel.lam
+        column_j, scalar_j = separable._yamaguchi_j, oracle.yamaguchi_j
 
-        def j_with_pole(alpha, beta, gamma, delta, k, f=SCALAR):
-            # N+ = 1/lam at k_pole, so that 1 - lam*N+ vanishes there
-            j, pole = original(alpha, beta, gamma, delta, k, f), 2j * k_pole / kernel.lam
-            if f is SCALAR:
-                return pole if k == k_pole else j
-            j = _PyComplex.of(j)
-            at = np.asarray(k) == k_pole
+        def j_with_pole(alpha, beta, gamma, delta, k):
+            j, at = column_j(alpha, beta, gamma, delta, k), k == k_pole
             return _PyComplex(np.where(at, pole.real, j.real), np.where(at, pole.imag, j.imag))
 
         monkeypatch.setattr(separable, "_yamaguchi_j", j_with_pole)
+        monkeypatch.setattr(oracle, "yamaguchi_j", lambda *form: pole if form[-1] == k_pole
+                            else scalar_j(*form))
         with pytest.raises(ResonancePole):
             separable.nonlocal_coefficients(kernel, k_pole)
         assert_grid_matches(lambda k: separable.nonlocal_coefficients(kernel, k),
-                            [0.5, k_pole, 2.0])
+                            lambda k: oracle.nonlocal_coefficients(kernel, k), [0.5, k_pole, 2.0])
 
 
 class TestRelationColumns:
@@ -194,16 +245,13 @@ class TestRelationColumns:
         per = [ScatteringCoefficients(complex(a, b), complex(c, d), complex(e, f), complex(g, h))
                for a, b, c, d, e, f, g, h in rows]
         grid = ScatteringCoefficients(*(np.array([getattr(s, n) for s in per]) for n in FIELDS))
-        relations = per_k(lambda j: check_s_relations(per[int(j)], cls, local=local, k=ks[int(j)]),
-                          range(len(per)))
-        exact = per_k(lambda j: exact_asymptotic_pt_check(per[int(j)]), range(len(per)))
+        relations = per_k(lambda k: check_s_relations(per[list(ks).index(k)], cls, local=local, k=k),
+                          ks, finite=bool)
+        exact = per_k(lambda k: exact_asymptotic_pt_check(per[list(ks).index(k)], k=k), ks, finite=bool)
         for expected, call in ((relations, lambda: check_s_relations(grid, cls, local=local, k=ks)),
                                (exact, lambda: exact_asymptotic_pt_check(grid, k=ks))):
             if isinstance(expected, tuple):
-                exc, j = expected
-                with pytest.raises(type(exc)) as info:
-                    call()
-                assert str(info.value) == str(exc) and info.value.k == ks[int(j)]
+                assert_raises_like(call, expected)
                 continue
             got = call()
             for j, one in enumerate(expected):
@@ -216,22 +264,90 @@ class TestRelationColumns:
                     assert bool(got.is_exact[j]) == one.is_exact
                     assert same_float(got.theta_lr[j], one.theta_lr)
                     assert same_float(got.theta_rl[j], one.theta_rl)
+                    assert same_float(one.theta_lr, oracle.phase(per[j].t_lr))
+                    assert same_float(one.theta_rl, oracle.phase(per[j].t_rl))
 
     def test_underflowing_phase_names_its_k(self):
-        # cmath.phase raises where the angle underflows, here at the second k
-        t = np.array([1.0 + 0j, complex(2.0, 5e-324), complex(2.0, 5e-324)])
+        # the angle of the second and third t underflows: a subnormal number, or zero
+        t = np.array([1.0 + 0j, complex(2.0, 5e-324), complex(-2.0, -1e-310)])
         s = ScatteringCoefficients(t, np.zeros(3, complex), t, np.zeros(3, complex))
-        with pytest.raises(OverflowError, match="math range error") as info:
-            exact_asymptotic_pt_check(s, k=np.array([1.0, 2.0, 3.0]))
-        assert info.value.k == 2.0
+        got = exact_asymptotic_pt_check(s, k=np.array([1.0, 2.0, 3.0]))
+        assert np.all(np.isfinite(got.theta_lr))
+        assert all(same_float(a, oracle.phase(z)) for a, z in zip(got.theta_lr, t.tolist()))
 
     def test_modulus_overflow_names_its_k(self):
         big = complex(1.5e308, 1.5e308)
         s = ScatteringCoefficients(np.array([0.5 + 0j, 0.5, big]), np.zeros(3, complex),
                                    np.array([0.5 + 0j, big, big]), np.zeros(3, complex))
-        with pytest.raises(OverflowError, match="absolute value too large") as info:
+        with pytest.raises(TransferOverflow, match="a modulus or the phase") as info:
             check_s_relations(s, SymmetryClass(), local=True, k=np.array([1.0, 2.0, 3.0]))
         assert info.value.k == 2.0
+        # a scalar k is the k of every column element
+        with pytest.raises(TransferOverflow, match="a modulus or the phase") as info:
+            check_s_relations(s, SymmetryClass(), local=True, k=1.5)
+        assert info.value.k == 1.5
+
+
+def wide(hi):
+    """Magnitudes from 1e-3 to hi, of either sign."""
+    return st.floats(-3, math.log10(hi)).map(lambda e: 10 ** e).flatmap(lambda m: st.sampled_from([m, -m]))
+
+
+def assert_total(fn, ks):
+    """fn over the grid gives finite columns, or a ScatteringError naming a k
+    of the grid; no other exception."""
+    try:
+        c = fn(np.asarray(ks))
+    except ScatteringError as exc:
+        assert exc.k in ks
+        return
+    assert all(np.all(np.isfinite(getattr(c, name))) for name in FIELDS)
+
+
+TOTALITY = settings(max_examples=40, deadline=None)
+
+
+class TestTotality:
+    """Every closed form is total over wide boxes of its parameters."""
+
+    @TOTALITY
+    @given(wide(1e6), wide(1e6), wide(50), grids(1e-6, 1e4))
+    def test_square_well(self, v0, v1, b, ks):
+        p = SquareWellParams(abs(v0), v1, abs(b))
+        assert_total(lambda k: square_well_coefficients(p, k), ks)
+
+    @TOTALITY
+    @given(wide(1e6), wide(1e6), wide(50), wide(50), st.integers(1, 600), grids(1e-6, 1e4))
+    def test_multi_well(self, v0, v1, b, a, n, ks):
+        p = LatticeParams(SquareWellParams(abs(v0), v1, abs(b)), a=abs(a), n=n)
+        assert_total(lambda k: multi_well_coefficients(p, k), ks)
+
+    @TOTALITY
+    @given(wide(1e3), wide(1e3), wide(1e3), finite(-1.5, 1.5), grids(1e-6, 1e4))
+    def test_scarf(self, s, lam_re, lam_im, eps, ks):
+        p = ScarfParams(s=s, lam=complex(lam_re, lam_im), eps=eps)
+        assert_total(lambda k: scarf_coefficients(p, k), ks)
+
+    @TOTALITY
+    @given(wide(1e3), wide(1e3), wide(1e300), wide(1e300), wide(1e3), grids(1e-6, 1e4))
+    def test_yamaguchi(self, gamma, delta, alpha, beta, lam, ks):
+        kernel = separable.SeparableKernel.yamaguchi(gamma=abs(gamma), delta=abs(delta),
+                                                     alpha=alpha, beta=beta, lam=lam)
+        assert_total(lambda k: separable.nonlocal_coefficients(kernel, k), ks)
+
+    @TOTALITY
+    @given(wide(1e6), wide(1e3), grids(1e-6, 1e4))
+    def test_centrifugal(self, strength, eps, ks):
+        p = CentrifugalParams(alpha_strength=strength, eps=eps)
+        assert_total(lambda k: centrifugal_coefficients(p, k), ks)
+
+
+class TestPyComplex:
+    def test_quotient_by_a_real_or_an_imaginary_scalar(self):
+        # a scalar divisor with a zero part: one branch divides by that part
+        z = _PyComplex(np.array([1.5, -0.0, 3e-310, 2.0]), np.array([-2.0, 1.0, 0.5, -0.0]))
+        for b in (2.5, -0.75j, complex(0.5, 0.0), complex(-0.0, 3.0)):
+            assert np.array_equal(bits((z / b).array()), bits([w / b for w in z.array().tolist()]))
 
 
 def parts_wide():
@@ -247,17 +363,11 @@ class TestModuliColumns:
         ks = np.linspace(0.3, 3.0, len(rows)).tolist()
         c = ScatteringCoefficients(*(np.array([complex(r[2 * i], r[2 * i + 1]) for r in rows])
                                      for i in range(4)))
-        expected = []
         with np.errstate(over="ignore", invalid="ignore"):
-            dets = c.det.tolist()
-        abs(0j)     # a loop from a clean errno (Python's abs reads it at a NaN part)
-        try:
-            for t, r, d in zip(c.t_lr.tolist(), c.r_lr.tolist(), dets):
-                expected.append((abs(t) ** 2, abs(r) ** 2, abs(d)))
-        except ArithmeticError as exc:
-            with pytest.raises(type(exc)) as info:
-                _moduli(ks, c)
-            assert str(info.value) == str(exc) and info.value.k == ks[len(expected)]
+            at = dict(zip(ks, zip(c.t_lr.tolist(), c.r_lr.tolist(), c.det.tolist())))
+        expected = per_k(lambda k: oracle.moduli(*at[k]), ks)
+        if isinstance(expected, tuple):
+            assert_raises_like(lambda: _moduli(ks, c), expected)
             return
         got = _moduli(ks, c)
         for j, row in enumerate(expected):

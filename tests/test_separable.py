@@ -6,6 +6,7 @@ integro-differential equation (finite differences plus quadrature).
 """
 
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -21,7 +22,8 @@ from ptscatter import (
     nonlocal_intermediates,
     nonlocal_wavefunction,
 )
-from ptscatter.errors import ResonancePole
+from ptscatter.core import _PyComplex
+from ptscatter.errors import QuadratureFailure, ResonancePole
 
 SYMMETRIC = SeparableKernel.yamaguchi(gamma=1.0, delta=1.0, alpha=0.5, beta=0.5, lam=1.0)
 ASYMMETRIC = SeparableKernel.yamaguchi(gamma=1.0, delta=2.0, alpha=0.3, beta=0.7, lam=1.0)
@@ -178,9 +180,30 @@ class TestCoefficients:
         import ptscatter.separable as sep
 
         kernel = SeparableKernel.yamaguchi(gamma=1.0, delta=1.0, lam=2.0)
-        monkeypatch.setattr(sep, "compute_n", lambda ker, sign, k: 0.5 + 0.0j)
+        half = _PyComplex(np.array([0.5]), np.array([0.0]))
+        monkeypatch.setattr(sep, "_yamaguchi_n", lambda ker, ks: (half, half))
         with pytest.raises(ResonancePole):
             sep.nonlocal_intermediates(kernel, 1.0)
+
+    def test_quadrature_failure_names_its_k(self, monkeypatch):
+        """A generic kernel's quadrature failure at the second k of a grid is
+        raised as itself, naming that k."""
+        import ptscatter.separable as sep
+
+        generic = SeparableKernel.from_form_factors(
+            g=lambda x: math.exp(-abs(x)), h=lambda y: math.exp(-2 * abs(y)),
+            alpha=0.3, beta=0.7, lam=1.0, support=40.0)
+
+        def compute_n_failing_at_2(kernel, sign, k):
+            if k == 2.0:
+                raise QuadratureFailure(f"quadrature error 1.00e-03 too large for N {sign}")
+            return 0.1j
+
+        monkeypatch.setattr(sep, "compute_n", compute_n_failing_at_2)
+        for fn in (nonlocal_coefficients, nonlocal_intermediates):
+            with pytest.raises(QuadratureFailure, match="too large for N plus") as info:
+                fn(generic, np.array([1.0, 2.0, 3.0]))
+            assert info.value.k == 2.0
 
 
 class TestKernelClassification:
@@ -230,6 +253,7 @@ def integro_differential_residual(kernel, k, direction, h=0.01, span=5.0):
 
     L = kernel.support
 
+    @functools.lru_cache(maxsize=None)     # the two quadratures share their nodes
     def psi_at(y):
         return nonlocal_wavefunction(kernel, k, direction, np.array([y])).psi[0]
 
