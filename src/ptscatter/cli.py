@@ -389,7 +389,9 @@ def build_problem(args) -> Problem:
     data = np.loadtxt(args.samples_file, delimiter=",", ndmin=2)
     if data.shape[1] < 3:
         raise ConfigError("samples file needs columns x, re(V), im(V)")
-    pot = sampled_potential(data[:, 0], data[:, 1] + 1j * data[:, 2])
+    v = data[:, 1].astype(complex)
+    v.imag = data[:, 2]                 # no 1j * inf = nan + inf j for an infinite Im V
+    pot = sampled_potential(data[:, 0], v)
     return Problem(kind=kind, label={"kind": kind, "samples_file": args.samples_file},
                    coefficients=_integrated(pot, args.step), local=True, potential=lambda: pot)
 

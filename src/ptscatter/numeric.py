@@ -3,15 +3,14 @@
 Brute-force oracle for the analytic catalog: two solutions are started as
 exact plane waves e^{+-ikx} in the free region left of the support,
 propagated across it, and their plane-wave amplitudes are read off from
-(psi, psi') on the far side.  Fixed-step RK4 with steps aligned to
-potential discontinuities is the default; an adaptive mode built on
-scipy's DOP853 exists for potentials with sharp but smooth features.
+(psi, psi') on the far side.
 
-Each RK4 step is linear in (psi, psi'), so it is a 2x2 matrix per k.  The
-fixed-step mode samples V on the whole half-step grid in one call, builds
-the step matrices for a block of steps in one array pass, and composes
-them by pairwise products (prefix products when every node is recorded);
-the result is the per-step RK4 recursion up to rounding.
+One propagator: the fourth-order Magnus step (Blanes, Casas, Oteo & Ros,
+Phys. Rep. 470 (2009) 151) on fixed steps aligned to potential
+discontinuities, with V at the two Gauss nodes of each step; it is exact
+where V is constant on a step.  V is sampled for the whole sweep in one
+call, and the 2x2 step matrices per k are composed in blocks by pairwise
+products (prefix products when every node is recorded).
 """
 
 from __future__ import annotations
@@ -76,16 +75,12 @@ class IntegrationConfig:
     """
 
     step: float = 1e-3
-    method: str = "rk4"  # "rk4" (fixed step) or "adaptive"
-    rtol: float = 1e-10
     decay_tol: float = 1e-14
     match_margin: float = 1.0
 
     def __post_init__(self):
         if not self.step > 0:
             raise ValueError("step must be > 0")
-        if self.method not in ("rk4", "adaptive"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -118,50 +113,58 @@ def _check_decay(v: LocalPotential, cfg: IntegrationConfig):
                 f"|V({x})| = {abs(v.evaluate(x)):.3e} >= decay_tol {cfg.decay_tol}")
 
 
-def _rk4_increment(psi, dpsi, w, h):
-    """Change of (psi, psi') over one RK4 step for psi'' = w * psi.
-
-    ``w`` holds V - E at the step start, midpoint and end; all arguments
-    broadcast, so one call covers many steps, solutions and k.
-    """
-    w0, w1, w2 = w
-    k1p = dpsi
-    k1d = w0 * psi
-    k2p = dpsi + (h / 2) * k1d
-    k2d = w1 * (psi + (h / 2) * k1p)
-    k3p = dpsi + (h / 2) * k2d
-    k3d = w1 * (psi + (h / 2) * k2p)
-    k4p = dpsi + h * k3d
-    k4d = w2 * (psi + h * k3p)
-    return (h / 6) * (k1p + 2 * k2p + 2 * k3p + k4p), (h / 6) * (k1d + 2 * k2d + 2 * k3d + k4d)
-
-
 #: steps x wave numbers per block of step matrices (bounds the block's memory)
 _BLOCK_SIZE = 4096
+#: most steps one sweep may take: its grid and V samples are allocated whole
+MAX_STEPS = 10 ** 7
+#: Gauss nodes of a step, as offsets from its midpoint in units of its width
+_GAUSS = np.array([[-0.5 / np.sqrt(3.0)], [0.5 / np.sqrt(3.0)]])
 
 
 def _step_grid(v: LocalPotential, cfg: IntegrationConfig):
-    """Width, end node and V at start/midpoint/end of every RK4 step.
+    """Width, end node and V at the two Gauss nodes of every step.
 
-    Returns (h, x_end, vv) with vv of shape (3, nsteps); V is sampled on
-    the whole half-step grid in one ``sample`` call.
+    Returns (h, x_end, vv) with vv of shape (2, nsteps); V is sampled at
+    every node of the sweep in one ``sample`` call.  A sweep of more than
+    MAX_STEPS steps raises ValueError before anything is allocated.
     """
-    hs, ends, xs, starts = [], [], [], []
-    offset = 0
-    for a, c in _segments(v, cfg):
-        n = max(1, int(np.ceil((c - a) / cfg.step)))
+    segments = _segments(v, cfg)
+    counts = [max(1.0, np.ceil((c - a) / cfg.step)) for a, c in segments]
+    if not sum(counts) <= MAX_STEPS:
+        raise ValueError(f"step {cfg.step} cuts [{segments[0][0]}, {segments[-1][1]}] into "
+                         f"{sum(counts):.4g} steps, more than the {MAX_STEPS} one sweep may take")
+    hs, ends, mids = [], [], []
+    for (a, c), n in zip(segments, map(int, counts)):
         h = (c - a) / n
-        # half-grid potential samples, nudged inside so one-sided values
-        # are used at the segment edges
-        nudge = 1e-9 * (c - a)
-        xs.append(np.clip(a + (h / 2) * np.arange(2 * n + 1), a + nudge, c - nudge))
         hs.append(np.full(n, h))
         ends.append(a + np.arange(1, n + 1) * h)
-        starts.append(offset + 2 * np.arange(n))
-        offset += 2 * n + 1
-    vv = v.sample(np.concatenate(xs))
-    i = np.concatenate(starts)
-    return np.concatenate(hs), np.concatenate(ends), np.stack([vv[i], vv[i + 1], vv[i + 2]])
+        mids.append(a + np.arange(0.5, n) * h)
+    hs, mids = np.concatenate(hs), np.concatenate(mids)
+    vv = v.sample((mids + _GAUSS * hs).ravel()).reshape(2, -1)
+    return hs, np.concatenate(ends), vv
+
+
+def _magnus_steps(h, v, ks, kappa):
+    """exp(Omega) - I of the fourth-order Magnus step, stacked as (2, 2, steps, nk).
+
+    ``h`` (steps, 1) holds the step widths, ``v`` (2, steps, 1) V at each
+    step's two Gauss nodes.  In (psi, psi'), Omega = [[c, h], [h (w1 + w2) / 2, -c]]
+    with w = V - k^2 and c = (sqrt 3 / 12) h^2 (w1 - w2).  The state is held
+    as (alpha, beta), psi = alpha + beta and psi' = i kappa (alpha - beta),
+    where Omega = [[i kappa h + n, c + n], [c - n, -i kappa h - n]] with
+    n = h (V1 + V2) / (4 i kappa) + (i h / 2) (k - kappa)(k + kappa) / kappa.
+    Omega^2 = theta^2 I, so exp(Omega) - I = 2 sinh^2(theta / 2) I + (sinh theta / theta) Omega.
+    """
+    v1, v2 = v
+    c = (np.sqrt(3.0) / 12) * h * h * (v1 - v2)
+    n = h * (v1 + v2) / (4j * kappa) + 0.5j * h * (ks - kappa) * (ks + kappa) / kappa
+    theta = np.sqrt(c * c + h * h * ((v1 + v2) / 2 - ks * ks))
+    sinhc = np.sinh(theta) / np.where(theta == 0, 1, theta)
+    sinhc[theta == 0] = 1
+    diag = 2 * np.sinh(theta / 2) ** 2
+    p = 1j * kappa * h + n
+    return np.stack([np.stack([diag + sinhc * p, sinhc * (c + n)]),
+                     np.stack([sinhc * (c - n), diag - sinhc * p])])
 
 
 def _compose(b, a):
@@ -204,100 +207,48 @@ def _prefix_products(d):
     return d
 
 
-def _propagate_rk4(v, ks, cfg, record):
-    """Propagate both basis solutions for every k at once.
+def _propagate(v, ks, cfg, record=False):
+    """Propagate the solutions started as e^{ikx} and e^{-ikx} for every k.
 
     Returns (xs, psi, dpsi) where psi/dpsi have shape (2, nk) at the end
     point, or shape (nnodes, 2, nk) when ``record`` is set.
     """
     ks = np.asarray(ks, dtype=float)
-    e = ks * ks
-    x_start = v.x_left - cfg.match_margin
-    psi = np.stack([np.exp(1j * ks * x_start), np.exp(-1j * ks * x_start)])
-    dpsi = np.stack([1j * ks * psi[0], -1j * ks * psi[1]])
-
-    hs, ends, vv = _step_grid(v, cfg)
-    nodes_psi, nodes_dpsi = [psi[None]], [dpsi[None]]
-    block = max(1, _BLOCK_SIZE // len(ks))
-    for s in range(0, len(hs), block):
-        h = hs[s:s + block, None]
-        w = vv[:, s:s + block, None] - e
-        # the step's change of the unit vectors (1, 0) and (0, 1) gives the
-        # columns of d = (step matrix - I); d has shape (2, 2, steps, nk)
-        d = np.stack([np.stack(_rk4_increment(1.0, 0.0, w, h)),
-                      np.stack(_rk4_increment(0.0, 1.0, w, h))], axis=1)
-        if record:
-            p = _prefix_products(d)[:, :, :, None]     # broadcast over the solution axis
-            nodes_psi.append(psi + (p[0, 0] * psi + p[0, 1] * dpsi))
-            nodes_dpsi.append(dpsi + (p[1, 0] * psi + p[1, 1] * dpsi))
-            psi, dpsi = nodes_psi[-1][-1], nodes_dpsi[-1][-1]
-        else:
-            p = _product(d)
-            psi, dpsi = (psi + (p[0, 0] * psi + p[0, 1] * dpsi),
-                         dpsi + (p[1, 0] * psi + p[1, 1] * dpsi))
-    if record:
-        return (np.concatenate([[x_start], ends]), np.concatenate(nodes_psi),
-                np.concatenate(nodes_dpsi))
-    return np.array([v.x_right + cfg.match_margin]), psi, dpsi
-
-
-def _propagate_adaptive(v, ks, cfg, record):
-    from scipy.integrate import solve_ivp
-
-    ks = np.asarray(ks, dtype=float)
-    x_start = v.x_left - cfg.match_margin
-    out_psi, out_dpsi, xs_ref = [], [], None
-    for k in ks:
-        e = k * k
-
-        def rhs(x, y):
-            w = v.evaluate(float(x)) - e
-            return [y[1], w * y[0]]
-
-        y = np.array([[np.exp(1j * k * x_start), np.exp(-1j * k * x_start)],
-                      [1j * k * np.exp(1j * k * x_start), -1j * k * np.exp(-1j * k * x_start)]],
-                     dtype=complex)
-        xs_acc, psi_acc, dpsi_acc = [x_start], [y[0].copy()], [y[1].copy()]
-        for a, c in _segments(v, cfg):
-            t_eval = None
-            if record:
-                n = max(1, int(np.ceil((c - a) / cfg.step)))
-                t_eval = np.linspace(a, c, n + 1)
-            cols = []
-            for j in range(2):
-                sol = solve_ivp(rhs, (a, c), [y[0, j], y[1, j]], method="DOP853",
-                                rtol=cfg.rtol, atol=cfg.rtol * 1e-2, t_eval=t_eval)
-                cols.append(sol)
-            if record:
-                for m in range(1, len(cols[0].t)):
-                    xs_acc.append(cols[0].t[m])
-                    psi_acc.append(np.array([cols[0].y[0, m], cols[1].y[0, m]]))
-                    dpsi_acc.append(np.array([cols[0].y[1, m], cols[1].y[1, m]]))
-            y = np.array([[cols[0].y[0, -1], cols[1].y[0, -1]],
-                          [cols[0].y[1, -1], cols[1].y[1, -1]]])
-        if not record:
-            xs_acc, psi_acc, dpsi_acc = [v.x_right + cfg.match_margin], [y[0]], [y[1]]
-        out_psi.append(np.stack(psi_acc))
-        out_dpsi.append(np.stack(dpsi_acc))
-        xs_ref = np.array(xs_acc)
-    psi = np.stack(out_psi, axis=-1)   # (nnodes, 2, nk)
-    dpsi = np.stack(out_dpsi, axis=-1)
-    if record:
-        return xs_ref, psi, dpsi
-    return xs_ref[-1:], psi[-1], dpsi[-1]
-
-
-def _propagate(v, ks, cfg, record=False):
-    ks = np.asarray(ks, dtype=float)
     unresolved = ks[cfg.step >= 2 * np.pi / (10 * ks)]
-    if cfg.method == "rk4" and unresolved.size:
+    if unresolved.size:
         k = float(np.min(unresolved))
         raise StepTooLarge(
             f"step {cfg.step} exceeds 2*pi/(10*k) = {2 * np.pi / (10 * k):.4g} at k = {k}", k=k)
     _check_decay(v, cfg)
-    if cfg.method == "adaptive":
-        return _propagate_adaptive(v, ks, cfg, record)
-    return _propagate_rk4(v, ks, cfg, record)
+    x_start = v.x_left - cfg.match_margin
+    # at kappa = k, alpha and beta are the e^{ikx} and e^{-ikx} parts of psi: a free-space
+    # step is diagonal, so no rounding mixes them; kappa >= 1 stays well conditioned as k -> 0
+    kappa = np.maximum(ks, 1.0)
+    waves = np.stack([np.exp(1j * ks * x_start), np.exp(-1j * ks * x_start)])
+    alpha = 0.5 * np.stack([1 + ks / kappa, 1 - ks / kappa]) * waves
+    beta = 0.5 * np.stack([1 - ks / kappa, 1 + ks / kappa]) * waves
+
+    hs, ends, vv = _step_grid(v, cfg)
+    nodes_alpha, nodes_beta = [alpha[None]], [beta[None]]
+    block = max(1, _BLOCK_SIZE // len(ks))
+    for s in range(0, len(hs), block):
+        # d = (step matrix - I) of every step and k, shape (2, 2, steps, nk)
+        d = _magnus_steps(hs[s:s + block, None], vv[:, s:s + block, None], ks, kappa)
+        if record:
+            p = _prefix_products(d)[:, :, :, None]     # broadcast over the solution axis
+            nodes_alpha.append(alpha + (p[0, 0] * alpha + p[0, 1] * beta))
+            nodes_beta.append(beta + (p[1, 0] * alpha + p[1, 1] * beta))
+            alpha, beta = nodes_alpha[-1][-1], nodes_beta[-1][-1]
+        else:
+            p = _product(d)
+            alpha, beta = (alpha + (p[0, 0] * alpha + p[0, 1] * beta),
+                           beta + (p[1, 0] * alpha + p[1, 1] * beta))
+    if record:
+        xs, alpha, beta = (np.concatenate([[x_start], ends]), np.concatenate(nodes_alpha),
+                           np.concatenate(nodes_beta))
+    else:
+        xs = np.array([v.x_right + cfg.match_margin])
+    return xs, alpha + beta, 1j * kappa * (alpha - beta)
 
 
 def _extract(psi, dpsi, k, x):
@@ -318,20 +269,15 @@ def integrate_batch(v: LocalPotential, ks: Sequence[float], cfg: IntegrationConf
     with np.errstate(over="ignore", invalid="ignore"):
         # a solution that overflows leaves a non-finite Wronskian, caught below
         xs, psi, dpsi = _propagate(v, ks, cfg, record=False)
-        x_end = xs[-1]
-        a, b = _extract(psi, dpsi, ks, x_end)
+        a, b = _extract(psi, dpsi, ks, xs[-1])
         wr = np.abs(psi[0] * dpsi[1] - psi[1] * dpsi[0])
     lost = ks[~(np.isfinite(wr) & (wr >= 1e-8 * 2 * ks))]
     if lost.size:
         raise DegenerateSolutions("solution pair lost independence during integration",
                                   k=float(np.min(lost)))
-    out = []
-    for j in range(len(ks)):
-        out.append(AsymptoticAmplitudes(
-            a1p=complex(a[0, j]), b1p=complex(b[0, j]), a1m=1.0, b1m=0.0,
-            a2p=complex(a[1, j]), b2p=complex(b[1, j]), a2m=0.0, b2m=1.0,
-        ))
-    return out
+    return [AsymptoticAmplitudes(a1p=complex(a[0, j]), b1p=complex(b[0, j]), a1m=1.0, b1m=0.0,
+                                 a2p=complex(a[1, j]), b2p=complex(b[1, j]), a2m=0.0, b2m=1.0)
+            for j in range(len(ks))]
 
 
 def integrate_two_solutions(v: LocalPotential, k, cfg: IntegrationConfig | None = None) -> AsymptoticAmplitudes:
@@ -388,6 +334,10 @@ def sampled_potential(x: Sequence[float], v: Sequence[complex]) -> LocalPotentia
     v = np.asarray(v, dtype=complex)
     if x.ndim != 1 or x.shape != v.shape or len(x) < 2:
         raise ValueError("need matching 1-d arrays with at least two samples")
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(v)))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"sample row {i} is not finite: x = {x[i]}, V = {v[i]}")
     if np.any(np.diff(x) <= 0):
         raise ValueError("sample positions must be strictly increasing")
 

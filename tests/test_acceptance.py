@@ -107,8 +107,8 @@ def test_criterion_02_analytic_vs_numeric_square_well():
             worst = max(worst, abs(x - y) / abs(x))
     elapsed = time.time() - t0
     _report(2, "analytic vs numeric square well on 50-point k grid",
-            worst < 1e-6 and elapsed < 10.0,
-            f"max rel diff = {worst:.3e} < 1e-6, runtime {elapsed:.2f}s < 10s")
+            worst < 1e-13 and elapsed < 10.0,
+            f"max rel diff = {worst:.3e} < 1e-13, runtime {elapsed:.2f}s < 10s")
 
 
 def test_criterion_03_hermitian_scarf_unitarity():

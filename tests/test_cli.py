@@ -348,6 +348,11 @@ class TestGoldenFiles:
                         "--out", str(out)]) == 0
         golden = open(f"{self.GOLDEN_DIR}/golden_compare_square_well.json", "rb").read()
         assert out.read_bytes() == golden
+        # the Magnus step is exact on a piecewise-constant V: only rounding is left
+        for row in json.loads(golden)["rows"]:
+            for name in ("t_lr", "r_lr", "t_rl", "r_rl"):
+                numeric, analytic = (complex(*row[name][side]) for side in ("numeric", "analytic"))
+                assert abs(numeric - analytic) <= 1e-13 * abs(analytic)
 
 
     @pytest.mark.parametrize("golden, argv", [
@@ -447,6 +452,25 @@ class TestConfigAndErrors:
         # real sampled well: near-unitary rows
         assert abs(float(rows[0]["unitarity_defect"])) < 1e-3
 
+    @pytest.mark.parametrize("row, column, value", [(3, 0, "nan"), (5, 1, "inf"), (4, 2, "-inf")])
+    def test_non_finite_sample_is_config_error(self, row, column, value, tmp_path, capsys):
+        xs = np.linspace(-2, 2, 11)
+        data = np.column_stack([xs, np.where(np.abs(xs) <= 1, -1.0, 0.0), np.zeros_like(xs)])
+        data[row, column] = float(value)
+        samples = tmp_path / "pot.csv"
+        np.savetxt(samples, data, delimiter=",")
+        assert run_cli(["scan", "--potential", "custom-sampled", "--samples-file", str(samples),
+                        "--kcount", "2", "--out", os.devnull]) == 2
+        assert f"sample row {row} is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["compare", "--potential", "square-well", "--kcount", "2", "--step", "1e-12"],
+        ["compare", "--potential", "scarf", "--cutoff", "1e7"],
+    ])
+    def test_sweep_too_long_is_config_error(self, argv, capsys):
+        assert run_cli(argv + ["--out", os.devnull]) == 2
+        assert "steps, more than the 10000000 one sweep may take" in capsys.readouterr().err
+
     def test_custom_sampled_scan_is_one_sweep(self, tmp_path, monkeypatch):
         import ptscatter.numeric as numeric
         from ptscatter import IntegrationConfig, numeric_coefficients, sampled_potential
@@ -502,9 +526,27 @@ class TestConfigAndErrors:
         assert capsys.readouterr().err == f"solver error at k = {k}: {OUT_OF_RANGE}\n"
 
     def test_import_does_not_load_scipy_integrate(self):
-        code = "import sys, ptscatter.cli; print('scipy.integrate' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-        assert proc.returncode == 0 and proc.stdout.strip() == "False"
+        """Every command runs with scipy refused at import: scipy serves only
+        the quadrature of generic separable kernels."""
+        code = """if True:
+            import json, sys
+            class Refuse:
+                def find_spec(self, name, path=None, target=None):
+                    if name.split(".")[0] == "scipy":
+                        raise ImportError(f"{name} refused")
+            sys.meta_path.insert(0, Refuse())
+            from ptscatter.cli import main
+            print(*(main(argv) for argv in json.loads(sys.argv[1])))"""
+        runs = [[command, "--potential", potential, "--kcount", "3", "--out", os.devnull]
+                for command, potentials in (("scan", ("square-well", "scarf", "yamaguchi")),
+                                            ("compare", ("square-well", "scarf")),
+                                            ("symmetry", ("square-well", "scarf", "yamaguchi")),
+                                            ("lattice", ("square-well",)))
+                for potential in potentials]
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"] * len(runs)
 
     def test_import_leaves_unused_modules_unloaded(self):
         unused = ("numeric", "specfun", "separable", "symmetry", "current", "spell")

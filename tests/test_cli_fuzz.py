@@ -54,6 +54,10 @@ def invocations(draw):
            "--out", os.devnull], None))
 @example((["scan", "--potential", "multi-well", "--a=1e308", "--b=1e300", "--n", "3",
            "--kcount", "2", "--out", os.devnull], None))
+# sweeps with more steps than can be allocated are configuration errors
+@example((["compare", "--potential", "square-well", "--kcount", "2", "--step", "1e-12",
+           "--out", os.devnull], None))
+@example((["compare", "--potential", "scarf", "--cutoff", "1e7", "--out", os.devnull], None))
 # closed forms that leave the float range are solver errors
 @example((["scan", "--potential", "scarf", "--kmin", "230", "--kmax", "231", "--kcount", "2",
            "--out", os.devnull], None))

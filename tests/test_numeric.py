@@ -1,5 +1,6 @@
 """Direct-integration oracle: convergence, consistency, failure modes."""
 
+import cmath
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from ptscatter import (
     numeric_coefficients,
     phase_relation_residual,
     sampled_potential,
+    scarf_coefficients,
     scarf_potential,
     square_well_coefficients,
     square_well_potential,
@@ -61,16 +63,6 @@ class TestSquareWellAgreement:
         assert abs(c.t_lr - c.t_rl) < 1e-8
         assert phase_relation_residual(c) < 1e-6
 
-    def test_convergence_is_fourth_order(self):
-        """Halving the step shrinks the transmission error by at least 8x."""
-        want = square_well_coefficients(WELL, 1.0).t_lr
-        errs = []
-        for step in (0.08, 0.04):
-            c = numeric_coefficients(square_well_potential(WELL), 1.0,
-                                     IntegrationConfig(step=step))
-            errs.append(abs(c.t_lr - want))
-        assert errs[0] / errs[1] >= 8.0
-
     def test_grid_resolution_independence(self):
         c1 = numeric_coefficients(square_well_potential(WELL), 1.0, IntegrationConfig(step=1e-3))
         c2 = numeric_coefficients(square_well_potential(WELL), 1.0, IntegrationConfig(step=5e-4))
@@ -84,24 +76,19 @@ class TestSquareWellAgreement:
                                              IntegrationConfig(step=1e-3))
             assert abs(amps.a1p - single.a1p) < 1e-14
 
-    def test_adaptive_mode_agrees(self):
-        got = numeric_coefficients(square_well_potential(WELL), 1.0,
-                                   IntegrationConfig(method="adaptive", rtol=1e-10))
-        want = square_well_coefficients(WELL, 1.0)
-        assert abs(got.t_lr - want.t_lr) < 1e-7
-
-    def test_adaptive_wavefunction_matches_fixed_step(self):
-        pot = square_well_potential(WELL)
-        wf_fix = wavefunction_on_grid(pot, 1.0, "left-incident",
-                                      IntegrationConfig(step=5e-3))
-        wf_ad = wavefunction_on_grid(pot, 1.0, "left-incident",
-                                     IntegrationConfig(step=5e-3, method="adaptive",
-                                                       rtol=1e-10))
-        assert np.max(np.abs(wf_fix.x - wf_ad.x)) < 1e-12
-        assert np.max(np.abs(wf_fix.psi - wf_ad.psi)) < 1e-7
-
 
 class TestHermitianScarf:
+    def test_convergence_is_fourth_order(self):
+        """Halving the step shrinks the transmission error by at least 12x."""
+        p = ScarfParams(1.3, 0.7)
+        want = scarf_coefficients(p, 1.0).t_lr
+        errs = []
+        for step in (0.08, 0.04):
+            c = numeric_coefficients(scarf_potential(p, cutoff=30.0), 1.0,
+                                     IntegrationConfig(step=step))
+            errs.append(abs(c.t_lr - want))
+        assert errs[0] / errs[1] >= 12.0
+
     def test_unitarity_from_integration(self):
         pot = scarf_potential(ScarfParams(1.3, 0.7), cutoff=20.0)
         c = numeric_coefficients(pot, 0.9, IntegrationConfig(step=2e-3))
@@ -180,24 +167,73 @@ class TestSampledPotential:
         with pytest.raises(ValueError):
             sampled_potential([0.0, 0.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize("row, x, v", [(1, math.nan, 1.0), (2, 2.0, math.inf),
+                                           (0, 0.0, complex(0.0, -math.inf))])
+    def test_rejects_non_finite_samples(self, row, x, v):
+        xs, vs = [0.0, 1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 1.0]
+        xs[row], vs[row] = x, v
+        with pytest.raises(ValueError, match=f"sample row {row} is not finite"):
+            sampled_potential(xs, vs)
+
+
+def _segments(v, cfg):
+    x0, x1 = v.x_left - cfg.match_margin, v.x_right + cfg.match_margin
+    pts = sorted({x0, v.x_left, v.x_right, x1} | {b for b in v.breakpoints if x0 < b < x1})
+    for a, c in zip(pts[:-1], pts[1:]):
+        n = max(1, math.ceil((c - a) / cfg.step))
+        yield a, c, n, (c - a) / n
+
+
+def _plane_waves(ks, x0):
+    psi = np.stack([np.exp(1j * ks * x0), np.exp(-1j * ks * x0)])
+    return psi, np.stack([1j * ks * psi[0], -1j * ks * psi[1]])
+
+
+def per_step_magnus(v, ks, cfg):
+    """The fourth-order Magnus recursion one step at a time, every node recorded.
+
+    Same segments and Gauss nodes as the integrator, but the step is written
+    in (psi, psi') and exponentiated with cmath, where the integrator holds the
+    state as plane-wave amplitudes and composes the steps as block products.
+    Returns (x, psi, dpsi) with psi/dpsi of shape (nnodes, 2, nk).
+    """
+    x0 = v.x_left - cfg.match_margin
+    psi, dpsi = (list(map(list, z)) for z in _plane_waves(np.asarray(ks, dtype=float), x0))
+    xs, psis, dpsis = [x0], [np.array(psi)], [np.array(dpsi)]
+    gauss = 0.5 / math.sqrt(3)
+    for a, _, n, h in _segments(v, cfg):
+        for m in range(n):
+            mid = a + (m + 0.5) * h
+            v1, v2 = complex(v.evaluate(mid - gauss * h)), complex(v.evaluate(mid + gauss * h))
+            for j, k in enumerate(ks):
+                w1, w2 = v1 - k * k, v2 - k * k
+                c = math.sqrt(3) / 12 * h * h * (w1 - w2)
+                lower = h * (w1 + w2) / 2
+                theta = cmath.sqrt(c * c + h * lower)
+                sinhc = cmath.sinh(theta) / theta if theta else 1.0
+                diag = 2 * cmath.sinh(theta / 2) ** 2
+                for i in range(2):
+                    p, dp = psi[i][j], dpsi[i][j]
+                    psi[i][j] = p + ((diag + sinhc * c) * p + sinhc * h * dp)
+                    dpsi[i][j] = dp + (sinhc * lower * p + (diag - sinhc * c) * dp)
+            xs.append(a + (m + 1) * h)
+            psis.append(np.array(psi))
+            dpsis.append(np.array(dpsi))
+    return np.array(xs), np.stack(psis), np.stack(dpsis)
+
 
 def per_step_rk4(v, ks, cfg):
-    """The RK4 recursion one step at a time, every node recorded.
-
-    Same segments, half-step samples (nudged inside each segment) and step
-    formula as the integrator, which composes the steps as block products.
+    """Classical RK4 one step at a time, every node recorded: an independent
+    fourth-order scheme on the same grid, with V at each step's ends and
+    midpoint (nudged inside the segment at its edges).
     Returns (x, psi, dpsi) with psi/dpsi of shape (nnodes, 2, nk).
     """
     ks = np.asarray(ks, dtype=float)
     e = ks * ks
-    x0, x1 = v.x_left - cfg.match_margin, v.x_right + cfg.match_margin
-    pts = sorted({x0, v.x_left, v.x_right, x1} | {b for b in v.breakpoints if x0 < b < x1})
-    psi = np.stack([np.exp(1j * ks * x0), np.exp(-1j * ks * x0)])
-    dpsi = np.stack([1j * ks * psi[0], -1j * ks * psi[1]])
+    x0 = v.x_left - cfg.match_margin
+    psi, dpsi = _plane_waves(ks, x0)
     xs, psis, dpsis = [x0], [psi], [dpsi]
-    for a, c in zip(pts[:-1], pts[1:]):
-        n = max(1, math.ceil((c - a) / cfg.step))
-        h = (c - a) / n
+    for a, c, n, h in _segments(v, cfg):
         nudge = 1e-9 * (c - a)
         vv = [complex(v.evaluate(min(max(a + (h / 2) * j, a + nudge), c - nudge)))
               for j in range(2 * n + 1)]
@@ -220,7 +256,8 @@ def _rel(got, want):
 
 
 class TestBlockPropagator:
-    """Block step-matrix products reproduce the per-step RK4 recursion."""
+    """The integrator against one-step-at-a-time recursions: the same Magnus
+    step to rounding, and classical RK4 to the two schemes' truncation."""
 
     KS = [0.4, 1.3, 2.9]
     XS = np.linspace(-3.0, 3.0, 601)
@@ -232,11 +269,10 @@ class TestBlockPropagator:
                                       + 0.3j * np.tanh(XS) / np.cosh(XS)), 1e-3),
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_matches_per_step_recursion(self, case):
+    def _assert_matches(self, case, oracle, bound):
         v, step = self.CASES[case]
         cfg = IntegrationConfig(step=step)
-        xs, psi, dpsi = per_step_rk4(v, self.KS, cfg)
+        xs, psi, dpsi = oracle(v, self.KS, cfg)
         ks = np.array(self.KS)
 
         # end amplitudes, per k relative to the largest of them
@@ -245,14 +281,22 @@ class TestBlockPropagator:
         b = 0.5 * (psi[-1] - dpsi[-1] / ika) * np.exp(ika * xs[-1])
         for j, amps in enumerate(integrate_batch(v, self.KS, cfg)):
             got = np.array([amps.a1p, amps.a2p, amps.b1p, amps.b2p])
-            assert _rel(got, np.array([a[0, j], a[1, j], b[0, j], b[1, j]])) < 1e-12
+            assert _rel(got, np.array([a[0, j], a[1, j], b[0, j], b[1, j]])) < bound
 
         # recorded nodes of the left-incident solution at the middle k
         wf = wavefunction_on_grid(v, self.KS[1], "left-incident", cfg)
         beta = -b[0, 1] / b[1, 1]
         assert np.array_equal(wf.x, xs)
-        assert _rel(wf.psi, psi[:, 0, 1] + beta * psi[:, 1, 1]) < 1e-12
-        assert _rel(wf.dpsi, dpsi[:, 0, 1] + beta * dpsi[:, 1, 1]) < 1e-12
+        assert _rel(wf.psi, psi[:, 0, 1] + beta * psi[:, 1, 1]) < bound
+        assert _rel(wf.dpsi, dpsi[:, 0, 1] + beta * dpsi[:, 1, 1]) < bound
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_per_step_recursion(self, case):
+        self._assert_matches(case, per_step_magnus, 1e-12)
+
+    @pytest.mark.parametrize("case", ["sampled", "scarf"])
+    def test_agrees_with_rk4(self, case):
+        self._assert_matches(case, per_step_rk4, 1e-7)
 
 
 class TestSample:
