@@ -33,7 +33,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -66,39 +65,9 @@ CHUNK_ROWS, CHUNK_VALUES = 16384, 32768
 #: to some 20,000 rows of a scan CSV (260,000 values), and below that at most
 #: ~2 ms; at 30,000 rows two processes save ~16% of the spelling
 FORK_VALUES = 40_000
-
-
-def _json_scalar(v) -> str:
-    """One value spelled as ``json.dumps`` spells it."""
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        if v != v:
-            return "NaN"
-        if v in (math.inf, -math.inf):
-            return "Infinity" if v > 0 else "-Infinity"
-        return float.__repr__(v)
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-
-def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)`` for a dict of dicts and scalars."""
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = ",\n".join(f"{inner}{encode_basestring_ascii(key)}: {_json_text(v, inner)}"
-                           for key, v in value.items())
-        return f"{{\n{items}\n{indent}}}"
-    return _json_scalar(value)
+#: most rows of a table: a larger grid is a configuration error before anything
+#: is allocated (a Scarf scan peaks at ~65 MiB for 30,000 k and ~354 MiB for 300,000)
+MAX_ROWS = 10 ** 6
 
 
 class _Column:
@@ -124,7 +93,7 @@ class _Column:
             if nulls is not None and nulls[0]:
                 return b"null"
             v = float(values[0])
-            return ("%.17g" % v if self.style == "%.17g" else _json_scalar(v)).encode("ascii")
+            return ("%.17g" % v if self.style == "%.17g" else json.dumps(v)).encode("ascii")
         return None
 
 
@@ -266,7 +235,7 @@ def _json_table(objects, nan_is_null=()) -> _Table:
     for i, obj in enumerate(objects):
         texts[-1] += (",\n" if i else "") + "    {\n"
         for j, (key, v) in enumerate(obj.items()):
-            texts[-1] += (",\n" if j else "") + f"      {encode_basestring_ascii(key)}: "
+            texts[-1] += (",\n" if j else "") + f"      {json.dumps(key)}: "
             if isinstance(v, np.ndarray):       # one column object per array
                 null = key in nan_is_null
                 if (id(v), null) not in made:
@@ -274,7 +243,7 @@ def _json_table(objects, nan_is_null=()) -> _Table:
                 columns.append(made[id(v), null])
                 texts.append("")
             else:
-                texts[-1] += _json_scalar(v)
+                texts[-1] += json.dumps(v)
         texts[-1] += "\n    }"
     return _Table(columns, texts, head="[\n", sep=",\n", tail="\n  ]", empty="[]")
 
@@ -284,8 +253,8 @@ def _json_document(doc: dict) -> list:
     text, and the tables that stand for lists of rows at the top level."""
     parts = []
     for i, (key, v) in enumerate(doc.items()):
-        parts.append(("{" if i == 0 else ",") + f"\n  {encode_basestring_ascii(key)}: ")
-        parts.append(v if isinstance(v, _Table) else _json_text(v, "  "))
+        parts.append(("{" if i == 0 else ",") + f"\n  {json.dumps(key)}: ")
+        parts.append(v if isinstance(v, _Table) else json.dumps(v, indent=2).replace("\n", "\n  "))
     return parts + ["\n}\n"]
 
 
@@ -404,6 +373,8 @@ def _k_grid(args) -> list:
         raise ConfigError(f"kmin must be > 0, got {args.kmin}")
     if args.kcount < 1:
         raise ConfigError(f"kcount must be >= 1, got {args.kcount}")
+    if args.kcount > MAX_ROWS:
+        raise ConfigError(f"kcount must be <= {MAX_ROWS}, got {args.kcount}")
     if args.kcount == 1:
         return [float(args.kmin)]
     if args.kmax <= args.kmin:
@@ -542,6 +513,9 @@ def cmd_lattice(args) -> int:
     n_max = args.n if args.n_max is None else args.n_max
     if n_max < args.n:
         raise ConfigError(f"n-max must be >= n = {args.n}, got {n_max}")
+    if (n_max - args.n + 1) * len(ks) > MAX_ROWS:
+        raise ConfigError(f"n-max {n_max} from n = {args.n} at kcount {len(ks)} gives more than "
+                          f"the {MAX_ROWS} rows a table may hold")
     p = potentials.LatticeParams(well=well, a=args.a, n=args.n)
     cells, blocks = potentials.lattice_transfer(p, ks, n_max)
     core._raise_first([(~np.all(np.isfinite(cells), axis=(1, 2)),

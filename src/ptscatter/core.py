@@ -17,6 +17,7 @@ ScatteringError at the first failing k (``_record``).
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 import operator
@@ -52,6 +53,15 @@ def _require_finite(owner: str, **values):
     for name, value in values.items():
         if not cmath.isfinite(value):
             raise ValueError(f"{owner} parameter {name} must be finite, got {value}")
+
+
+def _values_at(f, xs) -> np.ndarray:
+    """f at each point of the float array xs: one call where f takes arrays and
+    gives a value per point, else one call per point (with a Python float)."""
+    with contextlib.suppress(TypeError, ValueError):
+        if (vals := np.asarray(f(xs))).shape == xs.shape:
+            return vals
+    return np.array([f(x) for x in xs.ravel().tolist()]).reshape(xs.shape)
 
 
 def _require_support(x_left: float, x_right: float):

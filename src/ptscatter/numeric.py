@@ -24,6 +24,7 @@ from .core import (
     AsymptoticAmplitudes,
     ScatteringCoefficients,
     _require_support,
+    _values_at,
     as_wavenumber,
     coefficients_from_amplitudes,
     wronskian_residual,
@@ -54,15 +55,7 @@ class LocalPotential:
 
     def sample(self, xs) -> np.ndarray:
         """V at every position of ``xs`` as a complex array of the same shape."""
-        xs = np.asarray(xs, dtype=float)
-        try:
-            vals = np.asarray(self.evaluate(xs), dtype=complex)
-        except (TypeError, ValueError):
-            vals = None
-        if vals is None or vals.shape != xs.shape:
-            vals = np.array([self.evaluate(float(x)) for x in xs.ravel()],
-                            dtype=complex).reshape(xs.shape)
-        return vals
+        return _values_at(self.evaluate, np.asarray(xs, dtype=float)).astype(complex)
 
 
 @dataclass(frozen=True)

@@ -2,19 +2,24 @@
 
 The stationary equation -psi'' + lam * Int K(x,y) psi(y) dy = k^2 psi is
 solved with outgoing/incoming Green's functions; everything reduces to the
-form-factor Fourier transforms taken with the convention
-
-    f~(q) = Int f(x) e^{-iqx} dx        (sign convention matters: e^{-iqx})
-
-For the Yamaguchi form factors g(x) = e^{-gamma|x|}, h(y) = e^{-delta|y|}
-(transforms 2*gamma/(gamma^2+q^2) etc.) the double integrals N+- and the
-Green's-function convolution are evaluated in closed form by piecewise
-exponential integration; generic kernels fall back to adaptive quadrature.
+form-factor transforms f~(q) = Int f(x) e^{-iqx} dx (the sign matters).
+Yamaguchi form factors g(x) = e^{-gamma|x|}, h(y) = e^{-delta|y|} (transforms
+2*gamma/(gamma^2+q^2) etc.) give closed forms by piecewise exponential
+integration.  Other kernels use one Gauss-Legendre rule over the k column: 20
+nodes per panel on [-support, support], panels split at 0 and no wider than
+min(0.5, 20/k_max), k_max the column's largest k plus |alpha| + |beta|.  Split
+at y = x, Int e^{ik|x-y|} G(y) dy = e^{ikx} A(x) + e^{-ikx} B(x), with A and B
+the integrals of e^{-+iky} G(y) from -support to x and from x to support, which
+cumulative panel sums and the Legendre integration matrix give at every node.
+The sums at twice the order estimate the error: QuadratureFailure names the
+lowest k where it exceeds 1e-8 max(|N|, 1).  Form factors may be non-smooth
+only at 0; a kink elsewhere raises QuadratureFailure, not a wrong number.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -22,7 +27,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .core import (COLUMN, OUT_OF_RANGE, ScatteringCoefficients, _closed_form, _PyComplex,
-                   _raise_first, _record, _require_finite, _wavenumbers, as_wavenumber)
+                   _raise_first, _record, _require_finite, _values_at, _wavenumbers, as_wavenumber)
 from .errors import QuadratureFailure, ResonancePole, TransferOverflow
 
 if TYPE_CHECKING:
@@ -56,30 +61,20 @@ class SeparableKernel:
         _require_finite("Yamaguchi", gamma=gamma, delta=delta, alpha=alpha, beta=beta, lam=lam)
         if gamma <= 0 or delta <= 0:
             raise ValueError("gamma and delta must be > 0")
-        return cls(
-            g=lambda x: math.exp(-gamma * abs(x)),
-            h=lambda y: math.exp(-delta * abs(y)),
-            g_ft=lambda q: 2 * gamma / (gamma * gamma + q * q),
-            h_ft=lambda q: 2 * delta / (delta * delta + q * q),
-            alpha=alpha, beta=beta, lam=lam,
-            gamma=gamma, delta=delta,
-            support=max(40.0 / gamma, 40.0 / delta),
-        )
+        return cls(g=lambda x: math.exp(-gamma * abs(x)), h=lambda y: math.exp(-delta * abs(y)),
+                   g_ft=lambda q: 2 * gamma / (gamma * gamma + q * q),
+                   h_ft=lambda q: 2 * delta / (delta * delta + q * q), alpha=alpha, beta=beta,
+                   lam=lam, gamma=gamma, delta=delta, support=max(40.0 / gamma, 40.0 / delta))
 
     @classmethod
     def from_form_factors(cls, g, h, alpha=0.0, beta=0.0, lam=1.0,
                           g_ft=None, h_ft=None, support=40.0) -> "SeparableKernel":
-        def numeric_ft(f):
-            # even real form factors have real transforms, and the
-            # scattering solution is only valid for those (checked at use)
-            def ft(q: float) -> float:
-                from scipy.integrate import quad
+        if not (math.isfinite(support) and support > 0):
+            raise ValueError(f"support must be finite and > 0, got {support}")
 
-                return quad(lambda x: f(x) * math.cos(q * x), -support, support,
-                            points=[0.0], limit=400)[0]
-            return ft
-
-        return cls(g=g, h=h, g_ft=g_ft or numeric_ft(g), h_ft=h_ft or numeric_ft(h),
+        # even real form factors, the only valid ones (checked at use), have real transforms
+        return cls(g=g, h=h, g_ft=g_ft or functools.partial(_fourier, g, support),
+                   h_ft=h_ft or functools.partial(_fourier, h, support),
                    alpha=alpha, beta=beta, lam=lam, support=support)
 
     @property
@@ -89,12 +84,12 @@ class SeparableKernel:
 
 def _same_function(f, g, support, tol):
     xs = np.linspace(-support, support, 257)
-    return max(abs(f(float(x)) - g(float(x))) for x in xs) < tol
+    return bool(np.max(np.abs(_values_at(f, xs) - _values_at(g, xs))) < tol)
 
 
-def _even_function(f, support, tol):
-    xs = np.linspace(0.0, support, 129)
-    return max(abs(f(float(x)) - f(float(-x))) for x in xs) < tol
+def _even_factors(kernel: SeparableKernel, tol) -> bool:
+    return kernel.is_yamaguchi or all(_same_function(f, lambda x, f=f: f(-x), kernel.support, tol)
+                                      for f in (kernel.g, kernel.h))
 
 
 def kernel_symmetry_class(kernel: SeparableKernel, tol: float = 1e-10) -> SymmetryClass:
@@ -106,22 +101,14 @@ def kernel_symmetry_class(kernel: SeparableKernel, tol: float = 1e-10) -> Symmet
     """
     from .symmetry import SymmetryClass
 
-    if kernel.is_yamaguchi:
-        g_eq_h = abs(kernel.gamma - kernel.delta) < tol
-        g_even = h_even = True
-    else:
-        g_eq_h = _same_function(kernel.g, kernel.h, kernel.support, tol)
-        g_even = _even_function(kernel.g, kernel.support, tol)
-        h_even = _even_function(kernel.h, kernel.support, tol)
+    g_eq_h = (abs(kernel.gamma - kernel.delta) < tol if kernel.is_yamaguchi
+              else _same_function(kernel.g, kernel.h, kernel.support, tol))
+    even = _even_factors(kernel, tol)
     zero_phases = abs(kernel.alpha) < tol and abs(kernel.beta) < tol
-    return SymmetryClass(
-        reality=zero_phases,
-        symmetric_xy=abs(kernel.alpha - kernel.beta) < tol and g_eq_h,
-        hermitian=abs(kernel.alpha + kernel.beta) < tol and g_eq_h,
-        parity=zero_phases and g_even and h_even,
-        time_reversal=zero_phases,
-        pt=g_even and h_even,
-    )
+    return SymmetryClass(reality=zero_phases, time_reversal=zero_phases,
+                         symmetric_xy=abs(kernel.alpha - kernel.beta) < tol and g_eq_h,
+                         hermitian=abs(kernel.alpha + kernel.beta) < tol and g_eq_h,
+                         parity=zero_phases and even, pt=even)
 
 
 def green_function(sign: str, x_minus_y: float, k) -> complex:
@@ -159,20 +146,6 @@ def _yamaguchi_pieces(alpha: float, gamma: float, k):
     return gt, gt_m, c2, c3
 
 
-def _yamaguchi_inner(x: float, alpha: float, gamma: float, k: float) -> tuple:
-    """(Inner(x), d/dx Inner(x)) at one k."""
-    with np.errstate(all="ignore"):
-        pieces = _yamaguchi_pieces(alpha, gamma, np.array([k]))
-    gt, gt_m, c2, c3 = (complex(_PyComplex.of(z).array()[0]) for z in pieces)
-    if x >= 0:
-        rate = -gamma + 1j * alpha
-        wave, decay = cmath.exp(1j * k * x), cmath.exp(rate * x)
-        return gt * wave + c2 * decay, 1j * k * gt * wave + rate * c2 * decay
-    rate = gamma + 1j * alpha
-    wave, decay = cmath.exp(-1j * k * x), cmath.exp(rate * x)
-    return gt_m * wave + c3 * decay, -1j * k * gt_m * wave + rate * c3 * decay
-
-
 def _yamaguchi_j(alpha: float, beta: float, gamma: float, delta: float, k) -> _PyComplex:
     """The double integral Int h e^{i beta x} e^{ik|x-y|} g e^{i alpha y} over
     a float column k."""
@@ -183,64 +156,99 @@ def _yamaguchi_j(alpha: float, beta: float, gamma: float, delta: float, k) -> _P
             + c2 / (gamma + delta - 1j * (alpha + beta)))
 
 
-def _yamaguchi_n(kernel: SeparableKernel, ks) -> tuple:
-    """(N+, N-) of a Yamaguchi kernel over the float column ks, from the
-    double integral at k and -k in one column."""
-    j = _yamaguchi_j(kernel.alpha, kernel.beta, kernel.gamma, kernel.delta, np.concatenate([ks, -ks]))
-    n = len(ks)
-    return (_PyComplex.of(-0.5j) / ks * _PyComplex(j.real[:n], j.imag[:n]),
-            _PyComplex.of(0.5j) / ks * _PyComplex(j.real[n:], j.imag[n:]))
+# -- generic kernels: one Gauss-Legendre panel rule over the k column -----------
+
+#: nodes per panel (the error estimate repeats the sums at twice the order), most
+#: panels of a rule, and most values per (k, node) array of one block of k
+_ORDER, _MAX_PANELS, _BLOCK_VALUES = 20, 8192, 1 << 18
+
+
+def _rule(support: float, freq, order: int, cuts=()) -> tuple:
+    """Nodes (panel, node) and weights of the rule for the frequencies freq,
+    the panels' half-widths, the edges, and where freq is in reach: panels
+    split [-support, support] at 0 and at ``cuts``, no wider than
+    min(0.5, 20 / f) for the largest f that needs at most _MAX_PANELS."""
+    from numpy.polynomial import legendre
+
+    reach = support * np.maximum(freq, 40.0) <= 10 * _MAX_PANELS
+    count = math.ceil(min(_MAX_PANELS / 2, support * np.max(freq[reach], initial=40.0) / 20))
+    half = np.linspace(0.0, support, count + 1)
+    edges = np.unique(np.concatenate([-half, half, cuts]))
+    t, w = legendre.leggauss(order)
+    width = np.diff(edges)[:, None] / 2
+    return edges[:-1, None] + width * (t + 1), width * w, width, edges, reach
+
+
+def _blocked(fn, ks, nodes: int) -> np.ndarray:
+    """fn over the column ks in blocks of at most _BLOCK_VALUES // nodes k."""
+    size = max(1, _BLOCK_VALUES // nodes)
+    return np.concatenate([fn(ks[i:i + size]) for i in range(0, max(len(ks), 1), size)])
+
+
+def _fourier(f, support: float, q):
+    """Int f(x) cos(qx) dx over [-support, support] at each q; NaN past the rule's reach."""
+    q = np.abs(np.asarray(q, dtype=float))
+    x, weights, _, _, reach = _rule(support, q, _ORDER)
+    fw = (_values_at(f, x) * weights).ravel()
+    out = _blocked(lambda qb: np.cos(np.multiply.outer(qb, x.ravel())) @ fw, q.ravel(), x.size)
+    return np.where(reach, out.reshape(q.shape), math.nan)[()]
+
+
+def _panel_j(kernel: SeparableKernel, kk, order: int) -> np.ndarray:
+    """The double integral Int h e^{i b x} e^{ik|x-y|} g e^{i a y} at each
+    signed k of kk by the rule of ``order`` nodes; NaN past its reach."""
+    from numpy.polynomial import legendre
+
+    freq = abs(kk) + abs(kernel.alpha) + abs(kernel.beta)
+    y, weights, width, _, reach = _rule(kernel.support, freq, order)
+    t = legendre.leggauss(order)[0]
+    # within @ f(t): the integrals from -1 to each node t of the interpolant of f
+    within = (legendre.legval(t, legendre.legint(np.eye(order), lbnd=-1)).T
+              @ np.linalg.inv(legendre.legvander(t, order - 1)))
+    g = _values_at(kernel.g, y) * np.exp(1j * kernel.alpha * y)
+    hw = _values_at(kernel.h, y) * np.exp(1j * kernel.beta * y) * weights
+
+    def running(f):     # Int_{-L}^{y} f at every node y, and Int_{-L}^{L} f
+        panel = np.sum(f * weights, axis=-1)
+        total = np.cumsum(panel, axis=-1)
+        return (total - panel)[..., None] + width * (f @ within.T), total[:, -1:, None]
+
+    def block(kb):
+        e = np.exp(-1j * kb[:, None, None] * y)                 # e^{-iky}
+        (a, _), (b, b_total) = running(e * g), running(e.conj() * g)
+        return np.sum(hw * (e.conj() * a + e * (b_total - b)), axis=(1, 2))
+    return np.where(reach, _blocked(block, kk, y.size), math.nan)
+
+
+def _n_columns(kernel: SeparableKernel, ks) -> tuple:
+    """(N+, N-) over the float column ks as ``_PyComplex`` columns, from the
+    double integral at k and -k in one column, and their faults: a generic
+    kernel's QuadratureFailure where the doubled-order estimate of N exceeds
+    1e-8 max(|N|, 1) or, past the rule's reach, is NaN."""
+    kk, m = np.concatenate([ks, -ks]), len(ks)
+    if kernel.is_yamaguchi:
+        j = _yamaguchi_j(kernel.alpha, kernel.beta, kernel.gamma, kernel.delta, kk)
+        return (_PyComplex.of(-0.5j) / ks * _PyComplex(j.real[:m], j.imag[:m]),
+                _PyComplex.of(0.5j) / ks * _PyComplex(j.real[m:], j.imag[m:])), []
+    pref = np.array([[-0.5j], [0.5j]]) / ks
+    n, high = (pref * _panel_j(kernel, kk, order).reshape(2, -1) for order in (_ORDER, 2 * _ORDER))
+    return (_PyComplex.of(n[0]), _PyComplex.of(n[1])), [
+        (~(e <= 1e-8 * np.maximum(abs(v), 1.0)),
+         lambda i, e=e, s=s: QuadratureFailure(f"quadrature error {e[i]:.2e} too large for N {s}"))
+        for v, e, s in zip(n, abs(high - n), ("plus", "minus"))]
 
 
 def compute_n(kernel: SeparableKernel, sign: str, k) -> complex:
-    """The double integral N+- = -(+)(i/2k) Int h e^{i b x} e^{+-ik|x-y|} g e^{i a y}.
-
-    Yamaguchi kernels use the frozen closed form; other kernels evaluate
-    the double integral by nested adaptive quadrature (kinks at y = 0,
-    y = x and x = 0 supplied as split points), truncated at the kernel
-    support.
-    """
-    kv = as_wavenumber(k).k
+    """The double integral N+- = -(+)(i/2k) Int h e^{i b x} e^{+-ik|x-y|} g e^{i a y}
+    at one k: the closed form for Yamaguchi kernels and the panel rule,
+    truncated at the kernel support, for the others (module docstring)."""
+    ks = np.array([as_wavenumber(k).k])
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    if kernel.is_yamaguchi:
-        with np.errstate(all="ignore"):
-            n = _yamaguchi_n(kernel, np.array([kv]))[sign == "minus"]
-        return complex(n.array()[0])
-    from scipy.integrate import quad
-
-    s = 1.0 if sign == "plus" else -1.0
-    L = kernel.support
-    inner_cache: dict = {}
-
-    def inner(x: float) -> complex:
-        # Int dy e^{+-ik|x-y|} g(y) e^{i a y}, kinks at y = 0 and y = x
-        if x not in inner_cache:
-            def f(y):
-                return cmath.exp(s * 1j * kv * abs(x - y)) * kernel.g(y) * cmath.exp(
-                    1j * kernel.alpha * y)
-
-            pts = sorted(p for p in (0.0, x) if -L < p < L)
-            re = quad(lambda y: f(y).real, -L, L, points=pts, limit=400,
-                      epsabs=1e-11, epsrel=1e-11)[0]
-            im = quad(lambda y: f(y).imag, -L, L, points=pts, limit=400,
-                      epsabs=1e-11, epsrel=1e-11)[0]
-            inner_cache[x] = complex(re, im)
-        return inner_cache[x]
-
-    def outer(x):
-        return kernel.h(x) * cmath.exp(1j * kernel.beta * x) * inner(x)
-
-    re, re_err = quad(lambda x: outer(x).real, -L, L, points=[0.0], limit=400,
-                      epsabs=1e-10, epsrel=1e-10)
-    im, im_err = quad(lambda x: outer(x).imag, -L, L, points=[0.0], limit=400,
-                      epsabs=1e-10, epsrel=1e-10)
-    val = complex(re, im)
-    if max(re_err, im_err) > 1e-8 * max(abs(val), 1.0):
-        raise QuadratureFailure(
-            f"quadrature error {max(re_err, im_err):.2e} too large for N {sign}")
-    pref = -0.5j / kv if sign == "plus" else 0.5j / kv
-    return pref * val
+    with np.errstate(all="ignore"):
+        n, faults = _n_columns(kernel, ks)
+    _raise_first(faults, ks)
+    return complex(n[sign == "minus"].array()[0])
 
 
 @dataclass(frozen=True)
@@ -278,21 +286,13 @@ def _intermediates(kernel: SeparableKernel, ks) -> tuple:
     columns, omega a float column), the coefficient columns (T_lr, R_lr,
     T_rl, R_rl) and the faults: ResonancePole where a denominator vanishes,
     TransferOverflow where an intermediate or its modulus is not finite."""
-    if kernel.is_yamaguchi:
-        (n_plus, n_minus), faults = _yamaguchi_n(kernel, ks), []
-    else:
-        # the Green's-function solution uses h~(-k-b) = h~(k+b) and
-        # g~(-k-a) = g~(k+a), which hold only for even form factors
-        if not (_even_function(kernel.g, kernel.support, 1e-9)
-                and _even_function(kernel.h, kernel.support, 1e-9)):
-            raise ValueError("nonlocal coefficients require even form factors")
-        (n_plus, n_minus), faults = _quadrature_n(kernel, ks)
-
-    def ft(f, q):       # Yamaguchi's transforms take a column, the others one q
-        return f(q) if kernel.is_yamaguchi else np.array([f(x) for x in q.tolist()])
+    # the solution uses h~(-k-b) = h~(k+b) and g~(-k-a) = g~(k+a): even form factors
+    if not _even_factors(kernel, 1e-9):
+        raise ValueError("nonlocal coefficients require even form factors")
+    (n_plus, n_minus), faults = _n_columns(kernel, ks)
     al, be, lam = kernel.alpha, kernel.beta, kernel.lam
-    g_m, g_p, h_p, h_m = (ft(kernel.g_ft, ks - al), ft(kernel.g_ft, ks + al),
-                          ft(kernel.h_ft, ks + be), ft(kernel.h_ft, ks - be))
+    g_m, g_p, h_p, h_m = (_values_at(kernel.g_ft, ks - al), _values_at(kernel.g_ft, ks + al),
+                          _values_at(kernel.h_ft, ks + be), _values_at(kernel.h_ft, ks - be))
     omega = lam / (2 * ks)
     om = _PyComplex(omega)
     g1, g2 = g_m * h_p, g_p * h_m
@@ -321,21 +321,6 @@ def _intermediates(kernel: SeparableKernel, ks) -> tuple:
         (~finite, lambda i: TransferOverflow(OUT_OF_RANGE))]
 
 
-def _quadrature_n(kernel: SeparableKernel, ks) -> tuple:
-    """(N+, N-) of a generic kernel at each k by quadrature, in grid order up
-    to the first k where it fails: NaN from there on, and the fault that
-    names that k."""
-    n = np.full((2, len(ks)), complex(math.nan, math.nan))
-    for i, kv in enumerate(ks.tolist()):
-        try:
-            n[:, i] = compute_n(kernel, "plus", kv), compute_n(kernel, "minus", kv)
-        except QuadratureFailure as exc:
-            # bound as a default: Python deletes ``exc`` when the handler exits
-            return (_PyComplex.of(n[0]), _PyComplex.of(n[1])), [(np.arange(len(ks)) == i,
-                                                                 lambda _, exc=exc: exc)]
-    return (_PyComplex.of(n[0]), _PyComplex.of(n[1])), []
-
-
 @_closed_form
 def nonlocal_coefficients(kernel: SeparableKernel, k) -> ScatteringCoefficients:
     """All four coefficients of the separable kernel.
@@ -350,33 +335,26 @@ def nonlocal_coefficients(kernel: SeparableKernel, k) -> ScatteringCoefficients:
     return coefficients, faults
 
 
-def _convolution(kernel: SeparableKernel, sign: str, x: float, kv: float) -> tuple:
-    """(value, d/dx) of Int G_sign(x - y) g(y) e^{i alpha y} dy."""
-    if kernel.is_yamaguchi:
-        pref = -0.5j / kv if sign == "plus" else 0.5j / kv
-        inner, inner_d = _yamaguchi_inner(x, kernel.alpha, kernel.gamma,
-                                          kv if sign == "plus" else -kv)
-        return pref * inner, pref * inner_d
-    from scipy.integrate import quad
-
-    L = kernel.support
-    s = 1.0 if sign == "plus" else -1.0
-    pref = -0.5j / kv if sign == "plus" else 0.5j / kv
-
-    def f(y):
-        return cmath.exp(s * 1j * kv * abs(x - y)) * kernel.g(y) * cmath.exp(1j * kernel.alpha * y)
-
-    def fd(y):
-        # dG/dx = (sgn(x-y)/2) e^{+-ik|x-y|}; the +-i/2k prefactors cancel
-        return (0.5 * math.copysign(1.0, x - y) * cmath.exp(s * 1j * kv * abs(x - y))
-                * kernel.g(y) * cmath.exp(1j * kernel.alpha * y))
-
-    pts = [p for p in (x,) if -L < p < L]
-    val = complex(quad(lambda y: f(y).real, -L, L, points=pts, limit=400)[0],
-                  quad(lambda y: f(y).imag, -L, L, points=pts, limit=400)[0])
-    dval = complex(quad(lambda y: fd(y).real, -L, L, points=pts, limit=400)[0],
-                   quad(lambda y: fd(y).imag, -L, L, points=pts, limit=400)[0])
-    return pref * val, dval
+def _convolution(kernel: SeparableKernel, kk: float, xs) -> tuple:
+    """(value, d/dx) of Int G(x - y) g(y) e^{i alpha y} dy at each x of the
+    array xs, G the outgoing Green's function at the signed k kk (incoming
+    for kk < 0): -i/2kk (e^{ikx} A(x) + e^{-ikx} B(x)), whose derivative is
+    -i/2kk ik (e^{ikx} A - e^{-ikx} B), as the G(x) terms cancel."""
+    if kernel.is_yamaguchi:     # e^{-+ikx} and e^{(-+gamma + i alpha) x} for x >= 0 and x < 0
+        pieces = _yamaguchi_pieces(kernel.alpha, kernel.gamma, np.array([kk]))
+        gt, gt_m, c2, c3 = (complex(_PyComplex.of(z).array()[0]) for z in pieces)
+        right = xs >= 0
+        kx, amp, c = np.where(right, kk, -kk), np.where(right, gt, gt_m), np.where(right, c2, c3)
+        rate = np.where(right, -kernel.gamma, kernel.gamma) + 1j * kernel.alpha
+        wave, decay = np.exp(1j * kx * xs), np.exp(rate * xs)
+        return -0.5j / kk * (amp * wave + c * decay), 0.5 / kk * (kx * amp * wave - 1j * rate * c * decay)
+    y, weights, _, edges, _ = _rule(kernel.support, np.array([abs(kk) + abs(kernel.alpha)]), _ORDER,
+                                    xs[np.abs(xs) < kernel.support])    # every x inside is an edge
+    e, g = np.exp(-1j * kk * y), _values_at(kernel.g, y) * np.exp(1j * kernel.alpha * y) * weights
+    a, b = (np.concatenate([[0.0], np.cumsum(np.sum(f * g, axis=1))]) for f in (e, e.conj()))
+    at = np.searchsorted(edges, np.clip(xs, -kernel.support, kernel.support))
+    wave, a, b = np.exp(1j * kk * xs), a[at], b[-1] - b[at]
+    return -0.5j / kk * (wave * a + wave.conj() * b), 0.5 * (wave * a - wave.conj() * b)
 
 
 def nonlocal_wavefunction(kernel: SeparableKernel, k, direction: str,
@@ -389,26 +367,19 @@ def nonlocal_wavefunction(kernel: SeparableKernel, k, direction: str,
     """
     from .numeric import WavefunctionGrid
 
-    ks = np.array([as_wavenumber(k).k])
-    kv = float(ks[0])
+    if direction not in ("left", "right"):
+        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+    ks = np.array([kv := as_wavenumber(k).k])
     grid = np.asarray(grid, dtype=float)
     with np.errstate(all="ignore"):
         mid, coefficients, faults = _intermediates(kernel, ks)
         coeffs = _record(ks, True, coefficients, faults)
-    if direction == "left":
-        c, d, i_pm, sign = 1.0, 0.0, mid.i_plus, "plus"
-    elif direction == "right":
-        c, d, i_pm, sign = coeffs.r_rl, coeffs.t_rl, mid.i_minus, "minus"
-    else:
-        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
-    i_pm = complex(i_pm.array()[0])
-    psi = np.empty(len(grid), dtype=complex)
-    dpsi = np.empty(len(grid), dtype=complex)
-    lam = kernel.lam
-    for j, x in enumerate(grid):
-        conv, dconv = _convolution(kernel, sign, float(x), kv)
-        psi[j] = c * cmath.exp(1j * kv * x) + d * cmath.exp(-1j * kv * x) + lam * i_pm * conv
-        dpsi[j] = (1j * kv * c * cmath.exp(1j * kv * x) - 1j * kv * d * cmath.exp(-1j * kv * x)
-                   + lam * i_pm * dconv)
-    name = "left-incident" if direction == "left" else "right-incident"
-    return WavefunctionGrid(x=grid, psi=psi, dpsi=dpsi, k=kv, direction=name)
+        left = direction == "left"
+        c, d, i_pm = (1.0, 0.0, mid.i_plus) if left else (coeffs.r_rl, coeffs.t_rl, mid.i_minus)
+        conv, dconv = _convolution(kernel, kv if left else -kv, grid)
+    source = kernel.lam * complex(i_pm.array()[0])
+    wave = np.exp(1j * kv * grid)
+    psi = c * wave + d * wave.conj() + source * conv
+    dpsi = 1j * kv * (c * wave - d * wave.conj()) + source * dconv
+    return WavefunctionGrid(x=grid, psi=psi, dpsi=dpsi, k=kv,
+                            direction="left-incident" if left else "right-incident")

@@ -471,6 +471,25 @@ class TestConfigAndErrors:
         assert run_cli(argv + ["--out", os.devnull]) == 2
         assert "steps, more than the 10000000 one sweep may take" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["scan", "--kcount", "100000000000"], "kcount"),
+        (["lattice", "--n-max", "100000000000", "--kcount", "2"], "n-max"),
+    ], ids=["scan-kcount", "lattice-n-max"])
+    def test_table_too_large_is_config_error(self, argv, flag, capsys):
+        """A grid past MAX_ROWS exits 2 before anything is allocated."""
+        assert run_cli(argv + ["--out", os.devnull]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {flag}") and "1000000" in err
+
+    def test_max_rows_is_the_largest_table(self, monkeypatch):
+        import ptscatter.cli as cli
+
+        monkeypatch.setattr(cli, "MAX_ROWS", 6)
+        for argv, code in ((["scan", "--kcount", "6"], 0), (["scan", "--kcount", "7"], 2),
+                           (["lattice", "--n", "2", "--n-max", "4", "--kcount", "2"], 0),
+                           (["lattice", "--n", "2", "--n-max", "5", "--kcount", "2"], 2)):
+            assert run_cli(argv + ["--out", os.devnull]) == code, argv
+
     def test_custom_sampled_scan_is_one_sweep(self, tmp_path, monkeypatch):
         import ptscatter.numeric as numeric
         from ptscatter import IntegrationConfig, numeric_coefficients, sampled_potential
@@ -526,17 +545,27 @@ class TestConfigAndErrors:
         assert capsys.readouterr().err == f"solver error at k = {k}: {OUT_OF_RANGE}\n"
 
     def test_import_does_not_load_scipy_integrate(self):
-        """Every command runs with scipy refused at import: scipy serves only
-        the quadrature of generic separable kernels."""
+        """Every command, and a generic separable kernel through numeric
+        transforms, N+-, coefficients over a column, wavefunctions and its
+        classification, runs with scipy refused at import."""
         code = """if True:
-            import json, sys
+            import json, math, sys
+            import numpy as np
             class Refuse:
                 def find_spec(self, name, path=None, target=None):
                     if name.split(".")[0] == "scipy":
                         raise ImportError(f"{name} refused")
             sys.meta_path.insert(0, Refuse())
+            from ptscatter import separable
             from ptscatter.cli import main
-            print(*(main(argv) for argv in json.loads(sys.argv[1])))"""
+            kernel = separable.SeparableKernel.from_form_factors(
+                g=lambda x: math.exp(-abs(x)), h=lambda y: math.exp(-2 * abs(y)), alpha=0.3, beta=0.7)
+            c = separable.nonlocal_coefficients(kernel, np.array([0.5, 1.0, 2.0]))
+            n = [separable.compute_n(kernel, sign, 1.0) for sign in ("plus", "minus")]
+            wf = separable.nonlocal_wavefunction(kernel, 1.0, "right", np.linspace(-3, 3, 7))
+            cls = separable.kernel_symmetry_class(kernel)
+            finite = all(np.all(np.isfinite(z)) for z in (c.t_lr, c.r_rl, n, wf.psi, kernel.g_ft(0.5)))
+            print(*(main(argv) for argv in json.loads(sys.argv[1])), finite and cls.pt)"""
         runs = [[command, "--potential", potential, "--kcount", "3", "--out", os.devnull]
                 for command, potentials in (("scan", ("square-well", "scarf", "yamaguchi")),
                                             ("compare", ("square-well", "scarf")),
@@ -546,7 +575,7 @@ class TestConfigAndErrors:
         proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["0"] * len(runs)
+        assert proc.stdout.split() == ["0"] * len(runs) + ["True"]
 
     def test_import_leaves_unused_modules_unloaded(self):
         unused = ("numeric", "specfun", "separable", "symmetry", "current", "spell")
@@ -560,21 +589,24 @@ class TestConfigAndErrors:
         (["scan", "--potential", "centrifugal", "--kcount", "4"], []),
         (["scan", "--potential", "scarf", "--kcount", "30"], ["specfun"]),
         (["scan", "--potential", "scarf", "--kcount", "4"], ["specfun"]),
+        (["scan", "--potential", "yamaguchi", "--kcount", "4"], []),
         (["symmetry", "--potential", "yamaguchi", "--kcount", "4"], []),
         (["compare", "--potential", "square-well", "--kcount", "2"], ["numeric"]),
     ], ids=["lattice", "scan-square-well", "scan-centrifugal", "scan-scarf-columns",
-            "scan-scarf-per-k", "symmetry-yamaguchi", "compare-square-well"])
+            "scan-scarf-per-k", "scan-yamaguchi", "symmetry-yamaguchi", "compare-square-well"])
     def test_command_loads_only_what_it_uses(self, argv, loaded, tmp_path):
         """numeric and specfun load only for a command that integrates or
-        builds a profile, or evaluates a Scarf closed form."""
+        builds a profile, or evaluates a Scarf closed form; numpy.polynomial,
+        which only generic separable kernels use, never."""
         code = ("import json, sys; from ptscatter.cli import main; "
                 "code = main(json.loads(sys.argv[1])); "
-                "print(code, *(f'ptscatter.{m}' in sys.modules for m in ('numeric', 'specfun')))")
+                "print(code, *(m in sys.modules for m in "
+                "('ptscatter.numeric', 'ptscatter.specfun', 'numpy.polynomial')))")
         argv = argv + ["--out", str(tmp_path / "out")]
         proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
                               capture_output=True, text=True)
-        assert proc.stdout.split() == ["0", str("numeric" in loaded), str("specfun" in loaded)], \
-            proc.stderr
+        assert proc.stdout.split() == ["0", str("numeric" in loaded), str("specfun" in loaded),
+                                       "False"], proc.stderr
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "ptscatter.cli", "scan",

@@ -58,6 +58,10 @@ def invocations(draw):
 @example((["compare", "--potential", "square-well", "--kcount", "2", "--step", "1e-12",
            "--out", os.devnull], None))
 @example((["compare", "--potential", "scarf", "--cutoff", "1e7", "--out", os.devnull], None))
+# tables with more rows than can be allocated or written are configuration errors
+@example((["scan", "--potential", "square-well", "--kcount", "100000000000", "--out", os.devnull], None))
+@example((["lattice", "--potential", "square-well", "--n-max", "100000000000", "--kcount", "2",
+           "--out", os.devnull], None))
 # closed forms that leave the float range are solver errors
 @example((["scan", "--potential", "scarf", "--kmin", "230", "--kmax", "231", "--kcount", "2",
            "--out", os.devnull], None))

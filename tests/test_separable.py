@@ -51,33 +51,55 @@ class TestGreenFunction:
             assert abs(d2 + k * k * vals[1]) < 1e-6
 
 
+#: a wave-number column past k = 40, where the panel rule's width falls below 0.5
+KS = np.linspace(0.05, 50.0, 60)
+
+
+def _yamaguchi_as_generic(gamma, delta, alpha=0.0, beta=0.0, transforms=False):
+    """The Yamaguchi kernel given as generic callables, with its analytic
+    transforms or (default) the numeric ones."""
+    fts = {}
+    if transforms:
+        fts = {"g_ft": lambda q: 2 * gamma / (gamma * gamma + q * q),
+               "h_ft": lambda q: 2 * delta / (delta * delta + q * q)}
+    return SeparableKernel.from_form_factors(
+        g=lambda x: math.exp(-gamma * abs(x)), h=lambda y: math.exp(-delta * abs(y)),
+        alpha=alpha, beta=beta, lam=1.0, support=40.0, **fts)
+
+
+def _assert_n_close(a, b, tol=1e-12):
+    for sign in ("n_plus", "n_minus"):
+        x, y = getattr(a, sign), getattr(b, sign)
+        assert np.max(np.abs(x - y) / np.maximum(1.0, np.abs(y))) < tol
+
+
 class TestComputeN:
     def test_closed_form_matches_quadrature(self):
-        """The frozen piecewise-exponential result against the generic 2-d route."""
-        generic = SeparableKernel.from_form_factors(
-            g=lambda x: math.exp(-abs(x)), h=lambda y: math.exp(-2 * abs(y)),
-            alpha=0.3, beta=-0.4, lam=1.0,
-            g_ft=lambda q: 2.0 / (1.0 + q * q), h_ft=lambda q: 4.0 / (4.0 + q * q),
-            support=40.0)
+        """The frozen piecewise-exponential result against the generic panel
+        rule over a k column."""
+        generic = _yamaguchi_as_generic(1.0, 2.0, 0.3, -0.4, transforms=True)
         fast = SeparableKernel.yamaguchi(gamma=1.0, delta=2.0, alpha=0.3, beta=-0.4, lam=1.0)
-        k = 1.5
+        _assert_n_close(nonlocal_intermediates(generic, KS), nonlocal_intermediates(fast, KS))
         for sign in ("plus", "minus"):
-            a = compute_n(fast, sign, k)
-            b = compute_n(generic, sign, k)
-            assert abs(a - b) < 1e-6
+            a, b = compute_n(fast, sign, 1.5), compute_n(generic, sign, 1.5)
+            assert abs(a - b) < 1e-12
 
     def test_confluent_parameters(self):
         """gamma = delta with alpha = -beta = 0 (degenerate in momentum space)."""
-        generic = SeparableKernel.from_form_factors(
-            g=lambda x: math.exp(-abs(x)), h=lambda y: math.exp(-abs(y)),
-            g_ft=lambda q: 2.0 / (1.0 + q * q), h_ft=lambda q: 2.0 / (1.0 + q * q),
-            support=40.0)
+        generic = _yamaguchi_as_generic(1.0, 1.0, transforms=True)
         fast = SeparableKernel.yamaguchi(gamma=1.0, delta=1.0)
+        _assert_n_close(nonlocal_intermediates(generic, KS), nonlocal_intermediates(fast, KS))
         got = compute_n(fast, "plus", 1.0)
         ref = compute_n(generic, "plus", 1.0)
-        assert abs(got - ref) < 1e-6
+        assert abs(got - ref) < 1e-12
         # and against the hand value N+ = (1 - 0.5j) / lam at these parameters
         assert abs(got - (1.0 - 0.5j)) < 1e-12
+
+    def test_numeric_transform(self):
+        q = np.linspace(-10.0, 10.0, 201)
+        kernel = _yamaguchi_as_generic(1.0, 2.0)
+        assert np.max(np.abs(kernel.g_ft(q) - 2.0 / (1.0 + q * q))) < 1e-14
+        assert abs(kernel.h_ft(1.5) - 4.0 / 6.25) < 1e-14
 
     def test_q_decomposition(self, rng):
         """lam N+- = -+(i w/2)[g~(k-a)h~(k+b) + g~(k+a)h~(k-b)] + Q with real Q."""
@@ -146,15 +168,13 @@ class TestCoefficients:
         assert abs(abs(c.t_lr) ** 2 + abs(c.r_lr) ** 2 - 1.0) < 1e-12
 
     def test_generic_pipeline_matches_fast_path(self):
-        """Numeric transforms + nested quadrature against the closed forms."""
-        generic = SeparableKernel.from_form_factors(
-            g=lambda x: math.exp(-abs(x)), h=lambda y: math.exp(-2 * abs(y)),
-            alpha=0.3, beta=0.7, lam=1.0, support=40.0)
+        """Numeric transforms + the panel rule against the closed forms."""
+        generic = _yamaguchi_as_generic(1.0, 2.0, 0.3, 0.7)
         fast = SeparableKernel.yamaguchi(gamma=1.0, delta=2.0, alpha=0.3, beta=0.7, lam=1.0)
-        a = nonlocal_coefficients(generic, 1.0)
-        b = nonlocal_coefficients(fast, 1.0)
+        a = nonlocal_coefficients(generic, KS)
+        b = nonlocal_coefficients(fast, KS)
         for name in ("t_lr", "r_lr", "t_rl", "r_rl"):
-            assert abs(getattr(a, name) - getattr(b, name)) < 1e-6
+            assert np.max(np.abs(getattr(a, name) - getattr(b, name))) < 1e-12
 
     def test_hermitian_kernel_reflection_moduli(self):
         """alpha = -beta, g = h: |R_lr| = |R_rl| while T_lr != T_rl."""
@@ -181,7 +201,7 @@ class TestCoefficients:
 
         kernel = SeparableKernel.yamaguchi(gamma=1.0, delta=1.0, lam=2.0)
         half = _PyComplex(np.array([0.5]), np.array([0.0]))
-        monkeypatch.setattr(sep, "_yamaguchi_n", lambda ker, ks: (half, half))
+        monkeypatch.setattr(sep, "_n_columns", lambda ker, ks: ((half, half), []))
         with pytest.raises(ResonancePole):
             sep.nonlocal_intermediates(kernel, 1.0)
 
@@ -193,17 +213,35 @@ class TestCoefficients:
         generic = SeparableKernel.from_form_factors(
             g=lambda x: math.exp(-abs(x)), h=lambda y: math.exp(-2 * abs(y)),
             alpha=0.3, beta=0.7, lam=1.0, support=40.0)
+        panel_j = sep._panel_j
 
-        def compute_n_failing_at_2(kernel, sign, k):
-            if k == 2.0:
-                raise QuadratureFailure(f"quadrature error 1.00e-03 too large for N {sign}")
-            return 0.1j
+        def doubled_order_off_at_2(kernel, kk, order):
+            j = panel_j(kernel, kk, order)
+            return j + 1e-3 * ((order > sep._ORDER) & (kk == 2.0))
 
-        monkeypatch.setattr(sep, "compute_n", compute_n_failing_at_2)
+        monkeypatch.setattr(sep, "_panel_j", doubled_order_off_at_2)
         for fn in (nonlocal_coefficients, nonlocal_intermediates):
             with pytest.raises(QuadratureFailure, match="too large for N plus") as info:
                 fn(generic, np.array([1.0, 2.0, 3.0]))
             assert info.value.k == 2.0
+
+    def test_kink_away_from_zero_is_a_quadrature_failure(self):
+        """Kinks at +-0.3 fall inside a panel: the doubled order disagrees."""
+        kinked = SeparableKernel.from_form_factors(
+            g=lambda x: math.exp(-abs(abs(x) - 0.3)), h=lambda y: math.exp(-abs(y)))
+        with pytest.raises(QuadratureFailure, match="too large for N plus") as info:
+            nonlocal_coefficients(kinked, np.array([0.5, 1.0]))
+        assert info.value.k == 0.5
+
+    def test_wave_number_beyond_the_rule(self):
+        """A k whose panels would pass the rule's count has no estimate (NaN)
+        and is a failure; the others of its column are evaluated."""
+        generic = _yamaguchi_as_generic(1.0, 2.0, 0.3, 0.7)
+        with pytest.raises(QuadratureFailure, match="error nan too large for N plus") as info:
+            nonlocal_coefficients(generic, np.array([1.0, 2e4]))
+        assert info.value.k == 2e4
+        assert abs(compute_n(generic, "minus", 1.0)
+                   - compute_n(SeparableKernel.yamaguchi(1.0, 2.0, 0.3, 0.7), "minus", 1.0)) < 1e-12
 
 
 class TestKernelClassification:
@@ -323,6 +361,16 @@ class TestWavefunction:
             plus = nonlocal_wavefunction(DEFAULT, 1.0, "left", np.array([x + h])).psi[0]
             minus = nonlocal_wavefunction(DEFAULT, 1.0, "left", np.array([x - h])).psi[0]
             assert abs((plus - minus) / (2 * h) - wf.dpsi[idx]) < 1e-7
+
+    @pytest.mark.parametrize("direction", ["left", "right"])
+    def test_generic_kernel_matches_fast_path(self, direction):
+        """The panel rule's A and B at every x, inside and beyond the support,
+        against the closed-form convolution."""
+        grid = np.concatenate([np.linspace(-6.0, 6.0, 61), [-45.0, -40.0, 39.99, 45.0]])
+        a = nonlocal_wavefunction(_yamaguchi_as_generic(1.0, 2.0, 0.3, 0.7), 1.3, direction, grid)
+        b = nonlocal_wavefunction(ASYMMETRIC, 1.3, direction, grid)
+        assert np.max(np.abs(a.psi - b.psi)) < 1e-12
+        assert np.max(np.abs(a.dpsi - b.dpsi)) < 1e-12
 
     def test_integro_differential_residual_left(self):
         assert integro_differential_residual(DEFAULT, 1.0, "left") < 1e-5
