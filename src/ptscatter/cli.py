@@ -284,8 +284,7 @@ def _integrated(potential, step: float):
         except ScatteringError as exc:
             exc.k = ks[0] if exc.k is None else exc.k
             raise
-        columns = {name: np.array([getattr(a, name) for a in amps]) for name in vars(amps[0])}
-        return core._quotients(core.AsymptoticAmplitudes(**columns), np.asarray(ks, dtype=float))
+        return core._quotients(amps, np.asarray(ks, dtype=float))
     return sweep
 
 
@@ -322,7 +321,7 @@ def build_problem(args) -> Problem:
         lam = complex(args.lambda_re, args.lambda_im)
         eps = 0.0 if args.eps is None else args.eps
         p = potentials.ScarfParams(s=args.s, lam=lam, eps=eps)
-        # the truncated profile is built only by the commands that use it, but
+        # the tail-matched profile is built only by the commands that use it, but
         # every command rejects a cutoff it could not be built with
         core._require_support(-args.cutoff, args.cutoff)
         return Problem(kind=kind,

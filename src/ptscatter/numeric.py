@@ -1,9 +1,12 @@
 """Direct integration of the stationary Schroedinger equation.
 
-Brute-force oracle for the analytic catalog: two solutions are started as
-exact plane waves e^{+-ikx} in the free region left of the support,
-propagated across it, and their plane-wave amplitudes are read off from
-(psi, psi') on the far side.
+Brute-force oracle for the analytic catalog: two solutions are started at
+the left edge as the exact solutions that behave as e^{+-ikx} at -inf,
+propagated across the support, and projected on the far edge onto the exact
+solutions that behave as e^{+-ikx} at +inf.  Beyond a potential's support
+those are plane waves, started and read off a free margin away; where the
+potential has an exponential tail instead (``LocalPotential.tails``) they
+are its Jost solutions, summed as series at the edges themselves.
 
 One propagator: the fourth-order Magnus step (Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470 (2009) 151) on fixed steps aligned to potential
@@ -34,21 +37,25 @@ from .errors import DegenerateSolutions, NonDecayedPotential, StepTooLarge
 
 @dataclass(frozen=True)
 class LocalPotential:
-    """Complex local potential with finite support [x_left, x_right].
+    """Complex local potential integrated over [x_left, x_right].
 
     ``evaluate`` maps real x to complex V(x).  It may receive an array of
     positions and should then return V elementwise; ``sample`` passes it
     whole grids that way and falls back to one call per point for a
-    callable that only accepts scalars.  Outside the support |V| must be
-    below the integration config's decay tolerance.  Interior
-    discontinuities go into ``breakpoints`` so integration steps never
-    straddle them.
+    callable that only accepts scalars.  Interior discontinuities go into
+    ``breakpoints`` so integration steps never straddle them.
+
+    Without ``tails``, [x_left, x_right] is the support: outside it |V|
+    must be below the integration config's decay tolerance.  ``tails`` =
+    (left, right) gives the exact exterior instead: V(x) = sum_n w_n e^{-n|x|}
+    beyond each edge, with the coefficients w_1, w_2, ... of that side.
     """
 
     evaluate: Callable
     x_left: float
     x_right: float
     breakpoints: tuple = ()
+    tails: tuple | None = None
 
     def __post_init__(self):
         _require_support(self.x_left, self.x_right)
@@ -64,7 +71,8 @@ class IntegrationConfig:
 
     The fixed step must resolve the free-space wavelength with at least
     ten points; ``match_margin`` is how far beyond the support the
-    plane-wave initialisation/extraction points sit.
+    plane-wave initialisation/extraction points sit.  A potential with
+    tails uses neither ``match_margin`` nor ``decay_tol``.
     """
 
     step: float = 1e-3
@@ -88,8 +96,9 @@ class WavefunctionGrid:
 
 
 def _segments(v: LocalPotential, cfg: IntegrationConfig):
-    x0 = v.x_left - cfg.match_margin
-    x1 = v.x_right + cfg.match_margin
+    margin = cfg.match_margin if v.tails is None else 0.0
+    x0 = v.x_left - margin
+    x1 = v.x_right + margin
     pts = sorted({x0, v.x_left, v.x_right, x1}
                  | {b for b in v.breakpoints if x0 < b < x1})
     return list(zip(pts[:-1], pts[1:]))
@@ -106,6 +115,49 @@ def _check_decay(v: LocalPotential, cfg: IntegrationConfig):
                 f"|V({x})| = {abs(v.evaluate(x)):.3e} >= decay_tol {cfg.decay_tol}")
 
 
+#: most terms of a tail's Jost series
+MAX_TAIL_TERMS = 64
+
+
+def _jost_pair(tail, x, ks, side):
+    """Jost pair of an exponential tail at its edge x, over the k column.
+
+    Beyond the edge V = sum_n w_n r^n with r = e^{-|x|} and w_n = tail[n - 1],
+    and the solutions that behave as e^{+-ikx} towards ``side`` (+1 right,
+    -1 left) are f = e^{+-ikx} sum_m a_m r^m, a_0 = 1, where
+    a_m (m^2 -+ 2ikm side) = sum_{n=1..m} w_n a_{m-n}
+    (Newton, Scattering Theory of Waves and Particles, 2nd ed., ch. 12).
+    Terms are added until two in a row fall below 2^-53 of the partial sums
+    of f and f' for every k.  Returns (phase, s, ds), each of shape (2, nk):
+    f = phase s and f' = phase ds.  A series that has not converged in
+    MAX_TAIL_TERMS terms raises NonDecayedPotential.
+    """
+    r = np.exp(-abs(x))
+    ik = np.stack([1j * ks, -1j * ks])
+    coef = np.zeros((8,) + ik.shape, dtype=complex)     # a_0, a_1, ...: doubles as terms are used
+    coef[0] = 1.0
+    s, ds = np.ones(ik.shape, dtype=complex), ik.copy()
+    w = np.zeros(MAX_TAIL_TERMS, dtype=complex)
+    w[:len(tail)] = tail[:MAX_TAIL_TERMS]
+    small = 0
+    for m in range(1, MAX_TAIL_TERMS + 1):
+        if m == len(coef):
+            coef = np.concatenate([coef, np.zeros_like(coef)])
+        rate = ik - side * m                    # d/dx of e^{+-ikx} r^m over itself
+        coef[m] = np.tensordot(w[m - 1::-1], coef[:m], axes=1) / (m * m - side * 2 * m * ik)
+        term = coef[m] * r ** m
+        s, ds = s + term, ds + rate * term
+        tiny = np.all(np.abs(term) <= 2.0 ** -53 * np.abs(s)) and \
+            np.all(np.abs(rate * term) <= 2.0 ** -53 * np.abs(ds))
+        small = small + 1 if tiny else 0
+        if small == 2:
+            return np.exp(ik * x), s, ds
+    edge = "right" if side > 0 else "left"
+    raise NonDecayedPotential(
+        f"the Jost series of the {edge} tail has not converged in {MAX_TAIL_TERMS} terms "
+        f"at the {edge} edge x = {x} (matching radius {abs(x)})")
+
+
 #: steps x wave numbers per block of step matrices (bounds the block's memory)
 _BLOCK_SIZE = 4096
 #: most steps one sweep may take: its grid and V samples are allocated whole
@@ -117,8 +169,8 @@ _GAUSS = np.array([[-0.5 / np.sqrt(3.0)], [0.5 / np.sqrt(3.0)]])
 def _step_grid(v: LocalPotential, cfg: IntegrationConfig):
     """Width, end node and V at the two Gauss nodes of every step.
 
-    Returns (h, x_end, vv) with vv of shape (2, nsteps); V is sampled at
-    every node of the sweep in one ``sample`` call.  A sweep of more than
+    Returns (segments, h, x_end, vv) with vv of shape (2, nsteps); V is
+    sampled at every node of the sweep in one ``sample`` call.  A sweep of more than
     MAX_STEPS steps raises ValueError before anything is allocated.
     """
     segments = _segments(v, cfg)
@@ -134,7 +186,7 @@ def _step_grid(v: LocalPotential, cfg: IntegrationConfig):
         mids.append(a + np.arange(0.5, n) * h)
     hs, mids = np.concatenate(hs), np.concatenate(mids)
     vv = v.sample((mids + _GAUSS * hs).ravel()).reshape(2, -1)
-    return hs, np.concatenate(ends), vv
+    return segments, hs, np.concatenate(ends), vv
 
 
 def _magnus_steps(h, v, ks, kappa):
@@ -200,11 +252,26 @@ def _prefix_products(d):
     return d
 
 
-def _propagate(v, ks, cfg, record=False):
-    """Propagate the solutions started as e^{ikx} and e^{-ikx} for every k.
+def _start(ks, x, kappa, jost=None):
+    """(alpha, beta) at x of the solutions behaving as e^{ikx} and e^{-ikx}
+    at -inf: plane waves, or the left Jost pair ``jost`` (``_jost_pair``)."""
+    if jost is None:
+        # at kappa = k, alpha and beta are the e^{ikx} and e^{-ikx} parts of psi: a free-space
+        # step is diagonal, so no rounding mixes them; kappa >= 1 stays well conditioned as k -> 0
+        waves = np.stack([np.exp(1j * ks * x), np.exp(-1j * ks * x)])
+        return (0.5 * np.stack([1 + ks / kappa, 1 - ks / kappa]) * waves,
+                0.5 * np.stack([1 - ks / kappa, 1 + ks / kappa]) * waves)
+    phase, f, df = jost
+    return 0.5 * phase * (f + df / (1j * kappa)), 0.5 * phase * (f - df / (1j * kappa))
 
-    Returns (xs, psi, dpsi) where psi/dpsi have shape (2, nk) at the end
-    point, or shape (nnodes, 2, nk) when ``record`` is set.
+
+def _propagate(v, ks, cfg, record=False):
+    """Propagate the solutions behaving as e^{ikx} and e^{-ikx} at -inf for every k.
+
+    Returns (xs, psi, dpsi, ends) where psi/dpsi have shape (2, nk) at the
+    end point, or shape (nnodes, 2, nk) when ``record`` is set; ``ends`` is
+    the right Jost pair at the end point (``_jost_pair``), or None where the
+    solutions are read off as plane waves.
     """
     ks = np.asarray(ks, dtype=float)
     unresolved = ks[cfg.step >= 2 * np.pi / (10 * ks)]
@@ -212,16 +279,17 @@ def _propagate(v, ks, cfg, record=False):
         k = float(np.min(unresolved))
         raise StepTooLarge(
             f"step {cfg.step} exceeds 2*pi/(10*k) = {2 * np.pi / (10 * k):.4g} at k = {k}", k=k)
-    _check_decay(v, cfg)
-    x_start = v.x_left - cfg.match_margin
-    # at kappa = k, alpha and beta are the e^{ikx} and e^{-ikx} parts of psi: a free-space
-    # step is diagonal, so no rounding mixes them; kappa >= 1 stays well conditioned as k -> 0
+    if v.tails is None:
+        _check_decay(v, cfg)
+        jost = ends = None
+    else:
+        jost = _jost_pair(v.tails[0], v.x_left, ks, -1)
+        ends = _jost_pair(v.tails[1], v.x_right, ks, 1)
+    segments, hs, x_end, vv = _step_grid(v, cfg)
+    x_start = segments[0][0]
     kappa = np.maximum(ks, 1.0)
-    waves = np.stack([np.exp(1j * ks * x_start), np.exp(-1j * ks * x_start)])
-    alpha = 0.5 * np.stack([1 + ks / kappa, 1 - ks / kappa]) * waves
-    beta = 0.5 * np.stack([1 - ks / kappa, 1 + ks / kappa]) * waves
+    alpha, beta = _start(ks, x_start, kappa, jost)
 
-    hs, ends, vv = _step_grid(v, cfg)
     nodes_alpha, nodes_beta = [alpha[None]], [beta[None]]
     block = max(1, _BLOCK_SIZE // len(ks))
     for s in range(0, len(hs), block):
@@ -237,49 +305,55 @@ def _propagate(v, ks, cfg, record=False):
             alpha, beta = (alpha + (p[0, 0] * alpha + p[0, 1] * beta),
                            beta + (p[1, 0] * alpha + p[1, 1] * beta))
     if record:
-        xs, alpha, beta = (np.concatenate([[x_start], ends]), np.concatenate(nodes_alpha),
+        xs, alpha, beta = (np.concatenate([[x_start], x_end]), np.concatenate(nodes_alpha),
                            np.concatenate(nodes_beta))
     else:
-        xs = np.array([v.x_right + cfg.match_margin])
-    return xs, alpha + beta, 1j * kappa * (alpha - beta)
+        xs = np.array([segments[-1][1]])
+    return xs, alpha + beta, 1j * kappa * (alpha - beta), ends
 
 
-def _extract(psi, dpsi, k, x):
-    """Plane-wave amplitudes (a, b) from (psi, psi') at position x."""
+def _extract(psi, dpsi, k, x, ends=None):
+    """Amplitudes (a, b) of (psi, psi') at x on the solutions behaving as
+    e^{ikx} and e^{-ikx} at +inf: plane waves, or the Jost pair ``ends``."""
     ika = 1j * k
-    a = 0.5 * (psi + dpsi / ika) * np.exp(-ika * x)
-    b = 0.5 * (psi - dpsi / ika) * np.exp(ika * x)
-    return a, b
+    if ends is None:
+        a = 0.5 * (psi + dpsi / ika) * np.exp(-ika * x)
+        b = 0.5 * (psi - dpsi / ika) * np.exp(ika * x)
+        return a, b
+    phase, f, df = ends
+    w = f[0] * df[1] - df[0] * f[1]
+    return (psi * df[1] - dpsi * f[1]) / (w * phase[0]), (dpsi * f[0] - psi * df[0]) / (w * phase[1])
 
 
 def integrate_batch(v: LocalPotential, ks: Sequence[float], cfg: IntegrationConfig | None = None):
-    """Amplitudes for many wave numbers in one sweep (shared x-grid).
+    """Amplitudes of the pair behaving as e^{ikx} and e^{-ikx} at -inf, for
+    many wave numbers in one sweep (shared x-grid), as one
+    ``AsymptoticAmplitudes`` of k columns.
 
-    A k-dependent failure names the lowest failing k in the error's ``k``.
+    The left amplitudes are exactly (1, 0) and (0, 1); the right ones are
+    solved from (psi, psi') at the far edge.  A k-dependent failure names
+    the lowest failing k in the error's ``k``.
     """
     cfg = cfg or IntegrationConfig()
     ks = np.asarray([as_wavenumber(k).k for k in ks], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         # a solution that overflows leaves a non-finite Wronskian, caught below
-        xs, psi, dpsi = _propagate(v, ks, cfg, record=False)
-        a, b = _extract(psi, dpsi, ks, xs[-1])
+        xs, psi, dpsi, ends = _propagate(v, ks, cfg, record=False)
+        a, b = _extract(psi, dpsi, ks, xs[-1], ends)
         wr = np.abs(psi[0] * dpsi[1] - psi[1] * dpsi[0])
     lost = ks[~(np.isfinite(wr) & (wr >= 1e-8 * 2 * ks))]
     if lost.size:
         raise DegenerateSolutions("solution pair lost independence during integration",
                                   k=float(np.min(lost)))
-    return [AsymptoticAmplitudes(a1p=complex(a[0, j]), b1p=complex(b[0, j]), a1m=1.0, b1m=0.0,
-                                 a2p=complex(a[1, j]), b2p=complex(b[1, j]), a2m=0.0, b2m=1.0)
-            for j in range(len(ks))]
+    one, zero = np.ones(len(ks)), np.zeros(len(ks))
+    return AsymptoticAmplitudes(a1p=a[0], b1p=b[0], a1m=one, b1m=zero,
+                                a2p=a[1], b2p=b[1], a2m=zero, b2m=one)
 
 
 def integrate_two_solutions(v: LocalPotential, k, cfg: IntegrationConfig | None = None) -> AsymptoticAmplitudes:
-    """Integrate the e^{+-ikx}-initialised pair across the support.
-
-    The left amplitudes are the exact initial conditions (1,0) and (0,1);
-    the right ones are solved from (psi, psi') at the matching point.
-    """
-    return integrate_batch(v, [as_wavenumber(k).k], cfg)[0]
+    """``integrate_batch`` at one wave number, as an ``AsymptoticAmplitudes`` of scalars."""
+    amps = integrate_batch(v, [as_wavenumber(k).k], cfg)
+    return AsymptoticAmplitudes(**{name: z[0].item() for name, z in vars(amps).items()})
 
 
 def numeric_coefficients(v: LocalPotential, k, cfg: IntegrationConfig | None = None) -> ScatteringCoefficients:
@@ -298,15 +372,15 @@ def numeric_coefficients(v: LocalPotential, k, cfg: IntegrationConfig | None = N
 def wavefunction_on_grid(v: LocalPotential, k, direction: str = "left-incident",
                          cfg: IntegrationConfig | None = None) -> WavefunctionGrid:
     """Physical scattering solution with unit incident amplitude, sampled
-    on the discontinuity-aligned grid covering support +- match_margin."""
+    on the discontinuity-aligned grid of the sweep: the support +-
+    match_margin, or [x_left, x_right] for a potential with tails."""
     cfg = cfg or IntegrationConfig()
     kv = as_wavenumber(k).k
-    xs, psi, dpsi = _propagate(v, np.array([kv]), cfg, record=True)
+    xs, psi, dpsi, ends = _propagate(v, np.array([kv]), cfg, record=True)
     f1, df1 = psi[:, 0, 0], dpsi[:, 0, 0]
     f2, df2 = psi[:, 1, 0], dpsi[:, 1, 0]
-    x_end = xs[-1]
-    _, b1p = _extract(f1[-1], df1[-1], kv, x_end)
-    _, b2p = _extract(f2[-1], df2[-1], kv, x_end)
+    _, b = _extract(psi[-1], dpsi[-1], np.array([kv]), xs[-1], ends)
+    b1p, b2p = b[:, 0]
     if direction == "left-incident":
         if abs(b2p) == 0.0:
             raise DegenerateSolutions("b2+ = 0, cannot null the regressive wave")

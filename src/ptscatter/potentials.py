@@ -416,8 +416,26 @@ def scarf_coefficients(p: ScarfParams, k) -> ScatteringCoefficients:
     return (t, reflections[0], t, reflections[1]), faults
 
 
+def _scarf_tail(c0: complex, c1: complex, phase: complex) -> tuple:
+    """Coefficients w_1, w_2, ... of V = sum_n w_n e^{-n|x|} on one side.
+
+    With q = e^{-(x + i eps)} on the right, V = (4 c0 q^2 + 2 c1 q (1 - q^2)) / (1 + q^2)^2,
+    expanded through 1/(1 + q^2)^2 = sum_j (-1)^j (j + 1) q^{2j}; ``phase`` is
+    q e^{|x|}.  The left side is the same with c1 -> -c1 and q = e^{x + i eps}.
+    """
+    from .numeric import MAX_TAIL_TERMS
+
+    inverse = np.zeros(MAX_TAIL_TERMS + 1, dtype=complex)
+    inverse[::2] = [(-1) ** j * (j + 1) for j in range(MAX_TAIL_TERMS // 2 + 1)]
+    v = np.convolve([0.0, 2 * c1, 4 * c0, -2 * c1], inverse)[1:MAX_TAIL_TERMS + 1]
+    return tuple(v * phase ** np.arange(1, MAX_TAIL_TERMS + 1))
+
+
 def scarf_potential(p: ScarfParams, cutoff: float = 20.0) -> LocalPotential:
-    """Truncated profile on [-cutoff, cutoff] for the numeric oracle.
+    """Profile on [-cutoff, cutoff] for the numeric oracle, with its exact
+    exponential tails beyond: the integrator matches the Jost solutions at
+    +-cutoff, so ``cutoff`` is a matching radius, not a truncation.
+    ``evaluate`` is zero beyond the cutoff.
 
     A non-zero eps is a complex coordinate shift: the profile evaluated on
     the real line is V(x + i*eps), a complex potential in its own right.
@@ -434,7 +452,9 @@ def scarf_potential(p: ScarfParams, cutoff: float = 20.0) -> LocalPotential:
         ch = np.cosh(z)
         return (c0 + c1 * np.sinh(z)) / (ch * ch)
 
-    return LocalPotential(evaluate=_truncated(profile, cutoff), x_left=-cutoff, x_right=cutoff)
+    tails = (_scarf_tail(c0, -c1, cmath.exp(shift)), _scarf_tail(c0, c1, cmath.exp(-shift)))
+    return LocalPotential(evaluate=_truncated(profile, cutoff), x_left=-cutoff, x_right=cutoff,
+                          tails=tails)
 
 
 # ---------------------------------------------------------------------------

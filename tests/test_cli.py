@@ -104,14 +104,30 @@ class TestCompare:
         assert payload["summary"]["threshold_exceeded"] is False
 
     def test_degraded_scarf_truncation_exits_4(self, tmp_path, capsys):
+        """A coarse step puts the Scarf comparison past the threshold (max rel
+        diff ~1e-3); a small cutoff no longer does, since the integrator is
+        matched to the exact tails there."""
         out = tmp_path / "bad.json"
         code = run_cli(["compare", "--potential", "scarf", "--s", "1.3",
-                        "--lambda-re", "0.7", "--eps", "0", "--cutoff", "4",
+                        "--lambda-re", "0.7", "--eps", "0", "--step", "0.3",
                         "--kcount", "3", "--kmax", "1.5", "--out", str(out)])
         assert code == 4
         assert "threshold exceeded" in capsys.readouterr().err
         payload = json.loads(out.read_text())
         assert payload["summary"]["threshold_exceeded"] is True
+
+    def test_scarf_matched_to_its_tails(self, tmp_path):
+        out = tmp_path / "scarf.json"
+        assert run_cli(["compare", "--potential", "scarf", "--s", "1.3", "--lambda-re", "0.7",
+                        "--eps", "0", "--cutoff", "20", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["summary"]["max_rel_diff"] < 1e-13
+
+    def test_scarf_cutoff_too_small_for_the_tail_series_exits_3(self, capsys):
+        assert run_cli(["compare", "--potential", "scarf", "--cutoff", "0.5", "--kcount", "2",
+                        "--out", os.devnull]) == 3
+        err = capsys.readouterr().err
+        assert "the Jost series of the left tail has not converged" in err
+        assert "at the left edge x = -0.5" in err
 
     def test_double_well_lattice_vs_numeric(self, tmp_path):
         out = tmp_path / "dw.json"
@@ -646,7 +662,7 @@ class TestCommandLineProcess:
         (["scan", "--potential", "scarf", "--s", "1e17", "--lambda-re", "0.7", "--kcount", "20"],
          3, "solver error at k = 0.2: "),
         (["compare", "--potential", "scarf", "--s", "1.3", "--lambda-re", "0.7", "--eps", "0",
-          "--cutoff", "4", "--kcount", "3", "--kmax", "1.5"], 4, "comparison threshold exceeded"),
+          "--step", "0.3", "--kcount", "3", "--kmax", "1.5"], 4, "comparison threshold exceeded"),
     ], ids=["config", "n-max", "solver", "threshold"])
     def test_exit_codes_and_messages(self, argv, code, message, capsys):
         assert run_cli(argv) == code

@@ -2,9 +2,12 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptscatter import (
     CentrifugalParams,
@@ -14,6 +17,7 @@ from ptscatter import (
     ScarfParams,
     SquareWellParams,
     centrifugal_potential,
+    coefficients_from_amplitudes,
     integrate_batch,
     integrate_two_solutions,
     lattice_potential,
@@ -29,6 +33,7 @@ from ptscatter import (
 from ptscatter.errors import NonDecayedPotential, StepTooLarge
 
 WELL = SquareWellParams(1.0, 0.5, 1.0)
+FIELDS = ("t_lr", "r_lr", "t_rl", "r_rl")
 
 
 def zero_potential():
@@ -71,10 +76,10 @@ class TestSquareWellAgreement:
     def test_batch_equals_single(self):
         ks = [0.5, 1.0, 2.0]
         batch = integrate_batch(square_well_potential(WELL), ks, IntegrationConfig(step=1e-3))
-        for k, amps in zip(ks, batch):
+        for j, k in enumerate(ks):
             single = integrate_two_solutions(square_well_potential(WELL), k,
                                              IntegrationConfig(step=1e-3))
-            assert abs(amps.a1p - single.a1p) < 1e-14
+            assert abs(batch.a1p[j] - single.a1p) < 1e-14
 
 
 class TestHermitianScarf:
@@ -99,6 +104,64 @@ class TestHermitianScarf:
         for k in (0.5, 1.7):
             c = numeric_coefficients(pot, k, IntegrationConfig(step=2e-3))
             assert abs(abs(c.t_lr) ** 2 + abs(c.r_lr) ** 2 - 1.0) < 1e-6
+
+
+def _scarf_error(p, cutoff, ks, step):
+    """Largest relative difference of the tail-matched integrator from the
+    closed form over the k column, each cell scaled as ``compare`` scales it."""
+    ks = np.asarray(ks, dtype=float)
+    got = coefficients_from_amplitudes(
+        integrate_batch(scarf_potential(p, cutoff=cutoff), ks, IntegrationConfig(step=step)))
+    want = scarf_coefficients(p, ks)
+    return max(float(np.max(np.abs(a - b) / np.maximum(np.maximum(abs(a), abs(b)), 1.0)))
+               for a, b in ((getattr(want, n), getattr(got, n)) for n in FIELDS))
+
+
+class TestScarfTails:
+    """Scarf integrated between its exact Jost tails at +-cutoff, where the
+    cutoff is a matching radius and only the Magnus steps are left to err."""
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    @pytest.mark.parametrize("s, lam", [(1.2, 0.6), (1.2, 0.8), (1.4, 0.6), (1.4, 0.8)])
+    def test_compare_box_at_cutoff_20(self, s, lam, eps):
+        assert _scarf_error(ScarfParams(s, lam, eps), 20.0, [2.9, 3.0, 3.1], 1e-3) < 1e-13
+
+    def test_cutoffs_10_and_20_agree(self):
+        ks = np.array([0.5, 1.5, 3.0])
+        cfg = IntegrationConfig(step=1e-3)
+        near, far = (coefficients_from_amplitudes(integrate_batch(
+            scarf_potential(ScarfParams(1.3, 0.7), cutoff=cutoff), ks, cfg)) for cutoff in (10.0, 20.0))
+        for name in FIELDS:
+            a, b = getattr(near, name), getattr(far, name)
+            assert np.max(np.abs(a - b) / np.maximum(np.maximum(abs(a), abs(b)), 1.0)) < 1e-13
+
+    @settings(max_examples=25, deadline=None)
+    @given(s=st.floats(0.1, 2.5), lam=st.floats(-1.5, 1.5), imaginary=st.booleans(),
+           eps=st.floats(-0.4, 0.4), k=st.floats(0.3, 4.0), cutoff=st.floats(2.0, 12.0))
+    def test_closed_form_matches_integrator(self, s, lam, imaginary, eps, k, cutoff):
+        p = ScarfParams(s, 1j * lam if imaginary else lam, eps)
+        assert _scarf_error(p, cutoff, [k], 2e-3) < 1e-10
+
+    def test_sweep_spans_exactly_the_matching_radius(self):
+        wf = wavefunction_on_grid(scarf_potential(ScarfParams(1.3, 0.7), cutoff=5.0), 1.0,
+                                  "left-incident", IntegrationConfig(step=1e-3))
+        assert (wf.x[0], wf.x[-1], len(wf.x)) == (-5.0, 5.0, 10001)
+
+    def test_wavefunction_matches_coefficients_at_the_edges(self):
+        p, k = ScarfParams(1.3, 0.7j, 0.2), 1.1
+        cfg = IntegrationConfig(step=1e-3)
+        c = scarf_coefficients(p, k)
+        pot = scarf_potential(p, cutoff=20.0)
+        wf = wavefunction_on_grid(pot, k, "left-incident", cfg)
+        # at +-20 the tails are below 1e-8, so the Jost solutions are plane waves to that
+        assert abs(wf.psi[-1] - c.t_lr * cmath.exp(20j * k)) < 1e-7
+        assert abs(wf.psi[0] - (cmath.exp(-20j * k) + c.r_lr * cmath.exp(20j * k))) < 1e-7
+
+    @pytest.mark.parametrize("cutoff, edge", [(0.5, "left"), (0.3, "left")])
+    def test_cutoff_too_small_for_the_series(self, cutoff, edge):
+        pot = scarf_potential(ScarfParams(1.3, 0.7), cutoff=cutoff)
+        with pytest.raises(NonDecayedPotential, match=f"{edge} tail .* at the {edge} edge x = -{cutoff}"):
+            integrate_two_solutions(pot, 1.0, IntegrationConfig(step=1e-3))
 
 
 class TestWavefunction:
@@ -262,7 +325,8 @@ class TestBlockPropagator:
     KS = [0.4, 1.3, 2.9]
     XS = np.linspace(-3.0, 3.0, 601)
     CASES = {
-        "scarf": (scarf_potential(ScarfParams(1.3, 0.7), cutoff=20.0), 2e-3),
+        # the truncated profile: the oracles start and end on plane waves
+        "scarf": (replace(scarf_potential(ScarfParams(1.3, 0.7), cutoff=20.0), tails=None), 2e-3),
         "pt-well": (square_well_potential(WELL), 1e-3),
         "lattice-8": (lattice_potential(LatticeParams(WELL, a=0.5, n=8)), 1e-3),
         "sampled": (sampled_potential(XS, -2.0 / np.cosh(XS) ** 2
@@ -279,8 +343,9 @@ class TestBlockPropagator:
         ika = 1j * ks
         a = 0.5 * (psi[-1] + dpsi[-1] / ika) * np.exp(-ika * xs[-1])
         b = 0.5 * (psi[-1] - dpsi[-1] / ika) * np.exp(ika * xs[-1])
-        for j, amps in enumerate(integrate_batch(v, self.KS, cfg)):
-            got = np.array([amps.a1p, amps.a2p, amps.b1p, amps.b2p])
+        amps = integrate_batch(v, self.KS, cfg)
+        for j in range(len(ks)):
+            got = np.array([amps.a1p[j], amps.a2p[j], amps.b1p[j], amps.b2p[j]])
             assert _rel(got, np.array([a[0, j], a[1, j], b[0, j], b[1, j]])) < bound
 
         # recorded nodes of the left-incident solution at the middle k

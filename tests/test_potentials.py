@@ -327,7 +327,7 @@ class TestScarf:
 
     @pytest.mark.parametrize("eps", [0.0, 0.2])
     def test_potential_matches_numeric_oracle(self, eps):
-        """Truncated profile (shifted or not) against direct integration."""
+        """Tail-matched profile (shifted or not) against direct integration."""
         p = ScarfParams(1.2, 0.5j, eps=eps)
         k = WaveNumber(1.0)
         want = scarf_coefficients(p, k)
