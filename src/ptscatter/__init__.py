@@ -22,8 +22,7 @@ _EXPORTS = {
                    "centrifugal_pt_phase", "lattice_potential", "lattice_tmatrix",
                    "multi_well_coefficients", "multi_well_transfer", "scarf_amplitudes",
                    "scarf_coefficients", "scarf_potential", "square_well_coefficients",
-                   "square_well_potential", "square_well_transfer",
-                   "square_well_transfer_interfaces"),
+                   "square_well_potential", "square_well_transfer"),
     "separable": ("NonlocalIntermediates", "SeparableKernel", "compute_n", "green_function",
                   "kernel_symmetry_class", "nonlocal_coefficients", "nonlocal_intermediates",
                   "nonlocal_wavefunction"),

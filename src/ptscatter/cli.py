@@ -27,7 +27,6 @@ at once, without the interpreter's teardown; ``main(argv)`` returns the code.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -463,13 +462,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_symmetry(args) -> int:
-    from . import separable, symmetry
+    from . import symmetry
 
     problem = build_problem(args)
     potential = None if problem.potential is None else problem.potential()
     ks = _k_grid(args)
     s = problem.coefficients(ks)
     if problem.kernel is not None:
+        from . import separable
+
         cls = separable.kernel_symmetry_class(problem.kernel)
         extra = ("symmetric_xy", "reality")
     else:
@@ -516,29 +517,29 @@ def cmd_lattice(args) -> int:
         raise ConfigError(f"n-max {n_max} from n = {args.n} at kcount {len(ks)} gives more than "
                           f"the {MAX_ROWS} rows a table may hold")
     p = potentials.LatticeParams(well=well, a=args.a, n=args.n)
-    cells, blocks = potentials.lattice_transfer(p, ks, n_max)
+    cells, chunks = potentials.lattice_transfer(p, ks, n_max)
     core._raise_first([(~np.all(np.isfinite(cells), axis=(1, 2)),
                         lambda i: TransferOverflow(core.OUT_OF_RANGE))], ks)
     # the edge phases have unit det, so det M = det(T)^n from the cell, and T_rl = det M T_lr
-    det_cell = [t[0][0] * t[1][1] - t[0][1] * t[1][0] for t in cells.tolist()]
-    ns_all, values_all, overflow_all, size = [], [], [], max(1, 4096 // len(ks))
-    while chunk := list(itertools.islice(blocks, size)):    # the rows of a few n as columns
-        ns, m, overflow = zip(*chunk)
-        m, overflow = np.concatenate(m), np.concatenate(overflow)
+    t = [core._PyComplex.of(cells[:, i // 2, i % 2]) for i in range(4)]
+    det_cell = (t[0] * t[3] - t[1] * t[2]).array()
+    ns_all, values_all, overflow_all = [], [], []
+    for ns, m, overflow in chunks:          # the rows of a few n as columns
+        m, overflow = m.reshape(-1, 2, 2), overflow.ravel()
         with np.errstate(all="ignore"):
             (t_lr, r_lr, _, r_rl), faults = core._smatrix(
                 *(core._PyComplex.of(m[:, i // 2, i % 2]) for i in range(4)))
-            det = np.array([core._or_nan(pow, d, n) for n in ns for d in det_cell], dtype=complex)
+            det = core._int_powers(det_cell, ns).ravel()
             t_rl = core._PyComplex.of(det) * t_lr
             values = np.array([abs(z) for z in (t_lr, r_lr, t_rl, r_rl)] + [det.real, det.imag])
         # a row that is not flagged, at a pole or not finite, is a solver error
         faults.append((~np.all(np.isfinite(values), axis=0), lambda i: TransferOverflow(core.OUT_OF_RANGE)))
         core._raise_first([(mask & ~overflow, make) for mask, make in faults], np.tile(ks, len(ns)))
         values[:, overflow] = np.nan
-        ns_all.extend(ns)
+        ns_all.append(ns)
         values_all.append(values)
         overflow_all.append(overflow)
-    columns = [np.repeat(ns_all, len(ks)), np.tile(ks, len(ns_all)),
+    columns = [np.repeat(np.concatenate(ns_all), len(ks)), np.tile(ks, sum(map(len, ns_all))),
                *np.concatenate(values_all, axis=1), np.concatenate(overflow_all)]
     _write(args.out, [_csv_table(LATTICE_HEADER, LATTICE_STYLES, columns)])
     return EXIT_OK
@@ -562,15 +563,15 @@ _OPTIONS = {
 }
 
 
-def _add_common(sub):
+def _add_options(parser):
     for key, (_, kind) in _OPTIONS.items():
         flag = "--" + key.replace("_", "-")
         if isinstance(kind, tuple):
-            sub.add_argument(flag, dest=key, choices=kind)
+            parser.add_argument(flag, dest=key, choices=kind)
         elif key == "config":
-            sub.add_argument(flag, help="JSON file with defaults; explicit flags win")
+            parser.add_argument(flag, help="JSON file with defaults; explicit flags win")
         else:
-            sub.add_argument(flag, dest=key, type=None if kind is str else kind)
+            parser.add_argument(flag, dest=key, type=None if kind is str else kind)
 
 
 _KIND_NAMES = {float: "a number", int: "an integer", str: "a string"}
@@ -639,12 +640,11 @@ def _run(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="ptscatter",
         description="transmission/reflection scans for complex local and separable non-local potentials")
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (("scan", "coefficient scan over a k grid"),
-                           ("compare", "analytic vs direct-integration comparison"),
-                           ("symmetry", "symmetry classification and relation residuals"),
-                           ("lattice", "multi-well lattice scan")):
-        _add_common(subs.add_parser(name, help=helptext))
+    parser.add_argument("command", choices=("scan", "compare", "symmetry", "lattice"),
+                        help="scan: coefficient scan over a k grid; compare: analytic vs "
+                             "direct-integration comparison; symmetry: symmetry classification and "
+                             "relation residuals; lattice: multi-well lattice scan")
+    _add_options(parser)
     args = parser.parse_args(argv)
     try:
         merged = _merge_config(args)

@@ -109,25 +109,6 @@ def _square_well_elements(p: SquareWellParams, kv) -> tuple:
             f.complex(1j * (cross - off)), f.cexp(-2j * kv * p.b) * (even + 1j * odd))
 
 
-def square_well_transfer_interfaces(p: SquareWellParams, k) -> TransferMatrix:
-    """Transfer matrix built from the three continuity systems directly.
-
-    Independent route used to cross-check the transcribed closed forms
-    against possible sign slips.
-    """
-    kv = as_wavenumber(k).k
-    a0, a1 = p.alpha0(k), p.alpha1(k)
-
-    def j(q, x):
-        ep, em = cmath.exp(1j * q * x), cmath.exp(-1j * q * x)
-        return np.array([[ep, em], [q * ep, -q * em]], dtype=complex)
-
-    m = (np.linalg.solve(j(kv, -p.b), j(a0, -p.b))
-         @ np.linalg.solve(j(a0, 0.0), j(a1, 0.0))
-         @ np.linalg.solve(j(a1, p.b), j(kv, p.b)))
-    return TransferMatrix.from_array(m)
-
-
 @_closed_form
 def square_well_coefficients(p: SquareWellParams, k) -> ScatteringCoefficients:
     """Coefficients via the transfer matrix; T equals 1/M_RR in both directions.
@@ -202,61 +183,75 @@ def _cell(p: LatticeParams, kv) -> tuple:
             m_lr * COLUMN.cexp(-2j * kv * a), m_ll * COLUMN.cexp(2j * kv * (a + b)))
 
 
+#: most (n, k) rows of one chunk of ``lattice_transfer``
+CHUNK_ROWS = 4096
+
+
 def lattice_transfer(p: LatticeParams, ks, n_max: int | None = None):
     """The cell matrices T over the k column ``ks`` as a (K, 2, 2) stack and a
-    generator of (n, M, overflow) for n = p.n..n_max: M stacks conj(D(u1))
-    T^n D(u1 + n*period); overflow, sticky over n, marks the k where the cell
-    or a product so far had an element above 1e300 or not finite.  T^{p.n}
-    comes by repeated squaring, as for one n at one k, each further power as
-    T @ T^{n-1}."""
+    generator of chunks (ns, M, overflow) for n = p.n..n_max, each of at most
+    ``CHUNK_ROWS`` (n, k) rows: ns the chunk's n, M the (len(ns), K, 2, 2)
+    stack of conj(D(u1)) T^n D(u1 + n*period), and overflow, sticky over n,
+    marks the (n, k) where the cell or a product so far had an element above
+    1e300 or not finite.  T^{p.n} comes by repeated squaring, as for one n at
+    one k, each further power as T @ T^{n-1}."""
     kv = _wavenumbers(ks)[0]
     with np.errstate(all="ignore"):
         t = np.stack([_PyComplex.of(z).array() for z in _cell(p, kv)], axis=-1).reshape(-1, 2, 2)
-    overflow = np.zeros(len(t), dtype=bool)
 
-    def phases(x):                  # diag(e^{ikx}, e^{-ikx}) over k
-        d = np.zeros_like(t)
-        d[:, 0, 0], d[:, 1, 1] = np.exp(1j * kv * x), np.exp(-1j * kv * x)
+    def flags(m):                   # per matrix: an element above the limit or not finite
+        return ~(np.max(np.abs(m), axis=(-2, -1)) <= OVERFLOW_LIMIT)
+
+    def phases(x):                  # diag(e^{ikx}, e^{-ikx}) over (x, k)
+        d = np.zeros((*np.shape(x), *t.shape), dtype=complex)
+        d.reshape(*d.shape[:-2], 4)[..., ::3] = np.exp(np.stack([1j * kv, -1j * kv], axis=-1)
+                                                       * np.reshape(x, (*np.shape(x), 1, 1)))
         return d
 
-    def checked(m):
-        nonlocal overflow
-        overflow = overflow | ~(np.max(np.abs(m), axis=(1, 2)) <= OVERFLOW_LIMIT)
-        return m
-
-    def blocks():
+    def chunks():
+        last, size = p.n if n_max is None else n_max, max(1, CHUNK_ROWS // len(kv))
         with np.errstate(over="ignore", invalid="ignore"):
-            power, base, n = np.broadcast_to(np.eye(2, dtype=complex), t.shape), checked(t), p.n
+            power, base, n, overflow = np.broadcast_to(np.eye(2, dtype=complex), t.shape), t, p.n, flags(t)
             while n:
                 if n & 1:
-                    power = checked(power @ base)
+                    power = power @ base
+                    overflow |= flags(power)
                 n >>= 1
                 if n:
-                    base = checked(base @ base)
-        for n in range(p.n, (p.n if n_max is None else n_max) + 1):
+                    base = base @ base
+                    overflow |= flags(base)
+            left = phases(-p.u1)
+        for lo in range(p.n, last + 1, size):
+            ns = np.arange(lo, min(lo + size, last + 1))
+            powers = np.empty((len(ns), *t.shape), dtype=complex)
             with np.errstate(over="ignore", invalid="ignore"):
-                if n > p.n:
-                    power = checked(t @ power)
-                m = phases(-p.u1) @ power @ phases(p.u1 + n * p.period)
-            yield n, m, overflow
+                powers[0] = power if lo == p.n else t @ power
+                for j in range(1, len(ns)):
+                    np.matmul(t, powers[j - 1], out=powers[j])
+                rows = flags(powers)
+                rows[0] |= overflow
+                rows = np.logical_or.accumulate(rows, axis=0)
+                m = left @ powers @ phases(p.u1 + ns * p.period)
+            power, overflow = powers[-1], rows[-1].copy()
+            yield ns, m, rows
 
-    return t, blocks()
+    return t, chunks()
 
 
 def multi_well_transfer(p: LatticeParams, k) -> TransferMatrix:
     """Transfer matrix of the n-well lattice: conj(D(u1)) T^n D(u1 + n*period)."""
     _, m, overflow = next(lattice_transfer(p, [as_wavenumber(k).k])[1])
-    if overflow[0]:
+    if overflow[0, 0]:
         raise TransferOverflow("transfer-matrix element exceeded 1e300")
-    return TransferMatrix.from_array(m[0])
+    return TransferMatrix.from_array(m[0, 0])
 
 
 @_closed_form
 def multi_well_coefficients(p: LatticeParams, k) -> ScatteringCoefficients:
     """Coefficients of the n-well lattice; ``k`` may be an array of wave numbers."""
     _, m, overflow = next(lattice_transfer(p, k)[1])
-    columns, faults = _smatrix(*(_PyComplex.of(m[:, i // 2, i % 2]) for i in range(4)))
-    return columns, [(overflow, lambda i: TransferOverflow("transfer-matrix element exceeded 1e300")),
+    columns, faults = _smatrix(*(_PyComplex.of(m[0, :, i // 2, i % 2]) for i in range(4)))
+    return columns, [(overflow[0], lambda i: TransferOverflow("transfer-matrix element exceeded 1e300")),
                      *faults]
 
 

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from ptscatter import specfun
+from ptscatter import potentials, specfun
 from ptscatter.errors import NumeratorPole, PrecisionLoss, ResonancePole, TransferOverflow, TransmissionPole
 
 
@@ -48,6 +48,20 @@ def square_well_elements(p, kv) -> tuple:
 
 def square_well_coefficients(p, kv) -> tuple:
     return smatrix(*square_well_elements(p, kv))
+
+
+def square_well_transfer_interfaces(p, kv) -> np.ndarray:
+    """The well's transfer matrix from its three continuity systems, solved
+    directly: a route independent of the transcribed closed form."""
+    a0, a1 = p.alpha0(kv), p.alpha1(kv)
+
+    def j(q, x):
+        ep, em = cmath.exp(1j * q * x), cmath.exp(-1j * q * x)
+        return np.array([[ep, em], [q * ep, -q * em]], dtype=complex)
+
+    return (np.linalg.solve(j(kv, -p.b), j(a0, -p.b))
+            @ np.linalg.solve(j(a0, 0.0), j(a1, 0.0))
+            @ np.linalg.solve(j(a1, p.b), j(kv, p.b)))
 
 
 def lattice_cell(p, kv) -> np.ndarray:
@@ -90,6 +104,66 @@ def multi_well_transfer(p, kv) -> np.ndarray:
 def multi_well_coefficients(p, kv) -> tuple:
     m = multi_well_transfer(p, kv)
     return smatrix(*(complex(z) for z in m.ravel()))
+
+
+def lattice_sweep(p, ks, n_max):
+    """(n, M, overflow) for n = p.n..n_max, one n at a time, over the k column
+    ks: T^{p.n} by repeated squaring, then T @ T^{n-1}, and
+    M = conj(D(u1)) T^n D(u1 + n*period); overflow, sticky over n, marks the k
+    where the cell or a product so far had an element above 1e300 or not
+    finite.  T is the package's cell stack."""
+    kv = np.asarray(ks, dtype=float)
+    t = potentials.lattice_transfer(p, kv)[0]
+    overflow = np.zeros(len(t), dtype=bool)
+
+    def phases(x):
+        d = np.zeros_like(t)
+        d[:, 0, 0], d[:, 1, 1] = np.exp(1j * kv * x), np.exp(-1j * kv * x)
+        return d
+
+    def checked(m):
+        nonlocal overflow
+        overflow = overflow | ~(np.max(np.abs(m), axis=(1, 2)) <= 1e300)
+        return m
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        power, base, n = np.broadcast_to(np.eye(2, dtype=complex), t.shape), checked(t), p.n
+        while n:
+            if n & 1:
+                power = checked(power @ base)
+            n >>= 1
+            if n:
+                base = checked(base @ base)
+    for n in range(p.n, n_max + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if n > p.n:
+                power = checked(t @ power)
+            m = phases(-p.u1) @ power @ phases(p.u1 + n * p.period)
+        yield n, m, overflow
+
+
+def lattice_sweep_mp(p, cells, ks, n_max, dps=40) -> np.ndarray:
+    """M = conj(D(u1)) T^n D(u1 + n*period) for n = 1..n_max (rows) over the
+    k column ks, from the float cell stack ``cells`` taken exactly and a
+    running product in mpmath at ``dps`` digits (rounded to complex at the
+    end); the phase of D(x) is k x with x = u1 + n*period in floats."""
+    import mpmath
+
+    out = np.empty((n_max, len(ks), 2, 2), dtype=complex)
+    with mpmath.workdps(dps):
+        for i, (t, k) in enumerate(zip(cells.tolist(), ks)):
+            t = [[mpmath.mpc(z) for z in row] for row in t]
+            power = [[mpmath.mpc(1), mpmath.mpc(0)], [mpmath.mpc(0), mpmath.mpc(1)]]
+            left = mpmath.expj(-mpmath.mpf(k) * mpmath.mpf(p.u1))
+            left = (left, 1 / left)
+            for n in range(1, n_max + 1):
+                power = [[t[r][0] * power[0][c] + t[r][1] * power[1][c] for c in range(2)]
+                         for r in range(2)]
+                right = mpmath.expj(mpmath.mpf(k) * mpmath.mpf(p.u1 + n * p.period))
+                right = (right, 1 / right)
+                out[n - 1, i] = [[complex(left[r] * power[r][c] * right[c]) for c in range(2)]
+                                 for r in range(2)]
+    return out
 
 
 # -- Scarf -------------------------------------------------------------------------

@@ -605,24 +605,27 @@ class TestConfigAndErrors:
         (["scan", "--potential", "centrifugal", "--kcount", "4"], []),
         (["scan", "--potential", "scarf", "--kcount", "30"], ["specfun"]),
         (["scan", "--potential", "scarf", "--kcount", "4"], ["specfun"]),
-        (["scan", "--potential", "yamaguchi", "--kcount", "4"], []),
-        (["symmetry", "--potential", "yamaguchi", "--kcount", "4"], []),
+        (["scan", "--potential", "yamaguchi", "--kcount", "4"], ["separable"]),
+        (["symmetry", "--potential", "yamaguchi", "--kcount", "4"], ["separable"]),
+        (["symmetry", "--potential", "square-well", "--kcount", "4"], ["numeric"]),
         (["compare", "--potential", "square-well", "--kcount", "2"], ["numeric"]),
     ], ids=["lattice", "scan-square-well", "scan-centrifugal", "scan-scarf-columns",
-            "scan-scarf-per-k", "scan-yamaguchi", "symmetry-yamaguchi", "compare-square-well"])
+            "scan-scarf-per-k", "scan-yamaguchi", "symmetry-yamaguchi", "symmetry-square-well",
+            "compare-square-well"])
     def test_command_loads_only_what_it_uses(self, argv, loaded, tmp_path):
         """numeric and specfun load only for a command that integrates or
-        builds a profile, or evaluates a Scarf closed form; numpy.polynomial,
-        which only generic separable kernels use, never."""
+        builds a profile, or evaluates a Scarf closed form, and separable only
+        for a separable kernel; numpy.polynomial, which only generic separable
+        kernels use, never."""
         code = ("import json, sys; from ptscatter.cli import main; "
                 "code = main(json.loads(sys.argv[1])); "
                 "print(code, *(m in sys.modules for m in "
-                "('ptscatter.numeric', 'ptscatter.specfun', 'numpy.polynomial')))")
+                "('ptscatter.numeric', 'ptscatter.specfun', 'ptscatter.separable', 'numpy.polynomial')))")
         argv = argv + ["--out", str(tmp_path / "out")]
         proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
                               capture_output=True, text=True)
         assert proc.stdout.split() == ["0", str("numeric" in loaded), str("specfun" in loaded),
-                                       "False"], proc.stderr
+                                       str("separable" in loaded), "False"], proc.stderr
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "ptscatter.cli", "scan",

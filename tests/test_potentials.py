@@ -6,7 +6,7 @@ import math
 import numpy as np
 import oracle
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptscatter import (
@@ -35,11 +35,10 @@ from ptscatter import (
     square_well_coefficients,
     square_well_potential,
     square_well_transfer,
-    square_well_transfer_interfaces,
 )
 from ptscatter.core import TransferMatrix
 from ptscatter.errors import GammaPole, TransferOverflow
-from ptscatter.potentials import lattice_transfer
+from ptscatter.potentials import CHUNK_ROWS, lattice_transfer
 
 
 def _log10_max_power(p: LatticeParams, k) -> float:
@@ -90,7 +89,7 @@ class TestSquareWell:
             p = SquareWellParams(rng.uniform(0, 5), rng.uniform(-3, 3), rng.uniform(0.1, 3))
             k = WaveNumber(rng.uniform(0.1, 5))
             a = square_well_transfer(p, k).as_array()
-            b = square_well_transfer_interfaces(p, k).as_array()
+            b = oracle.square_well_transfer_interfaces(p, k.k)
             assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
 
     def test_matches_numeric_oracle(self):
@@ -206,7 +205,8 @@ HUGE = st.builds(SquareWellParams, v0=_floats(0.0, 2.0), v1=_floats(50.0, 300.0)
 
 
 class TestLatticeColumns:
-    """``lattice_transfer`` against the per-(n, k) repeated squaring."""
+    """``lattice_transfer``'s chunks against the per-(n, k) repeated squaring,
+    the per-n running product and a running product in mpmath."""
 
     @settings(max_examples=60, deadline=None)
     @given(well=st.one_of(MILD, STRONG, HUGE), a=_floats(0.2, 1.0), n=st.integers(1, 4096),
@@ -219,46 +219,72 @@ class TestLatticeColumns:
                 want.append(oracle.multi_well_transfer(p, k))
             except (TransferOverflow, OverflowError):    # a product, or the cell itself
                 want.append(None)
-        blocks = list(lattice_transfer(p, ks)[1])
-        assert [b[0] for b in blocks] == [n]
-        _, m, overflow = blocks[0]
+        chunks = list(lattice_transfer(p, ks)[1])
+        assert [ns.tolist() for ns, _, _ in chunks] == [[n]]
+        _, m, overflow = chunks[0]
         for i, w in enumerate(want):
-            assert overflow[i] == (w is None)
+            assert overflow[0, i] == (w is None)
             if w is not None:
-                assert np.array_equal(m[i], w)
+                assert np.array_equal(m[0, i], w)
                 assert multi_well_transfer(p, ks[i]) == TransferMatrix.from_array(w)
+
+    @settings(max_examples=25, deadline=None)
+    @given(well=st.one_of(MILD, STRONG, HUGE), a=_floats(0.2, 1.0), n=st.integers(1, 4096),
+           count=st.integers(0, 1500), ks=st.lists(_floats(0.1, 12.0), min_size=1, max_size=3))
+    @example(well=SquareWellParams(0.5, 0.5, 0.5), a=0.5, n=1, count=4200, ks=[1.0])
+    @example(well=SquareWellParams(1.0, 100.0, 30.0), a=0.5, n=1, count=4200, ks=[1.0])
+    @example(well=SquareWellParams(1.0, 30.0, 0.5), a=0.5, n=3, count=1500, ks=[0.3, 1.0, 2.5])
+    @example(well=SquareWellParams(1.0, 60.0, 25.0), a=0.5, n=2, count=1500, ks=[0.5, 2.0, 9.0])
+    @example(well=SquareWellParams(0.0, 300.0, 100.0), a=0.5, n=4096, count=10, ks=[0.1, 12.0])
+    def test_chunks_bit_identical_to_per_n_sweep(self, well, a, n, count, ks):
+        """Chunks of at most CHUNK_ROWS rows hold, bit for bit, the matrices
+        and sticky flags of one T @ T^{n-1} and one sandwich per n, also
+        across chunks, from an --n above 1, for one k, and where the flags
+        switch on inside a chunk."""
+        p = LatticeParams(well, a=a, n=n)
+        want = oracle.lattice_sweep(p, ks, n + count)
+        for ns, m, overflow in lattice_transfer(p, ks, n + count)[1]:
+            assert len(ns) * len(ks) <= CHUNK_ROWS
+            for j, got in enumerate(ns):
+                n_want, m_want, flags = next(want)
+                assert got == n_want
+                assert np.array_equal(m[j].view(np.uint64), m_want.view(np.uint64))
+                assert np.array_equal(overflow[j], flags)
+        assert next(want, None) is None
 
     @settings(max_examples=12, deadline=None)
     @given(well=MILD, a=_floats(0.2, 1.0), ks=st.lists(_floats(0.1, 4.0), min_size=1, max_size=3))
+    @example(well=SquareWellParams(1.875, 0.0, 0.453125), a=1.0, ks=[0.125])
     def test_sweep_agrees_with_per_n_powers(self, well, a, ks):
-        _, blocks = lattice_transfer(LatticeParams(well, a=a, n=1), ks, 400)
-        for n, m, overflow in blocks:
-            for i, k in enumerate(ks):
-                try:
-                    want = oracle.multi_well_transfer(LatticeParams(well, a=a, n=n), k)
-                except TransferOverflow:
-                    assert overflow[i]
-                    continue
-                assert not overflow[i]
-                # error < 1e-10 max(|want|, 1)^2, without squaring a size above 1e154
-                size = max(float(np.max(np.abs(want))), 1.0)
-                assert np.max(np.abs(m[i] - want)) / size < 1e-10 * size
+        """Each n of the sweep against the running product of the same cell
+        in 40-digit arithmetic."""
+        cells, chunks = lattice_transfer(LatticeParams(well, a=a, n=1), ks, 400)
+        want = oracle.lattice_sweep_mp(LatticeParams(well, a=a, n=1), cells, ks, 400)
+        for ns, m, overflow in chunks:
+            for j, n in enumerate(ns):
+                for i in range(len(ks)):
+                    size = max(float(np.max(np.abs(want[n - 1, i]))), 1.0)
+                    if overflow[j, i]:
+                        assert size > 1e299
+                        continue
+                    # error < 1e-10 max(|want|, 1)^2, without squaring a size above 1e154
+                    assert np.max(np.abs(m[j, i] - want[n - 1, i])) / size < 1e-10 * size
 
     @settings(max_examples=8, deadline=None)
     @given(well=STRONG, a=_floats(0.2, 1.0), ks=st.lists(_floats(0.3, 3.0), min_size=1, max_size=2))
     def test_sweep_overflow_flags_agree_off_the_threshold(self, well, a, ks):
-        _, blocks = lattice_transfer(LatticeParams(well, a=a, n=1), ks, 400)
-        for n, _, overflow in blocks:
-            p = LatticeParams(well, a=a, n=n)
-            for i, k in enumerate(ks):
-                try:
-                    oracle.multi_well_transfer(p, k)
-                    flagged = False
-                except TransferOverflow:
-                    flagged = True
-                if overflow[i] != flagged:
-                    assert abs(_log10_max_power(p, k) - 300) < 20
-
+        _, chunks = lattice_transfer(LatticeParams(well, a=a, n=1), ks, 400)
+        for ns, _, overflow in chunks:
+            for n, row in zip(ns.tolist(), overflow):
+                p = LatticeParams(well, a=a, n=n)
+                for i, k in enumerate(ks):
+                    try:
+                        oracle.multi_well_transfer(p, k)
+                        flagged = False
+                    except TransferOverflow:
+                        flagged = True
+                    if row[i] != flagged:
+                        assert abs(_log10_max_power(p, k) - 300) < 20
 
 
 class TestScarf:
