@@ -522,7 +522,8 @@ def cmd_lattice(args) -> int:
                         lambda i: TransferOverflow(core.OUT_OF_RANGE))], ks)
     # the edge phases have unit det, so det M = det(T)^n from the cell, and T_rl = det M T_lr
     t = [core._PyComplex.of(cells[:, i // 2, i % 2]) for i in range(4)]
-    det_cell = (t[0] * t[3] - t[1] * t[2]).array()
+    with np.errstate(all="ignore"):     # an overflowing det gives rows that are not finite
+        det_cell = (t[0] * t[3] - t[1] * t[2]).array()
     ns_all, values_all, overflow_all = [], [], []
     for ns, m, overflow in chunks:          # the rows of a few n as columns
         m, overflow = m.reshape(-1, 2, 2), overflow.ravel()

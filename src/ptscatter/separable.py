@@ -11,15 +11,16 @@ min(0.5, 20/k_max), k_max the column's largest k plus |alpha| + |beta|.  Split
 at y = x, Int e^{ik|x-y|} G(y) dy = e^{ikx} A(x) + e^{-ikx} B(x), with A and B
 the integrals of e^{-+iky} G(y) from -support to x and from x to support, which
 cumulative panel sums and the Legendre integration matrix give at every node.
-The sums at twice the order estimate the error: QuadratureFailure names the
-lowest k where it exceeds 1e-8 max(|N|, 1).  Form factors may be non-smooth
-only at 0; a kink elsewhere raises QuadratureFailure, not a wrong number.
+Panel sums over the whole support give the transforms g~(k -+ alpha) and
+h~(k -+ beta) from the same samples, and the sums at twice the order estimate
+the error of N and transforms alike: QuadratureFailure names the lowest k where
+one exceeds 1e-8 max(|value|, 1).  Form factors may be non-smooth only at 0; a
+kink elsewhere raises QuadratureFailure, not a wrong number.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -39,15 +40,13 @@ if TYPE_CHECKING:
 class SeparableKernel:
     """Separable kernel with real form factors vanishing at +-infinity.
 
-    ``g_ft``/``h_ft`` are the form-factor transforms under the e^{-iqx}
-    convention; analytic ones for the Yamaguchi case, numeric fallbacks
-    otherwise.  ``support`` is the truncation radius used by quadrature.
+    ``support`` is the truncation radius of the panel rule, which gives the
+    form-factor transforms (e^{-iqx} convention) from the sums that give N,
+    under the same doubled-order estimate; Yamaguchi kernels use closed forms.
     """
 
     g: Callable[[float], float]
     h: Callable[[float], float]
-    g_ft: Callable[[float], float]
-    h_ft: Callable[[float], float]
     alpha: float
     beta: float
     lam: float
@@ -62,20 +61,16 @@ class SeparableKernel:
         if gamma <= 0 or delta <= 0:
             raise ValueError("gamma and delta must be > 0")
         return cls(g=lambda x: math.exp(-gamma * abs(x)), h=lambda y: math.exp(-delta * abs(y)),
-                   g_ft=lambda q: 2 * gamma / (gamma * gamma + q * q),
-                   h_ft=lambda q: 2 * delta / (delta * delta + q * q), alpha=alpha, beta=beta,
-                   lam=lam, gamma=gamma, delta=delta, support=max(40.0 / gamma, 40.0 / delta))
+                   alpha=alpha, beta=beta, lam=lam, gamma=gamma, delta=delta,
+                   support=max(40.0 / gamma, 40.0 / delta))
 
     @classmethod
     def from_form_factors(cls, g, h, alpha=0.0, beta=0.0, lam=1.0,
-                          g_ft=None, h_ft=None, support=40.0) -> "SeparableKernel":
+                          support=40.0) -> "SeparableKernel":
+        _require_finite("separable kernel", alpha=alpha, beta=beta, lam=lam)
         if not (math.isfinite(support) and support > 0):
             raise ValueError(f"support must be finite and > 0, got {support}")
-
-        # even real form factors, the only valid ones (checked at use), have real transforms
-        return cls(g=g, h=h, g_ft=g_ft or functools.partial(_fourier, g, support),
-                   h_ft=h_ft or functools.partial(_fourier, h, support),
-                   alpha=alpha, beta=beta, lam=lam, support=support)
+        return cls(g=g, h=h, alpha=alpha, beta=beta, lam=lam, support=support)
 
     @property
     def is_yamaguchi(self) -> bool:
@@ -179,24 +174,10 @@ def _rule(support: float, freq, order: int, cuts=()) -> tuple:
     return edges[:-1, None] + width * (t + 1), width * w, width, edges, reach
 
 
-def _blocked(fn, ks, nodes: int) -> np.ndarray:
-    """fn over the column ks in blocks of at most _BLOCK_VALUES // nodes k."""
-    size = max(1, _BLOCK_VALUES // nodes)
-    return np.concatenate([fn(ks[i:i + size]) for i in range(0, max(len(ks), 1), size)])
-
-
-def _fourier(f, support: float, q):
-    """Int f(x) cos(qx) dx over [-support, support] at each q; NaN past the rule's reach."""
-    q = np.abs(np.asarray(q, dtype=float))
-    x, weights, _, _, reach = _rule(support, q, _ORDER)
-    fw = (_values_at(f, x) * weights).ravel()
-    out = _blocked(lambda qb: np.cos(np.multiply.outer(qb, x.ravel())) @ fw, q.ravel(), x.size)
-    return np.where(reach, out.reshape(q.shape), math.nan)[()]
-
-
 def _panel_j(kernel: SeparableKernel, kk, order: int) -> np.ndarray:
-    """The double integral Int h e^{i b x} e^{ik|x-y|} g e^{i a y} at each
-    signed k of kk by the rule of ``order`` nodes; NaN past its reach."""
+    """Rows: the double integral Int h e^{i b x} e^{ik|x-y|} g e^{i a y}, then
+    Int e^{-+iky} g e^{i a y} and Int h e^{i b y} e^{-+iky}, at each signed k of
+    kk by the rule of ``order`` nodes; NaN past its reach."""
     from numpy.polynomial import legendre
 
     freq = abs(kk) + abs(kernel.alpha) + abs(kernel.beta)
@@ -215,27 +196,38 @@ def _panel_j(kernel: SeparableKernel, kk, order: int) -> np.ndarray:
 
     def block(kb):
         e = np.exp(-1j * kb[:, None, None] * y)                 # e^{-iky}
-        (a, _), (b, b_total) = running(e * g), running(e.conj() * g)
-        return np.sum(hw * (e.conj() * a + e * (b_total - b)), axis=(1, 2))
-    return np.where(reach, _blocked(block, kk, y.size), math.nan)
+        (a, a_total), (b, b_total) = running(e * g), running(e.conj() * g)
+        j = np.sum(hw * (e.conj() * a + e * (b_total - b)), axis=(1, 2))
+        return np.stack([j, a_total.ravel(), b_total.ravel(),
+                         np.sum(hw * e, axis=(1, 2)), np.sum(hw * e.conj(), axis=(1, 2))])
+    size = max(1, _BLOCK_VALUES // y.size)     # at most _BLOCK_VALUES values per (k, node) array
+    blocks = [block(kk[i:i + size]) for i in range(0, max(len(kk), 1), size)]
+    return np.where(reach, np.concatenate(blocks, axis=-1), math.nan)
 
 
 def _n_columns(kernel: SeparableKernel, ks) -> tuple:
     """(N+, N-) over the float column ks as ``_PyComplex`` columns, from the
-    double integral at k and -k in one column, and their faults: a generic
-    kernel's QuadratureFailure where the doubled-order estimate of N exceeds
-    1e-8 max(|N|, 1) or, past the rule's reach, is NaN."""
+    double integral at k and -k in one column, the float columns g~(k -+ a) and
+    h~(k -+ b), and their faults: a generic kernel's QuadratureFailure where the
+    doubled-order estimate of one of the six exceeds 1e-8 max(|value|, 1) or,
+    past the rule's reach, is NaN."""
     kk, m = np.concatenate([ks, -ks]), len(ks)
+    al, be = kernel.alpha, kernel.beta
     if kernel.is_yamaguchi:
-        j = _yamaguchi_j(kernel.alpha, kernel.beta, kernel.gamma, kernel.delta, kk)
+        j = _yamaguchi_j(al, be, kernel.gamma, kernel.delta, kk)
+        fts = [2 * c / (c * c + q * q) for c, a in ((kernel.gamma, al), (kernel.delta, be))
+               for q in (ks - a, ks + a)]
         return (_PyComplex.of(-0.5j) / ks * _PyComplex(j.real[:m], j.imag[:m]),
-                _PyComplex.of(0.5j) / ks * _PyComplex(j.real[m:], j.imag[m:])), []
+                _PyComplex.of(0.5j) / ks * _PyComplex(j.real[m:], j.imag[m:])), fts, []
     pref = np.array([[-0.5j], [0.5j]]) / ks
-    n, high = (pref * _panel_j(kernel, kk, order).reshape(2, -1) for order in (_ORDER, 2 * _ORDER))
-    return (_PyComplex.of(n[0]), _PyComplex.of(n[1])), [
+    # at +k the sums over e^{+iky} are g~(-k - a) = g~(k + a) and h~(k + b): even factors
+    sums = (_panel_j(kernel, kk, order) for order in (_ORDER, 2 * _ORDER))
+    low, high = (np.vstack([pref * rows[0].reshape(2, -1), rows[1:, :m].real]) for rows in sums)
+    names = ("N plus", "N minus", "g~(k-alpha)", "g~(k+alpha)", "h~(k-beta)", "h~(k+beta)")
+    return (_PyComplex.of(low[0]), _PyComplex.of(low[1])), low[2:].real, [
         (~(e <= 1e-8 * np.maximum(abs(v), 1.0)),
-         lambda i, e=e, s=s: QuadratureFailure(f"quadrature error {e[i]:.2e} too large for N {s}"))
-        for v, e, s in zip(n, abs(high - n), ("plus", "minus"))]
+         lambda i, e=e, s=s: QuadratureFailure(f"quadrature error {e[i]:.2e} too large for {s}"))
+        for v, e, s in zip(low, abs(high - low), names)]
 
 
 def compute_n(kernel: SeparableKernel, sign: str, k) -> complex:
@@ -246,7 +238,7 @@ def compute_n(kernel: SeparableKernel, sign: str, k) -> complex:
     if sign not in ("plus", "minus"):
         raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     with np.errstate(all="ignore"):
-        n, faults = _n_columns(kernel, ks)
+        n, _, faults = _n_columns(kernel, ks)
     _raise_first(faults, ks)
     return complex(n[sign == "minus"].array()[0])
 
@@ -289,10 +281,8 @@ def _intermediates(kernel: SeparableKernel, ks) -> tuple:
     # the solution uses h~(-k-b) = h~(k+b) and g~(-k-a) = g~(k+a): even form factors
     if not _even_factors(kernel, 1e-9):
         raise ValueError("nonlocal coefficients require even form factors")
-    (n_plus, n_minus), faults = _n_columns(kernel, ks)
-    al, be, lam = kernel.alpha, kernel.beta, kernel.lam
-    g_m, g_p, h_p, h_m = (_values_at(kernel.g_ft, ks - al), _values_at(kernel.g_ft, ks + al),
-                          _values_at(kernel.h_ft, ks + be), _values_at(kernel.h_ft, ks - be))
+    (n_plus, n_minus), (g_m, g_p, h_m, h_p), faults = _n_columns(kernel, ks)
+    lam = kernel.lam
     omega = lam / (2 * ks)
     om = _PyComplex(omega)
     g1, g2 = g_m * h_p, g_p * h_m

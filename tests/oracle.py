@@ -228,6 +228,11 @@ def yamaguchi_j(alpha, beta, gamma, delta, k) -> complex:
             + c3 / (gamma + delta + 1j * (alpha + beta)) + c2 / (gamma + delta - 1j * (alpha + beta)))
 
 
+def yamaguchi_ft(c, q) -> float:
+    """The transform Int e^{-c|x|} e^{-iqx} dx = 2c / (c^2 + q^2)."""
+    return 2 * c / (c * c + q * q)
+
+
 def nonlocal_coefficients(kernel, kv) -> tuple:
     """The coefficients of a Yamaguchi kernel, after every intermediate of
     ``nonlocal_intermediates`` and its resonance checks."""
@@ -236,8 +241,8 @@ def nonlocal_coefficients(kernel, kv) -> tuple:
     omega = lam / (2 * kv)
     np_ = -0.5j / kv * yamaguchi_j(*form, kv)
     nm_ = 0.5j / kv * yamaguchi_j(*form, -kv)
-    g_m, g_p = kernel.g_ft(kv - kernel.alpha), kernel.g_ft(kv + kernel.alpha)
-    h_p, h_m = kernel.h_ft(kv + kernel.beta), kernel.h_ft(kv - kernel.beta)
+    g_m, g_p = yamaguchi_ft(kernel.gamma, kv - kernel.alpha), yamaguchi_ft(kernel.gamma, kv + kernel.alpha)
+    h_p, h_m = yamaguchi_ft(kernel.delta, kv + kernel.beta), yamaguchi_ft(kernel.delta, kv - kernel.beta)
     g1, g2 = g_m * h_p, g_p * h_m
     den_plus = 1.0 - lam * np_
     if abs(den_plus) < 1e-12 * max(1.0, abs(lam * np_)):

@@ -561,9 +561,9 @@ class TestConfigAndErrors:
         assert capsys.readouterr().err == f"solver error at k = {k}: {OUT_OF_RANGE}\n"
 
     def test_import_does_not_load_scipy_integrate(self):
-        """Every command, and a generic separable kernel through numeric
-        transforms, N+-, coefficients over a column, wavefunctions and its
-        classification, runs with scipy refused at import."""
+        """Every command, and a generic separable kernel through N+-,
+        coefficients over a column, wavefunctions and its classification,
+        runs with scipy refused at import."""
         code = """if True:
             import json, math, sys
             import numpy as np
@@ -580,7 +580,7 @@ class TestConfigAndErrors:
             n = [separable.compute_n(kernel, sign, 1.0) for sign in ("plus", "minus")]
             wf = separable.nonlocal_wavefunction(kernel, 1.0, "right", np.linspace(-3, 3, 7))
             cls = separable.kernel_symmetry_class(kernel)
-            finite = all(np.all(np.isfinite(z)) for z in (c.t_lr, c.r_rl, n, wf.psi, kernel.g_ft(0.5)))
+            finite = all(np.all(np.isfinite(z)) for z in (c.t_lr, c.r_rl, n, wf.psi))
             print(*(main(argv) for argv in json.loads(sys.argv[1])), finite and cls.pt)"""
         runs = [[command, "--potential", potential, "--kcount", "3", "--out", os.devnull]
                 for command, potentials in (("scan", ("square-well", "scarf", "yamaguchi")),

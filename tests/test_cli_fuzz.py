@@ -70,6 +70,9 @@ def invocations(draw):
 @example((["symmetry", "--potential", "scarf", "--lambda-re", "300", "--kcount", "3",
            "--out", os.devnull], None))
 @example((["lattice", "--v1", "1e4", "--b", "10", "--kcount", "3", "--out", os.devnull], None))
+# a finite cell whose determinant overflows at a tiny k
+@example((["lattice", "--potential", "square-well", "--kcount", "1", "--b=1.0",
+           "--kmin=3.65978365267424e-294", "--out", os.devnull], None))
 @example((["scan", "--potential", "yamaguchi", "--alpha", "1e300", "--kcount", "3",
            "--out", os.devnull], None))
 def test_exit_code_contract(invocation):

@@ -8,8 +8,10 @@ integro-differential equation (finite differences plus quadrature).
 import cmath
 import functools
 import math
+import re
 
 import numpy as np
+import oracle
 import pytest
 from scipy.integrate import quad
 
@@ -55,16 +57,11 @@ class TestGreenFunction:
 KS = np.linspace(0.05, 50.0, 60)
 
 
-def _yamaguchi_as_generic(gamma, delta, alpha=0.0, beta=0.0, transforms=False):
-    """The Yamaguchi kernel given as generic callables, with its analytic
-    transforms or (default) the numeric ones."""
-    fts = {}
-    if transforms:
-        fts = {"g_ft": lambda q: 2 * gamma / (gamma * gamma + q * q),
-               "h_ft": lambda q: 2 * delta / (delta * delta + q * q)}
+def _yamaguchi_as_generic(gamma, delta, alpha=0.0, beta=0.0):
+    """The Yamaguchi kernel given as generic callables."""
     return SeparableKernel.from_form_factors(
         g=lambda x: math.exp(-gamma * abs(x)), h=lambda y: math.exp(-delta * abs(y)),
-        alpha=alpha, beta=beta, lam=1.0, support=40.0, **fts)
+        alpha=alpha, beta=beta, lam=1.0, support=40.0)
 
 
 def _assert_n_close(a, b, tol=1e-12):
@@ -77,7 +74,7 @@ class TestComputeN:
     def test_closed_form_matches_quadrature(self):
         """The frozen piecewise-exponential result against the generic panel
         rule over a k column."""
-        generic = _yamaguchi_as_generic(1.0, 2.0, 0.3, -0.4, transforms=True)
+        generic = _yamaguchi_as_generic(1.0, 2.0, 0.3, -0.4)
         fast = SeparableKernel.yamaguchi(gamma=1.0, delta=2.0, alpha=0.3, beta=-0.4, lam=1.0)
         _assert_n_close(nonlocal_intermediates(generic, KS), nonlocal_intermediates(fast, KS))
         for sign in ("plus", "minus"):
@@ -86,7 +83,7 @@ class TestComputeN:
 
     def test_confluent_parameters(self):
         """gamma = delta with alpha = -beta = 0 (degenerate in momentum space)."""
-        generic = _yamaguchi_as_generic(1.0, 1.0, transforms=True)
+        generic = _yamaguchi_as_generic(1.0, 1.0)
         fast = SeparableKernel.yamaguchi(gamma=1.0, delta=1.0)
         _assert_n_close(nonlocal_intermediates(generic, KS), nonlocal_intermediates(fast, KS))
         got = compute_n(fast, "plus", 1.0)
@@ -94,12 +91,6 @@ class TestComputeN:
         assert abs(got - ref) < 1e-12
         # and against the hand value N+ = (1 - 0.5j) / lam at these parameters
         assert abs(got - (1.0 - 0.5j)) < 1e-12
-
-    def test_numeric_transform(self):
-        q = np.linspace(-10.0, 10.0, 201)
-        kernel = _yamaguchi_as_generic(1.0, 2.0)
-        assert np.max(np.abs(kernel.g_ft(q) - 2.0 / (1.0 + q * q))) < 1e-14
-        assert abs(kernel.h_ft(1.5) - 4.0 / 6.25) < 1e-14
 
     def test_q_decomposition(self, rng):
         """lam N+- = -+(i w/2)[g~(k-a)h~(k+b) + g~(k+a)h~(k-b)] + Q with real Q."""
@@ -110,8 +101,9 @@ class TestComputeN:
                 lam=rng.uniform(0.2, 2))
             k = rng.uniform(0.2, 4)
             w = kernel.lam / (2 * k)
-            g1 = kernel.g_ft(k - kernel.alpha) * kernel.h_ft(k + kernel.beta)
-            g2 = kernel.g_ft(k + kernel.alpha) * kernel.h_ft(k - kernel.beta)
+            ft = oracle.yamaguchi_ft     # 2c / (c^2 + q^2)
+            g1 = ft(kernel.gamma, k - kernel.alpha) * ft(kernel.delta, k + kernel.beta)
+            g2 = ft(kernel.gamma, k + kernel.alpha) * ft(kernel.delta, k - kernel.beta)
             npl = kernel.lam * compute_n(kernel, "plus", k)
             nmi = kernel.lam * compute_n(kernel, "minus", k)
             q = (npl + nmi) / 2
@@ -168,7 +160,7 @@ class TestCoefficients:
         assert abs(abs(c.t_lr) ** 2 + abs(c.r_lr) ** 2 - 1.0) < 1e-12
 
     def test_generic_pipeline_matches_fast_path(self):
-        """Numeric transforms + the panel rule against the closed forms."""
+        """The panel rule's N and transforms against the closed forms."""
         generic = _yamaguchi_as_generic(1.0, 2.0, 0.3, 0.7)
         fast = SeparableKernel.yamaguchi(gamma=1.0, delta=2.0, alpha=0.3, beta=0.7, lam=1.0)
         a = nonlocal_coefficients(generic, KS)
@@ -201,29 +193,64 @@ class TestCoefficients:
 
         kernel = SeparableKernel.yamaguchi(gamma=1.0, delta=1.0, lam=2.0)
         half = _PyComplex(np.array([0.5]), np.array([0.0]))
-        monkeypatch.setattr(sep, "_n_columns", lambda ker, ks: ((half, half), []))
+        monkeypatch.setattr(sep, "_n_columns", lambda ker, ks: ((half, half), [np.ones(1)] * 4, []))
         with pytest.raises(ResonancePole):
             sep.nonlocal_intermediates(kernel, 1.0)
 
     def test_quadrature_failure_names_its_k(self, monkeypatch):
-        """A generic kernel's quadrature failure at the second k of a grid is
-        raised as itself, naming that k."""
+        """A generic kernel's quadrature failure at the second k of a grid, of
+        N+ or of a transform, is raised as itself, naming that k."""
         import ptscatter.separable as sep
 
         generic = SeparableKernel.from_form_factors(
             g=lambda x: math.exp(-abs(x)), h=lambda y: math.exp(-2 * abs(y)),
             alpha=0.3, beta=0.7, lam=1.0, support=40.0)
         panel_j = sep._panel_j
+        # rows of _panel_j at +k: the double integral of N+, ..., the sum giving h~(k+b)
+        for row, quantity in ((0, "N plus"), (4, "h~(k+beta)")):
+            def doubled_order_off_at_2(kernel, kk, order, row=row):
+                sums = panel_j(kernel, kk, order)
+                sums[row] += 1e-3 * ((order > sep._ORDER) & (kk == 2.0))
+                return sums
 
-        def doubled_order_off_at_2(kernel, kk, order):
-            j = panel_j(kernel, kk, order)
-            return j + 1e-3 * ((order > sep._ORDER) & (kk == 2.0))
+            monkeypatch.setattr(sep, "_panel_j", doubled_order_off_at_2)
+            for fn in (nonlocal_coefficients, nonlocal_intermediates):
+                with pytest.raises(QuadratureFailure, match=f"too large for {re.escape(quantity)}") as info:
+                    fn(generic, np.array([1.0, 2.0, 3.0]))
+                assert info.value.k == 2.0
 
-        monkeypatch.setattr(sep, "_panel_j", doubled_order_off_at_2)
-        for fn in (nonlocal_coefficients, nonlocal_intermediates):
-            with pytest.raises(QuadratureFailure, match="too large for N plus") as info:
-                fn(generic, np.array([1.0, 2.0, 3.0]))
-            assert info.value.k == 2.0
+    def test_form_factors_sampled_once_per_order(self):
+        """Scalar-only form factors are called at the nodes of the order-20
+        and order-40 rules, which give N and the transforms alike, and on the
+        two 257-point grids of the evenness check: nowhere else."""
+        import ptscatter.separable as sep
+
+        calls = {"g": 0, "h": 0}
+
+        def scalar_only(name, f):
+            def call(x):
+                if not isinstance(x, float):
+                    raise TypeError("a form factor of one float")
+                calls[name] += 1
+                return f(x)
+            return call
+
+        kernel = SeparableKernel.from_form_factors(
+            g=scalar_only("g", lambda x: math.exp(-1.3 * abs(x)) * (1 + 0.2 * x * x)),
+            h=scalar_only("h", lambda y: math.exp(-0.9 * abs(y))), alpha=0.3, beta=-0.2)
+        nonlocal_coefficients(kernel, 1.0)
+        freq = np.array([1.5, 1.5])     # |k| + |alpha| + |beta| at k and -k
+        nodes = sum(sep._rule(kernel.support, freq, order)[0].size for order in (sep._ORDER, 2 * sep._ORDER))
+        assert nodes == 3200 + 6400
+        assert calls == {"g": nodes + 2 * 257, "h": nodes + 2 * 257}
+
+    @pytest.mark.parametrize("name, value", [("alpha", math.nan), ("beta", math.inf), ("lam", math.inf)])
+    def test_non_finite_parameter_is_rejected(self, name, value):
+        """As for Yamaguchi kernels: a NaN phase would otherwise pass as PT
+        symmetric and an infinite strength give a finite N."""
+        with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
+            SeparableKernel.from_form_factors(g=lambda x: math.exp(-abs(x)), h=lambda y: math.exp(-abs(y)),
+                                              **{name: value})
 
     def test_kink_away_from_zero_is_a_quadrature_failure(self):
         """Kinks at +-0.3 fall inside a panel: the doubled order disagrees."""
