@@ -518,6 +518,8 @@ def cmd_lattice(args) -> int:
                           f"the {MAX_ROWS} rows a table may hold")
     p = potentials.LatticeParams(well=well, a=args.a, n=args.n)
     cells, chunks = potentials.lattice_transfer(p, ks, n_max)
+    with np.errstate(over="ignore"):    # the extended cell may hold what no float does
+        cells = cells.astype(complex)
     core._raise_first([(~np.all(np.isfinite(cells), axis=(1, 2)),
                         lambda i: TransferOverflow(core.OUT_OF_RANGE))], ks)
     # the edge phases have unit det, so det M = det(T)^n from the cell, and T_rl = det M T_lr
@@ -528,11 +530,10 @@ def cmd_lattice(args) -> int:
     for ns, m, overflow in chunks:          # the rows of a few n as columns
         m, overflow = m.reshape(-1, 2, 2), overflow.ravel()
         with np.errstate(all="ignore"):
-            (t_lr, r_lr, _, r_rl), faults = core._smatrix(
-                *(core._PyComplex.of(m[:, i // 2, i % 2]) for i in range(4)))
+            (t_lr, r_lr, _, r_rl), faults = core._smatrix(*(m[:, i // 2, i % 2] for i in range(4)))
             det = core._int_powers(det_cell, ns).ravel()
-            t_rl = core._PyComplex.of(det) * t_lr
-            values = np.array([abs(z) for z in (t_lr, r_lr, t_rl, r_rl)] + [det.real, det.imag])
+            values = np.array([abs(z) for z in (t_lr, r_lr, det * t_lr, r_rl)] + [det.real, det.imag],
+                              dtype=float)
         # a row that is not flagged, at a pole or not finite, is a solver error
         faults.append((~np.all(np.isfinite(values), axis=0), lambda i: TransferOverflow(core.OUT_OF_RANGE)))
         core._raise_first([(mask & ~overflow, make) for mask, make in faults], np.tile(ks, len(ns)))

@@ -402,13 +402,19 @@ def _or_nan(fn, *args) -> float:
 
 #: the functions a closed form evaluates over a float column, rounded as
 #: Python's math rounds them at one float (numpy's cos and sin are libm's;
-#: cosh, sinh, exp, atan2 and ** are not, so they are mapped)
+#: cosh, sinh, exp, atan2 and ** are not, so they are mapped); ``real`` takes
+#: a parameter into the column's type
 COLUMN = SimpleNamespace(
     cos=np.cos, sin=np.sin,
     cosh=lambda x: _mapped(math.cosh, x), sinh=lambda x: _mapped(math.sinh, x),
     exp=lambda x: _mapped(math.exp, x), atan2=lambda y, x: _mapped(math.atan2, y, x),
     pow=lambda x, y: _mapped(operator.pow, x, y),
-    cexp=lambda z: _PyComplex.of(z).exp(), complex=_PyComplex.of)
+    cexp=lambda z: _PyComplex.of(z).exp(), complex=_PyComplex.of, real=float)
+#: the same functions over an ``np.longdouble`` column: numpy's own, in the
+#: platform's extended precision (a 64-bit mantissa on x86-64 Linux)
+EXTENDED = SimpleNamespace(
+    cos=np.cos, sin=np.sin, cosh=np.cosh, sinh=np.sinh, atan2=np.arctan2, pow=np.power,
+    cexp=np.exp, complex=np.asarray, real=np.longdouble)
 #: cmath.exp scales exp(x) by e^-1 above this
 _LOG_LARGE = math.log(sys.float_info.max / 4)
 

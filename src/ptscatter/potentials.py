@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (
     COLUMN,
+    EXTENDED,
     AsymptoticAmplitudes,
     ScatteringCoefficients,
     TransferMatrix,
@@ -90,14 +91,15 @@ def square_well_transfer(p: SquareWellParams, k) -> TransferMatrix:
     return _square_well_elements(p, k), []
 
 
-def _square_well_elements(p: SquareWellParams, kv) -> tuple:
-    """(M_RR, M_RL, M_LR, M_LL) over a float column kv."""
-    f = COLUMN
+def _square_well_elements(p: SquareWellParams, kv, f=COLUMN) -> tuple:
+    """(M_RR, M_RL, M_LR, M_LL) over the column kv, evaluated with the
+    functions of ``f`` (``COLUMN`` over floats, ``EXTENDED`` over np.longdouble)."""
+    v0, v1, b = f.real(p.v0), f.real(p.v1), f.real(p.b)
     e = kv * kv
-    alpha = f.pow(f.pow(e + p.v0, 2) + p.v1 ** 2, 0.25)     # SquareWellParams.alpha
-    phi = 0.5 * f.atan2(p.v1, e + p.v0)                     # SquareWellParams.phi
-    c = 2 * alpha * p.b * f.cos(phi)
-    s = 2 * alpha * p.b * f.sin(phi)
+    alpha = f.pow(f.pow(e + v0, 2) + v1 ** 2, 0.25)         # SquareWellParams.alpha
+    phi = 0.5 * f.atan2(v1, e + v0)                         # SquareWellParams.phi
+    c = 2 * alpha * b * f.cos(phi)
+    s = 2 * alpha * b * f.sin(phi)
     cp, sp = f.cos(phi), f.sin(phi)
     even = cp * cp * f.cos(c) + sp * sp * f.cosh(s)
     km = (kv * kv - alpha * alpha) / (2 * kv * alpha)
@@ -105,8 +107,8 @@ def _square_well_elements(p: SquareWellParams, kv) -> tuple:
     odd = km * sp * f.sinh(s) + kp * cp * f.sin(c)
     cross = sp * cp * (f.cos(c) - f.cosh(s))
     off = km * cp * f.sin(c) + kp * sp * f.sinh(s)
-    return (f.cexp(2j * kv * p.b) * (even - 1j * odd), f.complex(1j * (cross + off)),
-            f.complex(1j * (cross - off)), f.cexp(-2j * kv * p.b) * (even + 1j * odd))
+    return (f.cexp(2j * kv * b) * (even - 1j * odd), f.complex(1j * (cross + off)),
+            f.complex(1j * (cross - off)), f.cexp(-2j * kv * b) * (even + 1j * odd))
 
 
 @_closed_form
@@ -176,11 +178,12 @@ def lattice_tmatrix(p: LatticeParams, k) -> TransferMatrix:
 
 
 def _cell(p: LatticeParams, kv) -> tuple:
-    """The elements of the cell matrix T over a float column kv."""
-    m_rr, m_rl, m_lr, m_ll = _square_well_elements(p.well, kv)
-    a, b = p.a, p.well.b
-    return (m_rr * COLUMN.cexp(-2j * kv * (a + b)), m_rl * COLUMN.cexp(2j * kv * a),
-            m_lr * COLUMN.cexp(-2j * kv * a), m_ll * COLUMN.cexp(2j * kv * (a + b)))
+    """The elements of the cell matrix T over a column kv, in np.clongdouble."""
+    kv = np.asarray(kv, dtype=np.longdouble)
+    m_rr, m_rl, m_lr, m_ll = _square_well_elements(p.well, kv, EXTENDED)
+    a, b = np.longdouble(p.a), np.longdouble(p.well.b)
+    return (m_rr * np.exp(-2j * kv * (a + b)), m_rl * np.exp(2j * kv * a),
+            m_lr * np.exp(-2j * kv * a), m_ll * np.exp(2j * kv * (a + b)))
 
 
 #: most (n, k) rows of one chunk of ``lattice_transfer``
@@ -194,24 +197,22 @@ def lattice_transfer(p: LatticeParams, ks, n_max: int | None = None):
     stack of conj(D(u1)) T^n D(u1 + n*period), and overflow, sticky over n,
     marks the (n, k) where the cell or a product so far had an element above
     1e300 or not finite.  T^{p.n} comes by repeated squaring, as for one n at
-    one k, each further power as T @ T^{n-1}."""
-    kv = _wavenumbers(ks)[0]
+    one k, each further power as T @ T^{n-1}.  T and M are np.clongdouble:
+    the caller rounds what it keeps to complex once."""
+    kv = _wavenumbers(ks)[0].astype(np.longdouble)
     with np.errstate(all="ignore"):
-        t = np.stack([_PyComplex.of(z).array() for z in _cell(p, kv)], axis=-1).reshape(-1, 2, 2)
+        t = np.stack(_cell(p, kv), axis=-1).reshape(-1, 2, 2)
 
     def flags(m):                   # per matrix: an element above the limit or not finite
         return ~(np.max(np.abs(m), axis=(-2, -1)) <= OVERFLOW_LIMIT)
 
-    def phases(x):                  # diag(e^{ikx}, e^{-ikx}) over (x, k)
-        d = np.zeros((*np.shape(x), *t.shape), dtype=complex)
-        d.reshape(*d.shape[:-2], 4)[..., ::3] = np.exp(np.stack([1j * kv, -1j * kv], axis=-1)
-                                                       * np.reshape(x, (*np.shape(x), 1, 1)))
-        return d
+    def phases(x):                  # (e^{ikx}, e^{-ikx}), the diagonal of D(x), over (x, k)
+        return np.exp(np.stack([1j * kv, -1j * kv], axis=-1) * np.reshape(x, (*np.shape(x), 1, 1)))
 
     def chunks():
         last, size = p.n if n_max is None else n_max, max(1, CHUNK_ROWS // len(kv))
         with np.errstate(over="ignore", invalid="ignore"):
-            power, base, n, overflow = np.broadcast_to(np.eye(2, dtype=complex), t.shape), t, p.n, flags(t)
+            power, base, n, overflow = np.broadcast_to(np.eye(2, dtype=t.dtype), t.shape), t, p.n, flags(t)
             while n:
                 if n & 1:
                     power = power @ base
@@ -220,10 +221,10 @@ def lattice_transfer(p: LatticeParams, ks, n_max: int | None = None):
                 if n:
                     base = base @ base
                     overflow |= flags(base)
-            left = phases(-p.u1)
+            left = phases(-p.u1)[..., :, None]
         for lo in range(p.n, last + 1, size):
             ns = np.arange(lo, min(lo + size, last + 1))
-            powers = np.empty((len(ns), *t.shape), dtype=complex)
+            powers = np.empty((len(ns), *t.shape), dtype=t.dtype)
             with np.errstate(over="ignore", invalid="ignore"):
                 powers[0] = power if lo == p.n else t @ power
                 for j in range(1, len(ns)):
@@ -231,7 +232,7 @@ def lattice_transfer(p: LatticeParams, ks, n_max: int | None = None):
                 rows = flags(powers)
                 rows[0] |= overflow
                 rows = np.logical_or.accumulate(rows, axis=0)
-                m = left @ powers @ phases(p.u1 + ns * p.period)
+                m = left * powers * phases(p.u1 + ns * p.period)[..., None, :]
             power, overflow = powers[-1], rows[-1].copy()
             yield ns, m, rows
 
@@ -250,7 +251,7 @@ def multi_well_transfer(p: LatticeParams, k) -> TransferMatrix:
 def multi_well_coefficients(p: LatticeParams, k) -> ScatteringCoefficients:
     """Coefficients of the n-well lattice; ``k`` may be an array of wave numbers."""
     _, m, overflow = next(lattice_transfer(p, k)[1])
-    columns, faults = _smatrix(*(_PyComplex.of(m[0, :, i // 2, i % 2]) for i in range(4)))
+    columns, faults = _smatrix(*(m[0, :, i // 2, i % 2] for i in range(4)))
     return columns, [(overflow[0], lambda i: TransferOverflow("transfer-matrix element exceeded 1e300")),
                      *faults]
 

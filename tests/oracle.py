@@ -6,12 +6,16 @@ These are the same formulas written once more at one Python float k, with
 element can be checked against them bit for bit.  They raise where Python
 raises (``OverflowError`` from ``math.cosh``, ``ZeroDivisionError``, ...);
 the package raises a named ``ScatteringError`` at such a k, and at a k
-where these give a coefficient that is not finite.
+where these give a coefficient that is not finite.  The lattice takes its
+cell and products in np.clongdouble, as the package does, with numpy's
+scalar arithmetic, and rounds to complex at the end.
 """
 
 import cmath
 import math
+import operator
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -22,28 +26,36 @@ from ptscatter.errors import NumeratorPole, PrecisionLoss, ResonancePole, Transf
 def smatrix(m_rr, m_rl, m_lr, m_ll, tol=1e-12) -> tuple:
     """(T_lr, R_lr, T_rl, R_rl) from the transfer-matrix elements."""
     if abs(m_rr) < tol:
-        raise TransmissionPole(f"|M_RR| = {abs(m_rr)} below {tol}")
+        raise TransmissionPole(f"|M_RR| = {float(abs(m_rr))} below {tol}")
     det = m_rr * m_ll - m_rl * m_lr
     return 1.0 / m_rr, m_lr / m_rr, det / m_rr, -m_rl / m_rr
 
 
 # -- square well, lattice ----------------------------------------------------------
 
-def square_well_elements(p, kv) -> tuple:
+#: the square well's functions at one Python float, and at one np.longdouble
+FLOAT = SimpleNamespace(real=float, cos=math.cos, sin=math.sin, cosh=math.cosh, sinh=math.sinh,
+                        atan2=math.atan2, pow=operator.pow, cexp=cmath.exp)
+EXTENDED = SimpleNamespace(real=np.longdouble, cos=np.cos, sin=np.sin, cosh=np.cosh, sinh=np.sinh,
+                           atan2=np.arctan2, pow=np.power, cexp=np.exp)
+
+
+def square_well_elements(p, kv, f=FLOAT) -> tuple:
+    v0, v1, b = f.real(p.v0), f.real(p.v1), f.real(p.b)
     e = kv * kv
-    alpha = ((e + p.v0) ** 2 + p.v1 ** 2) ** 0.25
-    phi = 0.5 * math.atan2(p.v1, e + p.v0)
-    c = 2 * alpha * p.b * math.cos(phi)
-    s = 2 * alpha * p.b * math.sin(phi)
-    cp, sp = math.cos(phi), math.sin(phi)
-    even = cp * cp * math.cos(c) + sp * sp * math.cosh(s)
+    alpha = f.pow(f.pow(e + v0, 2) + v1 ** 2, 0.25)
+    phi = 0.5 * f.atan2(v1, e + v0)
+    c = 2 * alpha * b * f.cos(phi)
+    s = 2 * alpha * b * f.sin(phi)
+    cp, sp = f.cos(phi), f.sin(phi)
+    even = cp * cp * f.cos(c) + sp * sp * f.cosh(s)
     km = (kv * kv - alpha * alpha) / (2 * kv * alpha)
     kp = (kv * kv + alpha * alpha) / (2 * kv * alpha)
-    odd = km * sp * math.sinh(s) + kp * cp * math.sin(c)
-    cross = sp * cp * (math.cos(c) - math.cosh(s))
-    off = km * cp * math.sin(c) + kp * sp * math.sinh(s)
-    return (cmath.exp(2j * kv * p.b) * (even - 1j * odd), 1j * (cross + off),
-            1j * (cross - off), cmath.exp(-2j * kv * p.b) * (even + 1j * odd))
+    odd = km * sp * f.sinh(s) + kp * cp * f.sin(c)
+    cross = sp * cp * (f.cos(c) - f.cosh(s))
+    off = km * cp * f.sin(c) + kp * sp * f.sinh(s)
+    return (f.cexp(2j * kv * b) * (even - 1j * odd), 1j * (cross + off),
+            1j * (cross - off), f.cexp(-2j * kv * b) * (even + 1j * odd))
 
 
 def square_well_coefficients(p, kv) -> tuple:
@@ -65,11 +77,14 @@ def square_well_transfer_interfaces(p, kv) -> np.ndarray:
 
 
 def lattice_cell(p, kv) -> np.ndarray:
-    """The cell matrix T, the well's M with the per-period displacement phases."""
-    m_rr, m_rl, m_lr, m_ll = square_well_elements(p.well, kv)
-    a, b = p.a, p.well.b
-    return np.array([[m_rr * cmath.exp(-2j * kv * (a + b)), m_rl * cmath.exp(2j * kv * a)],
-                     [m_lr * cmath.exp(-2j * kv * a), m_ll * cmath.exp(2j * kv * (a + b))]])
+    """The cell matrix T, the well's M with the per-period displacement
+    phases, in np.clongdouble."""
+    kv = np.longdouble(kv)
+    with np.errstate(all="ignore"):
+        m_rr, m_rl, m_lr, m_ll = square_well_elements(p.well, kv, EXTENDED)
+        a, b = np.longdouble(p.a), np.longdouble(p.well.b)
+        return np.array([[m_rr * np.exp(-2j * kv * (a + b)), m_rl * np.exp(2j * kv * a)],
+                         [m_lr * np.exp(-2j * kv * a), m_ll * np.exp(2j * kv * (a + b))]])
 
 
 def checked(m):
@@ -81,7 +96,7 @@ def checked(m):
 
 def matrix_power(t, n):
     """T^n by repeated squaring, raising where a product overflows."""
-    result, base = np.eye(2, dtype=complex), checked(t.copy())
+    result, base = np.eye(2, dtype=t.dtype), checked(t.copy())
     with np.errstate(over="ignore", invalid="ignore"):
         while n:
             if n & 1:
@@ -92,18 +107,22 @@ def matrix_power(t, n):
     return result
 
 
+def edge_phases(kv, x) -> np.ndarray:
+    """(e^{ikx}, e^{-ikx}), the diagonal of D(x), over the np.longdouble k (last axis)."""
+    return np.exp(np.stack([1j * kv, -1j * kv], axis=-1) * x)
+
+
 def multi_well_transfer(p, kv) -> np.ndarray:
-    """conj(D(u1)) T^n D(u1 + n*period) at one n and one k by its own power of T."""
+    """conj(D(u1)) T^n D(u1 + n*period) at one n and one k by its own power
+    of T, each element a phase times an element of T^n times a phase."""
     tn = matrix_power(lattice_cell(p, kv), p.n)
-    u1, v = p.u1, p.u1 + p.n * p.period
-    d_left = np.diag([cmath.exp(-1j * kv * u1), cmath.exp(1j * kv * u1)])
-    d_right = np.diag([cmath.exp(1j * kv * v), cmath.exp(-1j * kv * v)])
-    return d_left @ tn @ d_right
+    kv = np.longdouble(kv)
+    return edge_phases(kv, -p.u1)[:, None] * tn * edge_phases(kv, p.u1 + p.n * p.period)[None, :]
 
 
 def multi_well_coefficients(p, kv) -> tuple:
-    m = multi_well_transfer(p, kv)
-    return smatrix(*(complex(z) for z in m.ravel()))
+    with np.errstate(all="ignore"):
+        return tuple(complex(z) for z in smatrix(*multi_well_transfer(p, kv).ravel()))
 
 
 def lattice_sweep(p, ks, n_max):
@@ -112,14 +131,9 @@ def lattice_sweep(p, ks, n_max):
     M = conj(D(u1)) T^n D(u1 + n*period); overflow, sticky over n, marks the k
     where the cell or a product so far had an element above 1e300 or not
     finite.  T is the package's cell stack."""
-    kv = np.asarray(ks, dtype=float)
-    t = potentials.lattice_transfer(p, kv)[0]
+    kv = np.asarray(ks, dtype=float).astype(np.longdouble)
+    t = potentials.lattice_transfer(p, ks)[0]
     overflow = np.zeros(len(t), dtype=bool)
-
-    def phases(x):
-        d = np.zeros_like(t)
-        d[:, 0, 0], d[:, 1, 1] = np.exp(1j * kv * x), np.exp(-1j * kv * x)
-        return d
 
     def checked(m):
         nonlocal overflow
@@ -127,7 +141,7 @@ def lattice_sweep(p, ks, n_max):
         return m
 
     with np.errstate(over="ignore", invalid="ignore"):
-        power, base, n = np.broadcast_to(np.eye(2, dtype=complex), t.shape), checked(t), p.n
+        power, base, n = np.broadcast_to(np.eye(2, dtype=t.dtype), t.shape), checked(t), p.n
         while n:
             if n & 1:
                 power = checked(power @ base)
@@ -138,21 +152,43 @@ def lattice_sweep(p, ks, n_max):
         with np.errstate(over="ignore", invalid="ignore"):
             if n > p.n:
                 power = checked(t @ power)
-            m = phases(-p.u1) @ power @ phases(p.u1 + n * p.period)
+            m = edge_phases(kv, -p.u1)[:, :, None] * power * edge_phases(kv, p.u1 + n * p.period)[:, None, :]
         yield n, m, overflow
+
+
+def extended_bits(x) -> np.ndarray:
+    """The bytes that hold the value of each real and imaginary part of the
+    np.clongdouble array x (x87's 80-bit long double pads them to 16)."""
+    parts = np.stack([x.real, x.imag], axis=-1)
+    size = 10 if np.finfo(np.longdouble).nmant == 63 else parts.itemsize
+    return parts.view(np.uint8).reshape(*parts.shape, -1)[..., :size]
+
+
+def exact(cells) -> list:
+    """The np.clongdouble array ``cells`` as nested lists of mpmath numbers,
+    exactly: each part is its integer significand times a power of two."""
+    import mpmath
+
+    digits = np.finfo(np.longdouble).nmant + 1
+
+    def part(x):
+        significand, exponent = np.frexp(x)
+        return mpmath.ldexp(int(np.ldexp(significand, digits)), int(exponent) - digits)
+
+    with mpmath.workprec(digits):
+        return np.frompyfunc(lambda z: mpmath.mpc(part(z.real), part(z.imag)), 1, 1)(cells).tolist()
 
 
 def lattice_sweep_mp(p, cells, ks, n_max, dps=40) -> np.ndarray:
     """M = conj(D(u1)) T^n D(u1 + n*period) for n = 1..n_max (rows) over the
-    k column ks, from the float cell stack ``cells`` taken exactly and a
+    k column ks, from the extended cell stack ``cells`` taken exactly and a
     running product in mpmath at ``dps`` digits (rounded to complex at the
     end); the phase of D(x) is k x with x = u1 + n*period in floats."""
     import mpmath
 
     out = np.empty((n_max, len(ks), 2, 2), dtype=complex)
     with mpmath.workdps(dps):
-        for i, (t, k) in enumerate(zip(cells.tolist(), ks)):
-            t = [[mpmath.mpc(z) for z in row] for row in t]
+        for i, (t, k) in enumerate(zip(exact(cells), ks)):
             power = [[mpmath.mpc(1), mpmath.mpc(0)], [mpmath.mpc(0), mpmath.mpc(1)]]
             left = mpmath.expj(-mpmath.mpf(k) * mpmath.mpf(p.u1))
             left = (left, 1 / left)
@@ -163,6 +199,33 @@ def lattice_sweep_mp(p, cells, ks, n_max, dps=40) -> np.ndarray:
                 right = (right, 1 / right)
                 out[n - 1, i] = [[complex(left[r] * power[r][c] * right[c]) for c in range(2)]
                                  for r in range(2)]
+    return out
+
+
+def lattice_mp(p, k, n_max, dps=40) -> list:
+    """(|T_lr|, |R_lr|, |R_rl|) of n = 1..n_max wells at one k, from the
+    parameters alone: a running product in mpmath at ``dps`` digits of the
+    matrices that carry the plane-wave amplitudes across each interface,
+    left to right, with no use of the closed-form cell."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        k, v0, v1, a, b = (mpmath.mpf(x) for x in (k, p.well.v0, p.well.v1, p.a, p.well.b))
+        q_left, q_right = mpmath.sqrt(k * k + v0 - 1j * v1), mpmath.sqrt(k * k + v0 + 1j * v1)
+
+        def interface(q, r, x):     # (A, B) of e^{iqx}, e^{-iqx} from those of r at x
+            eq, er, ratio = mpmath.exp(1j * q * x), mpmath.exp(1j * r * x), r / q
+            return [[er / eq * (1 + ratio) / 2, (1 - ratio) / (2 * eq * er)],
+                    [eq * er * (1 - ratio) / 2, eq / er * (1 + ratio) / 2]]
+
+        m, out = [[1, 0], [0, 1]], []
+        for n in range(n_max):
+            lo = -a - 2 * b + 2 * n * (a + b)
+            for q, r, x in ((k, q_left, lo), (q_left, q_right, lo + b), (q_right, k, lo + 2 * b)):
+                f = interface(q, r, x)
+                m = [[m[i][0] * f[0][j] + m[i][1] * f[1][j] for j in range(2)] for i in range(2)]
+            out.append((float(1 / abs(m[0][0])), float(abs(m[1][0] / m[0][0])),
+                        float(abs(m[0][1] / m[0][0]))))
     return out
 
 

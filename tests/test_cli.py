@@ -6,10 +6,12 @@ import subprocess
 import sys
 
 import numpy as np
+import oracle
 import pytest
 
 from ptscatter.cli import main
 from ptscatter.core import OUT_OF_RANGE
+from ptscatter.potentials import LatticeParams, SquareWellParams
 
 # argv (before --kmax 240 --kcount 3) whose closed form leaves the float range, and the k it names
 ARITHMETIC_ERRORS = [
@@ -286,7 +288,26 @@ class TestLattice:
         assert run_cli(SPECTRAL_SINGULARITY + ["--out", "-"]) == 3
         err = capsys.readouterr().err
         assert err == ("solver error at k = 4.164331013127829: "
-                       "|M_RR| = 2.7755575615628914e-16 below 1e-12\n")
+                       "|M_RR| = 5.6250374417585915e-16 below 1e-12\n")
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                        reason="the lattice runs in np.longdouble, which is a plain double here")
+    @pytest.mark.parametrize("k", ["0.1498", "0.14985", "0.15"])
+    def test_band_edge_moduli_against_the_exact_lattice(self, k, tmp_path):
+        """Near a band edge of a hermitian lattice (|tr T|/2 = 0.9995 at
+        k = 0.14985) rounding grows like n^2 eps |T|^2: the moduli to n = 400
+        stay within 1e-11 of an mpmath product of the interface matrices,
+        |R| relative to the largest of |T_lr|, |R_lr| and |R_rl|."""
+        out = tmp_path / "edge.csv"
+        assert run_cli(["lattice", "--v0", "1.875", "--v1", "0", "--b", "0.453125", "--a", "1",
+                        "--n", "1", "--n-max", "400", "--kmin", k, "--kcount", "1",
+                        "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        got = np.array([[float(r[h]) for h in ("abs_t_lr", "abs_r_lr", "abs_r_rl")] for r in rows])
+        p = LatticeParams(SquareWellParams(1.875, 0.0, 0.453125), a=1.0, n=1)
+        want = np.array(oracle.lattice_mp(p, float(k), 400))
+        assert np.max(np.abs(got[:, 0] - want[:, 0]) / want[:, 0]) < 1e-11
+        assert np.max(np.abs(got[:, 1:] - want[:, 1:]) / np.max(want, axis=1, keepdims=True)) < 1e-11
 
     def test_strong_well_rows_finite_unless_flagged(self, tmp_path):
         # |M| passes 1e154 long before the 1e300 overflow flag, where the

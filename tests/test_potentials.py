@@ -248,16 +248,19 @@ class TestLatticeColumns:
             for j, got in enumerate(ns):
                 n_want, m_want, flags = next(want)
                 assert got == n_want
-                assert np.array_equal(m[j].view(np.uint64), m_want.view(np.uint64))
+                assert np.array_equal(oracle.extended_bits(m[j]), oracle.extended_bits(m_want))
                 assert np.array_equal(overflow[j], flags)
         assert next(want, None) is None
 
     @settings(max_examples=12, deadline=None)
     @given(well=MILD, a=_floats(0.2, 1.0), ks=st.lists(_floats(0.1, 4.0), min_size=1, max_size=3))
     @example(well=SquareWellParams(1.875, 0.0, 0.453125), a=1.0, ks=[0.125])
+    @example(well=SquareWellParams(1.875, 0.0, 0.453125), a=1.0, ks=[0.14985])
     def test_sweep_agrees_with_per_n_powers(self, well, a, ks):
         """Each n of the sweep against the running product of the same cell
-        in 40-digit arithmetic."""
+        in 40-digit arithmetic.  Within ~3e-4 of a band edge (|tr T|/2 near
+        1, the second example) the error grows like n^2 eps |T|^2: a product
+        in doubles reached 1.1e-10 size^2 there, the extended one 1.7e-13."""
         cells, chunks = lattice_transfer(LatticeParams(well, a=a, n=1), ks, 400)
         want = oracle.lattice_sweep_mp(LatticeParams(well, a=a, n=1), cells, ks, 400)
         for ns, m, overflow in chunks:
