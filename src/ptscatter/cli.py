@@ -18,7 +18,11 @@ with |x| outside [1e-250, 1e250].
 A command loads only the modules it uses: ``numeric`` where it integrates
 or builds a sampled profile (``compare``, ``symmetry`` of a local potential,
 custom-sampled), ``specfun`` for Scarf, and ``separable`` and ``symmetry``
-for Yamaguchi kernels and the ``symmetry`` command.  Run as the process's
+for Yamaguchi kernels and the ``symmetry`` command; none loads ``numpy.ma``.
+Importing this module loads numpy's OpenBLAS with one thread, as its BLAS
+calls are 2x2 stacks and small panels that a thread pool only slows to
+start, unless numpy is already imported or one of ``BLAS_THREADS`` is set
+in the environment, which is left as it was.  Run as the process's
 own command line (``main()`` without argv, as the console script does),
 ``main`` flushes stdout and stderr and ends the process with its exit code
 at once, without the interpreter's teardown; ``main(argv)`` returns the code.
@@ -33,7 +37,18 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
+#: the variables OpenBLAS takes its thread count from
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                "OPENBLAS_DEFAULT_NUM_THREADS")
+
+if "numpy" in sys.modules or any(name in os.environ for name in BLAS_THREADS):
+    import numpy as np
+else:   # numpy's OpenBLAS starts with one thread, and the environment is left as it was
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy as np
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from . import core, potentials
 from .errors import ScatteringError, TransferOverflow
@@ -59,11 +74,13 @@ class ConfigError(Exception):
 #: bounds the chunk's bytes when its rows hold long constant text
 CHUNK_ROWS, CHUNK_VALUES = 16384, 32768
 #: a table of at least this many values is spelled by two processes when two
-#: CPUs are free.  On a 2-vCPU VM, with columns spelled in numpy, the fork,
-#: the pipe and the copy cost about as much as the second process saves up
-#: to some 20,000 rows of a scan CSV (260,000 values), and below that at most
-#: ~2 ms; at 30,000 rows two processes save ~16% of the spelling
-FORK_VALUES = 40_000
+#: CPUs are free.  On a 2-vCPU VM whose second vCPU ran in parallel, two
+#: processes took 1.21x the time of one for a 5,000-row scan CSV (65,000
+#: values) and 1.08x for a 6,000-row lattice table (54,000), and 0.92x at
+#: 10,000 rows of a scan CSV, 0.84x at 12,000 lattice rows and 0.90x at
+#: 30,000 scan rows; where the host ran the two vCPUs in turn, two
+#: processes lost at every size
+FORK_VALUES = 100_000
 #: most rows of a table: a larger grid is a configuration error before anything
 #: is allocated (a Scarf scan peaks at ~65 MiB for 30,000 k and ~354 MiB for 300,000)
 MAX_ROWS = 10 ** 6
@@ -416,6 +433,13 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
+def _median(values) -> float:
+    """The median of a list of floats >= 0 as ``np.median`` takes it, bit
+    for bit: the middle value, or half the sum of the middle two."""
+    s, m = sorted(values), len(values) // 2
+    return s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2
+
+
 def cmd_compare(args) -> int:
     if not (math.isfinite(args.threshold) and args.threshold >= 0):
         raise ConfigError(f"threshold must be finite and >= 0, got {args.threshold}")
@@ -449,7 +473,7 @@ def cmd_compare(args) -> int:
             entry[name] = {"analytic": [a.real, a.imag], "numeric": [n.real, n.imag],
                            "abs_diff": abs(a - n), "rel_diff": rel}
         rows.append(entry)
-    summary = {"max_rel_diff": max(rels), "median_rel_diff": float(np.median(rels)),
+    summary = {"max_rel_diff": max(rels), "median_rel_diff": _median(rels),
                "threshold": args.threshold, "threshold_exceeded": max(rels) > args.threshold}
     payload = {"potential": problem.label, "integration_step": args.step,
                "rows": rows, "summary": summary}

@@ -115,38 +115,41 @@ def _shortest(a, scale, vi, f, digits, sig, unsure):
     ``sig``, searched down from the %.17g digits; ``scale`` is the power of
     ten that gave (vi, f).  Marks in ``unsure`` the values it cannot decide.
 
-    "Rounded to p digits, inside the interval" holds for every p above the
-    shortest, so the search goes down until it fails.  A distance is exact
-    while it is small enough to matter: the interval is < 11.2 units wide."""
+    "Some p-digit number lies inside the interval" holds for every p above
+    the shortest, and a decided probe of p tells whether it holds: the
+    nearest p digits fit, or neither they nor (below a power of two) the
+    candidate above do.  So each value probes start - 1, start - 2, start -
+    4, ... until one fails, then bisects: 16 and 17 digits take one or two
+    probes, and no value more than eight.  A distance is exact while it is
+    small enough to matter: the interval is < 11.2 units wide."""
     live = np.flatnonzero((sig > 1) & ~unsure)
-    if not live.size:
-        return
-    a, vi, f, start = a[live], vi[live], f[live], sig[live]
+    a, vi, f, start = a[live], vi[live], f[live], sig[live].astype(np.int8)
     half_up = 0.5 * np.spacing(a) * scale[live]     # half an ulp, in 17th-digit units
     pow2 = (a.view(np.uint64) & _MANTISSA) == 0
     half_down = np.where(pow2, 0.5 * half_up, half_up)
-    on = np.zeros(len(live), dtype=bool)            # p + 1 digits fit
-    for p in range(int(start.max()) - 1, 0, -1):
-        on |= start == p + 1
-        at = np.flatnonzero(on)
-        if not at.size:
-            continue
-        m = int(_P10[17 - p])
-        q, r = np.divmod(vi[at], m)
-        frac, half = f[at], m // 2
+    lo, hi = np.zeros_like(start), start            # digit counts that fail and that fit
+    while live.size:
+        probe = np.where(lo > 0, (lo + hi) // 2, np.maximum(2 * hi - start - (hi == start), 1))
+        m = _P10[17 - probe]
+        q = vi // m
+        r = vi - q * m
+        half = m // 2
         down = r < half
-        gap = np.where(down, r + frac, (m - r) - frac)
-        edge = np.where(down, half_down[at], half_up[at])
+        gap = np.where(down, r + f, (m - r) - f)
+        edge = np.where(down, half_down, half_up)
         inside = gap < edge
-        near = (np.abs(gap - edge) < _MARGIN) | (np.abs((r - half) + frac) < _MARGIN)
+        near = (np.abs(gap - edge) < _MARGIN) | (np.abs((r - half) + f) < _MARGIN)
         # below a power of two, the candidate above may fit where the nearer one does not
-        twos = np.flatnonzero(pow2[at] & down & ~inside)
-        near[twos] |= (m - r[twos]) - frac[twos] <= half_up[at[twos]] + _MARGIN
-        unsure[live[at[near]]] = True
+        twos = np.flatnonzero(pow2 & down & ~inside)
+        near[twos] |= (m[twos] - r[twos]) - f[twos] <= half_up[twos] + _MARGIN
+        unsure[live[near]] = True
         ok = inside & ~near
-        digits[live[at[ok]]] = (q[ok] + ~down[ok]) * m
-        sig[live[at[ok]]] = p
-        on[at[~ok]] = False
+        at = np.flatnonzero(ok)
+        digits[live[at]], sig[live[at]] = (q[at] + ~down[at]) * m[at], probe[at]
+        hi, lo = np.where(ok, probe, hi), np.where(ok | near, lo, probe)
+        more = np.flatnonzero(~near & (hi - lo > 1))
+        live, vi, f, start, half_up, half_down, pow2, lo, hi = (
+            v[more] for v in (live, vi, f, start, half_up, half_down, pow2, lo, hi))
 
 
 def _digits(n) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Command-line interface: formats, determinism, exit codes."""
 
+import ctypes
+import glob
 import json
 import os
 import subprocess
@@ -8,7 +10,10 @@ import sys
 import numpy as np
 import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ptscatter import cli
 from ptscatter.cli import main
 from ptscatter.core import OUT_OF_RANGE
 from ptscatter.potentials import LatticeParams, SquareWellParams
@@ -159,6 +164,13 @@ class TestCompare:
         code = run_cli(["compare", "--potential", "yamaguchi"])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 2.0), min_size=1, max_size=40))
+    def test_median_is_numpys_bit_for_bit(self, values):
+        """On relative differences, which lie in [0, 2]."""
+        for rels in (values, values[1:] or values):     # an odd and an even count, or one value
+            assert cli._median(rels).hex() == float(np.median(rels)).hex()
 
 
 class TestSymmetry:
@@ -637,22 +649,67 @@ class TestConfigAndErrors:
         """numeric and specfun load only for a command that integrates or
         builds a profile, or evaluates a Scarf closed form, and separable only
         for a separable kernel; numpy.polynomial, which only generic separable
-        kernels use, never."""
+        kernels use, never, nor numpy.ma (compare's median is taken without
+        numpy)."""
         code = ("import json, sys; from ptscatter.cli import main; "
                 "code = main(json.loads(sys.argv[1])); "
-                "print(code, *(m in sys.modules for m in "
-                "('ptscatter.numeric', 'ptscatter.specfun', 'ptscatter.separable', 'numpy.polynomial')))")
+                "print(code, *(m in sys.modules for m in ('ptscatter.numeric', 'ptscatter.specfun', "
+                "'ptscatter.separable', 'numpy.polynomial', 'numpy.ma')))")
         argv = argv + ["--out", str(tmp_path / "out")]
         proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
                               capture_output=True, text=True)
         assert proc.stdout.split() == ["0", str("numeric" in loaded), str("specfun" in loaded),
-                                       str("separable" in loaded), "False"], proc.stderr
+                                       str("separable" in loaded), "False", "False"], proc.stderr
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "ptscatter.cli", "scan",
                                "--potential", "square-well", "--kcount", "2",
                                "--kmax", "1"], capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout.startswith("k,")
+
+
+def numpy_openblas():
+    """(path, name of its thread-count function) of the OpenBLAS that numpy
+    ships and has loaded, or None where numpy's BLAS is another."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                       "libscipy_openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+            if hasattr(lib, name):
+                return path, name
+    return None
+
+
+@pytest.mark.skipif(numpy_openblas() is None, reason="numpy's BLAS is not its own OpenBLAS")
+class TestBlasThreads:
+    """The command line loads numpy's OpenBLAS with one thread unless the
+    user has chosen a count, and leaves the environment as it found it."""
+
+    PROBE = ("import ctypes, json, os, sys; before = dict(os.environ); {imports}; "
+             "threads = getattr(ctypes.CDLL(sys.argv[1]), sys.argv[2])(); "
+             "print(json.dumps([threads, dict(os.environ) == before]))")
+
+    def threads(self, imports, **chosen):
+        """OpenBLAS's thread count after ``imports`` in a fresh interpreter
+        whose environment sets only the ``chosen`` thread counts, and whether
+        os.environ is unchanged."""
+        env = {key: value for key, value in os.environ.items() if key not in cli.BLAS_THREADS}
+        proc = subprocess.run([sys.executable, "-c", self.PROBE.format(imports=imports),
+                               *numpy_openblas()], env={**env, **chosen}, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_one_thread_and_the_environment_unchanged(self):
+        assert self.threads("import ptscatter.cli") == [1, True]
+
+    @pytest.mark.parametrize("name", cli.BLAS_THREADS)
+    def test_a_chosen_count_is_honoured(self, name):
+        chosen = self.threads("import numpy", **{name: "2"})
+        assert self.threads("import ptscatter.cli", **{name: "2"}) == chosen
+
+    def test_numpy_imported_first_keeps_its_pool(self):
+        assert self.threads("import numpy, ptscatter.cli") == self.threads("import numpy")
 
 
 def run_command_line(argv, code="from ptscatter.cli import main; main()"):
@@ -670,7 +727,7 @@ class TestCommandLineProcess:
     @pytest.mark.parametrize("argv", [
         ["scan", "--potential", "scarf", "--kcount", "50"],
         ["scan", "--potential", "yamaguchi", "--kcount", "7", "--format", "json"],
-        ["scan", "--potential", "centrifugal", "--kcount", "4000", "--format", "json"],
+        ["scan", "--potential", "centrifugal", "--kcount", "8000", "--format", "json"],
         ["lattice", "--n", "1", "--n-max", "5", "--kcount", "9"],
     ], ids=["scan-scarf", "scan-yamaguchi-json", "scan-centrifugal-json-forked", "lattice"])
     def test_piped_stdout_equals_the_file(self, argv, tmp_path):
@@ -729,10 +786,10 @@ class TestOutputProcesses:
     """Large tables are spelled by two processes, with the same bytes."""
 
     LARGE = [  # each table above FORK_VALUES values
-        ["scan", "--potential", "scarf", "--kcount", "4000"],
-        ["scan", "--potential", "centrifugal", "--kcount", "4000", "--format", "json"],
-        ["symmetry", "--potential", "square-well", "--kcount", "2000"],
-        ["lattice", "--n", "1", "--n-max", "100", "--kcount", "50"],
+        ["scan", "--potential", "scarf", "--kcount", "8000"],
+        ["scan", "--potential", "centrifugal", "--kcount", "8000", "--format", "json"],
+        ["symmetry", "--potential", "square-well", "--kcount", "5000"],
+        ["lattice", "--n", "1", "--n-max", "100", "--kcount", "120"],
     ]
 
     def run(self, monkeypatch, tmp_path, argv, cpus):

@@ -39,6 +39,9 @@ RAW = st.integers(0, 2 ** 64 - 1).map(lambda bits: np.array([bits], dtype=np.uin
 SHORT = st.builds(lambda m, e: float(f"{m}e{e}"), st.integers(1, 10 ** 6), st.integers(-40, 40))
 POWERS = st.one_of(st.integers(-1074, 1023).map(lambda e: math.ldexp(1.0, e)),
                    st.integers(-323, 308).map(lambda e: float(f"1e{e}")))
+#: decimals of up to 8 places, most of them not exact in binary: 0.1, 0.35, ...
+DECIMALS = st.builds(lambda m, places: m / 10 ** places, st.integers(-10 ** 7, 10 ** 7),
+                     st.integers(0, 8))
 #: k + 1/4 and k + 3/4 with 16 integer digits: ten times them ends in .5
 TIES = st.builds(lambda k, quarter: k + quarter, st.integers(10 ** 15, 2 * 10 ** 15),
                  st.sampled_from([0.25, 0.75]))
@@ -61,6 +64,20 @@ class TestAgainstCPython:
     @given(st.lists(TIES, min_size=1, max_size=16))
     def test_half_way_ties(self, values):
         assert_spelled(values + [-v for v in values])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(DECIMALS, min_size=1, max_size=32))
+    def test_short_decimals(self, values):
+        assert_spelled(values)
+
+    def test_columns_rounded_to_3_decimals(self):
+        x = np.random.default_rng(3).uniform(-50, 50, 3000)
+        assert_spelled(np.round(x, 3).tolist() + np.round(x / 1e6, 3).tolist())
+
+    def test_every_digit_count_in_one_column(self):
+        """Values of 1 to 17 digits side by side, each searched for on its own."""
+        x = np.random.default_rng(17).uniform(0.5, 5e4, 1700)
+        assert_spelled([float(f"{v:.{i % 17 + 1}g}") for i, v in enumerate(x.tolist())])
 
     def test_named_and_extreme_values(self):
         tiny = [5e-324, 1e-323, 2.2250738585072009e-308, 2.2250738585072014e-308]
