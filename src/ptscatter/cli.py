@@ -8,7 +8,7 @@ bit-stable.  Closed forms and symmetry relations are evaluated over the
 whole k grid at once (one k is a one-element grid), and a failure is the
 named ScatteringError at the first failing k.  A command
 opens its output only once every value is computed, so a failed run writes
-no file; a large table is spelled by two processes, with the same bytes.
+no file, and spells a table in chunks of rows as it writes them.
 Table floats are spelled a column at a time by ``spell``, as ``"%.17g" % x``
 (CSV) and ``float.__repr__`` (JSON) spell them, byte for byte; CPython
 still spells each value that ``spell`` cannot round with certainty (within
@@ -69,18 +69,11 @@ class ConfigError(Exception):
 # -- output: text and tables of rows, spelled in chunks -------------------------
 
 #: a chunk, spelled at once, holds at most CHUNK_VALUES values, counting each
-#: distinct column of a row once (on a 2-vCPU VM 16,384-32,768 spelled a
-#: closed-form-scan's tables fastest), and at most CHUNK_ROWS rows, which
-#: bounds the chunk's bytes when its rows hold long constant text
+#: distinct column of a row once (on a 2-vCPU VM a closed-form-scan's eight
+#: tables took 0.94 s to write at 8,192, 0.81 s at 32,768 and 1.07 s at
+#: 131,072), and at most CHUNK_ROWS rows, which bounds the chunk's bytes when
+#: its rows hold long constant text
 CHUNK_ROWS, CHUNK_VALUES = 16384, 32768
-#: a table of at least this many values is spelled by two processes when two
-#: CPUs are free.  On a 2-vCPU VM whose second vCPU ran in parallel, two
-#: processes took 1.21x the time of one for a 5,000-row scan CSV (65,000
-#: values) and 1.08x for a 6,000-row lattice table (54,000), and 0.92x at
-#: 10,000 rows of a scan CSV, 0.84x at 12,000 lattice rows and 0.90x at
-#: 30,000 scan rows; where the host ran the two vCPUs in turn, two
-#: processes lost at every size
-FORK_VALUES = 100_000
 #: most rows of a table: a larger grid is a configuration error before anything
 #: is allocated (a Scarf scan peaks at ~65 MiB for 30,000 k and ~354 MiB for 300,000)
 MAX_ROWS = 10 ** 6
@@ -167,62 +160,14 @@ class _Table:
         data = rows.tobytes().replace(b"\0", b"")
         return data[len(self.sep) if lo == 0 else 0:].decode("ascii")
 
-    def chunks(self, lo: int, hi: int):
-        return (self.spell(a, min(a + self.step, hi)) for a in range(lo, hi, self.step))
-
     def write(self, fh):
         rows = len(self.columns[0].values) if self.columns else 0
         if not rows:
             fh.write(self.empty)
             return
         fh.write(self.head)
-        half, child = rows // 2, None
-        if (rows * len(self.columns) >= FORK_VALUES and hasattr(os, "fork")
-                and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
-            fh.flush()
-            child = self._fork(half, rows)
-        if child is None:
-            fh.writelines(self.chunks(0, rows))
-        else:
-            pid, read = child
-            try:
-                with open(read, "rb") as pipe:
-                    fh.writelines(self.chunks(0, half))
-                    data = pipe.read()
-            finally:
-                status = os.waitpid(pid, 0)[1]
-            if status == 0 and len(data) == 8 + int.from_bytes(data[:8], "little"):
-                fh.write(data[8:].decode("ascii"))
-            else:           # the child failed or was cut short: spell its rows here
-                fh.writelines(self.chunks(half, rows))
+        fh.writelines(self.spell(lo, min(lo + self.step, rows)) for lo in range(0, rows, self.step))
         fh.write(self.tail)
-
-    def _fork(self, lo: int, hi: int):
-        """(pid, read end of a pipe) of a child that sends rows lo..hi-1,
-        their length in bytes first, and leaves; None if no child starts.
-        The child only spells strings: it touches no file object and no
-        BLAS, whose threads it does not inherit."""
-        read, write = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read)
-            os.close(write)
-            return None
-        if pid:
-            os.close(write)
-            return pid, read
-        code = 1
-        try:
-            os.close(read)
-            data = "".join(self.chunks(lo, hi)).encode("ascii")
-            for part in (len(data).to_bytes(8, "little"), data):
-                view = memoryview(part)
-                while view:
-                    view = view[os.write(write, view):]
-            code = 0
-        finally:            # never return into the caller's code
-            os._exit(code)
 
 
 def _csv_table(header, styles, columns) -> _Table:

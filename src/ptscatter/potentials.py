@@ -96,7 +96,7 @@ def _square_well_elements(p: SquareWellParams, kv, f=COLUMN) -> tuple:
     functions of ``f`` (``COLUMN`` over floats, ``EXTENDED`` over np.longdouble)."""
     v0, v1, b = f.real(p.v0), f.real(p.v1), f.real(p.b)
     e = kv * kv
-    alpha = f.pow(f.pow(e + v0, 2) + v1 ** 2, 0.25)         # SquareWellParams.alpha
+    alpha = f.pow(f.pow(e + v0, 2) + f.pow(v1, 2), 0.25)     # SquareWellParams.alpha
     phi = 0.5 * f.atan2(v1, e + v0)                         # SquareWellParams.phi
     c = 2 * alpha * b * f.cos(phi)
     s = 2 * alpha * b * f.sin(phi)

@@ -346,15 +346,9 @@ def no_fork():
 
 
 class TestGoldenFiles:
-    """Byte-level regressions: 17-significant-digit cells, Unix newlines.
-    Every golden table is small, so it is spelled in one process."""
+    """Byte-level regressions: 17-significant-digit cells, Unix newlines."""
 
     GOLDEN_DIR = __file__.rsplit("/", 1)[0] + "/data"
-
-    @pytest.fixture(autouse=True)
-    def small_tables_never_fork(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(os, "fork", no_fork)
 
     def test_square_well_scan_matches_golden(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -593,6 +587,15 @@ class TestConfigAndErrors:
         assert run_cli(argv + ["--out", os.devnull]) == 3
         assert capsys.readouterr().err == f"solver error at k = {k}: {OUT_OF_RANGE}\n"
 
+    @pytest.mark.parametrize("command", ["scan", "compare", "symmetry"])
+    @pytest.mark.parametrize("v1", ["1e160", "-1e160"])
+    def test_square_well_v1_squared_beyond_the_float_range(self, command, v1, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli([command, "--potential", "square-well", f"--v1={v1}", "--kcount", "3",
+                        "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"solver error at k = 0.2: {OUT_OF_RANGE}\n"
+        assert not out.exists()
+
     def test_import_does_not_load_scipy_integrate(self):
         """Every command, and a generic separable kernel through N+-,
         coefficients over a column, wavefunctions and its classification,
@@ -729,7 +732,7 @@ class TestCommandLineProcess:
         ["scan", "--potential", "yamaguchi", "--kcount", "7", "--format", "json"],
         ["scan", "--potential", "centrifugal", "--kcount", "8000", "--format", "json"],
         ["lattice", "--n", "1", "--n-max", "5", "--kcount", "9"],
-    ], ids=["scan-scarf", "scan-yamaguchi-json", "scan-centrifugal-json-forked", "lattice"])
+    ], ids=["scan-scarf", "scan-yamaguchi-json", "scan-centrifugal-json-8000", "lattice"])
     def test_piped_stdout_equals_the_file(self, argv, tmp_path):
         out = tmp_path / "out"
         assert run_cli(argv + ["--out", str(out)]) == 0
@@ -770,6 +773,19 @@ class TestCommandLineProcess:
         proc = run_command_line(["scan", "--kcount", "2", "--out", str(tmp_path / "out")], code)
         assert (proc.returncode, proc.stdout) == (0, b"returned 0 2\n")
 
+    @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork hooks")
+    def test_no_process_is_forked(self, tmp_path):
+        """A table of 8,000 rows is written by the command's own process: a
+        fork would end it with 99 before the child starts."""
+        argv = ["scan", "--potential", "centrifugal", "--kcount", "8000", "--format", "json"]
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        code = ("import os; os.register_at_fork(before=lambda: os._exit(99)); "
+                "from ptscatter.cli import main; main()")
+        proc = run_command_line(argv, code)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == out.read_bytes()
+
     def test_failed_flush_returns_the_code(self):
         """A stdout whose flush fails (a closed pipe) leaves the exit to Python,
         which flushes it again, reports the error and exits with 120."""
@@ -783,53 +799,32 @@ class TestCommandLineProcess:
 
 
 class TestOutputProcesses:
-    """Large tables are spelled by two processes, with the same bytes."""
+    """A table is spelled in chunks of rows by the command's one process; the
+    chunk boundaries do not move its bytes."""
 
-    LARGE = [  # each table above FORK_VALUES values
+    LARGE = [  # each table spans several chunks
         ["scan", "--potential", "scarf", "--kcount", "8000"],
         ["scan", "--potential", "centrifugal", "--kcount", "8000", "--format", "json"],
         ["symmetry", "--potential", "square-well", "--kcount", "5000"],
         ["lattice", "--n", "1", "--n-max", "100", "--kcount", "120"],
     ]
 
-    def run(self, monkeypatch, tmp_path, argv, cpus):
-        """Output bytes and the number of forks of argv run with ``cpus`` CPUs."""
-        forks, fork = [], os.fork
-
-        def counted():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        monkeypatch.setattr(os, "fork", counted)
-        out = tmp_path / f"out-{cpus}"
-        assert run_cli(argv + ["--out", str(out)]) == 0
-        return out.read_bytes(), len(forks)
-
     @pytest.mark.parametrize("argv", LARGE, ids=lambda argv: "-".join(argv[:3]))
-    def test_forked_equals_one_process(self, argv, monkeypatch, tmp_path):
-        one, none = self.run(monkeypatch, tmp_path, argv, cpus=1)
-        two, forks = self.run(monkeypatch, tmp_path, argv, cpus=2)
-        assert none == 0 and forks >= 1 and two == one
-
-    def test_failing_child_is_replaced_by_the_parent(self, monkeypatch, tmp_path):
-        import ptscatter.cli as cli
-
-        argv = self.LARGE[0]
-        one, _ = self.run(monkeypatch, tmp_path, argv, cpus=1)
-        parent, spell = os.getpid(), cli._Table.spell
-
-        def spell_here_only(table, lo, hi):
-            if os.getpid() != parent:
-                raise RuntimeError("speller failed in the child")
-            return spell(table, lo, hi)
-
-        monkeypatch.setattr(cli._Table, "spell", spell_here_only)
-        two, forks = self.run(monkeypatch, tmp_path, argv, cpus=2)
-        assert forks == 1 and two == one
+    def test_chunk_size_keeps_bytes(self, argv, monkeypatch, tmp_path):
+        """Separators, constant texts and null fields at chunk boundaries: the
+        bytes of 7-row chunks, of the default chunks and of one chunk agree."""
+        monkeypatch.setattr(os, "fork", no_fork)
+        outputs = []
+        for rows, values in [(7, cli.CHUNK_VALUES), (cli.CHUNK_ROWS, cli.CHUNK_VALUES),
+                             (cli.MAX_ROWS, cli.MAX_ROWS * 100)]:
+            monkeypatch.setattr(cli, "CHUNK_ROWS", rows)
+            monkeypatch.setattr(cli, "CHUNK_VALUES", values)
+            out = tmp_path / f"out-{rows}"
+            assert run_cli(argv + ["--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_small_tables_never_fork(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(os, "fork", no_fork)
         assert run_cli(["compare", "--potential", "square-well", "--out",
                         str(tmp_path / "cmp.json")]) == 0
