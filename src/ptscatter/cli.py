@@ -15,10 +15,13 @@ still spells each value that ``spell`` cannot round with certainty (within
 1e-6 of a tie or an interval edge, in units of the 17th digit) and each
 with |x| outside [1e-250, 1e250].
 
-A command loads only the modules it uses: ``numeric`` where it integrates
-or builds a sampled profile (``compare``, ``symmetry`` of a local potential,
-custom-sampled), ``specfun`` for Scarf, and ``separable`` and ``symmetry``
-for Yamaguchi kernels and the ``symmetry`` command; none loads ``numpy.ma``.
+A command loads only the modules it uses: ``potentials`` for the closed
+forms of the local potentials (square-well, multi-well, Scarf, centrifugal)
+and for ``lattice``, ``numeric`` where it integrates or builds a sampled
+profile (``compare``, ``symmetry`` of a local potential, custom-sampled),
+``specfun`` for Scarf, and ``separable`` and ``symmetry`` for Yamaguchi
+kernels and the ``symmetry`` command; none loads ``numpy.ma``, and only
+``numeric`` loads ``dataclasses``.
 Importing this module loads numpy's OpenBLAS with one thread, as its BLAS
 calls are 2x2 stacks and small panels that a thread pool only slows to
 start, unless numpy is already imported or one of ``BLAS_THREADS`` is set
@@ -35,7 +38,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 #: the variables OpenBLAS takes its thread count from
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
@@ -50,7 +52,7 @@ else:   # numpy's OpenBLAS starts with one thread, and the environment is left a
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from . import core, potentials
+from . import core
 from .errors import ScatteringError, TransferOverflow
 
 EXIT_OK = 0
@@ -251,7 +253,7 @@ def _integrated(potential, step: float):
 
 # -- potential construction ---------------------------------------------------
 
-@dataclass
+@core._frozen
 class Problem:
     kind: str
     label: dict
@@ -265,6 +267,8 @@ def build_problem(args) -> Problem:
     kind = args.potential
     if kind not in POTENTIAL_KINDS:
         raise ConfigError(f"unknown potential kind {kind!r}; choose from {POTENTIAL_KINDS}")
+    if kind in ("square-well", "multi-well", "scarf", "centrifugal"):
+        from . import potentials
     if kind == "square-well":
         p = potentials.SquareWellParams(v0=args.v0, v1=args.v1, b=args.b)
         return Problem(kind=kind, label={"kind": kind, "v0": args.v0, "v1": args.v1, "b": args.b},
@@ -477,6 +481,8 @@ LATTICE_STYLES = ["%d"] + ["%.17g"] * 7 + ["%d"]
 
 
 def cmd_lattice(args) -> int:
+    from . import potentials
+
     well = potentials.SquareWellParams(v0=args.v0, v1=args.v1, b=args.b)
     ks = _k_grid(args)
     n_max = args.n if args.n_max is None else args.n_max

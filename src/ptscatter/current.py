@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ScatteringCoefficients, as_wavenumber
+from .core import ScatteringCoefficients, _frozen, as_wavenumber
 from .errors import AsymmetricGrid, VacuousForReflectionless
 from .numeric import WavefunctionGrid
 
 
-@dataclass(frozen=True)
+@_frozen
 class CurrentProfile:
     """rho and j sampled on a symmetric grid."""
 
@@ -57,7 +56,7 @@ def hermitian_current(wf: WavefunctionGrid) -> np.ndarray:
     return 2.0 * np.imag(np.conj(wf.psi) * wf.dpsi)
 
 
-@dataclass(frozen=True)
+@_frozen
 class AsymptoticCurrent:
     j_plus_inf: complex
     j_minus_inf: complex

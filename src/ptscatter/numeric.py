@@ -26,6 +26,7 @@ import numpy as np
 from .core import (
     AsymptoticAmplitudes,
     ScatteringCoefficients,
+    _frozen,
     _require_support,
     _values_at,
     as_wavenumber,
@@ -35,7 +36,7 @@ from .core import (
 from .errors import DegenerateSolutions, NonDecayedPotential, StepTooLarge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)        # a dataclass, so that dataclasses.replace applies
 class LocalPotential:
     """Complex local potential integrated over [x_left, x_right].
 
@@ -65,7 +66,7 @@ class LocalPotential:
         return _values_at(self.evaluate, np.asarray(xs, dtype=float)).astype(complex)
 
 
-@dataclass(frozen=True)
+@_frozen
 class IntegrationConfig:
     """Step control for the integrator.
 
@@ -84,7 +85,7 @@ class IntegrationConfig:
             raise ValueError("step must be > 0")
 
 
-@dataclass(frozen=True)
+@_frozen
 class WavefunctionGrid:
     """Sampled (psi, psi') of a physical scattering solution."""
 

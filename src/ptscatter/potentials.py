@@ -15,7 +15,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -27,6 +26,7 @@ from .core import (
     ScatteringCoefficients,
     TransferMatrix,
     _closed_form,
+    _frozen,
     _or_nan,
     _PyComplex,
     _require_finite,
@@ -46,7 +46,7 @@ OVERFLOW_LIMIT = 1e300
 # complex square well:  V = -V0 + iV1 on [-b, 0],  -V0 - iV1 on [0, b]
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_frozen
 class SquareWellParams:
     """Depth v0 >= 0, imaginary strength v1 (antisymmetric), half-width b > 0."""
 
@@ -62,9 +62,19 @@ class SquareWellParams:
             raise ValueError("b must be > 0")
 
     def alpha(self, k) -> float:
-        """Modulus of the interior wave numbers: alpha^2 = sqrt((E+V0)^2 + V1^2)."""
-        e = as_wavenumber(k).energy
-        return ((e + self.v0) ** 2 + self.v1 ** 2) ** 0.25
+        """Modulus of the interior wave numbers: alpha^2 = sqrt((E+V0)^2 + V1^2).
+
+        TransferOverflow, naming k, where alpha^4 exceeds the float range.
+        """
+        w = as_wavenumber(k)
+        try:
+            alpha = ((w.energy + self.v0) ** 2 + self.v1 ** 2) ** 0.25
+        except OverflowError:
+            alpha = math.inf
+        if math.isinf(alpha):
+            raise TransferOverflow(f"alpha^4 = (E + v0)^2 + v1^2 exceeds the float range at "
+                                   f"k = {w.k}", k=w.k)
+        return alpha
 
     def phi(self, k) -> float:
         """Interior phase: phi = arctan(V1/(E+V0)) / 2."""
@@ -139,7 +149,7 @@ def square_well_potential(p: SquareWellParams, x0: float = 0.0) -> LocalPotentia
 # n identical wells of width 2b separated by gaps of width 2a
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_frozen
 class LatticeParams:
     """Finite lattice of n identical wells; first well spans [u1, u1 + 2b]."""
 
@@ -299,7 +309,7 @@ def _truncated(profile, cutoff: float):
 #   V(x) = (lam^2 - s(s+1))/cosh^2 x + lam(2s+1) sinh x / cosh^2 x
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_frozen
 class ScarfParams:
     """Strengths (s, lam) and complex coordinate shift eps, |eps| < pi/2.
 
@@ -457,7 +467,7 @@ def scarf_potential(p: ScarfParams, cutoff: float = 20.0) -> LocalPotential:
 # regularised centrifugal potential  V(x) = strength / (x + i eps)^2
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_frozen
 class CentrifugalParams:
     """Strength alpha and a non-zero regulator eps removing the x = 0 pole."""
 

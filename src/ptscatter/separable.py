@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .core import (COLUMN, OUT_OF_RANGE, ScatteringCoefficients, _closed_form, _PyComplex,
+from .core import (COLUMN, OUT_OF_RANGE, ScatteringCoefficients, _closed_form, _frozen, _PyComplex,
                    _raise_first, _record, _require_finite, _values_at, _wavenumbers, as_wavenumber)
 from .errors import QuadratureFailure, ResonancePole, TransferOverflow
 
@@ -36,7 +35,7 @@ if TYPE_CHECKING:
     from .symmetry import SymmetryClass
 
 
-@dataclass(frozen=True)
+@_frozen
 class SeparableKernel:
     """Separable kernel with real form factors vanishing at +-infinity.
 
@@ -243,7 +242,7 @@ def compute_n(kernel: SeparableKernel, sign: str, k) -> complex:
     return complex(n[sign == "minus"].array()[0])
 
 
-@dataclass(frozen=True)
+@_frozen
 class NonlocalIntermediates:
     """All building blocks of the non-local coefficients at one k."""
 

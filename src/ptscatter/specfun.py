@@ -22,13 +22,12 @@ import cmath
 import math
 import struct
 import sys
-from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
-from .core import COLUMN, _PyComplex, _quotient, _raise_first
+from .core import COLUMN, _frozen, _PyComplex, _quotient, _raise_first
 from .errors import GammaPole, NonFiniteArgument, NumeratorPole, PrecisionLoss, TransferOverflow
 
 #: how close to a non-positive integer counts as sitting on a pole
@@ -383,7 +382,7 @@ def complex_log_gamma(z: complex) -> complex:
     return _log_gammas(_SCALAR, [z])[0]
 
 
-@dataclass(frozen=True)
+@_frozen
 class GammaRatio:
     """Product of gamma factors over a product of gamma factors."""
 

@@ -12,12 +12,11 @@ column per relation when the S matrix holds columns over a k grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import COLUMN, ScatteringCoefficients, _PyComplex, _raise_first, _wavenumbers
+from .core import COLUMN, ScatteringCoefficients, _frozen, _PyComplex, _raise_first, _wavenumbers
 from .errors import PrecisionLoss, TransferOverflow
 
 if TYPE_CHECKING:
@@ -28,7 +27,7 @@ if TYPE_CHECKING:
 SUITES = ("local", "p", "p_generalized", "t", "hermitian_t", "pt")
 
 
-@dataclass(frozen=True)
+@_frozen
 class SymmetryClass:
     """Detected invariances of a potential (or kernel) at sampling tolerance.
 
@@ -46,7 +45,7 @@ class SymmetryClass:
     symmetric_xy: bool = False
 
 
-@dataclass(frozen=True)
+@_frozen
 class RelationRecord:
     """One relation: its residual against its tolerance.
 
@@ -65,7 +64,7 @@ class RelationRecord:
     applicable: bool = True
 
 
-@dataclass(frozen=True)
+@_frozen
 class RelationReport:
     records: tuple
 
@@ -228,12 +227,13 @@ def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool
     _raise_first([(np.logical_or.reduce(overflow, initial=False),
                    lambda i: TransferOverflow("a modulus or the phase k*x0 exceeded the float range"))], ks)
     if one:
-        records = [replace(r, residual=float(r.residual[0]), holds=bool(r.holds[0]),
-                           applicable=bool(r.applicable[0])) for r in records]
+        records = [RelationRecord(r.name, r.anchor, float(r.residual[0]), r.tolerance,
+                                  bool(r.holds[0]), r.suite, bool(r.applicable[0]))
+                   for r in records]
     return RelationReport(records=tuple(records))
 
 
-@dataclass(frozen=True)
+@_frozen
 class ExactPtResult:
     """Outcome of the exact-asymptotic-symmetry test on the S matrix
     (columns over a k grid when the S matrix holds columns)."""

@@ -630,39 +630,47 @@ class TestConfigAndErrors:
         assert proc.stdout.split() == ["0"] * len(runs) + ["True"]
 
     def test_import_leaves_unused_modules_unloaded(self):
-        unused = ("numeric", "specfun", "separable", "symmetry", "current", "spell")
-        code = f"import sys, ptscatter.cli; print(*(f'ptscatter.{{m}}' in sys.modules for m in {unused}))"
+        unused = tuple(f"ptscatter.{m}" for m in ("numeric", "specfun", "separable", "symmetry",
+                                                   "current", "spell", "potentials")) + ("dataclasses",)
+        code = f"import sys, ptscatter.cli; print(*(m in sys.modules for m in {unused}))"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0 and proc.stdout.split() == ["False"] * len(unused)
 
     @pytest.mark.parametrize("argv, loaded", [
-        (["lattice", "--n", "1", "--n-max", "3", "--kcount", "4"], []),
-        (["scan", "--potential", "square-well", "--kcount", "4"], []),
-        (["scan", "--potential", "centrifugal", "--kcount", "4"], []),
-        (["scan", "--potential", "scarf", "--kcount", "30"], ["specfun"]),
-        (["scan", "--potential", "scarf", "--kcount", "4"], ["specfun"]),
+        (["lattice", "--n", "1", "--n-max", "3", "--kcount", "4"], ["potentials"]),
+        (["scan", "--potential", "square-well", "--kcount", "4"], ["potentials"]),
+        (["scan", "--potential", "centrifugal", "--kcount", "4"], ["potentials"]),
+        (["scan", "--potential", "scarf", "--kcount", "30"], ["specfun", "potentials"]),
+        (["scan", "--potential", "scarf", "--kcount", "4"], ["specfun", "potentials"]),
         (["scan", "--potential", "yamaguchi", "--kcount", "4"], ["separable"]),
         (["symmetry", "--potential", "yamaguchi", "--kcount", "4"], ["separable"]),
-        (["symmetry", "--potential", "square-well", "--kcount", "4"], ["numeric"]),
-        (["compare", "--potential", "square-well", "--kcount", "2"], ["numeric"]),
+        (["symmetry", "--potential", "square-well", "--kcount", "4"], ["numeric", "potentials"]),
+        (["compare", "--potential", "square-well", "--kcount", "2"], ["numeric", "potentials"]),
+        (["scan", "--potential", "custom-sampled", "--kcount", "2", "--kmax", "1.5"], ["numeric"]),
     ], ids=["lattice", "scan-square-well", "scan-centrifugal", "scan-scarf-columns",
             "scan-scarf-per-k", "scan-yamaguchi", "symmetry-yamaguchi", "symmetry-square-well",
-            "compare-square-well"])
+            "compare-square-well", "scan-custom-sampled"])
     def test_command_loads_only_what_it_uses(self, argv, loaded, tmp_path):
         """numeric and specfun load only for a command that integrates or
-        builds a profile, or evaluates a Scarf closed form, and separable only
-        for a separable kernel; numpy.polynomial, which only generic separable
+        builds a profile, or evaluates a Scarf closed form, potentials only
+        for a closed-form local potential or the lattice, separable only for
+        a separable kernel, and dataclasses only with numeric (for
+        LocalPotential); numpy.polynomial, which only generic separable
         kernels use, never, nor numpy.ma (compare's median is taken without
         numpy)."""
+        samples = tmp_path / "pot.csv"
+        xs = np.linspace(-1.0, 1.0, 41)
+        np.savetxt(samples, np.column_stack([xs, -np.ones_like(xs), 0.3 * xs]), delimiter=",")
+        modules = ("numeric", "specfun", "separable", "potentials")
         code = ("import json, sys; from ptscatter.cli import main; "
                 "code = main(json.loads(sys.argv[1])); "
-                "print(code, *(m in sys.modules for m in ('ptscatter.numeric', 'ptscatter.specfun', "
-                "'ptscatter.separable', 'numpy.polynomial', 'numpy.ma')))")
-        argv = argv + ["--out", str(tmp_path / "out")]
+                f"print(code, *(m in sys.modules for m in {[f'ptscatter.{m}' for m in modules]}), "
+                "*(m in sys.modules for m in ('dataclasses', 'numpy.polynomial', 'numpy.ma')))")
+        argv = argv + ["--samples-file", str(samples), "--out", str(tmp_path / "out")]
         proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
                               capture_output=True, text=True)
-        assert proc.stdout.split() == ["0", str("numeric" in loaded), str("specfun" in loaded),
-                                       str("separable" in loaded), "False", "False"], proc.stderr
+        assert proc.stdout.split() == ["0", *(str(m in loaded) for m in modules),
+                                       str("numeric" in loaded), "False", "False"], proc.stderr
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "ptscatter.cli", "scan",

@@ -65,6 +65,16 @@ class TestSquareWell:
         assert real_well.phi(1.0) == 0.0
         assert real_well.alpha0(1.0).imag == 0.0
 
+    @pytest.mark.parametrize("method", ["alpha", "alpha0", "alpha1"])
+    @pytest.mark.parametrize("p, k", [(SquareWellParams(0.0, 1e160, 1.0), 1.0),
+                                      (SquareWellParams(1e160, 0.0, 1.0), 2.5),
+                                      (SquareWellParams(0.0, 0.0, 1.0), 1e200)],
+                             ids=["v1", "v0", "energy"])
+    def test_interior_wavenumber_beyond_the_float_range_names_k(self, method, p, k):
+        with pytest.raises(TransferOverflow, match="float range") as info:
+            getattr(p, method)(k)
+        assert info.value.k == k
+
     def test_det_is_one(self):
         m = square_well_transfer(SquareWellParams(1.0, 0.5, 1.0), 1.0)
         assert abs(m.det - 1.0) < 1e-12
