@@ -19,10 +19,10 @@ _EXPORTS = {
                 "wavefunction_on_grid"),
     "potentials": ("CentrifugalParams", "LatticeParams", "ScarfParams", "SquareWellParams",
                    "centrifugal_amplitudes", "centrifugal_coefficients", "centrifugal_potential",
-                   "centrifugal_pt_phase", "lattice_potential", "lattice_tmatrix",
-                   "multi_well_coefficients", "multi_well_transfer", "scarf_amplitudes",
-                   "scarf_coefficients", "scarf_potential", "square_well_coefficients",
-                   "square_well_potential", "square_well_transfer"),
+                   "centrifugal_pt_phase", "lattice_potential", "multi_well_coefficients",
+                   "multi_well_transfer", "scarf_amplitudes", "scarf_coefficients",
+                   "scarf_potential", "square_well_coefficients", "square_well_potential",
+                   "square_well_transfer"),
     "separable": ("NonlocalIntermediates", "SeparableKernel", "compute_n", "green_function",
                   "kernel_symmetry_class", "nonlocal_coefficients", "nonlocal_intermediates",
                   "nonlocal_wavefunction"),

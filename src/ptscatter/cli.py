@@ -116,9 +116,11 @@ class _Table:
 
     A chunk of rows is built as one byte array from the constant texts and
     the columns' ``spell`` fields, whose bytes are CPython's, and its NUL
-    padding is deleted.  The float columns of one style are spelled by one
-    call; a column object that appears more than once is spelled once, and
-    a column whose rows in the chunk hold one value becomes constant text.
+    padding is deleted in one ``bytes.translate`` pass (``replace`` copies
+    the bytes between each pair of NULs on its own).  The float columns of
+    one style are spelled by one call; a column object that appears more
+    than once is spelled once, and a column whose rows in the chunk hold
+    one value becomes constant text.
     """
 
     def __init__(self, columns, texts, head="", sep="", tail="", empty=None):
@@ -159,7 +161,7 @@ class _Table:
         for part in parts:
             rows[:, at:at + len(part)] = np.frombuffer(part, np.uint8) if isinstance(part, bytes) else part.T
             at += len(part)
-        data = rows.tobytes().replace(b"\0", b"")
+        data = rows.tobytes().translate(None, b"\0")
         return data[len(self.sep) if lo == 0 else 0:].decode("ascii")
 
     def write(self, fh):
@@ -497,20 +499,24 @@ def cmd_lattice(args) -> int:
         cells = cells.astype(complex)
     core._raise_first([(~np.all(np.isfinite(cells), axis=(1, 2)),
                         lambda i: TransferOverflow(core.OUT_OF_RANGE))], ks)
-    # the edge phases have unit det, so det M = det(T)^n from the cell, and T_rl = det M T_lr
+    # the edge phases have unit modulus and unit det, so |M_ij| = |T^n_ij| and
+    # det M = det(T)^n from the cell; then |t_lr| = 1/|T_RR|, |r_lr| = |T_LR|/|T_RR|,
+    # |r_rl| = |T_RL|/|T_RR| and |t_rl| = |det M|/|T_RR|
     t = [core._PyComplex.of(cells[:, i // 2, i % 2]) for i in range(4)]
     with np.errstate(all="ignore"):     # an overflowing det gives rows that are not finite
         det_cell = (t[0] * t[3] - t[1] * t[2]).array()
     ns_all, values_all, overflow_all = [], [], []
-    for ns, m, overflow in chunks:          # the rows of a few n as columns
-        m, overflow = m.reshape(-1, 2, 2), overflow.ravel()
+    for ns, power, overflow in chunks:      # the rows of a few n as columns
+        power, overflow = power.reshape(-1, 4), overflow.ravel()
         with np.errstate(all="ignore"):
-            (t_lr, r_lr, _, r_rl), faults = core._smatrix(*(m[:, i // 2, i % 2] for i in range(4)))
             det = core._int_powers(det_cell, ns).ravel()
-            values = np.array([abs(z) for z in (t_lr, r_lr, det * t_lr, r_rl)] + [det.real, det.imag],
-                              dtype=float)
+            size = np.abs(power[:, :3])     # |T_RR|, |T_RL|, |T_LR| in np.longdouble
+            rr = size[:, 0]
+            values = np.array([1 / rr, size[:, 2] / rr, np.abs(det.astype(np.clongdouble)) / rr,
+                               size[:, 1] / rr, det.real, det.imag], dtype=float)
         # a row that is not flagged, at a pole or not finite, is a solver error
-        faults.append((~np.all(np.isfinite(values), axis=0), lambda i: TransferOverflow(core.OUT_OF_RANGE)))
+        faults = [core._pole(rr),
+                  (~np.all(np.isfinite(values), axis=0), lambda i: TransferOverflow(core.OUT_OF_RANGE))]
         core._raise_first([(mask & ~overflow, make) for mask, make in faults], np.tile(ks, len(ns)))
         values[:, overflow] = np.nan
         ns_all.append(ns)
@@ -540,15 +546,19 @@ _OPTIONS = {
 }
 
 
+#: the --help text of the flags that have one
+_HELP = {"config": "JSON file with defaults; explicit flags win",
+         "format": "output format of scan; the other commands ignore it: lattice writes CSV, "
+                   "compare and symmetry JSON"}
+
+
 def _add_options(parser):
     for key, (_, kind) in _OPTIONS.items():
         flag = "--" + key.replace("_", "-")
         if isinstance(kind, tuple):
-            parser.add_argument(flag, dest=key, choices=kind)
-        elif key == "config":
-            parser.add_argument(flag, help="JSON file with defaults; explicit flags win")
+            parser.add_argument(flag, dest=key, choices=kind, help=_HELP.get(key))
         else:
-            parser.add_argument(flag, dest=key, type=None if kind is str else kind)
+            parser.add_argument(flag, dest=key, type=None if kind is str else kind, help=_HELP.get(key))
 
 
 _KIND_NAMES = {float: "a number", int: "an integer", str: "a string"}

@@ -254,9 +254,13 @@ def _smatrix(m_rr, m_rl, m_lr, m_ll, tol: float = 1e-12):
     where |M_RR| is not finite."""
     size = abs(m_rr)
     det = m_rr * m_ll - m_rl * m_lr
-    faults = [(size < tol, lambda i: TransmissionPole(f"|M_RR| = {float(size[i])} below {tol}")),
-              (~np.isfinite(size), lambda i: TransferOverflow(OUT_OF_RANGE))]
+    faults = [_pole(size, tol), (~np.isfinite(size), lambda i: TransferOverflow(OUT_OF_RANGE))]
     return (1.0 / m_rr, m_lr / m_rr, det / m_rr, -m_rl / m_rr), faults
+
+
+def _pole(size, tol: float = 1e-12) -> tuple:
+    """The fault of a column of |M_RR| ``size``: TransmissionPole where it is below tol."""
+    return size < tol, lambda i: TransmissionPole(f"|M_RR| = {float(size[i])} below {tol}")
 
 
 def transfer_from_smatrix(s: ScatteringCoefficients, tol: float = 1e-300) -> TransferMatrix:

@@ -180,13 +180,6 @@ class LatticeParams:
         return self.n * self.period
 
 
-@functools.partial(_closed_form, kind=TransferMatrix)
-def lattice_tmatrix(p: LatticeParams, k) -> TransferMatrix:
-    """Cell transfer matrix T absorbing the per-period displacement phases
-    (columns for an array of wave numbers)."""
-    return _cell(p, k), []
-
-
 def _cell(p: LatticeParams, kv) -> tuple:
     """The elements of the cell matrix T over a column kv, in np.clongdouble."""
     kv = np.asarray(kv, dtype=np.longdouble)
@@ -202,22 +195,22 @@ CHUNK_ROWS = 4096
 
 def lattice_transfer(p: LatticeParams, ks, n_max: int | None = None):
     """The cell matrices T over the k column ``ks`` as a (K, 2, 2) stack and a
-    generator of chunks (ns, M, overflow) for n = p.n..n_max, each of at most
-    ``CHUNK_ROWS`` (n, k) rows: ns the chunk's n, M the (len(ns), K, 2, 2)
-    stack of conj(D(u1)) T^n D(u1 + n*period), and overflow, sticky over n,
-    marks the (n, k) where the cell or a product so far had an element above
-    1e300 or not finite.  T^{p.n} comes by repeated squaring, as for one n at
-    one k, each further power as T @ T^{n-1}.  T and M are np.clongdouble:
-    the caller rounds what it keeps to complex once."""
+    generator of chunks (ns, T^n, overflow) for n = p.n..n_max, each of at
+    most ``CHUNK_ROWS`` (n, k) rows: ns the chunk's n, T^n the (len(ns), K,
+    2, 2) stack of the cell's powers, and overflow, sticky over n, marks the
+    (n, k) where the cell or a product so far had an element above 1e300 or
+    not finite.  T^{p.n} comes by repeated squaring, as for one n at one k,
+    each further power as T @ T^{n-1}.  The edge phases of the lattice's
+    transfer matrix conj(D(u1)) T^n D(u1 + n*period) are left to the caller
+    (``_lattice_matrices``): they have unit modulus and unit det, so the
+    moduli of the matrix's elements and its det are those of T^n.  T and T^n are
+    np.clongdouble: the caller rounds what it keeps to complex once."""
     kv = _wavenumbers(ks)[0].astype(np.longdouble)
     with np.errstate(all="ignore"):
         t = np.stack(_cell(p, kv), axis=-1).reshape(-1, 2, 2)
 
     def flags(m):                   # per matrix: an element above the limit or not finite
         return ~(np.max(np.abs(m), axis=(-2, -1)) <= OVERFLOW_LIMIT)
-
-    def phases(x):                  # (e^{ikx}, e^{-ikx}), the diagonal of D(x), over (x, k)
-        return np.exp(np.stack([1j * kv, -1j * kv], axis=-1) * np.reshape(x, (*np.shape(x), 1, 1)))
 
     def chunks():
         last, size = p.n if n_max is None else n_max, max(1, CHUNK_ROWS // len(kv))
@@ -231,7 +224,6 @@ def lattice_transfer(p: LatticeParams, ks, n_max: int | None = None):
                 if n:
                     base = base @ base
                     overflow |= flags(base)
-            left = phases(-p.u1)[..., :, None]
         for lo in range(p.n, last + 1, size):
             ns = np.arange(lo, min(lo + size, last + 1))
             powers = np.empty((len(ns), *t.shape), dtype=t.dtype)
@@ -242,27 +234,41 @@ def lattice_transfer(p: LatticeParams, ks, n_max: int | None = None):
                 rows = flags(powers)
                 rows[0] |= overflow
                 rows = np.logical_or.accumulate(rows, axis=0)
-                m = left * powers * phases(p.u1 + ns * p.period)[..., None, :]
-            power, overflow = powers[-1], rows[-1].copy()
-            yield ns, m, rows
+            power, overflow = powers[-1].copy(), rows[-1].copy()
+            yield ns, powers, rows
 
     return t, chunks()
 
 
+def _lattice_matrices(p: LatticeParams, ks) -> tuple:
+    """The n-well lattice's transfer matrices conj(D(u1)) T^n D(u1 + n*period)
+    over the k column ks as a (K, 2, 2) np.clongdouble stack, each element a
+    phase times an element of T^n times a phase, and their overflow flags."""
+    kv = _wavenumbers(ks)[0].astype(np.longdouble)
+    _, power, overflow = next(lattice_transfer(p, ks)[1])
+
+    def phases(x):                  # (e^{ikx}, e^{-ikx}), the diagonal of D(x), over k
+        return np.exp(np.stack([1j * kv, -1j * kv], axis=-1) * x)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = phases(-p.u1)[:, :, None] * power[0] * phases(p.u1 + p.n * p.period)[:, None, :]
+    return m, overflow[0]
+
+
 def multi_well_transfer(p: LatticeParams, k) -> TransferMatrix:
     """Transfer matrix of the n-well lattice: conj(D(u1)) T^n D(u1 + n*period)."""
-    _, m, overflow = next(lattice_transfer(p, [as_wavenumber(k).k])[1])
-    if overflow[0, 0]:
+    m, overflow = _lattice_matrices(p, [as_wavenumber(k).k])
+    if overflow[0]:
         raise TransferOverflow("transfer-matrix element exceeded 1e300")
-    return TransferMatrix.from_array(m[0, 0])
+    return TransferMatrix.from_array(m[0])
 
 
 @_closed_form
 def multi_well_coefficients(p: LatticeParams, k) -> ScatteringCoefficients:
     """Coefficients of the n-well lattice; ``k`` may be an array of wave numbers."""
-    _, m, overflow = next(lattice_transfer(p, k)[1])
-    columns, faults = _smatrix(*(m[0, :, i // 2, i % 2] for i in range(4)))
-    return columns, [(overflow[0], lambda i: TransferOverflow("transfer-matrix element exceeded 1e300")),
+    m, overflow = _lattice_matrices(p, k)
+    columns, faults = _smatrix(*(m[:, i // 2, i % 2] for i in range(4)))
+    return columns, [(overflow, lambda i: TransferOverflow("transfer-matrix element exceeded 1e300")),
                      *faults]
 
 

@@ -112,10 +112,15 @@ def edge_phases(kv, x) -> np.ndarray:
     return np.exp(np.stack([1j * kv, -1j * kv], axis=-1) * x)
 
 
+def lattice_power(p, kv) -> np.ndarray:
+    """T^n at n = p.n and one k by repeated squaring of the cell."""
+    return matrix_power(lattice_cell(p, kv), p.n)
+
+
 def multi_well_transfer(p, kv) -> np.ndarray:
     """conj(D(u1)) T^n D(u1 + n*period) at one n and one k by its own power
     of T, each element a phase times an element of T^n times a phase."""
-    tn = matrix_power(lattice_cell(p, kv), p.n)
+    tn = lattice_power(p, kv)
     kv = np.longdouble(kv)
     return edge_phases(kv, -p.u1)[:, None] * tn * edge_phases(kv, p.u1 + p.n * p.period)[None, :]
 
@@ -126,12 +131,10 @@ def multi_well_coefficients(p, kv) -> tuple:
 
 
 def lattice_sweep(p, ks, n_max):
-    """(n, M, overflow) for n = p.n..n_max, one n at a time, over the k column
-    ks: T^{p.n} by repeated squaring, then T @ T^{n-1}, and
-    M = conj(D(u1)) T^n D(u1 + n*period); overflow, sticky over n, marks the k
-    where the cell or a product so far had an element above 1e300 or not
-    finite.  T is the package's cell stack."""
-    kv = np.asarray(ks, dtype=float).astype(np.longdouble)
+    """(n, T^n, overflow) for n = p.n..n_max, one n at a time, over the k
+    column ks: T^{p.n} by repeated squaring, then T @ T^{n-1}; overflow,
+    sticky over n, marks the k where the cell or a product so far had an
+    element above 1e300 or not finite.  T is the package's cell stack."""
     t = potentials.lattice_transfer(p, ks)[0]
     overflow = np.zeros(len(t), dtype=bool)
 
@@ -149,11 +152,10 @@ def lattice_sweep(p, ks, n_max):
             if n:
                 base = checked(base @ base)
     for n in range(p.n, n_max + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            if n > p.n:
+        if n > p.n:
+            with np.errstate(over="ignore", invalid="ignore"):
                 power = checked(t @ power)
-            m = edge_phases(kv, -p.u1)[:, :, None] * power * edge_phases(kv, p.u1 + n * p.period)[:, None, :]
-        yield n, m, overflow
+        yield n, power, overflow
 
 
 def extended_bits(x) -> np.ndarray:
@@ -179,26 +181,20 @@ def exact(cells) -> list:
         return np.frompyfunc(lambda z: mpmath.mpc(part(z.real), part(z.imag)), 1, 1)(cells).tolist()
 
 
-def lattice_sweep_mp(p, cells, ks, n_max, dps=40) -> np.ndarray:
-    """M = conj(D(u1)) T^n D(u1 + n*period) for n = 1..n_max (rows) over the
-    k column ks, from the extended cell stack ``cells`` taken exactly and a
-    running product in mpmath at ``dps`` digits (rounded to complex at the
-    end); the phase of D(x) is k x with x = u1 + n*period in floats."""
+def lattice_sweep_mp(cells, n_max, dps=40) -> np.ndarray:
+    """T^n for n = 1..n_max (rows) over the extended cell stack ``cells``
+    (columns), taken exactly, from a running product in mpmath at ``dps``
+    digits, rounded to complex at the end."""
     import mpmath
 
-    out = np.empty((n_max, len(ks), 2, 2), dtype=complex)
+    out = np.empty((n_max, len(cells), 2, 2), dtype=complex)
     with mpmath.workdps(dps):
-        for i, (t, k) in enumerate(zip(exact(cells), ks)):
+        for i, t in enumerate(exact(cells)):
             power = [[mpmath.mpc(1), mpmath.mpc(0)], [mpmath.mpc(0), mpmath.mpc(1)]]
-            left = mpmath.expj(-mpmath.mpf(k) * mpmath.mpf(p.u1))
-            left = (left, 1 / left)
             for n in range(1, n_max + 1):
                 power = [[t[r][0] * power[0][c] + t[r][1] * power[1][c] for c in range(2)]
                          for r in range(2)]
-                right = mpmath.expj(mpmath.mpf(k) * mpmath.mpf(p.u1 + n * p.period))
-                right = (right, 1 / right)
-                out[n - 1, i] = [[complex(left[r] * power[r][c] * right[c]) for c in range(2)]
-                                 for r in range(2)]
+                out[n - 1, i] = [[complex(power[r][c]) for c in range(2)] for r in range(2)]
     return out
 
 

@@ -461,6 +461,16 @@ class TestConfigAndErrors:
                         "--out", str(from_flags)]) == 0
         assert from_file.read_bytes() == from_flags.read_bytes()
 
+    @pytest.mark.parametrize("command, fmt", [("lattice", "json"), ("compare", "csv"), ("symmetry", "csv")])
+    def test_format_is_read_by_scan_only(self, command, fmt, tmp_path):
+        """One config may serve several commands: the others accept --format
+        and write what they always write."""
+        argv = [command, "--kmin", "1", "--kmax", "2", "--kcount", "2"]
+        default, other = tmp_path / "default", tmp_path / "other"
+        assert run_cli(argv + ["--out", str(default)]) == 0
+        assert run_cli(argv + ["--format", fmt, "--out", str(other)]) == 0
+        assert other.read_bytes() == default.read_bytes()
+
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1e-5"])
     def test_threshold_must_be_finite_and_not_negative(self, threshold, capsys):
         assert run_cli(["compare", "--kcount", "2", f"--threshold={threshold}",

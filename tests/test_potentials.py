@@ -1,12 +1,15 @@
 """Analytic catalog: square well, lattice, hyperbolic Scarf, centrifugal."""
 
 import cmath
+import contextlib
+import io
 import math
+import sys
 
 import numpy as np
 import oracle
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ptscatter import (
@@ -24,7 +27,6 @@ from ptscatter import (
     compose_transfer,
     integrate_two_solutions,
     lattice_potential,
-    lattice_tmatrix,
     multi_well_transfer,
     numeric_coefficients,
     scarf_amplitudes,
@@ -36,14 +38,21 @@ from ptscatter import (
     square_well_potential,
     square_well_transfer,
 )
+from ptscatter import core
+from ptscatter.cli import main
 from ptscatter.core import TransferMatrix
 from ptscatter.errors import GammaPole, TransferOverflow
 from ptscatter.potentials import CHUNK_ROWS, lattice_transfer
 
 
+def _cell(p: LatticeParams, k) -> TransferMatrix:
+    """The cell matrix T at one k, rounded to complex."""
+    return TransferMatrix.from_array(lattice_transfer(p, [k])[0][0])
+
+
 def _log10_max_power(p: LatticeParams, k) -> float:
     """log10 max|(T^n)_ij| from a product rescaled at every step."""
-    t, m, log_scale = lattice_tmatrix(p, k).as_array(), np.eye(2, dtype=complex), 0.0
+    t, m, log_scale = _cell(p, k).as_array(), np.eye(2, dtype=complex), 0.0
     for _ in range(p.n):
         m = t @ m
         s = float(np.max(np.abs(m)))
@@ -155,9 +164,8 @@ class TestLattice:
     WELL = SquareWellParams(1.0, 0.3, 0.5)
 
     def test_tmatrix_continuous_in_gap(self):
-        k = WaveNumber(1.2)
-        t1 = lattice_tmatrix(LatticeParams(self.WELL, a=1e-7, n=1), k).as_array()
-        t2 = lattice_tmatrix(LatticeParams(self.WELL, a=2e-7, n=1), k).as_array()
+        t1 = _cell(LatticeParams(self.WELL, a=1e-7, n=1), 1.2).as_array()
+        t2 = _cell(LatticeParams(self.WELL, a=2e-7, n=1), 1.2).as_array()
         assert np.max(np.abs(t1 - t2)) < 1e-5
 
     def test_det_t_equals_det_m(self, rng):
@@ -166,7 +174,7 @@ class TestLattice:
                                                rng.uniform(0.2, 1.5)),
                               a=rng.uniform(0.1, 2), n=1)
             k = WaveNumber(rng.uniform(0.2, 4))
-            det_t = lattice_tmatrix(p, k).det
+            det_t = _cell(p, k.k).det
             det_m = square_well_transfer(p.well, k).det
             assert abs(det_t - det_m) < 1e-13
 
@@ -222,21 +230,23 @@ class TestLatticeColumns:
     @given(well=st.one_of(MILD, STRONG, HUGE), a=_floats(0.2, 1.0), n=st.integers(1, 4096),
            ks=st.lists(_floats(0.1, 12.0), min_size=1, max_size=4))
     def test_single_n_bit_identical_to_per_k_product(self, well, a, n, ks):
+        """One n's chunk holds the per-k repeated squaring's T^n bit for bit,
+        and ``multi_well_transfer`` its sandwich, or both are flagged."""
         p = LatticeParams(well, a=a, n=n)
         want = []
         for k in ks:
             try:
-                want.append(oracle.multi_well_transfer(p, k))
+                want.append((oracle.lattice_power(p, k), oracle.multi_well_transfer(p, k)))
             except (TransferOverflow, OverflowError):    # a product, or the cell itself
                 want.append(None)
         chunks = list(lattice_transfer(p, ks)[1])
         assert [ns.tolist() for ns, _, _ in chunks] == [[n]]
-        _, m, overflow = chunks[0]
+        _, power, overflow = chunks[0]
         for i, w in enumerate(want):
             assert overflow[0, i] == (w is None)
             if w is not None:
-                assert np.array_equal(m[0, i], w)
-                assert multi_well_transfer(p, ks[i]) == TransferMatrix.from_array(w)
+                assert np.array_equal(power[0, i], w[0])
+                assert multi_well_transfer(p, ks[i]) == TransferMatrix.from_array(w[1])
 
     @settings(max_examples=25, deadline=None)
     @given(well=st.one_of(MILD, STRONG, HUGE), a=_floats(0.2, 1.0), n=st.integers(1, 4096),
@@ -247,18 +257,18 @@ class TestLatticeColumns:
     @example(well=SquareWellParams(1.0, 60.0, 25.0), a=0.5, n=2, count=1500, ks=[0.5, 2.0, 9.0])
     @example(well=SquareWellParams(0.0, 300.0, 100.0), a=0.5, n=4096, count=10, ks=[0.1, 12.0])
     def test_chunks_bit_identical_to_per_n_sweep(self, well, a, n, count, ks):
-        """Chunks of at most CHUNK_ROWS rows hold, bit for bit, the matrices
-        and sticky flags of one T @ T^{n-1} and one sandwich per n, also
-        across chunks, from an --n above 1, for one k, and where the flags
-        switch on inside a chunk."""
+        """Chunks of at most CHUNK_ROWS rows hold, bit for bit, the powers
+        and sticky flags of one T @ T^{n-1} per n, also across chunks, from
+        an --n above 1, for one k, and where the flags switch on inside a
+        chunk."""
         p = LatticeParams(well, a=a, n=n)
         want = oracle.lattice_sweep(p, ks, n + count)
-        for ns, m, overflow in lattice_transfer(p, ks, n + count)[1]:
+        for ns, power, overflow in lattice_transfer(p, ks, n + count)[1]:
             assert len(ns) * len(ks) <= CHUNK_ROWS
             for j, got in enumerate(ns):
-                n_want, m_want, flags = next(want)
+                n_want, power_want, flags = next(want)
                 assert got == n_want
-                assert np.array_equal(oracle.extended_bits(m[j]), oracle.extended_bits(m_want))
+                assert np.array_equal(oracle.extended_bits(power[j]), oracle.extended_bits(power_want))
                 assert np.array_equal(overflow[j], flags)
         assert next(want, None) is None
 
@@ -267,13 +277,13 @@ class TestLatticeColumns:
     @example(well=SquareWellParams(1.875, 0.0, 0.453125), a=1.0, ks=[0.125])
     @example(well=SquareWellParams(1.875, 0.0, 0.453125), a=1.0, ks=[0.14985])
     def test_sweep_agrees_with_per_n_powers(self, well, a, ks):
-        """Each n of the sweep against the running product of the same cell
+        """Each T^n of the sweep against the running product of the same cell
         in 40-digit arithmetic.  Within ~3e-4 of a band edge (|tr T|/2 near
         1, the second example) the error grows like n^2 eps |T|^2: a product
         in doubles reached 1.1e-10 size^2 there, the extended one 1.7e-13."""
         cells, chunks = lattice_transfer(LatticeParams(well, a=a, n=1), ks, 400)
-        want = oracle.lattice_sweep_mp(LatticeParams(well, a=a, n=1), cells, ks, 400)
-        for ns, m, overflow in chunks:
+        want = oracle.lattice_sweep_mp(cells, 400)
+        for ns, power, overflow in chunks:
             for j, n in enumerate(ns):
                 for i in range(len(ks)):
                     size = max(float(np.max(np.abs(want[n - 1, i]))), 1.0)
@@ -281,7 +291,55 @@ class TestLatticeColumns:
                         assert size > 1e299
                         continue
                     # error < 1e-10 max(|want|, 1)^2, without squaring a size above 1e154
-                    assert np.max(np.abs(m[j, i] - want[n - 1, i])) / size < 1e-10 * size
+                    assert np.max(np.abs(power[j, i] - want[n - 1, i])) / size < 1e-10 * size
+
+    @settings(max_examples=25, deadline=None)
+    @given(well=st.one_of(MILD, STRONG), a=_floats(0.2, 1.0), n=st.integers(1, 400),
+           count=st.integers(0, 400), kmin=_floats(0.1, 6.0), kmax=_floats(0.1, 12.0),
+           kcount=st.integers(1, 3))
+    @example(well=SquareWellParams(1.0, 13.078802475944913, 1.0), a=0.5, n=1, count=2, kmin=4.0,
+             kmax=4.164331013127829, kcount=2)
+    def test_lattice_rows_equal_the_sandwich_coefficients(self, well, a, n, count, kmin, kmax, kcount):
+        """Each unflagged ``lattice`` row's moduli, taken from |T^n_ij|, are
+        within 2^-52 relative (the subnormal spacing below the normal range)
+        of those of ``core._smatrix`` on the per-n sandwich conj(D(u1)) T^n
+        D(u1 + n*period), |t_rl| as |det M t_lr| with the row's det M; the
+        rows flagged are the oracle's, and a pole (the example: a spectral
+        singularity at n = 1) is the solver error at its row's k."""
+        assume(kcount == 1 or kmax > kmin)
+        n_max = min(n + count, 400)
+        argv = ["lattice", f"--v0={well.v0!r}", f"--v1={well.v1!r}", f"--b={well.b!r}", f"--a={a!r}",
+                f"--n={n}", f"--n-max={n_max}", f"--kmin={kmin!r}", f"--kmax={kmax!r}",
+                f"--kcount={kcount}", "--out", "-"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        ks = [kmin] if kcount == 1 else np.linspace(kmin, kmax, kcount).tolist()
+        kv, p = np.asarray(ks).astype(np.longdouble), LatticeParams(well, a=a, n=n)
+        sandwiches, flags = [], []
+        for m, power, overflow in oracle.lattice_sweep(p, ks, n_max):
+            with np.errstate(over="ignore", invalid="ignore"):
+                sandwiches.append(oracle.edge_phases(kv, -p.u1)[:, :, None] * power
+                                  * oracle.edge_phases(kv, p.u1 + m * p.period)[:, None, :])
+            flags.append(overflow)
+        m, flags = np.concatenate(sandwiches), np.concatenate(flags)
+        with np.errstate(all="ignore"):
+            (t_lr, r_lr, _, r_rl), (pole, _) = core._smatrix(*(m[:, i // 2, i % 2] for i in range(4)))
+        if np.any(pole[0] & ~flags):
+            i = np.flatnonzero(pole[0] & ~flags)[0]
+            assert code == 3
+            assert err.getvalue() == f"solver error at k = {ks[i % len(ks)]}: {pole[1](i)}\n"
+            return
+        assert code == 0, err.getvalue()
+        got = np.array([line.split(",") for line in out.getvalue().splitlines()[1:]], dtype=float)
+        assert np.array_equal(got[:, 0], np.repeat(np.arange(n, n_max + 1), len(ks)))
+        assert np.array_equal(got[:, 1], np.tile(ks, n_max - n + 1))
+        assert np.array_equal(got[:, 8] == 1, flags)
+        assert np.all(np.isnan(got[flags, 2:8]))
+        with np.errstate(all="ignore"):
+            det = got[:, 6] + 1j * got[:, 7]
+            want = np.array([abs(z) for z in (t_lr, r_lr, det * t_lr, r_rl)], dtype=float).T[~flags]
+        assert np.all(np.abs(got[~flags, 2:6] - want) <= 2.0 ** -52 * np.maximum(want, sys.float_info.min))
 
     @settings(max_examples=8, deadline=None)
     @given(well=STRONG, a=_floats(0.2, 1.0), ks=st.lists(_floats(0.3, 3.0), min_size=1, max_size=2))
