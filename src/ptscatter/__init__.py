@@ -8,21 +8,17 @@ modules it calls.
 import sys
 
 _EXPORTS = {
-    "core": ("DEFAULT_TOL", "AsymptoticAmplitudes", "ScatteringCoefficients", "TransferMatrix",
-             "WaveNumber", "as_wavenumber", "coefficients_from_amplitudes", "compose_transfer",
-             "shift_transfer", "smatrix_from_transfer", "transfer_from_smatrix",
-             "wronskian_residual"),
+    "core": ("DEFAULT_TOL", "AsymptoticAmplitudes", "ScatteringCoefficients", "WaveNumber",
+             "as_wavenumber", "coefficients_from_amplitudes", "wronskian_residual"),
     "current": ("AsymptoticCurrent", "CurrentProfile", "asymptotic_current", "hermitian_current",
                 "phase_relation_residual", "pt_current"),
     "numeric": ("IntegrationConfig", "LocalPotential", "WavefunctionGrid", "integrate_batch",
-                "integrate_two_solutions", "numeric_coefficients", "sampled_potential",
-                "wavefunction_on_grid"),
+                "numeric_coefficients", "sampled_potential", "wavefunction_on_grid"),
     "potentials": ("CentrifugalParams", "LatticeParams", "ScarfParams", "SquareWellParams",
                    "centrifugal_amplitudes", "centrifugal_coefficients", "centrifugal_potential",
                    "centrifugal_pt_phase", "lattice_potential", "multi_well_coefficients",
-                   "multi_well_transfer", "scarf_amplitudes", "scarf_coefficients",
-                   "scarf_potential", "square_well_coefficients", "square_well_potential",
-                   "square_well_transfer"),
+                   "scarf_amplitudes", "scarf_coefficients", "scarf_potential",
+                   "square_well_coefficients", "square_well_potential", "square_well_transfer"),
     "separable": ("NonlocalIntermediates", "SeparableKernel", "compute_n", "green_function",
                   "kernel_symmetry_class", "nonlocal_coefficients", "nonlocal_intermediates",
                   "nonlocal_wavefunction"),

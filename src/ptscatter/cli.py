@@ -238,18 +238,18 @@ def _write(path: str | None, parts):
 # -- evaluation over the k grid -----------------------------------------------
 
 def _integrated(potential, step: float):
-    """Coefficients over the grid from one ``integrate_batch`` sweep."""
-    from .numeric import IntegrationConfig, integrate_batch
+    """Coefficients over the grid from one ``integrate_batch`` sweep; a
+    failure that names no k is put at the grid's first."""
+    from .numeric import IntegrationConfig, numeric_coefficients
 
     cfg = IntegrationConfig(step=step)
 
     def sweep(ks):
         try:
-            amps = integrate_batch(potential, ks, cfg)
+            return numeric_coefficients(potential, ks, cfg)
         except ScatteringError as exc:
             exc.k = ks[0] if exc.k is None else exc.k
             raise
-        return core._quotients(amps, np.asarray(ks, dtype=float))
     return sweep
 
 

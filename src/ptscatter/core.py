@@ -1,4 +1,4 @@
-"""S-matrix / transfer-matrix algebra in the right/left plane-wave basis.
+"""Scattering records and their column arithmetic in the right/left plane-wave basis.
 
 Conventions (units hbar = 2m = 1, energy E = k^2, k > 0 strictly):
 
@@ -6,7 +6,8 @@ Conventions (units hbar = 2m = 1, energy E = k^2, k > 0 strictly):
 * S maps incoming to outgoing amplitudes,
       S = [[T_lr, R_rl], [R_lr, T_rl]],
 * M maps the amplitudes at x -> +inf to those at x -> -inf,
-      (A_-, B_-)^T = M (A_+, B_+)^T,   det M = T_rl / T_lr.
+      (A_-, B_-)^T = M (A_+, B_+)^T,   det M = T_rl / T_lr;
+  a transfer matrix is a complex (..., 2, 2) array, one M per k.
 
 The closed forms take one wave number or a grid of them and evaluate the
 grid as columns (``_PyComplex``, ``COLUMN``); a scalar k is a one-element
@@ -26,7 +27,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DegenerateSolutions, TransferOverflow, TransmissionPole, ZeroTransmission
+from .errors import DegenerateSolutions, TransferOverflow, TransmissionPole
 
 #: default absolute tolerance on dimensionless matrix elements
 DEFAULT_TOL = 1e-10
@@ -189,32 +190,6 @@ class ScatteringCoefficients:
         return det if det.ndim else complex(det)
 
 
-@_frozen
-class TransferMatrix:
-    """2x2 transfer matrix; det M = T_rl / T_lr for any local potential."""
-
-    m_rr: complex
-    m_rl: complex
-    m_lr: complex
-    m_ll: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.m_rr, self.m_rl], [self.m_lr, self.m_ll]])
-
-    @classmethod
-    def from_array(cls, m: np.ndarray) -> "TransferMatrix":
-        return cls(m_rr=complex(m[0, 0]), m_rl=complex(m[0, 1]),
-                   m_lr=complex(m[1, 0]), m_ll=complex(m[1, 1]))
-
-    @classmethod
-    def identity(cls) -> "TransferMatrix":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    @property
-    def det(self) -> complex:
-        return self.m_rr * self.m_ll - self.m_rl * self.m_lr
-
-
 def coefficients_from_amplitudes(amps: AsymptoticAmplitudes) -> ScatteringCoefficients:
     """Form the four coefficient quotients from two independent solutions.
 
@@ -222,12 +197,12 @@ def coefficients_from_amplitudes(amps: AsymptoticAmplitudes) -> ScatteringCoeffi
     d = a2m*b1p - a1m*b2p vanishes relative to its constituent terms, and
     TransferOverflow where a quotient is not finite.
     """
-    return _quotients(amps, None)
+    return _record(None, np.ndim(amps.a1p) == 0, *_quotients(amps))
 
 
-def _quotients(amps: AsymptoticAmplitudes, ks) -> ScatteringCoefficients:
-    """``coefficients_from_amplitudes`` of amplitude columns over the k grid
-    ``ks``, which an error names (None: of one solution pair)."""
+def _quotients(amps: AsymptoticAmplitudes) -> tuple:
+    """The four coefficient columns of amplitude columns (or of one solution
+    pair), and their fault: DegenerateSolutions where d is too small."""
     a = SimpleNamespace(**{name: _PyComplex.of(np.atleast_1d(z)) for name, z in vars(amps).items()})
     with np.errstate(all="ignore"):
         t1, t2 = a.a2m * a.b1p, a.a1m * a.b2p
@@ -235,74 +210,23 @@ def _quotients(amps: AsymptoticAmplitudes, ks) -> ScatteringCoefficients:
         degenerate = abs(d) < 1e-12 * np.maximum(np.maximum(abs(t1), abs(t2)), 1e-300)
         columns = ((a.a2p * a.b1p - a.a1p * a.b2p) / d, (a.b1p * a.b2m - a.b1m * a.b2p) / d,
                    (a.a2m * a.b1m - a.a1m * a.b2m) / d, (a.a1p * a.a2m - a.a1m * a.a2p) / d)
-        return _record(ks, np.ndim(amps.a1p) == 0, columns, [(degenerate, lambda i: DegenerateSolutions(
-            f"denominator |{complex(d.real[i], d.imag[i])}| too small; solutions not independent"))])
+    return columns, [(degenerate, lambda i: DegenerateSolutions(
+        f"denominator |{complex(d.real[i], d.imag[i])}| too small; solutions not independent"))]
 
 
-def smatrix_from_transfer(m: TransferMatrix, tol: float = 1e-12) -> ScatteringCoefficients:
-    """Invert the transfer matrix into S; the pole of 1/M_RR is a spectral
-    singularity (TransmissionPole), and a coefficient that is not finite
-    raises TransferOverflow."""
-    elements = (_PyComplex.of(np.atleast_1d(z)) for z in (m.m_rr, m.m_rl, m.m_lr, m.m_ll))
-    with np.errstate(all="ignore"):
-        return _record(None, True, *_smatrix(*elements, tol))
-
-
-def _smatrix(m_rr, m_rl, m_lr, m_ll, tol: float = 1e-12):
+def _smatrix(m_rr, m_rl, m_lr, m_ll):
     """The four coefficients of columns of M elements (``_PyComplex``), and
-    their faults: TransmissionPole where |M_RR| < tol, TransferOverflow
+    their faults: TransmissionPole where |M_RR| < 1e-12, TransferOverflow
     where |M_RR| is not finite."""
     size = abs(m_rr)
     det = m_rr * m_ll - m_rl * m_lr
-    faults = [_pole(size, tol), (~np.isfinite(size), lambda i: TransferOverflow(OUT_OF_RANGE))]
+    faults = [_pole(size), (~np.isfinite(size), lambda i: TransferOverflow(OUT_OF_RANGE))]
     return (1.0 / m_rr, m_lr / m_rr, det / m_rr, -m_rl / m_rr), faults
 
 
-def _pole(size, tol: float = 1e-12) -> tuple:
-    """The fault of a column of |M_RR| ``size``: TransmissionPole where it is below tol."""
-    return size < tol, lambda i: TransmissionPole(f"|M_RR| = {float(size[i])} below {tol}")
-
-
-def transfer_from_smatrix(s: ScatteringCoefficients, tol: float = 1e-300) -> TransferMatrix:
-    """Exact algebraic inverse of ``smatrix_from_transfer``."""
-    t_lr, r_lr, t_rl, r_rl = s.t_lr, s.r_lr, s.t_rl, s.r_rl
-    if abs(t_lr) <= tol:
-        raise ZeroTransmission("T(L->R) = 0, transfer matrix undefined")
-    return TransferMatrix(
-        m_rr=1.0 / t_lr,
-        m_rl=-r_rl / t_lr,
-        m_lr=r_lr / t_lr,
-        m_ll=t_rl - r_rl * r_lr / t_lr,
-    )
-
-
-def shift_transfer(m: TransferMatrix, x0: float, k) -> TransferMatrix:
-    """Transfer matrix of the same scatterer displaced so its centre sits at x0.
-
-    Diagonal elements are unchanged; off-diagonal ones pick up phases
-    e^{-2ik x0} (RL) and e^{+2ik x0} (LR).
-    """
-    kv = as_wavenumber(k).k
-    return TransferMatrix(
-        m_rr=m.m_rr,
-        m_rl=cmath.exp(-2j * kv * x0) * m.m_rl,
-        m_lr=cmath.exp(2j * kv * x0) * m.m_lr,
-        m_ll=m.m_ll,
-    )
-
-
-def compose_transfer(m1: TransferMatrix, m2: TransferMatrix) -> TransferMatrix:
-    """Matrix product m1 @ m2 for spatially ordered, non-overlapping regions.
-
-    The caller is responsible for the ordering; it cannot be checked from
-    the matrices alone.
-    """
-    return TransferMatrix(
-        m_rr=m1.m_rr * m2.m_rr + m1.m_rl * m2.m_lr,
-        m_rl=m1.m_rr * m2.m_rl + m1.m_rl * m2.m_ll,
-        m_lr=m1.m_lr * m2.m_rr + m1.m_ll * m2.m_lr,
-        m_ll=m1.m_lr * m2.m_rl + m1.m_ll * m2.m_ll,
-    )
+def _pole(size) -> tuple:
+    """The fault of a column of |M_RR| ``size``: TransmissionPole where it is below 1e-12."""
+    return size < 1e-12, lambda i: TransmissionPole(f"|M_RR| = {float(size[i])} below 1e-12")
 
 
 def wronskian_residual(amps: AsymptoticAmplitudes, k) -> float:
@@ -488,19 +412,18 @@ _LOG_LARGE = math.log(sys.float_info.max / 4)
 OUT_OF_RANGE = "a closed-form intermediate exceeded the float range"
 
 
-def _closed_form(formula, kind=None):
+def _closed_form(formula):
     """The closed form of one wave number k or a sequence of them whose
-    ``formula(params, ks)`` gives the columns of a ``kind`` record (default
-    ScatteringCoefficients) over the float column ks and their faults
-    (``_record``).  A scalar k is a one-element grid whose record holds
-    Python complex numbers."""
+    ``formula(params, ks)`` gives the coefficient columns over the float
+    column ks and their faults (``_record``).  A scalar k is a one-element
+    grid whose record holds Python complex numbers."""
 
     @functools.wraps(formula)
     def closed_form(params, k):
         ks, one = _wavenumbers(k)
         with np.errstate(all="ignore"):
             columns, faults = formula(params, ks)
-            return _record(ks, one, columns, faults, kind)
+            return _record(ks, one, columns, faults)
     return closed_form
 
 
@@ -531,13 +454,12 @@ def _raise_first(faults, ks=None):
         raise exc
 
 
-def _record(ks, one: bool, columns, faults=(), kind=None) -> ScatteringCoefficients:
-    """The coefficient columns (t_lr, r_lr, t_rl, r_rl), or those of another
-    record ``kind``, over the grid ``ks`` as one record (of Python complex
-    numbers if ``one``), after raising the first of ``faults`` and
-    TransferOverflow where a value is not finite."""
+def _record(ks, one: bool, columns, faults=()) -> ScatteringCoefficients:
+    """The coefficient columns (t_lr, r_lr, t_rl, r_rl) over the grid ``ks``
+    as one record (of Python complex numbers if ``one``), after raising the
+    first of ``faults`` and TransferOverflow where a value is not finite."""
     cols = np.broadcast_arrays(*(_PyComplex.of(z).array() for z in columns),
                                *(() if ks is None else (ks,)))[:4]
     finite = np.logical_and.reduce([np.isfinite(c) for c in cols])
     _raise_first([*faults, (~finite, lambda i: TransferOverflow(OUT_OF_RANGE))], ks)
-    return (kind or ScatteringCoefficients)(*(complex(c[0]) if one else np.array(c) for c in cols))
+    return ScatteringCoefficients(*(complex(c[0]) if one else np.array(c) for c in cols))

@@ -31,7 +31,7 @@ class CurrentProfile:
     j: np.ndarray
 
 
-def pt_current(wf: WavefunctionGrid, k=None) -> CurrentProfile:
+def pt_current(wf: WavefunctionGrid) -> CurrentProfile:
     """Density and current of the reflection-conjugation continuity equation.
 
     Requires a grid symmetric about x = 0 so psi(-x) comes from index
@@ -41,8 +41,6 @@ def pt_current(wf: WavefunctionGrid, k=None) -> CurrentProfile:
     scale = max(1.0, float(np.max(np.abs(x))))
     if np.max(np.abs(x + x[::-1])) > 1e-9 * scale:
         raise AsymmetricGrid("grid is not symmetric about x = 0")
-    if k is not None:
-        as_wavenumber(k)
     psi, dpsi = wf.psi, wf.dpsi
     psi_rev, dpsi_rev = psi[::-1], dpsi[::-1]
     rho = np.conj(psi) * psi_rev

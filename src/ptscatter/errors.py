@@ -21,10 +21,6 @@ class TransmissionPole(ScatteringError):
     """M_RR vanishes: spectral singularity, transmission diverges."""
 
 
-class ZeroTransmission(ScatteringError):
-    """T(L->R) = 0, the S -> M conversion is undefined."""
-
-
 class GammaPole(ScatteringError):
     """log-gamma evaluated at a non-positive integer."""
 

@@ -27,11 +27,12 @@ from .core import (
     AsymptoticAmplitudes,
     ScatteringCoefficients,
     _frozen,
+    _quotients,
+    _record,
     _require_support,
     _values_at,
+    _wavenumbers,
     as_wavenumber,
-    coefficients_from_amplitudes,
-    wronskian_residual,
 )
 from .errors import DegenerateSolutions, NonDecayedPotential, StepTooLarge
 
@@ -351,23 +352,13 @@ def integrate_batch(v: LocalPotential, ks: Sequence[float], cfg: IntegrationConf
                                 a2p=a[1], b2p=b[1], a2m=zero, b2m=one)
 
 
-def integrate_two_solutions(v: LocalPotential, k, cfg: IntegrationConfig | None = None) -> AsymptoticAmplitudes:
-    """``integrate_batch`` at one wave number, as an ``AsymptoticAmplitudes`` of scalars."""
-    amps = integrate_batch(v, [as_wavenumber(k).k], cfg)
-    return AsymptoticAmplitudes(**{name: z[0].item() for name, z in vars(amps).items()})
-
-
 def numeric_coefficients(v: LocalPotential, k, cfg: IntegrationConfig | None = None) -> ScatteringCoefficients:
-    """Transmission/reflection coefficients by direct integration.  The
-    Wronskian residual goes to this module's logger at DEBUG level; logging
-    loads on the first call, not with the module."""
-    import logging
-
-    kv = as_wavenumber(k)
-    amps = integrate_two_solutions(v, kv, cfg)
-    res = wronskian_residual(amps, kv)
-    logging.getLogger(__name__).debug("numeric_coefficients k=%g wronskian residual %.3e", kv.k, res)
-    return coefficients_from_amplitudes(amps)
+    """Transmission/reflection coefficients by direct integration at one wave
+    number or over a grid of them, from one ``integrate_batch`` sweep; a
+    scalar k gives a record of Python complex numbers, a grid one of complex
+    columns.  A quotient that fails names its k."""
+    ks, one = _wavenumbers(k)
+    return _record(ks, one, *_quotients(integrate_batch(v, ks, cfg)))
 
 
 def wavefunction_on_grid(v: LocalPotential, k, direction: str = "left-incident",

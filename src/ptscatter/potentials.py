@@ -13,7 +13,6 @@ closed forms alone load neither.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from typing import TYPE_CHECKING
 
@@ -23,12 +22,13 @@ from .core import (
     COLUMN,
     EXTENDED,
     AsymptoticAmplitudes,
+    OUT_OF_RANGE,
     ScatteringCoefficients,
-    TransferMatrix,
     _closed_form,
     _frozen,
     _or_nan,
     _PyComplex,
+    _raise_first,
     _require_finite,
     _smatrix,
     _wavenumbers,
@@ -90,15 +90,19 @@ class SquareWellParams:
         return self.alpha(k) * cmath.exp(1j * self.phi(k))
 
 
-@functools.partial(_closed_form, kind=TransferMatrix)
-def square_well_transfer(p: SquareWellParams, k) -> TransferMatrix:
-    """Closed-form transfer matrix of the well centred at the origin.
+def square_well_transfer(p: SquareWellParams, k) -> np.ndarray:
+    """Closed-form transfer matrix of the well centred at the origin, as a
+    complex (2, 2) array at one k or a (K, 2, 2) stack over a k grid; a
+    matrix that is not finite raises TransferOverflow at its k.
 
     The diagonal elements are invariant under v1 -> -v1 (alpha0 <-> alpha1)
-    and det M = 1 identically.  ``k`` may be an array of wave numbers: the
-    matrix then holds columns.
+    and det M = 1 identically.
     """
-    return _square_well_elements(p, k), []
+    ks, one = _wavenumbers(k)
+    with np.errstate(all="ignore"):
+        m = np.stack([z.array() for z in _square_well_elements(p, ks)], -1).reshape(-1, 2, 2)
+    _raise_first([(~np.isfinite(m).all(axis=(1, 2)), lambda i: TransferOverflow(OUT_OF_RANGE))], ks)
+    return m[0] if one else m
 
 
 def _square_well_elements(p: SquareWellParams, kv, f=COLUMN) -> tuple:
@@ -202,7 +206,7 @@ def lattice_transfer(p: LatticeParams, ks, n_max: int | None = None):
     not finite.  T^{p.n} comes by repeated squaring, as for one n at one k,
     each further power as T @ T^{n-1}.  The edge phases of the lattice's
     transfer matrix conj(D(u1)) T^n D(u1 + n*period) are left to the caller
-    (``_lattice_matrices``): they have unit modulus and unit det, so the
+    (``multi_well_coefficients``): they have unit modulus and unit det, so the
     moduli of the matrix's elements and its det are those of T^n.  T and T^n are
     np.clongdouble: the caller rounds what it keeps to complex once."""
     kv = _wavenumbers(ks)[0].astype(np.longdouble)
@@ -240,35 +244,21 @@ def lattice_transfer(p: LatticeParams, ks, n_max: int | None = None):
     return t, chunks()
 
 
-def _lattice_matrices(p: LatticeParams, ks) -> tuple:
-    """The n-well lattice's transfer matrices conj(D(u1)) T^n D(u1 + n*period)
-    over the k column ks as a (K, 2, 2) np.clongdouble stack, each element a
-    phase times an element of T^n times a phase, and their overflow flags."""
-    kv = _wavenumbers(ks)[0].astype(np.longdouble)
-    _, power, overflow = next(lattice_transfer(p, ks)[1])
+@_closed_form
+def multi_well_coefficients(p: LatticeParams, k) -> ScatteringCoefficients:
+    """Coefficients of the n-well lattice from its transfer matrix
+    conj(D(u1)) T^n D(u1 + n*period), each element a phase times an element
+    of T^n times a phase, in np.clongdouble; ``k`` may be an array of wave
+    numbers."""
+    kv = k.astype(np.longdouble)
+    _, power, overflow = next(lattice_transfer(p, k)[1])
 
     def phases(x):                  # (e^{ikx}, e^{-ikx}), the diagonal of D(x), over k
         return np.exp(np.stack([1j * kv, -1j * kv], axis=-1) * x)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        m = phases(-p.u1)[:, :, None] * power[0] * phases(p.u1 + p.n * p.period)[:, None, :]
-    return m, overflow[0]
-
-
-def multi_well_transfer(p: LatticeParams, k) -> TransferMatrix:
-    """Transfer matrix of the n-well lattice: conj(D(u1)) T^n D(u1 + n*period)."""
-    m, overflow = _lattice_matrices(p, [as_wavenumber(k).k])
-    if overflow[0]:
-        raise TransferOverflow("transfer-matrix element exceeded 1e300")
-    return TransferMatrix.from_array(m[0])
-
-
-@_closed_form
-def multi_well_coefficients(p: LatticeParams, k) -> ScatteringCoefficients:
-    """Coefficients of the n-well lattice; ``k`` may be an array of wave numbers."""
-    m, overflow = _lattice_matrices(p, k)
+    m = phases(-p.u1)[:, :, None] * power[0] * phases(p.u1 + p.n * p.period)[:, None, :]
     columns, faults = _smatrix(*(m[:, i // 2, i % 2] for i in range(4)))
-    return columns, [(overflow, lambda i: TransferOverflow("transfer-matrix element exceeded 1e300")),
+    return columns, [(overflow[0], lambda i: TransferOverflow("transfer-matrix element exceeded 1e300")),
                      *faults]
 
 

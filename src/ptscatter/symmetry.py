@@ -82,31 +82,31 @@ class RelationReport:
         return all(r.holds for r in self.records if r.applicable)
 
 
-def _sample_grid(v: LocalPotential, count: int) -> np.ndarray:
-    half = max(abs(v.x_left), abs(v.x_right)) * 1.05 + 0.5
-    return np.linspace(-half, half, count)
+#: points of the symmetric grid a potential is classified on, and the largest
+#: max|V(x) - V(x')| that counts as an invariance
+SAMPLE_COUNT, CLASSIFY_TOL = 512, 1e-10
 
 
-def classify_local_potential(v: LocalPotential, sample_count: int = 512,
-                             tol: float = 1e-10, search_x0: bool = True) -> SymmetryClass:
+def classify_local_potential(v: LocalPotential) -> SymmetryClass:
     """Flag the invariances of a local potential by symmetric sampling.
 
     Hermiticity coincides with T invariance for local potentials.  The
     generalised-parity search minimises max|V(x) - V(x0 - x)| over the
     candidate shift x0 (skipped when plain parity already holds).
     """
-    xs = _sample_grid(v, sample_count)
+    half = max(abs(v.x_left), abs(v.x_right)) * 1.05 + 0.5
+    xs = np.linspace(-half, half, SAMPLE_COUNT)
     with np.errstate(all="ignore"):
         vals = v.sample(xs)
     if not np.all(np.isfinite(vals)):
         raise PrecisionLoss("potential profile is not finite on the sample grid; cannot classify it")
     rev = vals[::-1]  # V(-x) on a symmetric grid
-    t_flag = float(np.max(np.abs(vals.imag))) < tol
-    p_flag = float(np.max(np.abs(vals - rev))) < tol
-    pt_flag = float(np.max(np.abs(vals - np.conj(rev)))) < tol
+    t_flag = float(np.max(np.abs(vals.imag))) < CLASSIFY_TOL
+    p_flag = float(np.max(np.abs(vals - rev))) < CLASSIFY_TOL
+    pt_flag = float(np.max(np.abs(vals - np.conj(rev)))) < CLASSIFY_TOL
 
     pg_flag, x0 = p_flag, (0.0 if p_flag else None)
-    if not p_flag and search_x0:
+    if not p_flag:
         def mismatch(c):
             ref = v.sample(c - xs)
             return float(np.max(np.abs(vals - ref)))
@@ -123,7 +123,7 @@ def classify_local_potential(v: LocalPotential, sample_count: int = 512,
         coarse = list(np.linspace(-span, span, 81))
         candidates.append(min(coarse, key=mismatch))
         for cand in candidates:
-            if mismatch(cand) < tol:
+            if mismatch(cand) < CLASSIFY_TOL:
                 pg_flag, x0 = True, float(cand)
                 break
     return SymmetryClass(
@@ -243,8 +243,7 @@ class ExactPtResult:
     theta_rl: float
 
 
-def exact_asymptotic_pt_check(s: ScatteringCoefficients, tol: float = 1e-10,
-                              k=None) -> ExactPtResult:
+def exact_asymptotic_pt_check(s: ScatteringCoefficients, tol: float = 1e-10) -> ExactPtResult:
     """Detect reflectionless, unimodular-transmission S matrices.
 
     The scattering states are themselves eigenstates of the combined
@@ -252,8 +251,8 @@ def exact_asymptotic_pt_check(s: ScatteringCoefficients, tol: float = 1e-10,
     and both transmissions are unimodular; the reported angles are the
     combined transmission phases theta with T = e^{-i theta}, modulo 2 pi
     (the split between the eigenvalue phase and the incident-amplitude
-    phase is not observable from S alone).  ``k``, the grid of a column S
-    matrix, is not used: the test has no failure to name a k for.
+    phase is not observable from S alone).  The test has no failure to name
+    a k for, so it takes no k grid.
     """
     (t_lr, r_lr, t_rl, r_rl), one = _columns(s)
     with np.errstate(all="ignore"):

@@ -19,12 +19,9 @@ def random_smatrix(rng, invertible=True):
             return s
 
 
-def random_transfer(rng):
-    from ptscatter import TransferMatrix
-
+def random_transfer(rng) -> np.ndarray:
+    """Random complex 2x2 transfer matrix with |M_RR| > 0.1 and |det M| > 0.05."""
     while True:
-        vals = rng.normal(size=8)
-        m = TransferMatrix(m_rr=complex(vals[0], vals[1]), m_rl=complex(vals[2], vals[3]),
-                           m_lr=complex(vals[4], vals[5]), m_ll=complex(vals[6], vals[7]))
-        if abs(m.m_rr) > 0.1 and abs(m.det) > 0.05:
+        m = rng.normal(size=8).view(complex).reshape(2, 2)
+        if abs(m[0, 0]) > 0.1 and abs(np.linalg.det(m)) > 0.05:
             return m

@@ -112,6 +112,12 @@ def edge_phases(kv, x) -> np.ndarray:
     return np.exp(np.stack([1j * kv, -1j * kv], axis=-1) * x)
 
 
+def sandwich(m, kv, x_left, x_right) -> np.ndarray:
+    """conj(D(x_left)) m D(x_right), each element a phase times an element of m
+    times a phase: m displaced by x_left = x_right, or a lattice's edges."""
+    return edge_phases(kv, -x_left)[..., :, None] * m * edge_phases(kv, x_right)[..., None, :]
+
+
 def lattice_power(p, kv) -> np.ndarray:
     """T^n at n = p.n and one k by repeated squaring of the cell."""
     return matrix_power(lattice_cell(p, kv), p.n)
@@ -120,9 +126,7 @@ def lattice_power(p, kv) -> np.ndarray:
 def multi_well_transfer(p, kv) -> np.ndarray:
     """conj(D(u1)) T^n D(u1 + n*period) at one n and one k by its own power
     of T, each element a phase times an element of T^n times a phase."""
-    tn = lattice_power(p, kv)
-    kv = np.longdouble(kv)
-    return edge_phases(kv, -p.u1)[:, None] * tn * edge_phases(kv, p.u1 + p.n * p.period)[None, :]
+    return sandwich(lattice_power(p, kv), np.longdouble(kv), p.u1, p.u1 + p.n * p.period)
 
 
 def multi_well_coefficients(p, kv) -> tuple:

@@ -247,9 +247,9 @@ class TestRelationColumns:
         grid = ScatteringCoefficients(*(np.array([getattr(s, n) for s in per]) for n in FIELDS))
         relations = per_k(lambda k: check_s_relations(per[list(ks).index(k)], cls, local=local, k=k),
                           ks, finite=bool)
-        exact = per_k(lambda k: exact_asymptotic_pt_check(per[list(ks).index(k)], k=k), ks, finite=bool)
+        exact = per_k(lambda k: exact_asymptotic_pt_check(per[list(ks).index(k)]), ks, finite=bool)
         for expected, call in ((relations, lambda: check_s_relations(grid, cls, local=local, k=ks)),
-                               (exact, lambda: exact_asymptotic_pt_check(grid, k=ks))):
+                               (exact, lambda: exact_asymptotic_pt_check(grid))):
             if isinstance(expected, tuple):
                 assert_raises_like(call, expected)
                 continue
@@ -271,7 +271,7 @@ class TestRelationColumns:
         # the angle of the second and third t underflows: a subnormal number, or zero
         t = np.array([1.0 + 0j, complex(2.0, 5e-324), complex(-2.0, -1e-310)])
         s = ScatteringCoefficients(t, np.zeros(3, complex), t, np.zeros(3, complex))
-        got = exact_asymptotic_pt_check(s, k=np.array([1.0, 2.0, 3.0]))
+        got = exact_asymptotic_pt_check(s)
         assert np.all(np.isfinite(got.theta_lr))
         assert all(same_float(a, oracle.phase(z)) for a, z in zip(got.theta_lr, t.tolist()))
 

@@ -16,10 +16,10 @@ from ptscatter import (
     LocalPotential,
     ScarfParams,
     SquareWellParams,
+    WaveNumber,
     centrifugal_potential,
     coefficients_from_amplitudes,
     integrate_batch,
-    integrate_two_solutions,
     lattice_potential,
     numeric_coefficients,
     phase_relation_residual,
@@ -30,7 +30,7 @@ from ptscatter import (
     square_well_potential,
     wavefunction_on_grid,
 )
-from ptscatter.errors import NonDecayedPotential, StepTooLarge
+from ptscatter.errors import DegenerateSolutions, NonDecayedPotential, StepTooLarge
 
 WELL = SquareWellParams(1.0, 0.5, 1.0)
 FIELDS = ("t_lr", "r_lr", "t_rl", "r_rl")
@@ -42,9 +42,9 @@ def zero_potential():
 
 class TestFreeParticle:
     def test_amplitudes(self):
-        amps = integrate_two_solutions(zero_potential(), 1.0, IntegrationConfig(step=1e-3))
-        assert abs(amps.a1p - 1.0) < 1e-10 and abs(amps.b1p) < 1e-10
-        assert abs(amps.b2p - 1.0) < 1e-10 and abs(amps.a2p) < 1e-10
+        amps = integrate_batch(zero_potential(), [1.0], IntegrationConfig(step=1e-3))
+        assert abs(amps.a1p[0] - 1.0) < 1e-10 and abs(amps.b1p[0]) < 1e-10
+        assert abs(amps.b2p[0] - 1.0) < 1e-10 and abs(amps.a2p[0]) < 1e-10
 
     def test_coefficients(self):
         c = numeric_coefficients(zero_potential(), 1.0)
@@ -75,11 +75,31 @@ class TestSquareWellAgreement:
 
     def test_batch_equals_single(self):
         ks = [0.5, 1.0, 2.0]
-        batch = integrate_batch(square_well_potential(WELL), ks, IntegrationConfig(step=1e-3))
+        cfg = IntegrationConfig(step=1e-3)
+        grid = numeric_coefficients(square_well_potential(WELL), ks, cfg)
         for j, k in enumerate(ks):
-            single = integrate_two_solutions(square_well_potential(WELL), k,
-                                             IntegrationConfig(step=1e-3))
-            assert abs(batch.a1p[j] - single.a1p) < 1e-14
+            single = numeric_coefficients(square_well_potential(WELL), k, cfg)
+            for name in FIELDS:
+                assert abs(getattr(grid, name)[j] - getattr(single, name)) < 1e-14
+
+    def test_scalar_k_gives_python_complex(self):
+        c = numeric_coefficients(square_well_potential(WELL), WaveNumber(1.0))
+        assert all(type(getattr(c, name)) is complex for name in FIELDS)
+
+    def test_failing_k_of_a_grid_is_named(self, monkeypatch):
+        """Amplitudes degenerate at the second k of a grid raise at that k."""
+        from ptscatter import numeric
+
+        def degenerate_at_second(v, ks, cfg=None):
+            amps = integrate_batch(v, ks, cfg)
+            amps.b2p[1] = 0.0           # d = a2m b1p - a1m b2p = -b2p vanishes
+            return amps
+
+        monkeypatch.setattr(numeric, "integrate_batch", degenerate_at_second)
+        with pytest.raises(DegenerateSolutions, match="not independent") as info:
+            numeric_coefficients(square_well_potential(WELL), [0.5, 1.0, 2.0],
+                                 IntegrationConfig(step=1e-3))
+        assert info.value.k == 1.0
 
 
 class TestHermitianScarf:
@@ -161,7 +181,7 @@ class TestScarfTails:
     def test_cutoff_too_small_for_the_series(self, cutoff, edge):
         pot = scarf_potential(ScarfParams(1.3, 0.7), cutoff=cutoff)
         with pytest.raises(NonDecayedPotential, match=f"{edge} tail .* at the {edge} edge x = -{cutoff}"):
-            integrate_two_solutions(pot, 1.0, IntegrationConfig(step=1e-3))
+            integrate_batch(pot, [1.0], IntegrationConfig(step=1e-3))
 
 
 class TestWavefunction:
@@ -199,7 +219,7 @@ class TestWavefunction:
 class TestFailureModes:
     def test_step_too_large(self):
         with pytest.raises(StepTooLarge):
-            integrate_two_solutions(zero_potential(), 10.0, IntegrationConfig(step=0.1))
+            integrate_batch(zero_potential(), [10.0], IntegrationConfig(step=0.1))
 
     def test_step_too_large_names_lowest_offending_k(self):
         with pytest.raises(StepTooLarge, match="at k = 80.0") as info:
@@ -209,7 +229,7 @@ class TestFailureModes:
     def test_non_decayed_potential(self):
         bad = LocalPotential(evaluate=lambda x: 0.5, x_left=-1.0, x_right=1.0)
         with pytest.raises(NonDecayedPotential):
-            integrate_two_solutions(bad, 1.0, IntegrationConfig(step=1e-3))
+            integrate_batch(bad, [1.0], IntegrationConfig(step=1e-3))
 
     def test_bad_direction_rejected(self):
         with pytest.raises(ValueError):

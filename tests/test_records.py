@@ -21,7 +21,6 @@ RECORDS = [
     (core.AsymptoticAmplitudes, dict(zip(("a1p", "b1p", "a1m", "b1m", "a2p", "b2p", "a2m", "b2m"),
                                          (1j, 2, 3, 4, 5, 6, 7, 8j))), {}, {}),
     (core.ScatteringCoefficients, {"t_lr": 1j, "r_lr": 0.5, "t_rl": 1j, "r_rl": -0.5}, {}, {}),
-    (core.TransferMatrix, {"m_rr": 1, "m_rl": 2j, "m_lr": 3j, "m_ll": 4}, {}, {}),
     (potentials.SquareWellParams, {"v0": 1.0, "v1": 0.5, "b": 2.0}, {}, {}),
     (potentials.LatticeParams, {"well": WELL, "a": 0.5, "n": 3}, {}, {}),
     (potentials.ScarfParams, {"s": 1.3, "lam": 0.7j}, {"eps": 0.0}, {"eps": 0.2}),
