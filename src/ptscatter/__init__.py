@@ -8,8 +8,8 @@ modules it calls.
 import sys
 
 _EXPORTS = {
-    "core": ("DEFAULT_TOL", "AsymptoticAmplitudes", "ScatteringCoefficients", "WaveNumber",
-             "as_wavenumber", "coefficients_from_amplitudes", "wronskian_residual"),
+    "core": ("AsymptoticAmplitudes", "ScatteringCoefficients", "WaveNumber", "as_wavenumber",
+             "coefficients_from_amplitudes", "wronskian_residual"),
     "current": ("AsymptoticCurrent", "CurrentProfile", "asymptotic_current", "hermitian_current",
                 "phase_relation_residual", "pt_current"),
     "numeric": ("IntegrationConfig", "LocalPotential", "WavefunctionGrid", "integrate_batch",
@@ -19,10 +19,9 @@ _EXPORTS = {
                    "centrifugal_pt_phase", "lattice_potential", "multi_well_coefficients",
                    "scarf_amplitudes", "scarf_coefficients", "scarf_potential",
                    "square_well_coefficients", "square_well_potential", "square_well_transfer"),
-    "separable": ("NonlocalIntermediates", "SeparableKernel", "compute_n", "green_function",
-                  "kernel_symmetry_class", "nonlocal_coefficients", "nonlocal_intermediates",
-                  "nonlocal_wavefunction"),
-    "specfun": ("GammaRatio", "complex_log_gamma", "gamma_ratio"),
+    "separable": ("NonlocalIntermediates", "SeparableKernel", "kernel_symmetry_class",
+                  "nonlocal_coefficients", "nonlocal_intermediates", "nonlocal_wavefunction"),
+    "specfun": ("complex_log_gamma",),
     "symmetry": ("ExactPtResult", "RelationRecord", "RelationReport", "SymmetryClass",
                  "check_s_relations", "classify_local_potential", "exact_asymptotic_pt_check"),
 }

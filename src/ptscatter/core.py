@@ -29,9 +29,6 @@ import numpy as np
 
 from .errors import DegenerateSolutions, TransferOverflow, TransmissionPole
 
-#: default absolute tolerance on dimensionless matrix elements
-DEFAULT_TOL = 1e-10
-
 
 def _frozen(cls):
     """Make ``cls`` an immutable record of its annotated fields, as
@@ -39,10 +36,10 @@ def _frozen(cls):
     generated and compiled, so the class costs ~10 us to create, not ~0.6 ms.
 
     The constructor takes the fields positionally or by keyword, in order,
-    with the class's own values as defaults, then calls ``__post_init__``
-    (a class's own ``__init__`` is kept instead).  ``==``, ``hash`` and
-    ``repr`` go field by field, ``vars()`` lists the fields in order, and
-    assigning or deleting an attribute raises AttributeError.
+    with the class's own values as defaults, then calls ``__post_init__``.
+    ``==``, ``hash`` and ``repr`` go field by field, ``vars()`` lists the
+    fields in order, and assigning or deleting an attribute raises
+    AttributeError.
     """
     names = tuple(cls.__dict__.get("__annotations__", {}))
     defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
@@ -84,9 +81,7 @@ def _frozen(cls):
         return (f"{self.__class__.__qualname__}("
                 f"{', '.join(f'{n}={v!r}' for n, v in zip(names, fields(self)))})")
 
-    if "__init__" not in cls.__dict__:
-        cls.__init__ = __init__
-    cls.__eq__, cls.__hash__, cls.__repr__ = __eq__, __hash__, __repr__
+    cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = __init__, __eq__, __hash__, __repr__
     cls.__setattr__, cls.__delattr__ = _refuse_assignment, _refuse_assignment
     return cls
 
@@ -157,13 +152,6 @@ class AsymptoticAmplitudes:
     a2m: complex
     b2m: complex
 
-    def rescaled(self, c1: complex, c2: complex) -> "AsymptoticAmplitudes":
-        """Rescale solution 1 by c1 and solution 2 by c2."""
-        return AsymptoticAmplitudes(
-            c1 * self.a1p, c1 * self.b1p, c1 * self.a1m, c1 * self.b1m,
-            c2 * self.a2p, c2 * self.b2p, c2 * self.a2m, c2 * self.b2m,
-        )
-
 
 @_frozen
 class ScatteringCoefficients:
@@ -229,19 +217,21 @@ def _pole(size) -> tuple:
     return size < 1e-12, lambda i: TransmissionPole(f"|M_RR| = {float(size[i])} below 1e-12")
 
 
-def wronskian_residual(amps: AsymptoticAmplitudes, k) -> float:
+def wronskian_residual(amps: AsymptoticAmplitudes, k):
     """Relative mismatch of the solution-pair Wronskian between x -> -inf and +inf.
 
     W(-inf) = -2ik T_rl and W(+inf) = -2ik T_lr for the unit-normalised
     physical solutions, so the residual is zero exactly when the two
-    transmission coefficients agree (any local potential).
+    transmission coefficients agree (any local potential).  A float at one
+    k and one amplitude set, else a column over the amplitude columns.
     """
-    as_wavenumber(k)
-    c = coefficients_from_amplitudes(amps)
-    denom = max(abs(c.t_rl), abs(c.t_lr))
-    if denom == 0.0:
-        return 0.0
-    return abs(c.t_rl - c.t_lr) / denom
+    ks, one = _wavenumbers(k)
+    c = _record(ks, False, *_quotients(amps))
+    t_lr, t_rl = _PyComplex.of(c.t_lr), _PyComplex.of(c.t_rl)
+    with np.errstate(all="ignore"):
+        denom = np.maximum(abs(t_rl), abs(t_lr))
+        residual = np.where(denom == 0.0, 0.0, abs(t_rl - t_lr) / denom)
+    return float(residual[0]) if one and residual.size == 1 else residual
 
 
 # -- k grids as columns ---------------------------------------------------------
@@ -412,9 +402,9 @@ _LOG_LARGE = math.log(sys.float_info.max / 4)
 OUT_OF_RANGE = "a closed-form intermediate exceeded the float range"
 
 
-def _closed_form(formula):
+def _closed_form(formula, record=ScatteringCoefficients):
     """The closed form of one wave number k or a sequence of them whose
-    ``formula(params, ks)`` gives the coefficient columns over the float
+    ``formula(params, ks)`` gives the columns of a ``record`` over the float
     column ks and their faults (``_record``).  A scalar k is a one-element
     grid whose record holds Python complex numbers."""
 
@@ -423,7 +413,7 @@ def _closed_form(formula):
         ks, one = _wavenumbers(k)
         with np.errstate(all="ignore"):
             columns, faults = formula(params, ks)
-            return _record(ks, one, columns, faults)
+            return _record(ks, one, columns, faults, record)
     return closed_form
 
 
@@ -454,12 +444,15 @@ def _raise_first(faults, ks=None):
         raise exc
 
 
-def _record(ks, one: bool, columns, faults=()) -> ScatteringCoefficients:
-    """The coefficient columns (t_lr, r_lr, t_rl, r_rl) over the grid ``ks``
-    as one record (of Python complex numbers if ``one``), after raising the
-    first of ``faults`` and TransferOverflow where a value is not finite."""
+def _record(ks, one: bool, columns, faults=(), record=ScatteringCoefficients):
+    """The columns over the grid ``ks`` as one ``record``, by default the
+    coefficients (t_lr, r_lr, t_rl, r_rl), of Python complex numbers if
+    ``one`` and no column is longer, after raising the first of ``faults`` and
+    TransferOverflow where a value is not finite.  A one-element ``ks`` is
+    the k of every element of longer columns."""
     cols = np.broadcast_arrays(*(_PyComplex.of(z).array() for z in columns),
-                               *(() if ks is None else (ks,)))[:4]
+                               *(() if ks is None else (ks,)))
+    ks, cols = (None if ks is None else cols[-1]), cols[:len(columns)]
     finite = np.logical_and.reduce([np.isfinite(c) for c in cols])
     _raise_first([*faults, (~finite, lambda i: TransferOverflow(OUT_OF_RANGE))], ks)
-    return ScatteringCoefficients(*(complex(c[0]) if one else np.array(c) for c in cols))
+    return record(*(complex(c[0]) if one and c.size == 1 else np.array(c) for c in cols))

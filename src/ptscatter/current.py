@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .core import ScatteringCoefficients, _frozen, as_wavenumber
+from .core import ScatteringCoefficients, _frozen, _PyComplex, _record, _wavenumbers
 from .errors import AsymmetricGrid, VacuousForReflectionless
 from .numeric import WavefunctionGrid
 
@@ -63,18 +63,19 @@ class AsymptoticCurrent:
 def asymptotic_current(coeffs: ScatteringCoefficients, k,
                        a_plus: complex | None = None,
                        b_minus: complex | None = None) -> AsymptoticCurrent:
-    """Asymptotic values j(+inf) = 2k conj(A+) B- and j(-inf) = -2k A+ conj(B-).
+    """Asymptotic values j(+inf) = 2k conj(A+) B- and j(-inf) = -2k A+ conj(B-),
+    at one k or as columns over a k grid (with coefficient columns over it).
 
     Defaults assume the left-incident normalisation A- = 1, B+ = 0, where
     A+ = T_lr and B- = R_lr; the two values satisfy j(-inf) = -conj(j(+inf))
     identically.
     """
-    kv = as_wavenumber(k).k
-    a_plus = coeffs.t_lr if a_plus is None else a_plus
-    b_minus = coeffs.r_lr if b_minus is None else b_minus
-    j_plus = 2.0 * kv * a_plus.conjugate() * b_minus
-    j_minus = -2.0 * kv * a_plus * b_minus.conjugate()
-    return AsymptoticCurrent(j_plus_inf=j_plus, j_minus_inf=j_minus)
+    ks, one = _wavenumbers(k)
+    a_plus = _PyComplex.of(coeffs.t_lr if a_plus is None else a_plus)
+    b_minus = _PyComplex.of(coeffs.r_lr if b_minus is None else b_minus)
+    with np.errstate(all="ignore"):
+        return _record(ks, one, (2.0 * ks * a_plus.conjugate() * b_minus,
+                                 -2.0 * ks * a_plus * b_minus.conjugate()), record=AsymptoticCurrent)
 
 
 def phase_relation_residual(coeffs: ScatteringCoefficients) -> float:

@@ -48,9 +48,9 @@ class LocalPotential:
     ``breakpoints`` so integration steps never straddle them.
 
     Without ``tails``, [x_left, x_right] is the support: outside it |V|
-    must be below the integration config's decay tolerance.  ``tails`` =
-    (left, right) gives the exact exterior instead: V(x) = sum_n w_n e^{-n|x|}
-    beyond each edge, with the coefficients w_1, w_2, ... of that side.
+    must be below ``DECAY_TOL``.  ``tails`` = (left, right) gives the exact
+    exterior instead: V(x) = sum_n w_n e^{-n|x|} beyond each edge, with the
+    coefficients w_1, w_2, ... of that side.
     """
 
     evaluate: Callable
@@ -67,6 +67,10 @@ class LocalPotential:
         return _values_at(self.evaluate, np.asarray(xs, dtype=float)).astype(complex)
 
 
+#: largest |V| a potential without tails may have beyond its support
+DECAY_TOL = 1e-14
+
+
 @_frozen
 class IntegrationConfig:
     """Step control for the integrator.
@@ -74,11 +78,10 @@ class IntegrationConfig:
     The fixed step must resolve the free-space wavelength with at least
     ten points; ``match_margin`` is how far beyond the support the
     plane-wave initialisation/extraction points sit.  A potential with
-    tails uses neither ``match_margin`` nor ``decay_tol``.
+    tails uses no ``match_margin`` and is not checked against ``DECAY_TOL``.
     """
 
     step: float = 1e-3
-    decay_tol: float = 1e-14
     match_margin: float = 1.0
 
     def __post_init__(self):
@@ -112,9 +115,9 @@ def _check_decay(v: LocalPotential, cfg: IntegrationConfig):
               v.x_right + eps * (1 + abs(v.x_right)),
               v.x_left - cfg.match_margin,
               v.x_right + cfg.match_margin):
-        if abs(v.evaluate(x)) >= cfg.decay_tol:
+        if abs(v.evaluate(x)) >= DECAY_TOL:
             raise NonDecayedPotential(
-                f"|V({x})| = {abs(v.evaluate(x)):.3e} >= decay_tol {cfg.decay_tol}")
+                f"|V({x})| = {abs(v.evaluate(x)):.3e} >= DECAY_TOL {DECAY_TOL}")
 
 
 #: most terms of a tail's Jost series

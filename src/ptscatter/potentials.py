@@ -13,6 +13,7 @@ closed forms alone load neither.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from typing import TYPE_CHECKING
 
@@ -32,7 +33,6 @@ from .core import (
     _require_finite,
     _smatrix,
     _wavenumbers,
-    as_wavenumber,
 )
 from .errors import InvalidNu, TransferOverflow
 
@@ -61,42 +61,15 @@ class SquareWellParams:
         if not self.b > 0:
             raise ValueError("b must be > 0")
 
-    def alpha(self, k) -> float:
-        """Modulus of the interior wave numbers: alpha^2 = sqrt((E+V0)^2 + V1^2).
-
-        TransferOverflow, naming k, where alpha^4 exceeds the float range.
-        """
-        w = as_wavenumber(k)
-        try:
-            alpha = ((w.energy + self.v0) ** 2 + self.v1 ** 2) ** 0.25
-        except OverflowError:
-            alpha = math.inf
-        if math.isinf(alpha):
-            raise TransferOverflow(f"alpha^4 = (E + v0)^2 + v1^2 exceeds the float range at "
-                                   f"k = {w.k}", k=w.k)
-        return alpha
-
-    def phi(self, k) -> float:
-        """Interior phase: phi = arctan(V1/(E+V0)) / 2."""
-        e = as_wavenumber(k).energy
-        return 0.5 * math.atan2(self.v1, e + self.v0)
-
-    def alpha0(self, k) -> complex:
-        """Interior wave number of the left half (emissive for v1 > 0)."""
-        return self.alpha(k) * cmath.exp(-1j * self.phi(k))
-
-    def alpha1(self, k) -> complex:
-        """Interior wave number of the right half (absorptive for v1 > 0)."""
-        return self.alpha(k) * cmath.exp(1j * self.phi(k))
-
 
 def square_well_transfer(p: SquareWellParams, k) -> np.ndarray:
     """Closed-form transfer matrix of the well centred at the origin, as a
     complex (2, 2) array at one k or a (K, 2, 2) stack over a k grid; a
     matrix that is not finite raises TransferOverflow at its k.
 
-    The diagonal elements are invariant under v1 -> -v1 (alpha0 <-> alpha1)
-    and det M = 1 identically.
+    The diagonal elements are invariant under v1 -> -v1, which swaps the
+    interior wave numbers sqrt(E + v0 -+ i v1) of the two halves, and
+    det M = 1 identically.
     """
     ks, one = _wavenumbers(k)
     with np.errstate(all="ignore"):
@@ -107,11 +80,16 @@ def square_well_transfer(p: SquareWellParams, k) -> np.ndarray:
 
 def _square_well_elements(p: SquareWellParams, kv, f=COLUMN) -> tuple:
     """(M_RR, M_RL, M_LR, M_LL) over the column kv, evaluated with the
-    functions of ``f`` (``COLUMN`` over floats, ``EXTENDED`` over np.longdouble)."""
+    functions of ``f`` (``COLUMN`` over floats, ``EXTENDED`` over np.longdouble).
+
+    The interior wave numbers are alpha e^{-+i phi} = sqrt(E + v0 -+ i v1) in
+    the left and right halves: alpha^4 = (E + v0)^2 + v1^2 and
+    phi = arctan(v1 / (E + v0)) / 2.
+    """
     v0, v1, b = f.real(p.v0), f.real(p.v1), f.real(p.b)
     e = kv * kv
-    alpha = f.pow(f.pow(e + v0, 2) + f.pow(v1, 2), 0.25)     # SquareWellParams.alpha
-    phi = 0.5 * f.atan2(v1, e + v0)                         # SquareWellParams.phi
+    alpha = f.pow(f.pow(e + v0, 2) + f.pow(v1, 2), 0.25)
+    phi = 0.5 * f.atan2(v1, e + v0)
     c = 2 * alpha * b * f.cos(phi)
     s = 2 * alpha * b * f.sin(phi)
     cp, sp = f.cos(phi), f.sin(phi)
@@ -323,56 +301,38 @@ class ScarfParams:
             raise ValueError("|eps| must be < pi/2 to keep the potential regular")
 
 
-def _scarf_raw_amplitudes(s: float, lam: complex, k: float):
-    """The eight eps = 0 amplitudes as (log-prefactor, GammaRatio) pairs."""
-    from .specfun import GammaRatio, gamma_ratio
-
-    i = 1j
-    ln2 = math.log(2.0)
-    half = 0.5
-
-    def amp(pref, num, den):
-        return cmath.exp(pref) * gamma_ratio(GammaRatio(num, den))
-
-    g1 = i * lam - s + half          # shared first-solution factor
-    g2 = s + 1.5 - i * lam           # shared second-solution factor
-    a1p = amp(-(math.pi / 2) * (lam - k + i * s) - (s + 2 * i * k) * ln2,
-              (g1, 2 * i * k), (-s + i * k, half + i * lam + i * k))
-    b1p = amp(-(math.pi / 2) * (lam + k + i * s) - (s - 2 * i * k) * ln2,
-              (g1, -2 * i * k), (-s - i * k, half + i * lam - i * k))
-    a1m = amp((math.pi / 2) * (lam + k + i * s) - (s - 2 * i * k) * ln2,
-              (g1, -2 * i * k), (-s - i * k, half + i * lam - i * k))
-    b1m = amp((math.pi / 2) * (lam - k + i * s) - (s + 2 * i * k) * ln2,
-              (g1, 2 * i * k), (-s + i * k, half + i * lam + i * k))
-    a2p = amp((math.pi / 2) * (lam + k + i * (s + 1)) - (2 * i * k + i * lam - half) * ln2,
-              (g2, 2 * i * k), (half - i * lam + i * k, s + 1 + i * k))
-    b2p = amp((math.pi / 2) * (lam - k + i * (s + 1)) - (-2 * i * k + i * lam - half) * ln2,
-              (g2, -2 * i * k), (half - i * lam - i * k, s + 1 - i * k))
-    a2m = amp(-(math.pi / 2) * (lam - k + i * (s + 1)) - (-2 * i * k + i * lam - half) * ln2,
-              (g2, -2 * i * k), (half - i * lam - i * k, s + 1 - i * k))
-    b2m = amp(-(math.pi / 2) * (lam + k + i * (s + 1)) - (2 * i * k + i * lam - half) * ln2,
-              (g2, 2 * i * k), (half - i * lam + i * k, s + 1 + i * k))
-    return a1p, b1p, a1m, b1m, a2p, b2p, a2m, b2m
-
-
+@functools.partial(_closed_form, record=AsymptoticAmplitudes)
 def scarf_amplitudes(p: ScarfParams, k) -> AsymptoticAmplitudes:
-    """Asymptotic amplitudes of the two hypergeometric solutions.
+    """Asymptotic amplitudes of the two hypergeometric solutions, at one k or
+    as columns over a k grid.
 
-    The complex shift multiplies every e^{+ikx} amplitude by e^{-k*eps}
-    and every e^{-ikx} amplitude by e^{+k*eps}.  Parameter combinations
-    that put a gamma pole into a solution's overall normalisation (e.g.
-    integer s with half-integer lam/i) raise GammaPole; the coefficient
-    quotients stay finite there and are available from
-    ``scarf_coefficients``.
+    Each amplitude is an exponential times a gamma ratio, and the amplitudes
+    pair up on shared ratios: a1p/b1m, b1p/a1m, a2p/b2m and b2p/a2m.  The
+    complex shift multiplies every e^{+ikx} amplitude by e^{-k*eps} and every
+    e^{-ikx} amplitude by e^{+k*eps}.  Parameter combinations that put a gamma
+    pole into a solution's overall normalisation (e.g. integer s with
+    half-integer lam/i) raise GammaPole at that k; the coefficient quotients
+    stay finite there and are available from ``scarf_coefficients``.
     """
-    kv = as_wavenumber(k).k
-    a1p, b1p, a1m, b1m, a2p, b2p, a2m, b2m = _scarf_raw_amplitudes(p.s, complex(p.lam), kv)
-    ea = math.exp(-kv * p.eps)
-    eb = math.exp(kv * p.eps)
-    return AsymptoticAmplitudes(
-        a1p=a1p * ea, b1p=b1p * eb, a1m=a1m * ea, b1m=b1m * eb,
-        a2p=a2p * ea, b2p=b2p * eb, a2m=a2m * ea, b2m=b2m * eb,
-    )
+    from .specfun import gamma_ratio_columns
+
+    s, lam, i, half, ln2 = p.s, complex(p.lam), 1j, 0.5, math.log(2.0)
+    kc = _PyComplex(k)
+    ik = i * kc
+    g1, g2 = i * lam - s + half, s + 1.5 - i * lam       # the shared factors of each solution
+    (r1p, r1m, r2p, r2m), faults = zip(*(gamma_ratio_columns(num, den) for num, den in (
+        ((g1, 2 * ik), (-s + ik, half + i * lam + ik)), ((g1, -2 * ik), (-s - ik, half + i * lam - ik)),
+        ((g2, 2 * ik), (half - i * lam + ik, s + 1 + ik)), ((g2, -2 * ik), (half - i * lam - ik, s + 1 - ik)))))
+    q = (math.pi / 2) * (lam - kc + i * s)               # e^{-+q} links a1p and b1m
+    w = (math.pi / 2) * (lam + kc + i * s)               # e^{-+w} links b1p and a1m
+    q2, w2 = (math.pi / 2) * (lam - kc + i * (s + 1)), (math.pi / 2) * (lam + kc + i * (s + 1))
+    plus, minus = (s + 2 * ik) * ln2, (s - 2 * ik) * ln2
+    plus2, minus2 = (2 * ik + i * lam - half) * ln2, (-2 * ik + i * lam - half) * ln2
+    ea, eb = COLUMN.exp(-k * p.eps), COLUMN.exp(k * p.eps)
+    return ((-q - plus).exp() * r1p * ea, (-w - minus).exp() * r1m * eb,
+            (w - minus).exp() * r1m * ea, (q - plus).exp() * r1p * eb,
+            (w2 - plus2).exp() * r2p * ea, (q2 - minus2).exp() * r2m * eb,
+            (-q2 - minus2).exp() * r2m * ea, (-w2 - plus2).exp() * r2p * eb), sum(faults, [])
 
 
 def _scarf_t_args(s: float, lam: complex, ik):
@@ -483,15 +443,13 @@ class CentrifugalParams:
         return cmath.sqrt(self.alpha_strength + 0.25)
 
 
+@functools.partial(_closed_form, record=AsymptoticAmplitudes)
 def centrifugal_amplitudes(p: CentrifugalParams, k) -> AsymptoticAmplitudes:
-    """Amplitudes of the incoming/outgoing Hankel-type solutions."""
-    kv = as_wavenumber(k).k
-    up = cmath.exp(-kv * p.eps - 1j * math.pi * p.nu / 2 - 1j * math.pi / 4)
-    dn = cmath.exp(kv * p.eps + 1j * math.pi * p.nu / 2 + 1j * math.pi / 4)
-    return AsymptoticAmplitudes(
-        a1p=up, b1p=0.0, a1m=up, b1m=0.0,
-        a2p=0.0, b2p=dn, a2m=0.0, b2m=dn,
-    )
+    """Amplitudes of the incoming/outgoing Hankel-type solutions, at one k or
+    as columns over a k grid."""
+    up = (_PyComplex(-k * p.eps) - 1j * math.pi * p.nu / 2 - 1j * math.pi / 4).exp()
+    dn = (_PyComplex(k * p.eps) + 1j * math.pi * p.nu / 2 + 1j * math.pi / 4).exp()
+    return (up, 0j, up, 0j, 0j, dn, 0j, dn), []
 
 
 @_closed_form

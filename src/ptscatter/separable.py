@@ -15,12 +15,12 @@ Panel sums over the whole support give the transforms g~(k -+ alpha) and
 h~(k -+ beta) from the same samples, and the sums at twice the order estimate
 the error of N and transforms alike: QuadratureFailure names the lowest k where
 one exceeds 1e-8 max(|value|, 1).  Form factors may be non-smooth only at 0; a
-kink elsewhere raises QuadratureFailure, not a wrong number.
+kink elsewhere raises QuadratureFailure, not a wrong number.  The Green's
+functions are G+-(u) = -+(i/2k) e^{+-ik|u|}.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import TYPE_CHECKING, Callable
 
@@ -103,19 +103,6 @@ def kernel_symmetry_class(kernel: SeparableKernel, tol: float = 1e-10) -> Symmet
                          symmetric_xy=abs(kernel.alpha - kernel.beta) < tol and g_eq_h,
                          hermitian=abs(kernel.alpha + kernel.beta) < tol and g_eq_h,
                          parity=zero_phases and even, pt=even)
-
-
-def green_function(sign: str, x_minus_y: float, k) -> complex:
-    """Outgoing (+) or incoming (-) free Green's function G(x - y).
-
-    G+(u) = -(i/2k) e^{ik|u|}; G- is its complex conjugate.
-    """
-    kv = as_wavenumber(k).k
-    if sign == "plus":
-        return -0.5j / kv * cmath.exp(1j * kv * abs(x_minus_y))
-    if sign == "minus":
-        return 0.5j / kv * cmath.exp(-1j * kv * abs(x_minus_y))
-    raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
 
 
 # -- Yamaguchi closed forms -------------------------------------------------
@@ -229,22 +216,10 @@ def _n_columns(kernel: SeparableKernel, ks) -> tuple:
         for v, e, s in zip(low, abs(high - low), names)]
 
 
-def compute_n(kernel: SeparableKernel, sign: str, k) -> complex:
-    """The double integral N+- = -(+)(i/2k) Int h e^{i b x} e^{+-ik|x-y|} g e^{i a y}
-    at one k: the closed form for Yamaguchi kernels and the panel rule,
-    truncated at the kernel support, for the others (module docstring)."""
-    ks = np.array([as_wavenumber(k).k])
-    if sign not in ("plus", "minus"):
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    with np.errstate(all="ignore"):
-        n, _, faults = _n_columns(kernel, ks)
-    _raise_first(faults, ks)
-    return complex(n[sign == "minus"].array()[0])
-
-
 @_frozen
 class NonlocalIntermediates:
-    """All building blocks of the non-local coefficients at one k."""
+    """All building blocks of the non-local coefficients at one k, or columns
+    over a k grid."""
 
     n_plus: complex
     n_minus: complex
@@ -260,7 +235,9 @@ class NonlocalIntermediates:
 def nonlocal_intermediates(kernel: SeparableKernel, k) -> NonlocalIntermediates:
     """Evaluate N+-, the resolvent factors and the transmission-difference numerator.
 
-    lam*N+- = -+(i*omega/2)[g~(k-a)h~(k+b) + g~(k+a)h~(k-b)] + Q with Q real
+    N+- = -(+)(i/2k) Int h e^{i b x} e^{+-ik|x-y|} g e^{i a y}: the closed form
+    for Yamaguchi kernels and the panel rule, truncated at the kernel
+    support, for the others (module docstring).  lam*N+- = -+(i*omega/2)[g~(k-a)h~(k+b) + g~(k+a)h~(k-b)] + Q with Q real
     for even form factors; delta_t is the numerator of T_rl - T_lr.  ``k``
     may be an array of wave numbers: every field is then a column.
     """

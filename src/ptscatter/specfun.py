@@ -23,11 +23,10 @@ import math
 import struct
 import sys
 from types import SimpleNamespace
-from typing import Sequence
 
 import numpy as np
 
-from .core import COLUMN, _frozen, _PyComplex, _quotient, _raise_first
+from .core import COLUMN, _PyComplex, _quotient
 from .errors import GammaPole, NonFiniteArgument, NumeratorPole, PrecisionLoss, TransferOverflow
 
 #: how close to a non-positive integer counts as sitting on a pole
@@ -382,40 +381,17 @@ def complex_log_gamma(z: complex) -> complex:
     return _log_gammas(_SCALAR, [z])[0]
 
 
-@_frozen
-class GammaRatio:
-    """Product of gamma factors over a product of gamma factors."""
-
-    numerator_args: tuple
-    denominator_args: tuple
-
-    def __init__(self, numerator_args: Sequence[complex], denominator_args: Sequence[complex]):
-        object.__setattr__(self, "numerator_args", tuple(complex(z) for z in numerator_args))
-        object.__setattr__(self, "denominator_args", tuple(complex(z) for z in denominator_args))
-
-
-def gamma_ratio(r: GammaRatio) -> complex:
-    """Evaluate a GammaRatio in log space.
-
-    A pole among the numerator factors raises NumeratorPole; a pole among
-    the denominator factors contributes a factor 1/Gamma = 0, so the whole
-    ratio evaluates to 0 (1/Gamma is entire).  Log-gamma terms so large that
-    the sum keeps an error above CANCELLATION_TOL raise PrecisionLoss, a
-    ratio beyond the float range raises TransferOverflow, and a NaN or
-    infinite argument raises NonFiniteArgument.
-    """
-    one = [[_PyComplex(np.array([z.real]), np.array([z.imag])) for z in args]
-           for args in (r.numerator_args, r.denominator_args)]
-    ratio, faults = gamma_ratio_columns(*one)
-    _raise_first(faults)
-    return complex(ratio[0])
-
-
 def gamma_ratio_columns(numerator_args, denominator_args, hyperbolic=None):
-    """``gamma_ratio`` over columns of arguments (``core._PyComplex``): the
-    ratio column, 0 where a denominator argument is on a pole, and the
-    faults NumeratorPole, PrecisionLoss and TransferOverflow (see
-    ``core._raise_first``).  A NaN or infinite argument raises
+    """Gamma(numerator_args) / Gamma(denominator_args), products of gamma
+    factors, evaluated in log space over columns of arguments
+    (``core._PyComplex``, or Python complex numbers for arguments that do not
+    depend on k): the ratio column and its faults (see ``core._raise_first``).
+
+    A pole among the numerator factors is a NumeratorPole; a pole among the
+    denominator factors contributes a factor 1/Gamma = 0, so the ratio is 0
+    there (1/Gamma is entire).  Log-gamma terms so large that their sum keeps
+    an error above CANCELLATION_TOL are a PrecisionLoss, and a ratio beyond
+    the float range a TransferOverflow.  A NaN or infinite argument raises
     NonFiniteArgument.  The cosh and sinh columns that reflections evaluate
     go into the dict ``hyperbolic``, when one is given, under ("cosh" or
     "sinh", the bytes of pi Im z)."""

@@ -64,8 +64,9 @@ def square_well_coefficients(p, kv) -> tuple:
 
 def square_well_transfer_interfaces(p, kv) -> np.ndarray:
     """The well's transfer matrix from its three continuity systems, solved
-    directly: a route independent of the transcribed closed form."""
-    a0, a1 = p.alpha0(kv), p.alpha1(kv)
+    directly: a route independent of the transcribed closed form, with the
+    interior wave numbers sqrt(E + v0 -+ i v1) of the left and right halves."""
+    a0, a1 = cmath.sqrt(kv * kv + p.v0 - 1j * p.v1), cmath.sqrt(kv * kv + p.v0 + 1j * p.v1)
 
     def j(q, x):
         ep, em = cmath.exp(1j * q * x), cmath.exp(-1j * q * x)

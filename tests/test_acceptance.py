@@ -22,13 +22,13 @@ from ptscatter import (
     asymptotic_current,
     centrifugal_coefficients,
     complex_log_gamma,
-    compute_n,
     exact_asymptotic_pt_check,
     integrate_batch,
     coefficients_from_amplitudes,
     lattice_potential,
     multi_well_coefficients,
     nonlocal_coefficients,
+    nonlocal_intermediates,
     numeric_coefficients,
     phase_relation_residual,
     pt_current,
@@ -203,9 +203,8 @@ def test_criterion_08_nonlocal_yamaguchi():
     worst_sym = max(abs(nonlocal_coefficients(symmetric, float(k)).t_rl
                         - nonlocal_coefficients(symmetric, float(k)).t_lr)
                     for k in np.linspace(0.5, 2.0, 7))
-    q_imag = max(abs((symmetric.lam * (compute_n(symmetric, "plus", float(k))
-                                       + compute_n(symmetric, "minus", float(k))) / 2).imag)
-                 for k in np.linspace(0.5, 2.0, 7))
+    q_part = nonlocal_intermediates(symmetric, np.linspace(0.5, 2.0, 7)).q_part
+    q_imag = float(np.max(np.abs(q_part.imag)))
     asym = SeparableKernel.yamaguchi(gamma=1.0, delta=2.0, alpha=0.3, beta=0.7, lam=1.0)
     best_gap = max(abs(nonlocal_coefficients(asym, float(k)).t_rl
                        - nonlocal_coefficients(asym, float(k)).t_lr)

@@ -623,7 +623,8 @@ class TestConfigAndErrors:
             kernel = separable.SeparableKernel.from_form_factors(
                 g=lambda x: math.exp(-abs(x)), h=lambda y: math.exp(-2 * abs(y)), alpha=0.3, beta=0.7)
             c = separable.nonlocal_coefficients(kernel, np.array([0.5, 1.0, 2.0]))
-            n = [separable.compute_n(kernel, sign, 1.0) for sign in ("plus", "minus")]
+            mid = separable.nonlocal_intermediates(kernel, 1.0)
+            n = [mid.n_plus, mid.n_minus]
             wf = separable.nonlocal_wavefunction(kernel, 1.0, "right", np.linspace(-3, 3, 7))
             cls = separable.kernel_symmetry_class(kernel)
             finite = all(np.all(np.isfinite(z)) for z in (c.t_lr, c.r_rl, n, wf.psi))

@@ -8,6 +8,8 @@ and message, where the loop raised a ScatteringError.
 """
 
 import cmath
+import contextlib
+import inspect
 import json
 import math
 import subprocess
@@ -19,7 +21,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ptscatter import separable
+import ptscatter
+from ptscatter import (asymptotic_current, centrifugal_amplitudes, scarf_amplitudes, separable,
+                       square_well_transfer, wronskian_residual)
 from ptscatter.cli import CHUNK_ROWS, _json_document, _json_table, _moduli, _write, main
 from ptscatter.core import ScatteringCoefficients, _int_powers, _PyComplex
 from ptscatter.errors import (NumeratorPole, ResonancePole, ScatteringError, TransferOverflow,
@@ -99,6 +103,48 @@ def grids(lo, hi):
 SETTINGS = settings(max_examples=150, deadline=None)
 
 
+WELL = SquareWellParams(1.0, 0.5, 1.0)
+SCARF = ScarfParams(1.3, 0.7j, 0.2)
+KERNEL = separable.SeparableKernel.yamaguchi(1.0, 2.0, 0.3, 0.7)
+#: the grid of the one-element tests: longer than specfun.ELEMENTWISE_BELOW
+GRID = np.linspace(0.4, 3.0, 30)
+#: a call of each exported function of k whose grid is, bit for bit, the loop
+#: of its one-k calls: (the function, a call at k), by case
+ONE_K_CASES = {
+    "square-well": (square_well_coefficients, lambda k: square_well_coefficients(WELL, k)),
+    "multi-well": (multi_well_coefficients,
+                   lambda k: multi_well_coefficients(LatticeParams(WELL, 0.5, 3), k)),
+    "scarf": (scarf_coefficients, lambda k: scarf_coefficients(SCARF, k)),
+    "centrifugal": (centrifugal_coefficients,
+                    lambda k: centrifugal_coefficients(CentrifugalParams(1.0, 0.1), k)),
+    "yamaguchi": (separable.nonlocal_coefficients, lambda k: separable.nonlocal_coefficients(KERNEL, k)),
+    "square-well-transfer": (square_well_transfer, lambda k: square_well_transfer(WELL, k)),
+    "scarf-amplitudes": (scarf_amplitudes, lambda k: scarf_amplitudes(SCARF, k)),
+    "centrifugal-amplitudes": (centrifugal_amplitudes,
+                               lambda k: centrifugal_amplitudes(CentrifugalParams(1.0, 0.1), k)),
+    "yamaguchi-intermediates": (separable.nonlocal_intermediates,
+                                lambda k: separable.nonlocal_intermediates(KERNEL, k)),
+    "asymptotic-current": (asymptotic_current,
+                           lambda k: asymptotic_current(scarf_coefficients(SCARF, k), k)),
+    "wronskian-residual": (wronskian_residual, lambda k: wronskian_residual(scarf_amplitudes(SCARF, k), k)),
+    "relations": (check_s_relations, lambda k: check_s_relations(
+        scarf_coefficients(SCARF, k), SymmetryClass(pt=True, parity_generalized=True, x0=0.7),
+        local=True, k=k)),
+}
+#: the exported functions of k that take one k only
+ONE_K_ONLY = {"as_wavenumber", "wavefunction_on_grid", "nonlocal_wavefunction"}
+
+
+def leaves(result) -> list:
+    """(path, value) of every number and text of a result: the fields of a
+    record, the items of a tuple, or the result itself."""
+    if isinstance(result, tuple):
+        return [((i, *path), v) for i, item in enumerate(result) for path, v in leaves(item)]
+    if hasattr(result, "__dict__"):
+        return [((name, *path), v) for name, field in vars(result).items() for path, v in leaves(field)]
+    return [((), result)]
+
+
 class TestGridEqualsLoopOverK:
     @SETTINGS
     @given(finite(0, 50), finite(-50, 50), finite(0.01, 10), grids(1e-6, 300))
@@ -152,20 +198,38 @@ class TestGridEqualsLoopOverK:
         assert type(c.det) is complex and repr(c.det) == repr(big * big - 1e-300j * 0j)
         assert type(square_well_coefficients(SquareWellParams(1.0, 0.5, 1.0), 1.3).det) is complex
 
-    @pytest.mark.parametrize("fn", [
-        lambda k: square_well_coefficients(SquareWellParams(1.0, 0.5, 1.0), k),
-        lambda k: multi_well_coefficients(LatticeParams(SquareWellParams(1.0, 0.5, 1.0), 0.5, 3), k),
-        lambda k: scarf_coefficients(ScarfParams(1.3, 0.7j, 0.2), k),
-        lambda k: centrifugal_coefficients(CentrifugalParams(1.0, 0.1), k),
-        lambda k: separable.nonlocal_coefficients(
-            separable.SeparableKernel.yamaguchi(1.0, 2.0, 0.3, 0.7), k)],
-        ids=["square-well", "multi-well", "scarf", "centrifugal", "yamaguchi"])
-    def test_scalar_k_is_the_one_element_grid(self, fn):
-        # a scalar k is the one-element grid, as Python complex numbers
-        one, grid = fn(1.3), fn(np.array([0.4, 1.3]))
-        for name in FIELDS:
-            assert type(getattr(one, name)) is complex
-            assert np.array_equal(bits([getattr(one, name)]), bits(getattr(grid, name)[1:]))
+    @pytest.mark.parametrize("case", ONE_K_CASES.values(), ids=ONE_K_CASES)
+    def test_scalar_k_is_the_one_element_grid(self, case):
+        # a scalar k is the one-element grid, as Python numbers; the grid is
+        # long enough for the gamma ratios' column path
+        call = case[1]
+        grid = leaves(call(GRID))
+        for j, k in enumerate(GRID.tolist()):
+            one = leaves(call(k))
+            assert [path for path, _ in one] == [path for path, _ in grid]
+            for (path, got), (_, column) in zip(one, grid):
+                want = column[j] if isinstance(column, np.ndarray) and len(column) == len(GRID) else column
+                if not isinstance(got, np.ndarray):
+                    assert type(got) is type(np.asarray(want).item()), (path, k)
+                assert np.asarray(got).dtype == np.asarray(want).dtype, (path, k)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (path, k)
+
+
+def test_every_public_function_of_k_takes_a_grid():
+    """Every exported callable with a parameter k but the one-k functions is a
+    case of the bit-for-bit test above or, for the integrator, whose step
+    blocks depend on the number of k, of the test of its grid to rounding."""
+    from test_numeric import TestSquareWellAgreement
+
+    to_rounding = {"numeric_coefficients": TestSquareWellAgreement.test_batch_equals_single}
+    of_k = set()
+    for name in ptscatter.__all__:
+        with contextlib.suppress(TypeError, ValueError):
+            if "k" in inspect.signature(getattr(ptscatter, name)).parameters:
+                of_k.add(name)
+    covered = [fn.__name__ for fn, _ in ONE_K_CASES.values()] + list(to_rounding)
+    assert ONE_K_ONLY <= of_k
+    assert sorted(of_k - ONE_K_ONLY) == sorted(covered)
 
 
 class TestErrorsAtTheLowestFailingK:

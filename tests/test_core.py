@@ -72,7 +72,7 @@ class TestCoefficientsFromAmplitudes:
                 continue
             c1 = complex(*rng.normal(size=2)) + 1.5
             c2 = complex(*rng.normal(size=2)) + 1.5
-            scaled = coefficients_from_amplitudes(amps.rescaled(c1, c2))
+            scaled = coefficients_from_amplitudes(AsymptoticAmplitudes(*vals[:4] * c1, *vals[4:] * c2))
             for name in ("t_lr", "r_lr", "t_rl", "r_rl"):
                 assert abs(getattr(base, name) - getattr(scaled, name)) < 1e-12 * max(
                     1.0, abs(getattr(base, name)))
@@ -156,6 +156,18 @@ class TestWronskian:
             k = WaveNumber(rng.uniform(0.1, 5))
             amps = integrate_batch(square_well_potential(p), [k.k], IntegrationConfig(step=2e-3))
             assert wronskian_residual(amps, k) < 1e-10
+
+    def test_two_wave_numbers_give_a_column(self):
+        """Over a grid of k the residual is a column: at each k the float that
+        the amplitudes of that k alone give."""
+        ks = [1.0, 2.0]
+        amps = integrate_batch(square_well_potential(SquareWellParams(1.0, 0.5, 1.0)), ks)
+        got = wronskian_residual(amps, ks)
+        assert got.shape == (2,) and np.all(got < 1e-10)
+        for i, k in enumerate(ks):
+            one = AsymptoticAmplitudes(*(np.asarray(z)[i:i + 1] for z in vars(amps).values()))
+            assert type(wronskian_residual(one, k)) is float
+            assert wronskian_residual(one, k) == got[i]
 
     def test_local_catalog_amplitude_sets(self):
         """Every local amplitude set this repo produces conserves the Wronskian."""

@@ -119,6 +119,14 @@ class TestAsymptoticCurrent:
         ac = asymptotic_current(c, 2.0, a_plus=0.5j, b_minus=1.0)
         assert abs(ac.j_plus_inf - 2 * 2.0 * (-0.5j)) < 1e-15
 
+    def test_scalar_k_over_coefficient_columns(self):
+        """A scalar k is the k of every element of coefficient columns."""
+        c = square_well_coefficients(PT_WELL, np.array([0.5, 1.0, 2.0]))
+        ac, repeated = asymptotic_current(c, 1.0), asymptotic_current(c, [1.0, 1.0, 1.0])
+        assert ac.j_plus_inf.shape == (3,)
+        assert np.array_equal(ac.j_plus_inf, repeated.j_plus_inf)
+        assert np.array_equal(ac.j_minus_inf, repeated.j_minus_inf)
+
 
 class TestPhaseRelation:
     def test_complex_square_well(self):

@@ -68,23 +68,28 @@ class TestSquareWell:
         assert np.max(np.abs(m - np.eye(2))) < 1e-14
 
     def test_interior_wavenumbers_are_conjugate(self, rng):
+        """The halves' interior wave numbers sqrt(E + v0 -+ i v1) are conjugate:
+        v1 -> -v1 swaps them and keeps the diagonal of M.  At v1 = 0 both are
+        one real number, and M_LL = conj(M_RR), M_LR = conj(M_RL)."""
         for _ in range(20):
-            p = SquareWellParams(rng.uniform(0, 5), rng.uniform(-3, 3), rng.uniform(0.1, 3))
+            v0, v1, b = rng.uniform(0, 5), rng.uniform(-3, 3), rng.uniform(0.1, 3)
             k = WaveNumber(rng.uniform(0.1, 5))
-            assert abs(p.alpha0(k).conjugate() - p.alpha1(k)) < 1e-14 * abs(p.alpha1(k))
-        real_well = SquareWellParams(1.0, 0.0, 1.0)
-        assert real_well.phi(1.0) == 0.0
-        assert real_well.alpha0(1.0).imag == 0.0
+            m = square_well_transfer(SquareWellParams(v0, v1, b), k)
+            swapped = square_well_transfer(SquareWellParams(v0, -v1, b), k)
+            assert np.max(np.abs(np.diag(m) - np.diag(swapped))) < 1e-14 * np.max(np.abs(m))
+        m = square_well_transfer(SquareWellParams(1.0, 0.0, 1.0), 1.0)
+        assert np.max(np.abs(m[::-1, ::-1] - m.conj())) < 1e-14 * np.max(np.abs(m))
 
-    @pytest.mark.parametrize("method", ["alpha", "alpha0", "alpha1"])
     @pytest.mark.parametrize("p, k", [(SquareWellParams(0.0, 1e160, 1.0), 1.0),
                                       (SquareWellParams(1e160, 0.0, 1.0), 2.5),
                                       (SquareWellParams(0.0, 0.0, 1.0), 1e200)],
                              ids=["v1", "v0", "energy"])
-    def test_interior_wavenumber_beyond_the_float_range_names_k(self, method, p, k):
-        with pytest.raises(TransferOverflow, match="float range") as info:
-            getattr(p, method)(k)
-        assert info.value.k == k
+    def test_interior_wavenumber_beyond_the_float_range_names_k(self, p, k):
+        # alpha^4 = (E + v0)^2 + v1^2 exceeds the float range at every k
+        for closed_form in (square_well_transfer, square_well_coefficients):
+            with pytest.raises(TransferOverflow, match="float range") as info:
+                closed_form(p, k)
+            assert info.value.k == k
 
     def test_grid_stacks_the_per_k_matrices(self):
         p, ks = SquareWellParams(1.0, 0.5, 1.0), [0.5, 1.0, 2.0]
@@ -499,6 +504,6 @@ class TestCentrifugal:
         """
         p = CentrifugalParams(2.0, 0.1)
         c = numeric_coefficients(centrifugal_potential(p, cutoff=50.0), WaveNumber(1.0),
-                                 IntegrationConfig(step=2e-3, decay_tol=1e-3))
+                                 IntegrationConfig(step=2e-3))
         assert abs(c.r_lr) < 1e-3 and abs(c.r_rl) < 1e-3
         assert abs(abs(c.t_lr) - 1.0) < 1e-6

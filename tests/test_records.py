@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from ptscatter import cli, core, current, numeric, potentials, separable, specfun, symmetry
+from ptscatter import cli, core, current, numeric, potentials, separable, symmetry
 
 
 def _g(x):
@@ -25,12 +25,10 @@ RECORDS = [
     (potentials.LatticeParams, {"well": WELL, "a": 0.5, "n": 3}, {}, {}),
     (potentials.ScarfParams, {"s": 1.3, "lam": 0.7j}, {"eps": 0.0}, {"eps": 0.2}),
     (potentials.CentrifugalParams, {"alpha_strength": 0.5, "eps": 0.1}, {}, {}),
-    (numeric.IntegrationConfig, {}, {"step": 1e-3, "decay_tol": 1e-14, "match_margin": 1.0},
-     {"step": 2e-3, "decay_tol": 1e-12, "match_margin": 2.0}),
+    (numeric.IntegrationConfig, {}, {"step": 1e-3, "match_margin": 1.0},
+     {"step": 2e-3, "match_margin": 2.0}),
     (numeric.WavefunctionGrid, {"x": (0.0, 1.0), "psi": (1j, 2j), "dpsi": (0j, 1j), "k": 1.0,
                                 "direction": "right"}, {}, {}),
-    (specfun.GammaRatio, {"numerator_args": (1.5 + 0j,), "denominator_args": (2 + 1j, 0.5 + 0j)},
-     {}, {}),
     (separable.SeparableKernel, {"g": _g, "h": _g, "alpha": 0.1, "beta": 0.2, "lam": 1.0},
      {"gamma": None, "delta": None, "support": 40.0}, {"gamma": 1.0, "delta": 2.0, "support": 20.0}),
     (separable.NonlocalIntermediates, dict(zip(

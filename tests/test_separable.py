@@ -1,4 +1,4 @@
-"""Separable non-local kernels: Green's functions, N integrals, coefficients.
+"""Separable non-local kernels: N integrals, coefficients, wavefunctions.
 
 The independent oracles here are 2-d quadrature of the defining double
 integral and direct substitution of the sampled solution back into the
@@ -17,8 +17,6 @@ from scipy.integrate import quad
 
 from ptscatter import (
     SeparableKernel,
-    compute_n,
-    green_function,
     kernel_symmetry_class,
     nonlocal_coefficients,
     nonlocal_intermediates,
@@ -31,26 +29,6 @@ SYMMETRIC = SeparableKernel.yamaguchi(gamma=1.0, delta=1.0, alpha=0.5, beta=0.5,
 ASYMMETRIC = SeparableKernel.yamaguchi(gamma=1.0, delta=2.0, alpha=0.3, beta=0.7, lam=1.0)
 HERMITIAN = SeparableKernel.yamaguchi(gamma=1.2, delta=1.2, alpha=0.4, beta=-0.4, lam=1.0)
 DEFAULT = SeparableKernel.yamaguchi(gamma=1.0, delta=1.0, alpha=0.0, beta=0.0, lam=0.5)
-
-
-class TestGreenFunction:
-    def test_coincident_points(self):
-        assert abs(green_function("plus", 0.0, 2.0) - (-0.25j)) < 1e-15
-
-    def test_minus_is_conjugate(self, rng):
-        for _ in range(50):
-            u = rng.uniform(-10, 10)
-            k = rng.uniform(0.1, 5)
-            gp = green_function("plus", u, k)
-            assert abs(green_function("minus", u, k) - gp.conjugate()) < 1e-15
-
-    def test_homogeneous_solution_away_from_source(self):
-        """(d^2/du^2 + k^2) G = 0 for u != 0 by central differences."""
-        k, h = 1.3, 1e-3
-        for u in (0.5, -2.0, 3.7):
-            vals = [green_function("plus", u + j * h, k) for j in (-1, 0, 1)]
-            d2 = (vals[0] - 2 * vals[1] + vals[2]) / (h * h)
-            assert abs(d2 + k * k * vals[1]) < 1e-6
 
 
 #: a wave-number column past k = 40, where the panel rule's width falls below 0.5
@@ -77,17 +55,17 @@ class TestComputeN:
         generic = _yamaguchi_as_generic(1.0, 2.0, 0.3, -0.4)
         fast = SeparableKernel.yamaguchi(gamma=1.0, delta=2.0, alpha=0.3, beta=-0.4, lam=1.0)
         _assert_n_close(nonlocal_intermediates(generic, KS), nonlocal_intermediates(fast, KS))
-        for sign in ("plus", "minus"):
-            a, b = compute_n(fast, sign, 1.5), compute_n(generic, sign, 1.5)
-            assert abs(a - b) < 1e-12
+        a, b = nonlocal_intermediates(fast, 1.5), nonlocal_intermediates(generic, 1.5)
+        for sign in ("n_plus", "n_minus"):
+            assert abs(getattr(a, sign) - getattr(b, sign)) < 1e-12
 
     def test_confluent_parameters(self):
         """gamma = delta with alpha = -beta = 0 (degenerate in momentum space)."""
         generic = _yamaguchi_as_generic(1.0, 1.0)
         fast = SeparableKernel.yamaguchi(gamma=1.0, delta=1.0)
         _assert_n_close(nonlocal_intermediates(generic, KS), nonlocal_intermediates(fast, KS))
-        got = compute_n(fast, "plus", 1.0)
-        ref = compute_n(generic, "plus", 1.0)
+        got = nonlocal_intermediates(fast, 1.0).n_plus
+        ref = nonlocal_intermediates(generic, 1.0).n_plus
         assert abs(got - ref) < 1e-12
         # and against the hand value N+ = (1 - 0.5j) / lam at these parameters
         assert abs(got - (1.0 - 0.5j)) < 1e-12
@@ -104,8 +82,8 @@ class TestComputeN:
             ft = oracle.yamaguchi_ft     # 2c / (c^2 + q^2)
             g1 = ft(kernel.gamma, k - kernel.alpha) * ft(kernel.delta, k + kernel.beta)
             g2 = ft(kernel.gamma, k + kernel.alpha) * ft(kernel.delta, k - kernel.beta)
-            npl = kernel.lam * compute_n(kernel, "plus", k)
-            nmi = kernel.lam * compute_n(kernel, "minus", k)
+            mid = nonlocal_intermediates(kernel, k)
+            npl, nmi = kernel.lam * mid.n_plus, kernel.lam * mid.n_minus
             q = (npl + nmi) / 2
             assert abs(q.imag) < 1e-9
             assert abs(npl - (-0.5j * w * (g1 + g2) + q)) < 1e-8
@@ -267,8 +245,8 @@ class TestCoefficients:
         with pytest.raises(QuadratureFailure, match="error nan too large for N plus") as info:
             nonlocal_coefficients(generic, np.array([1.0, 2e4]))
         assert info.value.k == 2e4
-        assert abs(compute_n(generic, "minus", 1.0)
-                   - compute_n(SeparableKernel.yamaguchi(1.0, 2.0, 0.3, 0.7), "minus", 1.0)) < 1e-12
+        assert abs(nonlocal_intermediates(generic, 1.0).n_minus
+                   - nonlocal_intermediates(SeparableKernel.yamaguchi(1.0, 2.0, 0.3, 0.7), 1.0).n_minus) < 1e-12
 
 
 class TestKernelClassification:
