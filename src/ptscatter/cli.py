@@ -27,8 +27,12 @@ calls are 2x2 stacks and small panels that a thread pool only slows to
 start, unless numpy is already imported or one of ``BLAS_THREADS`` is set
 in the environment, which is left as it was.  Run as the process's
 own command line (``main()`` without argv, as the console script does),
-``main`` flushes stdout and stderr and ends the process with its exit code
-at once, without the interpreter's teardown; ``main(argv)`` returns the code.
+``main`` first has glibc's malloc keep the memory the command frees rather
+than hand it back and fault it in again, unless the environment sets a
+malloc threshold (one of ``MALLOC_SETTINGS`` or a ``glibc.malloc.`` tunable
+in ``GLIBC_TUNABLES``); it ends by flushing stdout and stderr and ending the
+process with its exit code at once, without the interpreter's teardown.
+``main(argv)`` returns the code and leaves the allocator as glibc set it.
 """
 
 from __future__ import annotations
@@ -54,6 +58,14 @@ else:   # numpy's OpenBLAS starts with one thread, and the environment is left a
 
 from . import core
 from .errors import ScatteringError, TransferOverflow
+
+#: the variables glibc's malloc takes its thresholds from, besides the
+#: ``glibc.malloc.`` tunables of GLIBC_TUNABLES
+MALLOC_SETTINGS = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "MALLOC_TOP_PAD_",
+                   "MALLOC_MMAP_MAX_")
+#: (mallopt parameter, value): M_MMAP_THRESHOLD at 32 MiB, glibc's ceiling for
+#: its dynamic threshold on 64-bit, and M_TRIM_THRESHOLD at 1 GiB
+_MALLOPT = ((-3, 32 << 20), (-1, 1 << 30))
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -506,12 +518,11 @@ def cmd_lattice(args) -> int:
     with np.errstate(all="ignore"):     # an overflowing det gives rows that are not finite
         det_cell = (t[0] * t[3] - t[1] * t[2]).array()
     ns_all, values_all, overflow_all = [], [], []
-    for ns, power, overflow in chunks:      # the rows of a few n as columns
-        power, overflow = power.reshape(-1, 4), overflow.ravel()
+    for ns, _, overflow, size in chunks:    # the rows of a few n as columns
+        size, overflow = size.reshape(-1, 4), overflow.ravel()
         with np.errstate(all="ignore"):
             det = core._int_powers(det_cell, ns).ravel()
-            size = np.abs(power[:, :3])     # |T_RR|, |T_RL|, |T_LR| in np.longdouble
-            rr = size[:, 0]
+            rr = size[:, 0]                 # |T_RR|, then |T_RL| and |T_LR|, in np.longdouble
             values = np.array([1 / rr, size[:, 2] / rr, np.abs(det.astype(np.clongdouble)) / rr,
                                size[:, 1] / rr, det.real, det.imag], dtype=float)
         # a row that is not flagged, at a pole or not finite, is a solver error
@@ -605,22 +616,51 @@ def _merge_config(args) -> argparse.Namespace:
     return argparse.Namespace(**merged)
 
 
+def _keep_freed_memory():
+    """Have glibc's malloc keep the memory the process frees, unless the
+    environment sets its thresholds or the C library is not glibc.  A command
+    allocates and frees hundreds of numpy temporaries of a few hundred KiB:
+    by default glibc maps one above its mmap threshold afresh, zero-filled,
+    and trims the heap top after a burst of frees, and either way the next
+    temporary faults the same pages in again (the benchmark's eight
+    closed-form-scan children of seed 78 take 138.4k minor faults, and 68.5k
+    with both thresholds raised).  A trim threshold alone would switch off
+    glibc's dynamic mmap threshold, so both are set.  The process then holds
+    its peak until it exits."""
+    if "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "") or any(
+            name in os.environ for name in MALLOC_SETTINGS):
+        return
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ImportError, OSError, ValueError):
+        return
+    for param, value in _MALLOPT:
+        mallopt(param, value)
+
+
 def main(argv=None) -> int:
     """Run one command and return its exit code.  Without argv, the command
     line is the process's own: then stdout and stderr are flushed and the
     process ends with the code, skipping the interpreter's teardown (modules,
     objects and threads it would free or join at exit), unless a flush
     fails, as on a closed pipe, when the code is returned for Python's own
-    exit to report.  An exception that escapes the command unwinds as usual."""
-    code = _run(argv)
-    if argv is None:
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        except (AttributeError, OSError, ValueError):
-            return code
-        os._exit(code)
-    return code
+    exit to report.  An exception that escapes the command unwinds as usual.
+    Only without argv is glibc's malloc told to keep what the command frees
+    (``_keep_freed_memory``)."""
+    if argv is not None:
+        return _run(argv)
+    _keep_freed_memory()
+    code = _run(None)
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (AttributeError, OSError, ValueError):
+        return code
+    os._exit(code)
 
 
 def _run(argv) -> int:

@@ -101,10 +101,6 @@ class WaveNumber:
         if not (self.k > 0.0) or not np.isfinite(self.k):
             raise ValueError(f"wave number must be finite and > 0, got {self.k}")
 
-    @property
-    def energy(self) -> float:
-        return self.k * self.k
-
 
 def _require_finite(owner: str, **values):
     """ValueError naming the first non-finite (real or complex) parameter."""

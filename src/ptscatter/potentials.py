@@ -177,35 +177,38 @@ CHUNK_ROWS = 4096
 
 def lattice_transfer(p: LatticeParams, ks, n_max: int | None = None):
     """The cell matrices T over the k column ``ks`` as a (K, 2, 2) stack and a
-    generator of chunks (ns, T^n, overflow) for n = p.n..n_max, each of at
-    most ``CHUNK_ROWS`` (n, k) rows: ns the chunk's n, T^n the (len(ns), K,
-    2, 2) stack of the cell's powers, and overflow, sticky over n, marks the
-    (n, k) where the cell or a product so far had an element above 1e300 or
-    not finite.  T^{p.n} comes by repeated squaring, as for one n at one k,
-    each further power as T @ T^{n-1}.  The edge phases of the lattice's
-    transfer matrix conj(D(u1)) T^n D(u1 + n*period) are left to the caller
-    (``multi_well_coefficients``): they have unit modulus and unit det, so the
-    moduli of the matrix's elements and its det are those of T^n.  T and T^n are
-    np.clongdouble: the caller rounds what it keeps to complex once."""
+    generator of chunks (ns, T^n, overflow, |T^n|) for n = p.n..n_max, each
+    of at most ``CHUNK_ROWS`` (n, k) rows: ns the chunk's n, T^n the
+    (len(ns), K, 2, 2) stack of the cell's powers, overflow, sticky over n,
+    marks the (n, k) where the cell or a product so far had an element above
+    1e300 or not finite, and |T^n| is the np.longdouble stack of the moduli
+    that the chunk's flags were read from.  T^{p.n} comes by repeated
+    squaring, as for one n at one k, each further power as T @ T^{n-1}.  The
+    edge phases of the lattice's transfer matrix conj(D(u1)) T^n
+    D(u1 + n*period) are left to the caller (``multi_well_coefficients``):
+    they have unit modulus and unit det, so the moduli of the matrix's
+    elements and its det are those of T^n.  T and T^n are np.clongdouble:
+    the caller rounds what it keeps to complex once."""
     kv = _wavenumbers(ks)[0].astype(np.longdouble)
     with np.errstate(all="ignore"):
         t = np.stack(_cell(p, kv), axis=-1).reshape(-1, 2, 2)
 
-    def flags(m):                   # per matrix: an element above the limit or not finite
-        return ~(np.max(np.abs(m), axis=(-2, -1)) <= OVERFLOW_LIMIT)
+    def flags(moduli):              # per matrix: an element above the limit or not finite
+        return ~(np.max(moduli, axis=(-2, -1)) <= OVERFLOW_LIMIT)
 
     def chunks():
         last, size = p.n if n_max is None else n_max, max(1, CHUNK_ROWS // len(kv))
         with np.errstate(over="ignore", invalid="ignore"):
-            power, base, n, overflow = np.broadcast_to(np.eye(2, dtype=t.dtype), t.shape), t, p.n, flags(t)
+            power, base, n = np.broadcast_to(np.eye(2, dtype=t.dtype), t.shape), t, p.n
+            overflow = flags(np.abs(t))
             while n:
                 if n & 1:
                     power = power @ base
-                    overflow |= flags(power)
+                    overflow |= flags(np.abs(power))
                 n >>= 1
                 if n:
                     base = base @ base
-                    overflow |= flags(base)
+                    overflow |= flags(np.abs(base))
         for lo in range(p.n, last + 1, size):
             ns = np.arange(lo, min(lo + size, last + 1))
             powers = np.empty((len(ns), *t.shape), dtype=t.dtype)
@@ -213,11 +216,12 @@ def lattice_transfer(p: LatticeParams, ks, n_max: int | None = None):
                 powers[0] = power if lo == p.n else t @ power
                 for j in range(1, len(ns)):
                     np.matmul(t, powers[j - 1], out=powers[j])
-                rows = flags(powers)
+                moduli = np.abs(powers)
+                rows = flags(moduli)
                 rows[0] |= overflow
                 rows = np.logical_or.accumulate(rows, axis=0)
             power, overflow = powers[-1].copy(), rows[-1].copy()
-            yield ns, powers, rows
+            yield ns, powers, rows, moduli
 
     return t, chunks()
 
@@ -229,7 +233,7 @@ def multi_well_coefficients(p: LatticeParams, k) -> ScatteringCoefficients:
     of T^n times a phase, in np.clongdouble; ``k`` may be an array of wave
     numbers."""
     kv = k.astype(np.longdouble)
-    _, power, overflow = next(lattice_transfer(p, k)[1])
+    _, power, overflow, _ = next(lattice_transfer(p, k)[1])
 
     def phases(x):                  # (e^{ikx}, e^{-ikx}), the diagonal of D(x), over k
         return np.exp(np.stack([1j * kv, -1j * kv], axis=-1) * x)

@@ -734,11 +734,82 @@ class TestBlasThreads:
         assert self.threads("import numpy, ptscatter.cli") == self.threads("import numpy")
 
 
+def glibc() -> bool:
+    """Whether the C library is glibc."""
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+#: the environment's own malloc settings, which a probe leaves out unless it chooses them
+MALLOC_CHOICES = (*cli.MALLOC_SETTINGS, "GLIBC_TUNABLES")
+
+
+@pytest.mark.skipif(not glibc(), reason="the C library is not glibc")
+class TestKeepFreedMemory:
+    """Run as the process's command line, ``main`` has glibc's malloc keep
+    what it frees, unless the user has chosen its thresholds; importing the
+    module and ``main(argv)`` leave the allocator as glibc set it."""
+
+    PROBE = ("import resource, numpy as np; from ptscatter import cli; {setup}\n"
+             "def rounds(n):\n"
+             "    for _ in range(n):\n"
+             "        arrays = [np.ones(1 << 17) for _ in range(3)]\n"
+             "        del arrays\n"
+             "rounds(1)\n"
+             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+             "rounds(20)\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+    #: fewest faults of 20 rounds that glibc trims: 3 MiB is 768 pages a round
+    TRIMMED = 2000
+
+    def faults(self, setup, **chosen):
+        """Minor page faults of 20 rounds of allocating and freeing three
+        1 MiB arrays, after ``setup`` and one warm-up round, in a fresh
+        interpreter whose environment sets only the ``chosen`` malloc settings."""
+        env = {key: value for key, value in os.environ.items() if key not in MALLOC_CHOICES}
+        proc = subprocess.run([sys.executable, "-c", self.PROBE.format(setup=setup)],
+                              env={**env, **chosen}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
+
+    def test_freed_pages_are_kept(self):
+        assert self.faults("cli._keep_freed_memory()") < 200
+
+    def test_import_and_main_with_argv_leave_the_allocator(self, tmp_path):
+        main_argv = f"cli.main(['scan', '--kcount', '2', '--out', {str(tmp_path / 'out')!r}])"
+        assert self.faults("pass") > self.TRIMMED
+        assert self.faults(main_argv) > self.TRIMMED
+
+    @pytest.mark.parametrize("name, value", [
+        ("MALLOC_TRIM_THRESHOLD_", "131072"),
+        ("GLIBC_TUNABLES", "glibc.malloc.trim_threshold=131072"),
+    ])
+    def test_a_chosen_setting_is_honoured(self, name, value):
+        assert self.faults("cli._keep_freed_memory()", **{name: value}) > self.TRIMMED
+
+    @pytest.mark.parametrize("patch", [
+        "def refuse(*args, **kwargs):\n    raise OSError('no C library')\nctypes.CDLL = refuse",
+        "ctypes.CDLL = lambda *args, **kwargs: object()",
+    ], ids=["CDLL-raises", "no-mallopt"])
+    def test_without_mallopt_the_command_runs(self, patch, tmp_path):
+        argv = ["scan", "--potential", "scarf", "--kcount", "50"]
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        proc = run_command_line(argv, "import ctypes\nfrom ptscatter.cli import main\n"
+                                      f"{patch}\nmain()")
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == out.read_bytes()
+
+
 def run_command_line(argv, code="from ptscatter.cli import main; main()"):
     """argv run in a fresh interpreter as its own command line: ``main()``
     without argv, as the console script calls it; stdout is block-buffered,
-    as it is by default for a pipe, so that only a flush sends its tail."""
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    as it is by default for a pipe, so that only a flush sends its tail, and
+    no malloc setting of the environment keeps ``main`` from choosing its own."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED" and key not in MALLOC_CHOICES}
     return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, env=env)
 
 
@@ -751,8 +822,15 @@ class TestCommandLineProcess:
         ["scan", "--potential", "yamaguchi", "--kcount", "7", "--format", "json"],
         ["scan", "--potential", "centrifugal", "--kcount", "8000", "--format", "json"],
         ["lattice", "--n", "1", "--n-max", "5", "--kcount", "9"],
-    ], ids=["scan-scarf", "scan-yamaguchi-json", "scan-centrifugal-json-8000", "lattice"])
+        ["scan", "--potential", "scarf", "--lambda-im", "0.9", "--kcount", "30000"],
+        ["symmetry", "--potential", "square-well", "--kcount", "8000"],
+        ["lattice", "--n", "1", "--n-max", "400", "--kcount", "30"],
+    ], ids=["scan-scarf", "scan-yamaguchi-json", "scan-centrifugal-json-8000", "lattice",
+            "scan-scarf-imaginary-30000", "symmetry-square-well-8000", "lattice-400"])
     def test_piped_stdout_equals_the_file(self, argv, tmp_path):
+        """The command line, whose malloc keeps what it frees, writes the
+        bytes of ``main(argv)``, whose malloc is as glibc set it, also on the
+        grids of the benchmark's closed-form and lattice runs."""
         out = tmp_path / "out"
         assert run_cli(argv + ["--out", str(out)]) == 0
         proc = run_command_line(argv)
@@ -785,6 +863,15 @@ class TestCommandLineProcess:
                 "try:\n    main()\nexcept SystemExit as exc:\n    print('unwound', exc.code)")
         proc = run_command_line(["scan", "--no-such-flag"], code)
         assert (proc.returncode, proc.stdout) == (0, b"unwound 2\n")
+
+    def test_only_the_command_line_keeps_freed_memory(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append("keep"))
+        monkeypatch.setattr(cli, "_run", lambda argv: 0)
+        monkeypatch.setattr(os, "_exit", calls.append)
+        assert main(["scan"]) == 0 and calls == []
+        main()
+        assert calls == ["keep", 0]
 
     def test_main_with_argv_returns(self, tmp_path):
         code = ("import sys; from ptscatter.cli import main; "

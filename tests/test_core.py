@@ -42,9 +42,6 @@ FREE_AMPS = AsymptoticAmplitudes(a1p=1, b1p=0, a1m=1, b1m=0, a2p=0, b2p=1, a2m=0
 
 
 class TestWaveNumber:
-    def test_energy(self):
-        assert WaveNumber(2.0).energy == 4.0
-
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
     def test_rejects_nonpositive(self, bad):
         with pytest.raises(ValueError):

@@ -255,8 +255,8 @@ class TestLatticeColumns:
             except (TransferOverflow, OverflowError):    # a product, or the cell itself
                 want.append(None)
         chunks = list(lattice_transfer(p, ks)[1])
-        assert [ns.tolist() for ns, _, _ in chunks] == [[n]]
-        _, power, overflow = chunks[0]
+        assert [ns.tolist() for ns, *_ in chunks] == [[n]]
+        _, power, overflow, _ = chunks[0]
         for i, w in enumerate(want):
             assert overflow[0, i] == (w is None)
             if w is not None:
@@ -271,18 +271,21 @@ class TestLatticeColumns:
     @example(well=SquareWellParams(1.0, 60.0, 25.0), a=0.5, n=2, count=1500, ks=[0.5, 2.0, 9.0])
     @example(well=SquareWellParams(0.0, 300.0, 100.0), a=0.5, n=4096, count=10, ks=[0.1, 12.0])
     def test_chunks_bit_identical_to_per_n_sweep(self, well, a, n, count, ks):
-        """Chunks of at most CHUNK_ROWS rows hold, bit for bit, the powers
-        and sticky flags of one T @ T^{n-1} per n, also across chunks, from
-        an --n above 1, for one k, and where the flags switch on inside a
-        chunk."""
+        """Chunks of at most CHUNK_ROWS rows hold, bit for bit, the powers,
+        their moduli and the sticky flags of one T @ T^{n-1} per n, also
+        across chunks, from an --n above 1, for one k, and where the flags
+        switch on inside a chunk."""
         p = LatticeParams(well, a=a, n=n)
         want = oracle.lattice_sweep(p, ks, n + count)
-        for ns, power, overflow in lattice_transfer(p, ks, n + count)[1]:
+        for ns, power, overflow, moduli in lattice_transfer(p, ks, n + count)[1]:
             assert len(ns) * len(ks) <= CHUNK_ROWS
+            assert moduli.dtype == np.longdouble
             for j, got in enumerate(ns):
                 n_want, power_want, flags = next(want)
                 assert got == n_want
                 assert np.array_equal(oracle.extended_bits(power[j]), oracle.extended_bits(power_want))
+                with np.errstate(over="ignore"):
+                    assert np.array_equal(moduli[j], np.abs(power_want), equal_nan=True)
                 assert np.array_equal(overflow[j], flags)
         assert next(want, None) is None
 
@@ -297,7 +300,7 @@ class TestLatticeColumns:
         in doubles reached 1.1e-10 size^2 there, the extended one 1.7e-13."""
         cells, chunks = lattice_transfer(LatticeParams(well, a=a, n=1), ks, 400)
         want = oracle.lattice_sweep_mp(cells, 400)
-        for ns, power, overflow in chunks:
+        for ns, power, overflow, _ in chunks:
             for j, n in enumerate(ns):
                 for i in range(len(ks)):
                     size = max(float(np.max(np.abs(want[n - 1, i]))), 1.0)
@@ -359,7 +362,7 @@ class TestLatticeColumns:
     @given(well=STRONG, a=_floats(0.2, 1.0), ks=st.lists(_floats(0.3, 3.0), min_size=1, max_size=2))
     def test_sweep_overflow_flags_agree_off_the_threshold(self, well, a, ks):
         _, chunks = lattice_transfer(LatticeParams(well, a=a, n=1), ks, 400)
-        for ns, _, overflow in chunks:
+        for ns, _, overflow, _ in chunks:
             for n, row in zip(ns.tolist(), overflow):
                 p = LatticeParams(well, a=a, n=n)
                 for i, k in enumerate(ks):
