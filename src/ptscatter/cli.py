@@ -197,17 +197,14 @@ def _json_column(v: np.ndarray, nan_is_null: bool) -> _Column:
         return _Column(v, "bool")
     if v.dtype.kind in "iu":
         return _Column(v, "%d")
-    if v.dtype == object:           # floats and None
-        nulls = np.array([x is None for x in v.tolist()], dtype=bool)
-        return _Column(np.where(nulls, np.nan, v).astype(float), "json", nulls)
     return _Column(v, "json", np.isnan(v) if nan_is_null else None)
 
 
 def _json_table(objects, nan_is_null=()) -> _Table:
     """A JSON list, at the top level of a document, of rows of one object per
     dict in ``objects``; a dict maps each key to a column (an array of
-    floats, ints, bools, or floats and None) or to a constant.  A NaN in the
-    float column of a key in ``nan_is_null`` is spelled null."""
+    floats, ints or bools) or to a constant.  A NaN in the float column of a
+    key in ``nan_is_null`` is spelled null."""
     columns, texts, made = [], [""], {}
     for i, obj in enumerate(objects):
         texts[-1] += (",\n" if i else "") + "    {\n"

@@ -1,24 +1,23 @@
 """Scattering from separable non-local kernels K(x,y) = g(x)e^{i a x} h(y)e^{i b y}.
 
 The stationary equation -psi'' + lam * Int K(x,y) psi(y) dy = k^2 psi is
-solved with outgoing/incoming Green's functions; everything reduces to the
-form-factor transforms f~(q) = Int f(x) e^{-iqx} dx (the sign matters).
-Yamaguchi form factors g(x) = e^{-gamma|x|}, h(y) = e^{-delta|y|} (transforms
-2*gamma/(gamma^2+q^2) etc.) give closed forms by piecewise exponential
-integration.  Other kernels use one Gauss-Legendre rule over the k column: 20
-nodes per panel on [-support, support], panels split at 0 and no wider than
-min(0.5, 20/k_max), k_max the column's largest k plus |alpha| + |beta|.  Split
-at y = x, Int e^{ik|x-y|} G(y) dy = e^{ikx} A(x) + e^{-ikx} B(x), with A and B
-the integrals of e^{-+iky} G(y) from -support to x and from x to support, which
-cumulative panel sums and the Legendre integration matrix give at every node.
-Panel sums over the whole support give the transforms g~(k -+ alpha) and
-h~(k -+ beta) from the same samples, and the sums at twice the order estimate
-the error of N and transforms alike: QuadratureFailure names the lowest k where
-one exceeds 1e-8 max(|value|, 1).  Form factors may be non-smooth only at 0; a
-kink elsewhere raises QuadratureFailure, not a wrong number.  The Green's
-functions are G+-(u) = -+(i/2k) e^{+-ik|u|}.
+solved with the Green's functions G+-(u) = -+(i/2k) e^{+-ik|u|}: everything
+reduces to N+- and the transforms f~(q) = Int f(x) e^{-iqx} dx (the sign
+matters).  Yamaguchi form factors g(x) = e^{-gamma|x|}, h(y) = e^{-delta|y|}
+give closed forms by piecewise exponential integration.  Other kernels use
+one Gauss-Legendre rule over the k column itself (``_rule``: 20 nodes per
+panel on [-support, support], panels split at 0).  Split at y = x,
+Int e^{ik|x-y|} G(y) dy = e^{ikx} A(x) + e^{-ikx} B(x), with A and B the
+integrals of e^{-+iky} G(y) from -support to x and from x to support, which
+cumulative panel sums and the Legendre integration matrix give at every node
+(for N+) and at every point of a wavefunction's grid, at k and, from the same
+sums, at -k.  The sums over the whole support give g~(k -+ alpha) and
+h~(k -+ beta), and N- = N+ + (i/2k)(g~(k-alpha)h~(k+beta) + g~(k+alpha)h~(k-beta)).
+The sums at twice the order estimate the error of N+ (which N- shares) and of
+the transforms: QuadratureFailure names the lowest k where one exceeds
+1e-8 max(|value|, 1).  Form factors may be non-smooth only at 0; a kink
+elsewhere raises QuadratureFailure, not a wrong number.
 """
-
 from __future__ import annotations
 
 import math
@@ -39,9 +38,7 @@ if TYPE_CHECKING:
 class SeparableKernel:
     """Separable kernel with real form factors vanishing at +-infinity.
 
-    ``support`` is the truncation radius of the panel rule, which gives the
-    form-factor transforms (e^{-iqx} convention) from the sums that give N,
-    under the same doubled-order estimate; Yamaguchi kernels use closed forms.
+    ``support`` truncates the panel rule of other than Yamaguchi kernels.
     """
 
     g: Callable[[float], float]
@@ -64,8 +61,7 @@ class SeparableKernel:
                    support=max(40.0 / gamma, 40.0 / delta))
 
     @classmethod
-    def from_form_factors(cls, g, h, alpha=0.0, beta=0.0, lam=1.0,
-                          support=40.0) -> "SeparableKernel":
+    def from_form_factors(cls, g, h, alpha=0.0, beta=0.0, lam=1.0, support=40.0) -> "SeparableKernel":
         _require_finite("separable kernel", alpha=alpha, beta=beta, lam=lam)
         if not (math.isfinite(support) and support > 0):
             raise ValueError(f"support must be finite and > 0, got {support}")
@@ -144,76 +140,81 @@ def _yamaguchi_j(alpha: float, beta: float, gamma: float, delta: float, k) -> _P
 _ORDER, _MAX_PANELS, _BLOCK_VALUES = 20, 8192, 1 << 18
 
 
-def _rule(support: float, freq, order: int, cuts=()) -> tuple:
+def _rule(support: float, freq, order: int) -> tuple:
     """Nodes (panel, node) and weights of the rule for the frequencies freq,
     the panels' half-widths, the edges, and where freq is in reach: panels
-    split [-support, support] at 0 and at ``cuts``, no wider than
-    min(0.5, 20 / f) for the largest f that needs at most _MAX_PANELS."""
+    split [-support, support] at 0, no wider than min(0.5, 20 / f) for the
+    largest f that needs at most _MAX_PANELS."""
     from numpy.polynomial import legendre
 
     reach = support * np.maximum(freq, 40.0) <= 10 * _MAX_PANELS
     count = math.ceil(min(_MAX_PANELS / 2, support * np.max(freq[reach], initial=40.0) / 20))
     half = np.linspace(0.0, support, count + 1)
-    edges = np.unique(np.concatenate([-half, half, cuts]))
+    edges = np.unique(np.concatenate([-half, half]))
     t, w = legendre.leggauss(order)
     width = np.diff(edges)[:, None] / 2
     return edges[:-1, None] + width * (t + 1), width * w, width, edges, reach
 
 
-def _panel_j(kernel: SeparableKernel, kk, order: int) -> np.ndarray:
+def _panel_j(kernel: SeparableKernel, ks, order: int, xs=()) -> np.ndarray:
     """Rows: the double integral Int h e^{i b x} e^{ik|x-y|} g e^{i a y}, then
-    Int e^{-+iky} g e^{i a y} and Int h e^{i b y} e^{-+iky}, at each signed k of
-    kk by the rule of ``order`` nodes; NaN past its reach."""
+    Int e^{-+iky} g e^{i a y} and Int h e^{i b y} e^{-+iky}, at each k of ks by
+    the rule of ``order`` nodes; then A(x) and B(x) (module docstring) at
+    each x of xs, at k and at -k; NaN past its reach."""
     from numpy.polynomial import legendre
 
-    freq = abs(kk) + abs(kernel.alpha) + abs(kernel.beta)
-    y, weights, width, _, reach = _rule(kernel.support, freq, order)
+    y, weights, width, edges, reach = _rule(kernel.support, ks + abs(kernel.alpha) + abs(kernel.beta), order)
     t = legendre.leggauss(order)[0]
-    # within @ f(t): the integrals from -1 to each node t of the interpolant of f
-    within = (legendre.legval(t, legendre.legint(np.eye(order), lbnd=-1)).T
-              @ np.linalg.inv(legendre.legvander(t, order - 1)))
+    x = np.clip(xs, -kernel.support, kernel.support)
+    at = np.clip(np.searchsorted(edges, x, "right") - 1, 0, len(width) - 1)     # the panel of each x
+    # upto(s) @ f: the integrals from -1 to each s of the interpolant of f at the nodes t
+    upto = lambda s: (legendre.legval(s, legendre.legint(np.eye(order), lbnd=-1)).T
+                      @ np.linalg.inv(legendre.legvander(t, order - 1)))
+    within, within_x = upto(t), width[at] * upto((x - edges[at]) / width[at, 0] - 1)
     g = _values_at(kernel.g, y) * np.exp(1j * kernel.alpha * y)
     hw = _values_at(kernel.h, y) * np.exp(1j * kernel.beta * y) * weights
 
-    def running(f):     # Int_{-L}^{y} f at every node y, and Int_{-L}^{L} f
+    def running(f):     # Int_{-L}^{y} f at every node y and at each x, and Int_{-L}^{L} f
         panel = np.sum(f * weights, axis=-1)
         total = np.cumsum(panel, axis=-1)
-        return (total - panel)[..., None] + width * (f @ within.T), total[:, -1:, None]
+        return ((total - panel)[..., None] + width * (f @ within.T),
+                (total - panel)[:, at] + np.sum(f[:, at] * within_x, axis=-1), total[:, -1:, None])
 
     def block(kb):
         e = np.exp(-1j * kb[:, None, None] * y)                 # e^{-iky}
-        (a, a_total), (b, b_total) = running(e * g), running(e.conj() * g)
+        (a, a_x, a_total), (b, b_x, b_total) = running(e * g), running(e.conj() * g)
         j = np.sum(hw * (e.conj() * a + e * (b_total - b)), axis=(1, 2))
-        return np.stack([j, a_total.ravel(), b_total.ravel(),
-                         np.sum(hw * e, axis=(1, 2)), np.sum(hw * e.conj(), axis=(1, 2))])
+        return np.vstack([j, a_total.ravel(), b_total.ravel(), np.sum(hw * e, axis=(1, 2)),
+                          np.sum(hw * e.conj(), axis=(1, 2)),
+                          a_x.T, (b_total[:, 0] - b_x).T, b_x.T, (a_total[:, 0] - a_x).T])
     size = max(1, _BLOCK_VALUES // y.size)     # at most _BLOCK_VALUES values per (k, node) array
-    blocks = [block(kk[i:i + size]) for i in range(0, max(len(kk), 1), size)]
+    blocks = [block(ks[i:i + size]) for i in range(0, max(len(ks), 1), size)]
     return np.where(reach, np.concatenate(blocks, axis=-1), math.nan)
 
 
-def _n_columns(kernel: SeparableKernel, ks) -> tuple:
-    """(N+, N-) over the float column ks as ``_PyComplex`` columns, from the
-    double integral at k and -k in one column, the float columns g~(k -+ a) and
-    h~(k -+ b), and their faults: a generic kernel's QuadratureFailure where the
-    doubled-order estimate of one of the six exceeds 1e-8 max(|value|, 1) or,
-    past the rule's reach, is NaN."""
-    kk, m = np.concatenate([ks, -ks]), len(ks)
-    al, be = kernel.alpha, kernel.beta
+def _n_columns(kernel: SeparableKernel, ks, xs=()) -> tuple:
+    """(N+, N-) over the float column ks as ``_PyComplex`` columns, the float
+    columns g~(k -+ a) and h~(k -+ b), their faults (a generic kernel's
+    QuadratureFailure where the doubled-order estimate of N+, which N- shares,
+    or of a transform exceeds 1e-8 max(|value|, 1) or is NaN) and the rows of
+    A and B at each x of xs (``_panel_j``; None for Yamaguchi)."""
     if kernel.is_yamaguchi:
-        j = _yamaguchi_j(al, be, kernel.gamma, kernel.delta, kk)
-        fts = [2 * c / (c * c + q * q) for c, a in ((kernel.gamma, al), (kernel.delta, be))
+        kk, m = np.concatenate([ks, -ks]), len(ks)
+        j = _yamaguchi_j(kernel.alpha, kernel.beta, kernel.gamma, kernel.delta, kk)
+        fts = [2 * c / (c * c + q * q) for c, a in ((kernel.gamma, kernel.alpha), (kernel.delta, kernel.beta))
                for q in (ks - a, ks + a)]
         return (_PyComplex.of(-0.5j) / ks * _PyComplex(j.real[:m], j.imag[:m]),
-                _PyComplex.of(0.5j) / ks * _PyComplex(j.real[m:], j.imag[m:])), fts, []
-    pref = np.array([[-0.5j], [0.5j]]) / ks
-    # at +k the sums over e^{+iky} are g~(-k - a) = g~(k + a) and h~(k + b): even factors
-    sums = (_panel_j(kernel, kk, order) for order in (_ORDER, 2 * _ORDER))
-    low, high = (np.vstack([pref * rows[0].reshape(2, -1), rows[1:, :m].real]) for rows in sums)
+                _PyComplex.of(0.5j) / ks * _PyComplex(j.real[m:], j.imag[m:])), fts, [], None
+    # the sums over e^{+iky} are g~(-k - a) = g~(k + a) and h~(-k - b) = h~(k + b): even factors
+    sums = _panel_j(kernel, ks, _ORDER, xs), _panel_j(kernel, ks, 2 * _ORDER)
+    (n, *fts), (n_high, *fts_high) = ([-0.5j / ks * rows[0], *rows[1:5].real] for rows in sums)
+    n_minus = n + 0.5j / ks * (fts[0] * fts[3] + fts[1] * fts[2])      # the identity of the module docstring
+    errors = [abs(n_high - n)] * 2 + [abs(high - low) for high, low in zip(fts_high, fts)]
     names = ("N plus", "N minus", "g~(k-alpha)", "g~(k+alpha)", "h~(k-beta)", "h~(k+beta)")
-    return (_PyComplex.of(low[0]), _PyComplex.of(low[1])), low[2:].real, [
+    return (_PyComplex.of(n), _PyComplex.of(n_minus)), fts, [
         (~(e <= 1e-8 * np.maximum(abs(v), 1.0)),
          lambda i, e=e, s=s: QuadratureFailure(f"quadrature error {e[i]:.2e} too large for {s}"))
-        for v, e, s in zip(low, abs(high - low), names)]
+        for v, e, s in zip((n, n_minus, *fts), errors, names)], sums[0][5:]
 
 
 @_frozen
@@ -243,21 +244,21 @@ def nonlocal_intermediates(kernel: SeparableKernel, k) -> NonlocalIntermediates:
     """
     ks, one = _wavenumbers(k)
     with np.errstate(all="ignore"):
-        mid, _, faults = _intermediates(kernel, ks)
+        mid, _, faults, _ = _intermediates(kernel, ks)
     _raise_first(faults, ks)
     fields = (np.asarray(getattr(z, "array", lambda: z)()) for z in vars(mid).values())
     return NonlocalIntermediates(*(z[0].item() if one else z for z in fields))
 
 
-def _intermediates(kernel: SeparableKernel, ks) -> tuple:
+def _intermediates(kernel: SeparableKernel, ks, xs=()) -> tuple:
     """``nonlocal_intermediates`` over the float column ks (``_PyComplex``
     columns, omega a float column), the coefficient columns (T_lr, R_lr,
-    T_rl, R_rl) and the faults: ResonancePole where a denominator vanishes,
-    TransferOverflow where an intermediate or its modulus is not finite."""
+    T_rl, R_rl), the faults (ResonancePole where a denominator vanishes,
+    TransferOverflow where a value or modulus is not finite) and A, B at xs."""
     # the solution uses h~(-k-b) = h~(k+b) and g~(-k-a) = g~(k+a): even form factors
     if not _even_factors(kernel, 1e-9):
         raise ValueError("nonlocal coefficients require even form factors")
-    (n_plus, n_minus), (g_m, g_p, h_m, h_p), faults = _n_columns(kernel, ks)
+    (n_plus, n_minus), (g_m, g_p, h_m, h_p), faults, at_x = _n_columns(kernel, ks, xs)
     lam = kernel.lam
     omega = lam / (2 * ks)
     om = _PyComplex(omega)
@@ -284,7 +285,7 @@ def _intermediates(kernel: SeparableKernel, ks) -> tuple:
     return mid, coefficients, faults + [
         (pole_plus, lambda i: ResonancePole(f"1 - lam*N+ vanishes at k = {float(ks[i])}")),
         (pole_minus, lambda i: ResonancePole(f"script-D denominator vanishes at k = {float(ks[i])}")),
-        (~finite, lambda i: TransferOverflow(OUT_OF_RANGE))]
+        (~finite, lambda i: TransferOverflow(OUT_OF_RANGE))], at_x
 
 
 @_closed_form
@@ -297,30 +298,22 @@ def nonlocal_coefficients(kernel: SeparableKernel, k) -> ScatteringCoefficients:
     i*omega*delta_t*D+*script-D-.  ``k`` may be an array of wave numbers:
     the record then holds columns.
     """
-    _, coefficients, faults = _intermediates(kernel, k)
+    _, coefficients, faults, _ = _intermediates(kernel, k)
     return coefficients, faults
 
 
 def _convolution(kernel: SeparableKernel, kk: float, xs) -> tuple:
     """(value, d/dx) of Int G(x - y) g(y) e^{i alpha y} dy at each x of the
-    array xs, G the outgoing Green's function at the signed k kk (incoming
-    for kk < 0): -i/2kk (e^{ikx} A(x) + e^{-ikx} B(x)), whose derivative is
-    -i/2kk ik (e^{ikx} A - e^{-ikx} B), as the G(x) terms cancel."""
-    if kernel.is_yamaguchi:     # e^{-+ikx} and e^{(-+gamma + i alpha) x} for x >= 0 and x < 0
-        pieces = _yamaguchi_pieces(kernel.alpha, kernel.gamma, np.array([kk]))
-        gt, gt_m, c2, c3 = (complex(_PyComplex.of(z).array()[0]) for z in pieces)
-        right = xs >= 0
-        kx, amp, c = np.where(right, kk, -kk), np.where(right, gt, gt_m), np.where(right, c2, c3)
-        rate = np.where(right, -kernel.gamma, kernel.gamma) + 1j * kernel.alpha
-        wave, decay = np.exp(1j * kx * xs), np.exp(rate * xs)
-        return -0.5j / kk * (amp * wave + c * decay), 0.5 / kk * (kx * amp * wave - 1j * rate * c * decay)
-    y, weights, _, edges, _ = _rule(kernel.support, np.array([abs(kk) + abs(kernel.alpha)]), _ORDER,
-                                    xs[np.abs(xs) < kernel.support])    # every x inside is an edge
-    e, g = np.exp(-1j * kk * y), _values_at(kernel.g, y) * np.exp(1j * kernel.alpha * y) * weights
-    a, b = (np.concatenate([[0.0], np.cumsum(np.sum(f * g, axis=1))]) for f in (e, e.conj()))
-    at = np.searchsorted(edges, np.clip(xs, -kernel.support, kernel.support))
-    wave, a, b = np.exp(1j * kk * xs), a[at], b[-1] - b[at]
-    return -0.5j / kk * (wave * a + wave.conj() * b), 0.5 * (wave * a - wave.conj() * b)
+    array xs for a Yamaguchi kernel, G the outgoing Green's function at the
+    signed k kk (incoming for kk < 0), by piecewise exponential integration:
+    e^{-+ikx} and e^{(-+gamma + i alpha) x} for x >= 0 and x < 0."""
+    pieces = _yamaguchi_pieces(kernel.alpha, kernel.gamma, np.array([kk]))
+    gt, gt_m, c2, c3 = (complex(_PyComplex.of(z).array()[0]) for z in pieces)
+    right = xs >= 0
+    kx, amp, c = np.where(right, kk, -kk), np.where(right, gt, gt_m), np.where(right, c2, c3)
+    rate = np.where(right, -kernel.gamma, kernel.gamma) + 1j * kernel.alpha
+    wave, decay = np.exp(1j * kx * xs), np.exp(rate * xs)
+    return -0.5j / kk * (amp * wave + c * decay), 0.5 / kk * (kx * amp * wave - 1j * rate * c * decay)
 
 
 def nonlocal_wavefunction(kernel: SeparableKernel, k, direction: str,
@@ -338,11 +331,16 @@ def nonlocal_wavefunction(kernel: SeparableKernel, k, direction: str,
     ks = np.array([kv := as_wavenumber(k).k])
     grid = np.asarray(grid, dtype=float)
     with np.errstate(all="ignore"):
-        mid, coefficients, faults = _intermediates(kernel, ks)
+        mid, coefficients, faults, at_x = _intermediates(kernel, ks, grid.ravel())
         coeffs = _record(ks, True, coefficients, faults)
         left = direction == "left"
         c, d, i_pm = (1.0, 0.0, mid.i_plus) if left else (coeffs.r_rl, coeffs.t_rl, mid.i_minus)
-        conv, dconv = _convolution(kernel, kv if left else -kv, grid)
+        kk = kv if left else -kv
+        if at_x is None:
+            conv, dconv = _convolution(kernel, kk, grid)
+        else:       # the derivative is -i/2kk ikk (e^{ikkx} A - e^{-ikkx} B): the G(x) terms cancel
+            wave, (a, b) = np.exp(1j * kk * grid), at_x.reshape(2, 2, *grid.shape)[0 if left else 1]
+            conv, dconv = -0.5j / kk * (wave * a + wave.conj() * b), 0.5 * (wave * a - wave.conj() * b)
     source = kernel.lam * complex(i_pm.array()[0])
     wave = np.exp(1j * kv * grid)
     psi = c * wave + d * wave.conj() + source * conv

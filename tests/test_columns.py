@@ -490,30 +490,36 @@ class TestJsonWriter:
         writer's columns; name is the same in every row."""
         column = lambda key, dtype: np.array([r[key] for r in rows], dtype=dtype)
         return {"k": column("k", float), "name": self.NAME, "flag": column("flag", bool),
-                "residual": column("residual", object), "n": column("n", int)}
+                "residual": column("residual", float), "n": column("n", int)}
+
+    @staticmethod
+    def nulled(rows):
+        """The rows as the writer spells them: a NaN residual is null."""
+        return [dict(r, residual=None if math.isnan(r["residual"]) else r["residual"]) for r in rows]
 
     def test_rows_and_blocks_match_json_dumps(self, tmp_path):
         values = [0.1, -0.0, math.nan, math.inf, -math.inf, 1e-300, 2.0, 12345678.9]
         rows = [{"k": v, "name": self.NAME, "flag": i % 2 == 0,
-                 "residual": None if i == 3 else v, "n": i} for i, v in enumerate(values)]
+                 "residual": math.nan if i == 3 else v, "n": i} for i, v in enumerate(values)]
         doc = {"potential": {"kind": "scarf", "s": 1.3, "n": 2, "file": None},
-               "empty": {}, "rows": rows, "no_rows": []}
-        ours = dict(doc, rows=_json_table([self.objects(rows)]), no_rows=_json_table([]))
+               "empty": {}, "rows": self.nulled(rows), "no_rows": []}
+        ours = dict(doc, rows=_json_table([self.objects(rows)], nan_is_null={"residual"}),
+                    no_rows=_json_table([]))
         assert written(tmp_path, _json_document(ours)) == json.dumps(doc, indent=2) + "\n"
 
     def test_non_finite_values_in_a_later_chunk(self, tmp_path):
         # two objects per row; the first chunk is all finite, the last holds
-        # NaN, +-inf and None
+        # NaN, +-inf and null
         size = CHUNK_ROWS + 300
         ks = np.linspace(0.2, 4.0, size)
         rows = [{"k": k, "name": self.NAME, "flag": i % 3 == 0, "residual": k / 7, "n": i}
                 for i, k in enumerate(ks.tolist())]
         for i, v in zip(range(size - 4, size), (math.nan, math.inf, -math.inf, None)):
-            rows[i] = dict(rows[i], k=-math.inf if v is None else v, residual=v)
+            rows[i] = dict(rows[i], k=-math.inf if v is None else v, residual=math.nan if v is None else v)
         doubled = dict(self.objects(rows), name="second")
         doc = {"potential": {"kind": "square-well"},
-               "rows": [obj for r in rows for obj in (r, dict(r, name="second"))]}
-        ours = dict(doc, rows=_json_table([self.objects(rows), doubled]))
+               "rows": [obj for r in self.nulled(rows) for obj in (r, dict(r, name="second"))]}
+        ours = dict(doc, rows=_json_table([self.objects(rows), doubled], nan_is_null={"residual"}))
         assert written(tmp_path, _json_document(ours)) == json.dumps(doc, indent=2) + "\n"
 
 

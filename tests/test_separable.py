@@ -71,7 +71,11 @@ class TestComputeN:
         assert abs(got - (1.0 - 0.5j)) < 1e-12
 
     def test_q_decomposition(self, rng):
-        """lam N+- = -+(i w/2)[g~(k-a)h~(k+b) + g~(k+a)h~(k-b)] + Q with real Q."""
+        """lam N+- = -+(i w/2)[g~(k-a)h~(k+b) + g~(k+a)h~(k-b)] + Q with real Q.
+
+        Over KS the closed form, which integrates at -k, also holds the exact
+        identity N- = N+ + (i/2k)(g1 + g2) that generic kernels take N- from."""
+        ft = oracle.yamaguchi_ft     # 2c / (c^2 + q^2)
         for _ in range(25):
             kernel = SeparableKernel.yamaguchi(
                 gamma=rng.uniform(0.3, 3), delta=rng.uniform(0.3, 3),
@@ -79,7 +83,6 @@ class TestComputeN:
                 lam=rng.uniform(0.2, 2))
             k = rng.uniform(0.2, 4)
             w = kernel.lam / (2 * k)
-            ft = oracle.yamaguchi_ft     # 2c / (c^2 + q^2)
             g1 = ft(kernel.gamma, k - kernel.alpha) * ft(kernel.delta, k + kernel.beta)
             g2 = ft(kernel.gamma, k + kernel.alpha) * ft(kernel.delta, k - kernel.beta)
             mid = nonlocal_intermediates(kernel, k)
@@ -88,6 +91,11 @@ class TestComputeN:
             assert abs(q.imag) < 1e-9
             assert abs(npl - (-0.5j * w * (g1 + g2) + q)) < 1e-8
             assert abs(nmi - (0.5j * w * (g1 + g2) + q)) < 1e-8
+            g1 = ft(kernel.gamma, KS - kernel.alpha) * ft(kernel.delta, KS + kernel.beta)
+            g2 = ft(kernel.gamma, KS + kernel.alpha) * ft(kernel.delta, KS - kernel.beta)
+            mid = nonlocal_intermediates(kernel, KS)
+            gap = np.abs(mid.n_minus - mid.n_plus - 0.5j / KS * (g1 + g2))
+            assert np.all(gap <= 1e-14 * np.maximum(np.abs(mid.n_minus), 1.0))
 
     def test_q_reality_spec_point(self):
         mid = nonlocal_intermediates(SYMMETRIC, 1.0)
@@ -171,7 +179,7 @@ class TestCoefficients:
 
         kernel = SeparableKernel.yamaguchi(gamma=1.0, delta=1.0, lam=2.0)
         half = _PyComplex(np.array([0.5]), np.array([0.0]))
-        monkeypatch.setattr(sep, "_n_columns", lambda ker, ks: ((half, half), [np.ones(1)] * 4, []))
+        monkeypatch.setattr(sep, "_n_columns", lambda ker, ks, xs: ((half, half), [np.ones(1)] * 4, [], None))
         with pytest.raises(ResonancePole):
             sep.nonlocal_intermediates(kernel, 1.0)
 
@@ -199,8 +207,9 @@ class TestCoefficients:
 
     def test_form_factors_sampled_once_per_order(self):
         """Scalar-only form factors are called at the nodes of the order-20
-        and order-40 rules, which give N and the transforms alike, and on the
-        two 257-point grids of the evenness check: nowhere else."""
+        and order-40 rules, which give N, the transforms and a wavefunction's
+        convolution alike, and on the two 257-point grids of the evenness
+        check: nowhere else."""
         import ptscatter.separable as sep
 
         calls = {"g": 0, "h": 0}
@@ -217,9 +226,12 @@ class TestCoefficients:
             g=scalar_only("g", lambda x: math.exp(-1.3 * abs(x)) * (1 + 0.2 * x * x)),
             h=scalar_only("h", lambda y: math.exp(-0.9 * abs(y))), alpha=0.3, beta=-0.2)
         nonlocal_coefficients(kernel, 1.0)
-        freq = np.array([1.5, 1.5])     # |k| + |alpha| + |beta| at k and -k
+        freq = np.array([1.5])      # k + |alpha| + |beta|
         nodes = sum(sep._rule(kernel.support, freq, order)[0].size for order in (sep._ORDER, 2 * sep._ORDER))
         assert nodes == 3200 + 6400
+        assert calls == {"g": nodes + 2 * 257, "h": nodes + 2 * 257}
+        calls.update(g=0, h=0)
+        nonlocal_wavefunction(kernel, 1.0, "right", np.linspace(-3.0, 3.0, 61))
         assert calls == {"g": nodes + 2 * 257, "h": nodes + 2 * 257}
 
     @pytest.mark.parametrize("name, value", [("alpha", math.nan), ("beta", math.inf), ("lam", math.inf)])
