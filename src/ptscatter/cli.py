@@ -269,7 +269,6 @@ class Problem:
     kind: str
     label: dict
     coefficients: object            # k grid -> ScatteringCoefficients of columns
-    local: bool
     potential: object = None        # () -> LocalPotential, for the kinds that have one
     kernel: object = None
 
@@ -284,7 +283,7 @@ def build_problem(args) -> Problem:
         p = potentials.SquareWellParams(v0=args.v0, v1=args.v1, b=args.b)
         return Problem(kind=kind, label={"kind": kind, "v0": args.v0, "v1": args.v1, "b": args.b},
                        coefficients=lambda ks: potentials.square_well_coefficients(p, ks),
-                       local=True, potential=lambda: potentials.square_well_potential(p))
+                       potential=lambda: potentials.square_well_potential(p))
     if kind == "multi-well":
         p = potentials.LatticeParams(well=potentials.SquareWellParams(args.v0, args.v1, args.b),
                                      a=args.a, n=args.n)
@@ -292,7 +291,7 @@ def build_problem(args) -> Problem:
                        label={"kind": kind, "v0": args.v0, "v1": args.v1, "b": args.b,
                               "a": args.a, "n": args.n},
                        coefficients=lambda ks: potentials.multi_well_coefficients(p, ks),
-                       local=True, potential=lambda: potentials.lattice_potential(p))
+                       potential=lambda: potentials.lattice_potential(p))
     if kind == "scarf":
         lam = complex(args.lambda_re, args.lambda_im)
         eps = 0.0 if args.eps is None else args.eps
@@ -304,7 +303,6 @@ def build_problem(args) -> Problem:
                        label={"kind": kind, "s": args.s, "lambda_re": args.lambda_re,
                               "lambda_im": args.lambda_im, "eps": eps},
                        coefficients=lambda ks: potentials.scarf_coefficients(p, ks),
-                       local=True,
                        potential=lambda: potentials.scarf_potential(p, cutoff=args.cutoff))
     if kind == "centrifugal":
         eps = 0.1 if args.eps is None else args.eps
@@ -312,7 +310,6 @@ def build_problem(args) -> Problem:
         core._require_support(-args.cutoff, args.cutoff)
         return Problem(kind=kind, label={"kind": kind, "strength": args.strength, "eps": eps},
                        coefficients=lambda ks: potentials.centrifugal_coefficients(p, ks),
-                       local=True,
                        potential=lambda: potentials.centrifugal_potential(p, cutoff=args.cutoff))
     if kind == "yamaguchi":
         from . import separable
@@ -324,7 +321,7 @@ def build_problem(args) -> Problem:
                        label={"kind": kind, "gamma": args.gamma, "delta": args.delta,
                               "alpha": args.alpha, "beta": args.beta, "strength": args.strength},
                        coefficients=lambda ks: separable.nonlocal_coefficients(kernel, ks),
-                       local=False, kernel=kernel)
+                       kernel=kernel)
     # custom-sampled
     from .numeric import sampled_potential
 
@@ -337,7 +334,7 @@ def build_problem(args) -> Problem:
     v.imag = data[:, 2]                 # no 1j * inf = nan + inf j for an infinite Im V
     pot = sampled_potential(data[:, 0], v)
     return Problem(kind=kind, label={"kind": kind, "samples_file": args.samples_file},
-                   coefficients=_integrated(pot, args.step), local=True, potential=lambda: pot)
+                   coefficients=_integrated(pot, args.step), potential=lambda: pot)
 
 
 def _k_grid(args) -> list:
@@ -463,7 +460,7 @@ def cmd_symmetry(args) -> int:
     cls_payload = {name: getattr(cls, name)
                    for name in ("hermitian", "parity", "time_reversal", "pt", *extra)}
 
-    records = symmetry.check_s_relations(s, cls, local=problem.local, k=ks).records
+    records = symmetry.check_s_relations(s, cls, local=problem.kernel is None, k=ks).records
     exact = symmetry.exact_asymptotic_pt_check(s)
     suite_hold: dict = {}
     for r in records:

@@ -376,15 +376,38 @@ def _or_nan(fn, *args) -> float:
         return math.nan
 
 
+def _real_part(fn, libm):
+    """libm's function over a float column, as the real part of numpy's
+    complex loop ``fn`` at x + 0i, which is the C library's fn(x) cos 0;
+    mapped beyond |x| = 709, where the complex loop scales (and gives inf
+    where libm's overflow raises)."""
+
+    def column(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(all="ignore"):
+            out = fn(x.astype(complex)).real
+        big = np.abs(x) > 709
+        if big.any():
+            out[big] = _mapped(libm, x[big])
+        return out
+    return column
+
+
+def _atan2(y, x) -> np.ndarray:
+    """libm's atan2 over float columns: the imaginary part of numpy's
+    complex log of x + iy, the C library's carg."""
+    with np.errstate(all="ignore"):
+        return np.log(_PyComplex(x, y).array()).imag
+
+
 #: the functions a closed form evaluates over a float column, rounded as
-#: Python's math rounds them at one float (numpy's cos and sin are libm's;
-#: cosh, sinh, exp, atan2 and ** are not, so they are mapped); ``real`` takes
+#: Python's math rounds them at one float: numpy's cos and sin are libm's,
+#: its real cosh, sinh, exp and atan2 are not, so these four come from its
+#: complex loops (mapped beyond |x| = 709), and ** is mapped; ``real`` takes
 #: a parameter into the column's type
 COLUMN = SimpleNamespace(
-    cos=np.cos, sin=np.sin,
-    cosh=lambda x: _mapped(math.cosh, x), sinh=lambda x: _mapped(math.sinh, x),
-    exp=lambda x: _mapped(math.exp, x), atan2=lambda y, x: _mapped(math.atan2, y, x),
-    pow=lambda x, y: _mapped(operator.pow, x, y),
+    cos=np.cos, sin=np.sin, cosh=_real_part(np.cosh, math.cosh), sinh=_real_part(np.sinh, math.sinh),
+    exp=_real_part(np.exp, math.exp), atan2=_atan2, pow=lambda x, y: _mapped(operator.pow, x, y),
     cexp=lambda z: _PyComplex.of(z).exp(), complex=_PyComplex.of, real=float)
 #: the same functions over an ``np.longdouble`` column: numpy's own, in the
 #: platform's extended precision (a 64-bit mantissa on x86-64 Linux)

@@ -12,12 +12,11 @@ current (the U = identity member of the same family) is provided alongside.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
 
-from .core import ScatteringCoefficients, _frozen, _PyComplex, _record, _wavenumbers
+from .core import COLUMN, ScatteringCoefficients, _frozen, _PyComplex, _raise_first, _record, _wavenumbers
 from .errors import AsymmetricGrid, VacuousForReflectionless
 from .numeric import WavefunctionGrid
 
@@ -78,13 +77,18 @@ def asymptotic_current(coeffs: ScatteringCoefficients, k,
                                  -2.0 * ks * a_plus * b_minus.conjugate()), record=AsymptoticCurrent)
 
 
-def phase_relation_residual(coeffs: ScatteringCoefficients) -> float:
-    """Distance of phi_r - phi_t - pi/2 to the nearest multiple of pi.
+def phase_relation_residual(coeffs: ScatteringCoefficients):
+    """Distance of phi_r - phi_t - pi/2 to the nearest multiple of pi: a float
+    at one k, else a column over the coefficient columns.
 
     Zero for potentials with V*(-x) = V(x) and a conserved (purely
-    imaginary) current; undefined for reflectionless potentials.
+    imaginary) current; undefined for reflectionless potentials, so
+    VacuousForReflectionless at the first element with
+    |R_lr| <= 1e-15 max(1, |T_lr|).
     """
-    if abs(coeffs.r_lr) <= 1e-15 * max(1.0, abs(coeffs.t_lr)):
-        raise VacuousForReflectionless("R_lr = 0, the phase relation is vacuous")
-    d = cmath.phase(coeffs.r_lr) - cmath.phase(coeffs.t_lr) - math.pi / 2
-    return abs(d - math.pi * round(d / math.pi))
+    r, t = _PyComplex.of(coeffs.r_lr), _PyComplex.of(coeffs.t_lr)
+    _raise_first([(np.atleast_1d(abs(r) <= 1e-15 * np.maximum(1.0, abs(t))),
+                   lambda i: VacuousForReflectionless("R_lr = 0, the phase relation is vacuous"))])
+    d = COLUMN.atan2(r.imag, r.real) - COLUMN.atan2(t.imag, t.real) - math.pi / 2
+    residual = np.abs(d - math.pi * np.round(d / math.pi))
+    return float(residual) if np.ndim(coeffs.r_lr) == 0 else residual

@@ -58,10 +58,6 @@ class ResonancePole(ScatteringError):
     """A non-local denominator 1 - lambda*N vanishes."""
 
 
-class InvalidNu(ScatteringError):
-    """Effective index nu outside the validity window Re(nu) > -1/2."""
-
-
 class AsymmetricGrid(ScatteringError):
     """Grid is not symmetric about x = 0."""
 

@@ -34,7 +34,7 @@ from .core import (
     _smatrix,
     _wavenumbers,
 )
-from .errors import InvalidNu, TransferOverflow
+from .errors import TransferOverflow
 
 if TYPE_CHECKING:
     from .numeric import LocalPotential
@@ -90,15 +90,15 @@ def _square_well_elements(p: SquareWellParams, kv, f=COLUMN) -> tuple:
     e = kv * kv
     alpha = f.pow(f.pow(e + v0, 2) + f.pow(v1, 2), 0.25)
     phi = 0.5 * f.atan2(v1, e + v0)
-    c = 2 * alpha * b * f.cos(phi)
-    s = 2 * alpha * b * f.sin(phi)
     cp, sp = f.cos(phi), f.sin(phi)
-    even = cp * cp * f.cos(c) + sp * sp * f.cosh(s)
+    c, s = 2 * alpha * b * cp, 2 * alpha * b * sp
+    cos_c, sin_c, cosh_s, sinh_s = f.cos(c), f.sin(c), f.cosh(s), f.sinh(s)
+    even = cp * cp * cos_c + sp * sp * cosh_s
     km = (kv * kv - alpha * alpha) / (2 * kv * alpha)
     kp = (kv * kv + alpha * alpha) / (2 * kv * alpha)
-    odd = km * sp * f.sinh(s) + kp * cp * f.sin(c)
-    cross = sp * cp * (f.cos(c) - f.cosh(s))
-    off = km * cp * f.sin(c) + kp * sp * f.sinh(s)
+    odd = km * sp * sinh_s + kp * cp * sin_c
+    cross = sp * cp * (cos_c - cosh_s)
+    off = km * cp * sin_c + kp * sp * sinh_s
     return (f.cexp(2j * kv * b) * (even - 1j * odd), f.complex(1j * (cross + off)),
             f.complex(1j * (cross - off)), f.cexp(-2j * kv * b) * (even + 1j * odd))
 
@@ -366,15 +366,10 @@ def scarf_coefficients(p: ScarfParams, k) -> ScatteringCoefficients:
     """
     from .specfun import gamma_ratio_columns
 
-    lam, hyperbolic = complex(p.lam), {}
-    t, faults = gamma_ratio_columns(*_scarf_t_args(p.s, lam, 1j * _PyComplex(k)), hyperbolic)
+    lam = complex(p.lam)
+    t, faults = gamma_ratio_columns(*_scarf_t_args(p.s, lam, 1j * _PyComplex(k)))
     t = _PyComplex.of(t)
-    # the reflection of -ik evaluates cosh and sinh at -pi k, and glibc's
-    # cosh is exactly even and its sinh exactly odd
-    pik = math.pi * k
-    ch, sh = (hyperbolic.get((name, (-pik).tobytes())) for name in ("cosh", "sinh"))
-    ch = _PyComplex(COLUMN.cosh(pik) if ch is None else ch)
-    sh = _PyComplex(COLUMN.sinh(pik) if sh is None else -sh)
+    ch, sh = _PyComplex(COLUMN.cosh(math.pi * k)), _PyComplex(COLUMN.sinh(math.pi * k))
     reflections = []
     for signed_lam, shift in ((lam, 2 * k * p.eps), (-lam, -2 * k * p.eps)):
         a, b = _scarf_rfac_parts(p.s, signed_lam)
@@ -438,8 +433,6 @@ class CentrifugalParams:
         _require_finite("centrifugal", alpha_strength=self.alpha_strength, eps=self.eps)
         if self.eps == 0.0:
             raise ValueError("eps must be non-zero")
-        if self.nu.real <= -0.5:
-            raise InvalidNu(f"Re(nu) = {self.nu.real} outside the validity window")
 
     @property
     def nu(self) -> complex:

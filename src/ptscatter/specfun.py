@@ -312,33 +312,14 @@ _COLUMN = SimpleNamespace(
     lowest=lambda x: np.min(x, initial=np.inf), evaluate=_over_column)
 
 
-def _once_per_column(fn, name: str, done: dict):
-    """fn over float columns, evaluated once for each distinct column and
-    kept in ``done`` under (name, the column's bytes)."""
-
-    def once(x):
-        key = (name, x.tobytes())
-        if key not in done:
-            done[key] = fn(x)
-        return done[key]
-    return once
-
-
-def _log_gammas(f, args, hyperbolic=None) -> list:
+def _log_gammas(f, args) -> list:
     """``scipy.special.loggamma`` at each argument off the poles: Python
     complex numbers with ``f = _SCALAR``, equal-length columns with
     ``f = _COLUMN``.  An argument equal to an earlier one is not evaluated
     again, nor one equal to the conjugate of an earlier one: scipy's log
     Gamma is conjugate-symmetric but for the sign of a zero imaginary part,
     and that is evaluated.  The reflection 1 - z of one argument is often
-    the conjugate of another, so the larger real parts go first; and two
-    reflected arguments often share pi Im z (-ik and -s - ik), whose
-    element-by-element cosh and sinh are then evaluated once, and kept in
-    the dict ``hyperbolic`` when one is given."""
-    if f is _COLUMN:
-        hyperbolic = {} if hyperbolic is None else hyperbolic
-        f = SimpleNamespace(**{**vars(f), "cosh": _once_per_column(f.cosh, "cosh", hyperbolic),
-                               "sinh": _once_per_column(f.sinh, "sinh", hyperbolic)})
+    the conjugate of another, so the larger real parts go first."""
     done = {}
 
     def log_gamma(z):
@@ -381,7 +362,7 @@ def complex_log_gamma(z: complex) -> complex:
     return _log_gammas(_SCALAR, [z])[0]
 
 
-def gamma_ratio_columns(numerator_args, denominator_args, hyperbolic=None):
+def gamma_ratio_columns(numerator_args, denominator_args):
     """Gamma(numerator_args) / Gamma(denominator_args), products of gamma
     factors, evaluated in log space over columns of arguments
     (``core._PyComplex``, or Python complex numbers for arguments that do not
@@ -392,9 +373,7 @@ def gamma_ratio_columns(numerator_args, denominator_args, hyperbolic=None):
     there (1/Gamma is entire).  Log-gamma terms so large that their sum keeps
     an error above CANCELLATION_TOL are a PrecisionLoss, and a ratio beyond
     the float range a TransferOverflow.  A NaN or infinite argument raises
-    NonFiniteArgument.  The cosh and sinh columns that reflections evaluate
-    go into the dict ``hyperbolic``, when one is given, under ("cosh" or
-    "sinh", the bytes of pi Im z)."""
+    NonFiniteArgument."""
     args, m = [*numerator_args, *denominator_args], len(numerator_args)
     length = max((np.size(z.real) for z in args), default=1)
     re, im = np.empty((len(args), length)), np.empty((len(args), length))
@@ -408,7 +387,7 @@ def gamma_ratio_columns(numerator_args, denominator_args, hyperbolic=None):
                     for i in range(length)]
             logs = [_PyComplex.of(np.array(lgs)) for lgs in zip(*rows)]
         else:
-            logs = _log_gammas(_COLUMN, [_PyComplex(*parts) for parts in zip(re, im)], hyperbolic)
+            logs = _log_gammas(_COLUMN, [_PyComplex(*parts) for parts in zip(re, im)])
         log_sum, size = _PyComplex(np.zeros(length), np.zeros(length)), np.zeros(length)
         for j, lg in enumerate(logs):
             log_sum = log_sum + lg if j < m else log_sum - lg

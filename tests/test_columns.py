@@ -25,7 +25,8 @@ import ptscatter
 from ptscatter import (asymptotic_current, centrifugal_amplitudes, scarf_amplitudes, separable,
                        square_well_transfer, wronskian_residual)
 from ptscatter.cli import CHUNK_ROWS, _json_document, _json_table, _moduli, _write, main
-from ptscatter.core import ScatteringCoefficients, _int_powers, _PyComplex
+from ptscatter import core
+from ptscatter.core import COLUMN, ScatteringCoefficients, _int_powers, _mapped, _PyComplex
 from ptscatter.errors import (NumeratorPole, ResonancePole, ScatteringError, TransferOverflow,
                               TransmissionPole)
 from ptscatter.potentials import (
@@ -445,6 +446,71 @@ class TestIntPowers:
                 except OverflowError:
                     want = complex(math.nan)
                 assert same_float(g.real, want.real) and same_float(g.imag, want.imag), (z, n, g, want)
+
+
+def from_bits(n: int) -> float:
+    return float(np.array(n, dtype=np.uint64).view(float))
+
+
+#: any float64: from its bit pattern (subnormals, +-0, +-inf and NaNs with
+#: any payload), near the edge of exp's range, or hypothesis's own floats
+ANY_FLOAT = st.one_of(st.integers(0, 2 ** 64 - 1).map(from_bits), st.floats(700, 712),
+                      st.floats(-712, -700), st.floats())
+
+
+def assert_libm_bits(got, want):
+    """got equals want bit for bit, but that any NaN stands for any NaN."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    kept = ~np.isnan(want)
+    assert np.array_equal(got[kept].view(np.uint64), want[kept].view(np.uint64))
+
+
+class TestLibmColumns:
+    """``COLUMN.cosh``, ``sinh``, ``exp`` and ``atan2`` are math's functions
+    over a column, bit for bit, NaN where math raises: they come from numpy's
+    complex loops, which call the C library, and from math itself beyond
+    |x| = 709."""
+
+    ONE = {name: getattr(math, name) for name in ("cosh", "sinh", "exp")}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ANY_FLOAT, min_size=1, max_size=40))
+    @example([0.0, -0.0, 5e-324, -5e-324, 1e-300, 709.0, 709.5, 710.0, math.inf, -math.inf, math.nan])
+    def test_one_argument(self, xs):
+        x = np.array(xs)
+        for name, fn in self.ONE.items():
+            assert_libm_bits(getattr(COLUMN, name)(x), _mapped(fn, x))
+
+    def test_dense_sweep_around_the_cutoff(self):
+        x = np.concatenate([np.linspace(700.0, 712.0, 120_001), np.linspace(-712.0, -700.0, 120_001)])
+        for name, fn in self.ONE.items():
+            assert_libm_bits(getattr(COLUMN, name)(x), _mapped(fn, x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(ANY_FLOAT, ANY_FLOAT), min_size=1, max_size=40))
+    @example([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (1.0, -0.0), (-0.0, -1.0),
+              (math.inf, math.inf), (-math.inf, 1.0), (1e300, -1e-300), (math.nan, 1.0)])
+    def test_atan2(self, pairs):
+        y, x = (np.array(col) for col in zip(*pairs))
+        assert_libm_bits(COLUMN.atan2(y, x), _mapped(math.atan2, y, x))
+        assert_libm_bits(COLUMN.atan2(0.5, x), _mapped(math.atan2, 0.5, x))
+
+    def test_only_the_elements_beyond_709_are_mapped(self, monkeypatch):
+        seen = []
+
+        def recording(fn, *args):
+            seen.append((fn, *(np.ravel(a).tolist() for a in args)))
+            return _mapped(fn, *args)
+
+        monkeypatch.setattr(core, "_mapped", recording)
+        x = np.array([-710.0, -709.0, 0.5, 709.0, 709.25, math.inf])
+        for name, fn in self.ONE.items():
+            getattr(COLUMN, name)(x)
+            assert seen.pop() == (fn, [-710.0, 709.25, math.inf])
+        COLUMN.atan2(x, x)
+        assert seen == []
 
 
 class TestModuliColumns:

@@ -154,6 +154,29 @@ class TestPhaseRelation:
         with pytest.raises(VacuousForReflectionless):
             phase_relation_residual(c)
 
+    @pytest.mark.parametrize("coefficients", [
+        lambda k: square_well_coefficients(PT_WELL, k),
+        lambda k: square_well_coefficients(SquareWellParams(1.0, 0.0, 1.0), k),
+        lambda k: scarf_coefficients(ScarfParams(1.4, 0.6j), k),
+        lambda k: scarf_coefficients(ScarfParams(1.3, 0.7, 0.2), k)],
+        ids=["pt-well", "hermitian-well", "pt-scarf", "shifted-scarf"])
+    def test_grid_is_the_loop_over_k(self, coefficients):
+        """Over coefficient columns, one residual per k, bit for bit the
+        residual of that k's scalar record."""
+        ks = np.linspace(0.3, 3.0, 30)
+        grid = phase_relation_residual(coefficients(ks))
+        loop = [phase_relation_residual(coefficients(k)) for k in ks.tolist()]
+        assert all(type(r) is float for r in loop)
+        assert grid.dtype == float and grid.tobytes() == np.array(loop).tobytes()
+
+    def test_first_reflectionless_element_raises(self):
+        r = np.array([0.5j, 0.25, 1e-16, 0j])
+        c = ScatteringCoefficients(np.full(4, 0.5 + 0.5j), r, np.full(4, 0.5 + 0.5j), r)
+        with pytest.raises(VacuousForReflectionless):
+            phase_relation_residual(c)
+        assert phase_relation_residual(ScatteringCoefficients(
+            c.t_lr[:2], r[:2], c.t_rl[:2], r[:2])).shape == (2,)
+
 
 class TestContinuityResidual:
     def test_stationary_dj_dx_vanishes(self):

@@ -37,7 +37,7 @@ from ptscatter import (
 from ptscatter import core
 from ptscatter.cli import main
 from ptscatter.errors import GammaPole, TransferOverflow
-from ptscatter.potentials import CHUNK_ROWS, lattice_transfer
+from ptscatter.potentials import CHUNK_ROWS, _square_well_elements, lattice_transfer
 
 
 def _cell(p: LatticeParams, k) -> np.ndarray:
@@ -174,6 +174,27 @@ class TestSquareWell:
         c = square_well_coefficients(SquareWellParams(1.0, 0.5, 1.0), 1.0)
         assert abs(c.t_lr - c.t_rl) < 1e-14
         assert phase_relation_residual(c) < 1e-10
+
+    @pytest.mark.parametrize("f, kv", [(core.COLUMN, np.linspace(0.2, 3.0, 7)),
+                                       (core.EXTENDED, np.linspace(0.2, 3.0, 7).astype(np.longdouble))],
+                             ids=["column", "extended"])
+    def test_each_transcendental_evaluated_once(self, f, kv):
+        """cos and sin of phi and c, cosh and sinh of s: one call per column."""
+        calls = []
+
+        def counted(name, fn):
+            def call(*args):
+                calls.append((name, *(np.asarray(a).tobytes() for a in args)))
+                return fn(*args)
+            return call
+
+        names = ("cos", "sin", "cosh", "sinh", "atan2", "cexp")
+        counting = type(f)(**{**vars(f), **{name: counted(name, getattr(f, name)) for name in names}})
+        with np.errstate(all="ignore"):
+            _square_well_elements(SquareWellParams(1.0, 0.5, 1.0), kv, counting)
+        assert sorted(name for name, *_ in calls) == ["atan2", "cexp", "cexp", "cos", "cos",
+                                                      "cosh", "sin", "sin", "sinh"]
+        assert len(set(calls)) == len(calls)
 
 
 class TestLattice:

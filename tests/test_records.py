@@ -46,7 +46,7 @@ RECORDS = [
     (symmetry.ExactPtResult, {"is_exact": True, "theta_lr": 0.25, "theta_rl": 0.5}, {}, {}),
     (current.CurrentProfile, {"grid": (-1.0, 1.0), "rho": (1j, 1j), "j": (0j, 0j)}, {}, {}),
     (current.AsymptoticCurrent, {"j_plus_inf": 1j, "j_minus_inf": -1j}, {}, {}),
-    (cli.Problem, {"kind": "yamaguchi", "label": ("kind",), "coefficients": _g, "local": False},
+    (cli.Problem, {"kind": "yamaguchi", "label": ("kind",), "coefficients": _g},
      {"potential": None, "kernel": None}, {"potential": _g, "kernel": "kernel"}),
 ]
 IDS = [cls.__name__ for cls, *_ in RECORDS]
