@@ -8,8 +8,8 @@ modules it calls.
 import sys
 
 _EXPORTS = {
-    "core": ("AsymptoticAmplitudes", "ScatteringCoefficients", "WaveNumber", "as_wavenumber",
-             "coefficients_from_amplitudes", "wronskian_residual"),
+    "core": ("AsymptoticAmplitudes", "ScatteringCoefficients", "coefficients_from_amplitudes",
+             "wronskian_residual"),
     "current": ("AsymptoticCurrent", "CurrentProfile", "asymptotic_current", "hermitian_current",
                 "phase_relation_residual", "pt_current"),
     "numeric": ("IntegrationConfig", "LocalPotential", "WavefunctionGrid", "integrate_batch",

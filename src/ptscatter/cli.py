@@ -257,7 +257,7 @@ def _integrated(potential, step: float):
         try:
             return numeric_coefficients(potential, ks, cfg)
         except ScatteringError as exc:
-            exc.k = ks[0] if exc.k is None else exc.k
+            exc.k = float(ks[0]) if exc.k is None else exc.k
             raise
     return sweep
 
@@ -337,7 +337,7 @@ def build_problem(args) -> Problem:
                    coefficients=_integrated(pot, args.step), potential=lambda: pot)
 
 
-def _k_grid(args) -> list:
+def _k_grid(args) -> np.ndarray:
     if not math.isfinite(args.kmin) or (args.kcount > 1 and not math.isfinite(args.kmax)):
         flag = "kmin" if not math.isfinite(args.kmin) else "kmax"
         raise ConfigError(f"{flag} must be finite, got {getattr(args, flag)}")
@@ -348,10 +348,10 @@ def _k_grid(args) -> list:
     if args.kcount > MAX_ROWS:
         raise ConfigError(f"kcount must be <= {MAX_ROWS}, got {args.kcount}")
     if args.kcount == 1:
-        return [float(args.kmin)]
+        return np.array([args.kmin])
     if args.kmax <= args.kmin:
         raise ConfigError("kmax must be > kmin")
-    return np.linspace(args.kmin, args.kmax, args.kcount).tolist()
+    return np.linspace(args.kmin, args.kmax, args.kcount)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -381,7 +381,6 @@ def cmd_scan(args) -> int:
     abs_t_sq, abs_r_sq, abs_det = _moduli(ks, c)
     columns = [ks, c.t_lr.real, c.t_lr.imag, c.r_lr.real, c.r_lr.imag, c.t_rl.real, c.t_rl.imag,
                c.r_rl.real, c.r_rl.imag, abs_t_sq, abs_r_sq, abs_det, abs_t_sq + abs_r_sq - 1.0]
-    columns = [np.asarray(col, dtype=float) for col in columns]
     if args.format == "csv":
         _write(args.out, [_csv_table(SCAN_HEADER, ["%.17g"] * len(SCAN_HEADER), columns)])
     else:
@@ -420,7 +419,7 @@ def cmd_compare(args) -> int:
     names = ("t_lr", "r_lr", "t_rl", "r_rl")
     values = {name: [getattr(c, name).tolist() for c in routes] for name in names}
     rows, rels = [], []
-    for j, k in enumerate(ks):
+    for j, k in enumerate(ks.tolist()):
         entry = {"k": k}
         for name in names:
             a, n = values[name][0][j], values[name][1][j]
@@ -470,12 +469,11 @@ def cmd_symmetry(args) -> int:
     suites = {suite: ("holds" if suite_hold[suite] else "violated") if suite in suite_hold
               else "not-applicable" for suite in symmetry.SUITES}
 
-    kv = np.asarray(ks, dtype=float)
     relations = _json_table([
-        {"k": kv, "name": r.name, "anchor": r.anchor, "residual": r.residual,
+        {"k": ks, "name": r.name, "anchor": r.anchor, "residual": r.residual,
          "tolerance": r.tolerance, "holds": r.holds, "applicable": r.applicable}
         for r in records], nan_is_null={"residual"})
-    exact_rows = _json_table([{"k": kv, "is_exact": exact.is_exact, "theta_lr": exact.theta_lr,
+    exact_rows = _json_table([{"k": ks, "is_exact": exact.is_exact, "theta_lr": exact.theta_lr,
                                "theta_rl": exact.theta_rl}])
     payload = {"potential": problem.label, "class": cls_payload, "suites": suites,
                "relations": relations, "exact_asymptotic_pt": exact_rows}

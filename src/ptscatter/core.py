@@ -91,17 +91,6 @@ def _refuse_assignment(self, name, *value):
                          f"of the immutable {self.__class__.__name__}")
 
 
-@_frozen
-class WaveNumber:
-    """Wave number k > 0 of a scattering state with energy E = k^2."""
-
-    k: float
-
-    def __post_init__(self):
-        if not (self.k > 0.0) or not np.isfinite(self.k):
-            raise ValueError(f"wave number must be finite and > 0, got {self.k}")
-
-
 def _require_finite(owner: str, **values):
     """ValueError naming the first non-finite (real or complex) parameter."""
     for name, value in values.items():
@@ -122,13 +111,6 @@ def _require_support(x_left: float, x_right: float):
     """ValueError unless [x_left, x_right] is a support: x_left < x_right."""
     if not x_left < x_right:
         raise ValueError("x_left must be < x_right")
-
-
-def as_wavenumber(k) -> WaveNumber:
-    """Coerce a float or WaveNumber to WaveNumber (validates k > 0)."""
-    if isinstance(k, WaveNumber):
-        return k
-    return WaveNumber(float(k))
 
 
 @_frozen
@@ -439,7 +421,6 @@ def _closed_form(formula, record=ScatteringCoefficients):
 def _wavenumbers(k) -> tuple:
     """k, one wave number or a sequence, as a float column, and whether it is
     one; ValueError names the first that is not finite and > 0."""
-    k = k.k if isinstance(k, WaveNumber) else k
     ks = np.atleast_1d(np.asarray(k, dtype=float))
     for bad in ks[~((ks > 0) & np.isfinite(ks))][:1]:
         raise ValueError(f"wave number must be finite and > 0, got {float(bad)}")

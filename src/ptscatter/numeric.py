@@ -32,7 +32,6 @@ from .core import (
     _require_support,
     _values_at,
     _wavenumbers,
-    as_wavenumber,
 )
 from .errors import DegenerateSolutions, NonDecayedPotential, StepTooLarge
 
@@ -271,14 +270,14 @@ def _start(ks, x, kappa, jost=None):
 
 
 def _propagate(v, ks, cfg, record=False):
-    """Propagate the solutions behaving as e^{ikx} and e^{-ikx} at -inf for every k.
+    """Propagate the solutions behaving as e^{ikx} and e^{-ikx} at -inf for
+    every k of the float column ks.
 
     Returns (xs, psi, dpsi, ends) where psi/dpsi have shape (2, nk) at the
     end point, or shape (nnodes, 2, nk) when ``record`` is set; ``ends`` is
     the right Jost pair at the end point (``_jost_pair``), or None where the
     solutions are read off as plane waves.
     """
-    ks = np.asarray(ks, dtype=float)
     unresolved = ks[cfg.step >= 2 * np.pi / (10 * ks)]
     if unresolved.size:
         k = float(np.min(unresolved))
@@ -332,7 +331,7 @@ def _extract(psi, dpsi, k, x, ends=None):
 
 def integrate_batch(v: LocalPotential, ks: Sequence[float], cfg: IntegrationConfig | None = None):
     """Amplitudes of the pair behaving as e^{ikx} and e^{-ikx} at -inf, for
-    many wave numbers in one sweep (shared x-grid), as one
+    one wave number or many in one sweep (shared x-grid), as one
     ``AsymptoticAmplitudes`` of k columns.
 
     The left amplitudes are exactly (1, 0) and (0, 1); the right ones are
@@ -340,7 +339,7 @@ def integrate_batch(v: LocalPotential, ks: Sequence[float], cfg: IntegrationConf
     the lowest failing k in the error's ``k``.
     """
     cfg = cfg or IntegrationConfig()
-    ks = np.asarray([as_wavenumber(k).k for k in ks], dtype=float)
+    ks = _wavenumbers(ks)[0]
     with np.errstate(over="ignore", invalid="ignore"):
         # a solution that overflows leaves a non-finite Wronskian, caught below
         xs, psi, dpsi, ends = _propagate(v, ks, cfg, record=False)
@@ -370,11 +369,13 @@ def wavefunction_on_grid(v: LocalPotential, k, direction: str = "left-incident",
     on the discontinuity-aligned grid of the sweep: the support +-
     match_margin, or [x_left, x_right] for a potential with tails."""
     cfg = cfg or IntegrationConfig()
-    kv = as_wavenumber(k).k
-    xs, psi, dpsi, ends = _propagate(v, np.array([kv]), cfg, record=True)
+    ks, one = _wavenumbers(k)
+    if not one:
+        raise ValueError("wavefunction_on_grid takes one wave number k, not a grid")
+    xs, psi, dpsi, ends = _propagate(v, ks, cfg, record=True)
     f1, df1 = psi[:, 0, 0], dpsi[:, 0, 0]
     f2, df2 = psi[:, 1, 0], dpsi[:, 1, 0]
-    _, b = _extract(psi[-1], dpsi[-1], np.array([kv]), xs[-1], ends)
+    _, b = _extract(psi[-1], dpsi[-1], ks, xs[-1], ends)
     b1p, b2p = b[:, 0]
     if direction == "left-incident":
         if abs(b2p) == 0.0:
@@ -387,7 +388,7 @@ def wavefunction_on_grid(v: LocalPotential, k, direction: str = "left-incident",
         w, dw = f2 / b2p, df2 / b2p
     else:
         raise ValueError(f"direction must be 'left-incident' or 'right-incident', got {direction!r}")
-    return WavefunctionGrid(x=xs, psi=w, dpsi=dw, k=kv, direction=direction)
+    return WavefunctionGrid(x=xs, psi=w, dpsi=dw, k=float(ks[0]), direction=direction)
 
 
 def sampled_potential(x: Sequence[float], v: Sequence[complex]) -> LocalPotential:

@@ -114,17 +114,27 @@ def square_well_coefficients(p: SquareWellParams, k) -> ScatteringCoefficients:
 
 def square_well_potential(p: SquareWellParams, x0: float = 0.0) -> LocalPotential:
     """LocalPotential of the well centred at x0 (for the numeric oracle)."""
+    return _wells_potential(p, [(x0 - p.b, x0, x0 + p.b)])
+
+
+def _wells_potential(p: SquareWellParams, wells) -> LocalPotential:
+    """Piecewise-constant LocalPotential of the wells (lo, mid, hi), in
+    increasing order: -v0 + i v1 on [lo, mid), -v0 - i v1 on [mid, hi], and 0
+    outside every well."""
     from .numeric import LocalPotential
 
     v_left = complex(-p.v0, p.v1)
     v_right = complex(-p.v0, -p.v1)
-    lo, mid, hi = x0 - p.b, x0, x0 + p.b
+    los, mids, his = (np.array(col) for col in zip(*wells))
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)
-        return np.where((x < lo) | (x > hi), 0.0, np.where(x < mid, v_left, v_right))[()]
+        j = np.maximum(np.searchsorted(los, x, side="right") - 1, 0)   # last well with lo <= x
+        inside = (x >= los[j]) & (x <= his[j])
+        return np.where(inside, np.where(x < mids[j], v_left, v_right), 0.0)[()]
 
-    return LocalPotential(evaluate=evaluate, x_left=lo, x_right=hi, breakpoints=(mid,))
+    return LocalPotential(evaluate=evaluate, x_left=wells[0][0], x_right=wells[-1][2],
+                          breakpoints=tuple(edge for well in wells for edge in well))
 
 
 # ---------------------------------------------------------------------------
@@ -246,26 +256,9 @@ def multi_well_coefficients(p: LatticeParams, k) -> ScatteringCoefficients:
 
 def lattice_potential(p: LatticeParams) -> LocalPotential:
     """Piecewise profile of the assembled lattice (for the numeric oracle)."""
-    from .numeric import LocalPotential
-
-    w = p.well
-    edges = []
-    for j in range(p.n):
-        lo = p.u1 + j * p.period
-        edges.append((lo, lo + w.b, lo + 2 * w.b))
-    v_left = complex(-w.v0, w.v1)
-    v_right = complex(-w.v0, -w.v1)
-    los, mids, his = (np.array(col) for col in zip(*edges))
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        j = np.maximum(np.searchsorted(los, x, side="right") - 1, 0)   # last well with lo <= x
-        inside = (x >= los[j]) & (x <= his[j])
-        return np.where(inside, np.where(x < mids[j], v_left, v_right), 0.0)[()]
-
-    breakpoints = tuple(b for e in edges for b in e)
-    return LocalPotential(evaluate=evaluate, x_left=edges[0][0], x_right=edges[-1][2],
-                          breakpoints=breakpoints)
+    b = p.well.b
+    los = [p.u1 + j * p.period for j in range(p.n)]
+    return _wells_potential(p.well, [(lo, lo + b, lo + 2 * b) for lo in los])
 
 
 def _truncated(profile, cutoff: float):

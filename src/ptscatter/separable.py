@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .core import (COLUMN, OUT_OF_RANGE, ScatteringCoefficients, _closed_form, _frozen, _PyComplex,
-                   _raise_first, _record, _require_finite, _values_at, _wavenumbers, as_wavenumber)
+                   _raise_first, _record, _require_finite, _values_at, _wavenumbers)
 from .errors import QuadratureFailure, ResonancePole, TransferOverflow
 
 if TYPE_CHECKING:
@@ -328,7 +328,10 @@ def nonlocal_wavefunction(kernel: SeparableKernel, k, direction: str,
 
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
-    ks = np.array([kv := as_wavenumber(k).k])
+    ks, one = _wavenumbers(k)
+    if not one:
+        raise ValueError("nonlocal_wavefunction takes one wave number k, not a grid")
+    kv = float(ks[0])
     grid = np.asarray(grid, dtype=float)
     with np.errstate(all="ignore"):
         mid, coefficients, faults, at_x = _intermediates(kernel, ks, grid.ravel())

@@ -155,8 +155,7 @@ def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool
     beyond the float range raises TransferOverflow naming the first such k.
     """
     (t_lr, r_lr, t_rl, r_rl), one = _columns(s)
-    ks = None if k is None else np.broadcast_to(np.asarray(getattr(k, "k", k), dtype=float),
-                                                t_lr.real.shape)
+    ks = None if k is None else np.broadcast_to(_wavenumbers(k)[0], t_lr.real.shape)
     records, overflow = [], []          # overflow: where |z| is infinite, z finite
 
     def modulus(z: _PyComplex) -> np.ndarray:
@@ -185,7 +184,7 @@ def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool
             record("p", "p_equal_reflection", "S_RL = S_LR", modulus(r_rl - r_lr))
 
         if cls.parity_generalized and not cls.parity and cls.x0 is not None and k is not None:
-            kv = _PyComplex(_wavenumbers(ks)[0])
+            kv = _PyComplex(ks)
             arg = 1j * kv * cls.x0
             overflow.append(np.isinf(arg.imag))
             record("p_generalized", "pg_equal_transmission", "S_RR = S_LL",

@@ -18,7 +18,6 @@ from ptscatter import (
     ScarfParams,
     SeparableKernel,
     SquareWellParams,
-    WaveNumber,
     asymptotic_current,
     centrifugal_coefficients,
     complex_log_gamma,
@@ -86,7 +85,7 @@ def test_criterion_01_square_well_det(rng):
         det = _longdouble_well_det(v0, v1, b, k)
         worst = max(worst, float(abs(det - 1.0)))
         # the double-precision route stays at rounding level of its scale
-        m = square_well_transfer(SquareWellParams(v0, v1, b), WaveNumber(k))
+        m = square_well_transfer(SquareWellParams(v0, v1, b), k)
         scale = max(1.0, float(np.max(np.abs(m))))
         assert abs(np.linalg.det(m) - 1.0) < 1e-13 * scale * scale
     _report(1, "square-well det M = 1 over 1000 random draws", worst < 1e-12,
@@ -100,7 +99,7 @@ def test_criterion_02_analytic_vs_numeric_square_well():
     got = coefficients_from_amplitudes(amps)
     worst = 0.0
     for j, k in enumerate(ks):
-        want = square_well_coefficients(PT_WELL, WaveNumber(float(k)))
+        want = square_well_coefficients(PT_WELL, float(k))
         for name in ("t_lr", "r_lr", "t_rl", "r_rl"):
             x, y = getattr(want, name), getattr(got, name)[j]
             worst = max(worst, abs(x - y) / abs(x))
@@ -115,7 +114,7 @@ def test_criterion_03_hermitian_scarf_unitarity():
     for s in np.linspace(0.0, 3.0, 5):
         for lam in np.linspace(-2.0, 2.0, 5):
             for k in np.linspace(0.2, 4.0, 8):
-                c = scarf_coefficients(ScarfParams(float(s), float(lam)), WaveNumber(float(k)))
+                c = scarf_coefficients(ScarfParams(float(s), float(lam)), float(k))
                 worst = max(worst, abs(abs(c.t_lr) ** 2 + abs(c.r_lr) ** 2 - 1.0))
     _report(3, "hermitian Scarf unitarity on 200-point grid", worst < 1e-9,
             f"max | |T|^2+|R|^2 - 1 | = {worst:.3e} < 1e-9")
@@ -126,7 +125,7 @@ def test_criterion_04_reflectionless_scarf():
     for n in (1, 2, 3):
         for m in (1, 2):
             for k in np.linspace(0.2, 4.0, 9):
-                c = scarf_coefficients(ScarfParams(float(n), 1j * m), WaveNumber(float(k)))
+                c = scarf_coefficients(ScarfParams(float(n), 1j * m), float(k))
                 worst_r = max(worst_r, abs(c.r_lr), abs(c.r_rl))
                 worst_t = max(worst_t, abs(abs(c.t_lr) - 1.0))
     worst_numeric = 0.0
@@ -134,7 +133,7 @@ def test_criterion_04_reflectionless_scarf():
     for n in (1, 2, 3):
         for m in (1, 2):
             pot = scarf_potential(ScarfParams(float(n), 1j * m), cutoff=20.0)
-            c = numeric_coefficients(pot, WaveNumber(1.1), cfg)
+            c = numeric_coefficients(pot, 1.1, cfg)
             worst_numeric = max(worst_numeric, abs(c.r_lr), abs(c.r_rl))
     ok = worst_r < 1e-11 and worst_t < 1e-11 and worst_numeric < 1e-4
     _report(4, "reflectionless Scarf (integer strengths)", ok,
@@ -160,7 +159,7 @@ def test_criterion_05_complex_shift_laws():
 def test_criterion_06_pt_relation_suite():
     worst_sinv, worst_det, worst_teq, worst_phase = 0.0, 0.0, 0.0, 0.0
     for k in np.linspace(0.2, 4.0, 50):
-        c = square_well_coefficients(PT_WELL, WaveNumber(float(k)))
+        c = square_well_coefficients(PT_WELL, float(k))
         s = c.as_array()
         worst_sinv = max(worst_sinv, float(np.max(np.abs(s @ s.conj() - np.eye(2)))))
         worst_det = max(worst_det, abs(abs(np.linalg.det(s)) - 1.0))
@@ -178,13 +177,13 @@ def test_criterion_06_pt_relation_suite():
 def test_criterion_07_multi_well():
     t0 = time.time()
     well = SquareWellParams(1.0, 0.3, 0.5)
-    k = WaveNumber(1.2)
+    k = 1.2
     p2 = LatticeParams(well, a=0.5, n=2)
     m = square_well_transfer(well, k)
     centre = well.b + p2.a
-    explicit = oracle.sandwich(m, k.k, -centre, -centre) @ oracle.sandwich(m, k.k, centre, centre)
-    t2 = next(lattice_transfer(p2, [k.k])[1])[1][0, 0]
-    got2 = oracle.sandwich(t2, np.longdouble(k.k), p2.u1, p2.u1 + p2.n * p2.period)
+    explicit = oracle.sandwich(m, k, -centre, -centre) @ oracle.sandwich(m, k, centre, centre)
+    t2 = next(lattice_transfer(p2, [k])[1])[1][0, 0]
+    got2 = oracle.sandwich(t2, np.longdouble(k), p2.u1, p2.u1 + p2.n * p2.period)
     diff2 = float(np.max(np.abs(got2 - explicit)))
 
     p8 = LatticeParams(well, a=0.5, n=8)

@@ -1,6 +1,8 @@
-"""Property test: the command line keeps its exit-code contract for any number,
-given as a flag or as a config-file value of any JSON type."""
+"""Property tests: the command line keeps its exit-code contract for any number,
+given as a flag or as a config-file value of any JSON type, and a run that
+exits 0 writes only finite numbers."""
 
+import csv
 import json
 import math
 import os
@@ -27,6 +29,20 @@ FLAGS = {
     "yamaguchi": ("gamma", "delta", "alpha", "beta", "strength"),
 }
 
+# wide boxes of each closed form's parameters, mostly inside their domains
+POSITIVE = st.one_of(st.floats(1e-3, 10.0), st.floats(1e-3, 1e4))
+REAL = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e4, 1e4))
+WELL = {"v0": POSITIVE, "v1": REAL, "b": POSITIVE}
+LATTICE = {**WELL, "a": POSITIVE}
+CLOSED_FORMS = {
+    "square-well": WELL,
+    "multi-well": LATTICE,
+    "scarf": {"s": REAL, "lambda-re": REAL, "lambda-im": REAL, "eps": st.floats(-1.5, 1.5)},
+    "centrifugal": {"strength": REAL, "eps": POSITIVE},
+    "yamaguchi": {"gamma": POSITIVE, "delta": POSITIVE, "alpha": REAL, "beta": REAL, "strength": REAL},
+}
+SETTINGS = settings(max_examples=60, deadline=None)
+
 
 @st.composite
 def invocations(draw):
@@ -47,7 +63,7 @@ def invocations(draw):
     return argv + ["--out", os.devnull], config
 
 
-@settings(max_examples=60, deadline=None)
+@SETTINGS
 @given(invocations())
 # wells whose lattice period or edges overflow are configuration errors
 @example((["lattice", "--potential", "square-well", "--a=1e308", "--b=1e308", "--kcount", "2",
@@ -85,3 +101,53 @@ def test_exit_code_contract(invocation):
         with open(path, "w") as fh:
             json.dump(config, fh)
         assert main(argv + ["--config", path]) in (0, 2, 3, 4)
+
+
+@st.composite
+def finite_runs(draw):
+    """argv of a scan of a closed form, in CSV or JSON, or of a lattice sweep,
+    over wide parameter boxes and k grids."""
+    command = draw(st.sampled_from(["scan", "lattice"]))
+    potential = "square-well" if command == "lattice" else draw(st.sampled_from(sorted(CLOSED_FORMS)))
+    kmin = draw(st.one_of(st.floats(1e-6, 10.0), st.floats(1e-6, 1e4)))
+    argv = [command, "--potential", potential, "--format", draw(st.sampled_from(["csv", "json"])),
+            f"--kmin={kmin!r}", f"--kmax={kmin + draw(st.floats(1e-3, 1e3))!r}",
+            "--kcount", str(draw(st.integers(1, 4)))]
+    boxes = LATTICE if command == "lattice" else CLOSED_FORMS[potential]
+    argv += [f"--{flag}={draw(box)!r}" for flag, box in boxes.items()]
+    if command == "lattice" or potential == "multi-well":
+        n = draw(st.integers(1, 600))
+        argv += ["--n", str(n), "--n-max", str(n + draw(st.integers(0, 20)))]
+    return argv
+
+
+def numbers(value):
+    """Every number of a JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in numbers(item)]
+    return [value] if isinstance(value, (int, float)) and not isinstance(value, bool) else []
+
+
+@SETTINGS
+@given(finite_runs())
+def test_exit_0_writes_only_finite_numbers(argv):
+    """No row that is not finite comes back with exit 0, but a lattice row
+    flagged as overflowing, which is NaN by design."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        code = main(argv + ["--out", path])
+        assert code in (0, 2, 3)
+        if code:
+            return
+        with open(path) as fh:
+            text = fh.read()
+    if argv[0] == "scan" and "json" in argv:
+        values = numbers(json.loads(text))
+    else:
+        header, *rows = csv.reader(text.splitlines())
+        if argv[0] == "lattice":
+            rows = [row for row in rows if row[header.index("overflow")] == "0"]
+        values = [float(cell) for row in rows for cell in row]
+    assert all(map(math.isfinite, values)), argv

@@ -22,8 +22,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ptscatter
-from ptscatter import (asymptotic_current, centrifugal_amplitudes, scarf_amplitudes, separable,
-                       square_well_transfer, wronskian_residual)
+from ptscatter import (asymptotic_current, centrifugal_amplitudes, integrate_batch, numeric_coefficients,
+                       scarf_amplitudes, separable, square_well_potential, square_well_transfer,
+                       wavefunction_on_grid, wronskian_residual)
 from ptscatter.cli import CHUNK_ROWS, _json_document, _json_table, _moduli, _write, main
 from ptscatter import core
 from ptscatter.core import COLUMN, ScatteringCoefficients, _int_powers, _mapped, _PyComplex
@@ -133,7 +134,30 @@ ONE_K_CASES = {
         local=True, k=k)),
 }
 #: the exported functions of k that take one k only
-ONE_K_ONLY = {"as_wavenumber", "wavefunction_on_grid", "nonlocal_wavefunction"}
+ONE_K_ONLY = {"wavefunction_on_grid", "nonlocal_wavefunction"}
+#: a call at k of every exported function with a parameter k or ks, whose
+#: other arguments are fixed, so that the function's own check meets k first
+AT_K = {fn.__name__: call for fn, call in ONE_K_CASES.values()} | {
+    "asymptotic_current": lambda k: asymptotic_current(scarf_coefficients(SCARF, 1.0), k),
+    "wronskian_residual": lambda k: wronskian_residual(scarf_amplitudes(SCARF, 1.0), k),
+    "check_s_relations": lambda k: check_s_relations(scarf_coefficients(SCARF, 1.0), SymmetryClass(),
+                                                     local=True, k=k),
+    "integrate_batch": lambda ks: integrate_batch(square_well_potential(WELL), ks),
+    "numeric_coefficients": lambda k: numeric_coefficients(square_well_potential(WELL), k),
+    "wavefunction_on_grid": lambda k: wavefunction_on_grid(square_well_potential(WELL), k),
+    "nonlocal_wavefunction": lambda k: separable.nonlocal_wavefunction(KERNEL, k, "left",
+                                                                       np.linspace(-1.0, 1.0, 5)),
+}
+
+
+def exported_functions_of(*params) -> set:
+    """The exported callables with a parameter named in ``params``."""
+    names = set()
+    for name in ptscatter.__all__:
+        with contextlib.suppress(TypeError, ValueError):
+            if set(params) & set(inspect.signature(getattr(ptscatter, name)).parameters):
+                names.add(name)
+    return names
 
 
 def leaves(result) -> list:
@@ -223,14 +247,28 @@ def test_every_public_function_of_k_takes_a_grid():
     from test_numeric import TestSquareWellAgreement
 
     to_rounding = {"numeric_coefficients": TestSquareWellAgreement.test_batch_equals_single}
-    of_k = set()
-    for name in ptscatter.__all__:
-        with contextlib.suppress(TypeError, ValueError):
-            if "k" in inspect.signature(getattr(ptscatter, name)).parameters:
-                of_k.add(name)
+    of_k = exported_functions_of("k")
     covered = [fn.__name__ for fn, _ in ONE_K_CASES.values()] + list(to_rounding)
     assert ONE_K_ONLY <= of_k
     assert sorted(of_k - ONE_K_ONLY) == sorted(covered)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", sorted(exported_functions_of("k", "ks")))
+def test_every_function_of_k_rejects_a_bad_k(name, bad):
+    """One rule for every k: each exported function of k rejects a k that is
+    not finite and > 0, alone or in a grid, with the same message."""
+    with pytest.raises(ValueError, match="wave number must be finite and > 0"):
+        AT_K[name](bad)
+    if name not in ONE_K_ONLY:
+        with pytest.raises(ValueError, match="wave number must be finite and > 0"):
+            AT_K[name]([1.0, bad])
+
+
+@pytest.mark.parametrize("name", sorted(ONE_K_ONLY))
+def test_one_k_functions_reject_a_grid(name):
+    with pytest.raises(ValueError, match=f"{name} takes one wave number k"):
+        AT_K[name]([1.0, 2.0])
 
 
 class TestErrorsAtTheLowestFailingK:

@@ -9,7 +9,6 @@ from ptscatter import (
     IntegrationConfig,
     ScarfParams,
     SquareWellParams,
-    WaveNumber,
     coefficients_from_amplitudes,
     integrate_batch,
     numeric_coefficients,
@@ -39,13 +38,6 @@ def transfer(s) -> np.ndarray:
 
 
 FREE_AMPS = AsymptoticAmplitudes(a1p=1, b1p=0, a1m=1, b1m=0, a2p=0, b2p=1, a2m=0, b2m=1)
-
-
-class TestWaveNumber:
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-    def test_rejects_nonpositive(self, bad):
-        with pytest.raises(ValueError):
-            WaveNumber(bad)
 
 
 class TestCoefficientsFromAmplitudes:
@@ -79,13 +71,13 @@ class TestCoefficientsFromAmplitudes:
         p = SquareWellParams(1.0, 0.5, 1.0)
         amps = integrate_batch(square_well_potential(p), [1.0], IntegrationConfig(step=1e-3))
         got = coefficients_from_amplitudes(amps)
-        want = square_well_coefficients(p, WaveNumber(1.0))
+        want = square_well_coefficients(p, 1.0)
         for name in ("t_lr", "r_lr", "t_rl", "r_rl"):
             assert abs(getattr(got, name)[0] - getattr(want, name)) < 1e-6
 
     def test_scarf_amplitudes_match_closed_form(self):
         p = ScarfParams(s=1.3, lam=0.7, eps=0.0)
-        k = WaveNumber(0.9)
+        k = 0.9
         got = coefficients_from_amplitudes(scarf_amplitudes(p, k))
         want = scarf_coefficients(p, k)
         for name in ("t_lr", "r_lr", "t_rl", "r_rl"):
@@ -150,8 +142,8 @@ class TestWronskian:
     def test_square_well_any_parameters(self, rng):
         for _ in range(20):
             p = SquareWellParams(rng.uniform(0, 5), rng.uniform(-3, 3), rng.uniform(0.1, 3))
-            k = WaveNumber(rng.uniform(0.1, 5))
-            amps = integrate_batch(square_well_potential(p), [k.k], IntegrationConfig(step=2e-3))
+            k = rng.uniform(0.1, 5)
+            amps = integrate_batch(square_well_potential(p), [k], IntegrationConfig(step=2e-3))
             assert wronskian_residual(amps, k) < 1e-10
 
     def test_two_wave_numbers_give_a_column(self):
@@ -171,14 +163,14 @@ class TestWronskian:
         from ptscatter import LatticeParams, ScarfParams, lattice_potential, scarf_potential
 
         cfg = IntegrationConfig(step=2e-3)
-        k = WaveNumber(1.1)
+        k = 1.1
         sources = [
             square_well_potential(SquareWellParams(1.0, 0.5, 1.0)),
             lattice_potential(LatticeParams(SquareWellParams(1.0, 0.3, 0.5), a=0.5, n=3)),
             scarf_potential(ScarfParams(1.3, 0.7j), cutoff=20.0),
         ]
         for pot in sources:
-            amps = integrate_batch(pot, [k.k], cfg)
+            amps = integrate_batch(pot, [k], cfg)
             assert wronskian_residual(amps, k) < 1e-8
         assert wronskian_residual(scarf_amplitudes(ScarfParams(1.3, 0.7), k), k) < 1e-10
 

@@ -16,7 +16,6 @@ from ptscatter import (
     LocalPotential,
     ScarfParams,
     SquareWellParams,
-    WaveNumber,
     centrifugal_potential,
     coefficients_from_amplitudes,
     integrate_batch,
@@ -83,7 +82,7 @@ class TestSquareWellAgreement:
                 assert abs(getattr(grid, name)[j] - getattr(single, name)) < 1e-14
 
     def test_scalar_k_gives_python_complex(self):
-        c = numeric_coefficients(square_well_potential(WELL), WaveNumber(1.0))
+        c = numeric_coefficients(square_well_potential(WELL), 1.0)
         assert all(type(getattr(c, name)) is complex for name in FIELDS)
 
     def test_failing_k_of_a_grid_is_named(self, monkeypatch):

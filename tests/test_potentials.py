@@ -18,7 +18,6 @@ from ptscatter import (
     LatticeParams,
     ScarfParams,
     SquareWellParams,
-    WaveNumber,
     centrifugal_amplitudes,
     centrifugal_coefficients,
     centrifugal_potential,
@@ -73,7 +72,7 @@ class TestSquareWell:
         one real number, and M_LL = conj(M_RR), M_LR = conj(M_RL)."""
         for _ in range(20):
             v0, v1, b = rng.uniform(0, 5), rng.uniform(-3, 3), rng.uniform(0.1, 3)
-            k = WaveNumber(rng.uniform(0.1, 5))
+            k = rng.uniform(0.1, 5)
             m = square_well_transfer(SquareWellParams(v0, v1, b), k)
             swapped = square_well_transfer(SquareWellParams(v0, -v1, b), k)
             assert np.max(np.abs(np.diag(m) - np.diag(swapped))) < 1e-14 * np.max(np.abs(m))
@@ -116,7 +115,7 @@ class TestSquareWell:
         """
         for _ in range(1000):
             p = SquareWellParams(rng.uniform(0, 5), rng.uniform(-3, 3), rng.uniform(0.1, 3))
-            m = square_well_transfer(p, WaveNumber(rng.uniform(0.1, 5)))
+            m = square_well_transfer(p, rng.uniform(0.1, 5))
             scale = max(1.0, float(np.max(np.abs(m))))
             assert abs(np.linalg.det(m) - 1.0) < 1e-13 * scale * scale
 
@@ -124,14 +123,14 @@ class TestSquareWell:
         """The transcribed trig/hyperbolic forms against the continuity systems."""
         for _ in range(200):
             p = SquareWellParams(rng.uniform(0, 5), rng.uniform(-3, 3), rng.uniform(0.1, 3))
-            k = WaveNumber(rng.uniform(0.1, 5))
+            k = rng.uniform(0.1, 5)
             a = square_well_transfer(p, k)
-            b = oracle.square_well_transfer_interfaces(p, k.k)
+            b = oracle.square_well_transfer_interfaces(p, k)
             assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
 
     def test_matches_numeric_oracle(self):
         p = SquareWellParams(1.0, 0.5, 1.0)
-        k = WaveNumber(1.0)
+        k = 1.0
         want = square_well_transfer(p, k)
         c = numeric_coefficients(square_well_potential(p), k, IntegrationConfig(step=1e-3))
         got = np.array([[1.0, -c.r_rl], [c.r_lr, c.t_lr * c.t_rl - c.r_rl * c.r_lr]]) / c.t_lr
@@ -141,7 +140,7 @@ class TestSquareWell:
         """Closed forms against the integrator over random draws."""
         for _ in range(10):
             p = SquareWellParams(rng.uniform(0, 4), rng.uniform(-2, 2), rng.uniform(0.2, 2))
-            k = WaveNumber(rng.uniform(0.3, 4))
+            k = rng.uniform(0.3, 4)
             want = square_well_coefficients(p, k)
             got = numeric_coefficients(square_well_potential(p), k,
                                        IntegrationConfig(step=1e-3))
@@ -153,7 +152,7 @@ class TestSquareWell:
         """R_rl(v1) = R_lr(-v1); the diagonal is invariant under the swap."""
         for _ in range(200):
             v0, v1 = rng.uniform(0, 5), rng.uniform(-3, 3)
-            b, k = rng.uniform(0.1, 3), WaveNumber(rng.uniform(0.1, 5))
+            b, k = rng.uniform(0.1, 3), rng.uniform(0.1, 5)
             c_plus = square_well_coefficients(SquareWellParams(v0, v1, b), k)
             c_minus = square_well_coefficients(SquareWellParams(v0, -v1, b), k)
             scale = max(abs(c_plus.r_rl), abs(c_minus.r_lr), 1.0)
@@ -210,8 +209,8 @@ class TestLattice:
             p = LatticeParams(SquareWellParams(rng.uniform(0, 3), rng.uniform(-2, 2),
                                                rng.uniform(0.2, 1.5)),
                               a=rng.uniform(0.1, 2), n=1)
-            k = WaveNumber(rng.uniform(0.2, 4))
-            det_t = np.linalg.det(_cell(p, k.k))
+            k = rng.uniform(0.2, 4)
+            det_t = np.linalg.det(_cell(p, k))
             det_m = np.linalg.det(square_well_transfer(p.well, k))
             assert abs(det_t - det_m) < 1e-13
 
@@ -235,7 +234,7 @@ class TestLattice:
 
     def test_eight_wells_match_assembled_numeric_profile(self):
         p = LatticeParams(self.WELL, a=0.5, n=8)
-        k = WaveNumber(1.2)
+        k = 1.2
         t_analytic = multi_well_coefficients(p, k).t_lr
         c = numeric_coefficients(lattice_potential(p), k, IntegrationConfig(step=1e-3))
         assert abs(abs(c.t_lr) - abs(t_analytic)) < 1e-5 * abs(t_analytic)
@@ -243,7 +242,7 @@ class TestLattice:
     def test_overflow_flagged(self):
         strong = SquareWellParams(0.0, 40.0, 1.0)
         with pytest.raises(TransferOverflow):
-            multi_well_coefficients(LatticeParams(strong, a=0.5, n=4096), WaveNumber(0.3))
+            multi_well_coefficients(LatticeParams(strong, a=0.5, n=4096), 0.3)
 
 
 def _floats(lo, hi):
@@ -420,7 +419,7 @@ class TestScarf:
 
     def test_amplitude_route_matches_closed_form(self):
         p = ScarfParams(1.3, 0.7)
-        k = WaveNumber(0.9)
+        k = 0.9
         got = coefficients_from_amplitudes(scarf_amplitudes(p, k))
         want = scarf_coefficients(p, k)
         for name in ("t_lr", "r_lr", "t_rl", "r_rl"):
@@ -434,7 +433,7 @@ class TestScarf:
         for s in (0.4, 1.3, 2.6):
             for lam in (-1.5, 0.7):
                 for k in np.linspace(0.2, 4.0, 9):
-                    c = scarf_coefficients(ScarfParams(s, lam), WaveNumber(float(k)))
+                    c = scarf_coefficients(ScarfParams(s, lam), float(k))
                     assert abs(abs(c.t_lr) ** 2 + abs(c.r_lr) ** 2 - 1.0) < 1e-10
 
     def test_reflectionless_integer_strengths(self):
@@ -451,20 +450,20 @@ class TestScarf:
         assert abs(c.t_lr - prod) < 1e-11
 
     def test_complex_shift_laws(self):
-        s, lam, k, eps = 1.0, 0.5j, WaveNumber(1.0), 0.3
+        s, lam, k, eps = 1.0, 0.5j, 1.0, 0.3
         base = scarf_coefficients(ScarfParams(s, lam, 0.0), k)
         shifted = scarf_coefficients(ScarfParams(s, lam, eps), k)
         swapped = scarf_coefficients(ScarfParams(s, -lam, eps), k)
         assert abs(shifted.t_lr - base.t_lr) < 1e-14
-        assert abs(shifted.r_lr - base.r_lr * math.exp(2 * k.k * eps)) < 1e-12
+        assert abs(shifted.r_lr - base.r_lr * math.exp(2 * k * eps)) < 1e-12
         assert abs(shifted.t_rl - shifted.t_lr) < 1e-14
-        assert abs(shifted.r_rl - swapped.r_lr * math.exp(-4 * k.k * eps)) < 1e-10
+        assert abs(shifted.r_rl - swapped.r_lr * math.exp(-4 * k * eps)) < 1e-10
 
     @pytest.mark.parametrize("eps", [0.0, 0.2])
     def test_potential_matches_numeric_oracle(self, eps):
         """Tail-matched profile (shifted or not) against direct integration."""
         p = ScarfParams(1.2, 0.5j, eps=eps)
-        k = WaveNumber(1.0)
+        k = 1.0
         want = scarf_coefficients(p, k)
         got = numeric_coefficients(scarf_potential(p, cutoff=20.0), k,
                                    IntegrationConfig(step=2e-3))
@@ -527,7 +526,7 @@ class TestCentrifugal:
         arg T is not asserted.
         """
         p = CentrifugalParams(2.0, 0.1)
-        c = numeric_coefficients(centrifugal_potential(p, cutoff=50.0), WaveNumber(1.0),
+        c = numeric_coefficients(centrifugal_potential(p, cutoff=50.0), 1.0,
                                  IntegrationConfig(step=2e-3))
         assert abs(c.r_lr) < 1e-3 and abs(c.r_rl) < 1e-3
         assert abs(abs(c.t_lr) - 1.0) < 1e-6

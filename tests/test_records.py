@@ -17,7 +17,6 @@ WELL = potentials.SquareWellParams(1.0, 0.5, 1.0)
 # (class, required fields, defaults of the other fields, other values for those fields);
 # every dict lists its fields in declaration order
 RECORDS = [
-    (core.WaveNumber, {"k": 1.5}, {}, {}),
     (core.AsymptoticAmplitudes, dict(zip(("a1p", "b1p", "a1m", "b1m", "a2p", "b2p", "a2m", "b2m"),
                                          (1j, 2, 3, 4, 5, 6, 7, 8j))), {}, {}),
     (core.ScatteringCoefficients, {"t_lr": 1j, "r_lr": 0.5, "t_rl": 1j, "r_rl": -0.5}, {}, {}),
@@ -92,14 +91,12 @@ class TestRecord:
 
 
 @pytest.mark.parametrize("make", [
-    lambda: core.WaveNumber(0.0),
-    lambda: core.WaveNumber(-1.0),
     lambda: potentials.SquareWellParams(-0.1, 0.0, 1.0),
     lambda: potentials.ScarfParams(1.3, 0.7, eps=math.pi / 2),
     lambda: potentials.ScarfParams(1.3, 0.7, -2.0),
     lambda: numeric.IntegrationConfig(step=0.0),
     lambda: numeric.IntegrationConfig(-1e-3),
-], ids=["k-zero", "k-negative", "v0-negative", "eps-half-pi", "eps-beyond", "step-zero",
+], ids=["v0-negative", "eps-half-pi", "eps-beyond", "step-zero",
         "step-negative"])
 def test_post_init_rejects_bad_values(make):
     with pytest.raises(ValueError):

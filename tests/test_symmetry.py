@@ -14,7 +14,6 @@ from ptscatter import (
     SeparableKernel,
     SquareWellParams,
     SymmetryClass,
-    WaveNumber,
     centrifugal_coefficients,
     check_s_relations,
     classify_local_potential,
@@ -109,8 +108,8 @@ class TestRelationSuites:
 
     def test_generalized_parity_suite_for_shifted_well(self):
         """Well centred at 2: S_RR = S_LL and the reflection phases lock at X0 = 4."""
-        k = WaveNumber(1.1)
-        s = _shifted_well_smatrix(k.k)
+        k = 1.1
+        s = _shifted_well_smatrix(k)
         cls = classify_local_potential(square_well_potential(HERMITIAN_WELL, x0=2.0))
         assert cls.parity_generalized and abs(cls.x0 - 4.0) < 1e-6
         report = check_s_relations(s, cls, local=True, k=k)
@@ -155,7 +154,7 @@ class TestRelationSuites:
         for pot, solver in cases:
             cls = classify_local_potential(pot)
             for k in np.linspace(0.2, 4.0, 50):
-                s = solver(WaveNumber(float(k)))
+                s = solver(float(k))
                 report = check_s_relations(s, cls, local=True, tol=1e-9)
                 assert report.all_hold, (cls, k, [(r.name, r.residual) for r in report
                                                   if r.applicable and not r.holds])
@@ -217,8 +216,8 @@ class TestRelationSuiteField:
         cf = CentrifugalParams(2.0, 0.1)
         even = LocalPotential(evaluate=lambda x: -1.0 / math.cosh(x) ** 2,
                               x_left=-20.0, x_right=20.0)
-        k = WaveNumber(1.1)
-        shifted = _shifted_well_smatrix(k.k)
+        k = 1.1
+        shifted = _shifted_well_smatrix(k)
         kernel = SeparableKernel.yamaguchi(gamma=1.0, delta=2.0, alpha=0.3, beta=0.7, lam=1.0)
         cases = [
             (classify_local_potential(square_well_potential(PT_WELL)),
