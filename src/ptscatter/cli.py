@@ -10,7 +10,7 @@ named ScatteringError at the first failing k.  A command
 opens its output only once every value is computed, so a failed run writes
 no file, and spells a table in chunks of rows as it writes them.
 Table floats are spelled a column at a time by ``spell``, as ``"%.17g" % x``
-(CSV) and ``float.__repr__`` (JSON) spell them, byte for byte; CPython
+(CSV) and ``json.dumps`` (JSON) spell them, byte for byte; CPython
 still spells each value that ``spell`` cannot round with certainty (within
 1e-6 of a tie or an interval edge, in units of the 17th digit) and each
 with |x| outside [1e-250, 1e250].
@@ -20,8 +20,8 @@ forms of the local potentials (square-well, multi-well, Scarf, centrifugal)
 and for ``lattice``, ``numeric`` where it integrates or builds a sampled
 profile (``compare``, ``symmetry`` of a local potential, custom-sampled),
 ``specfun`` for Scarf, and ``separable`` and ``symmetry`` for Yamaguchi
-kernels and the ``symmetry`` command; none loads ``numpy.ma``, and only
-``numeric`` loads ``dataclasses``.
+kernels and the ``symmetry`` command; none loads ``numpy.ma`` or
+``gzip``, and only ``numeric`` loads ``dataclasses``.
 Importing this module loads numpy's OpenBLAS with one thread, as its BLAS
 calls are 2x2 stacks and small panels that a thread pool only slows to
 start, unless numpy is already imported or one of ``BLAS_THREADS`` is set
@@ -327,7 +327,8 @@ def build_problem(args) -> Problem:
 
     if not args.samples_file:
         raise ConfigError("custom-sampled potential requires --samples-file")
-    data = np.loadtxt(args.samples_file, delimiter=",", ndmin=2)
+    with open(args.samples_file) as samples:     # a handle: a path would load numpy's gzip reader
+        data = np.loadtxt(samples, delimiter=",", ndmin=2)
     if data.shape[1] < 3:
         raise ConfigError("samples file needs columns x, re(V), im(V)")
     v = data[:, 1].astype(complex)

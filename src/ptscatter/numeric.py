@@ -3,10 +3,10 @@
 Brute-force oracle for the analytic catalog: two solutions are started at
 the left edge as the exact solutions that behave as e^{+-ikx} at -inf,
 propagated across the support, and projected on the far edge onto the exact
-solutions that behave as e^{+-ikx} at +inf.  Beyond a potential's support
-those are plane waves, started and read off a free margin away; where the
-potential has an exponential tail instead (``LocalPotential.tails``) they
-are its Jost solutions, summed as series at the edges themselves.
+solutions that behave as e^{+-ikx} at +inf.  Every edge is matched to the
+Jost pair of its tail (``LocalPotential.tails``), summed as a series: an
+exponential tail at the edge itself, and an empty tail, whose Jost pair is
+plane waves, a free margin beyond the support.
 
 One propagator: the fourth-order Magnus step (Blanes, Casas, Oteo & Ros,
 Phys. Rep. 470 (2009) 151) on fixed steps aligned to potential
@@ -46,27 +46,30 @@ class LocalPotential:
     callable that only accepts scalars.  Interior discontinuities go into
     ``breakpoints`` so integration steps never straddle them.
 
-    Without ``tails``, [x_left, x_right] is the support: outside it |V|
-    must be below ``DECAY_TOL``.  ``tails`` = (left, right) gives the exact
-    exterior instead: V(x) = sum_n w_n e^{-n|x|} beyond each edge, with the
-    coefficients w_1, w_2, ... of that side.
+    ``tails`` = (left, right) gives the exact exterior: V(x) = sum_n w_n
+    e^{-n|x|} beyond each edge, with the coefficients w_1, w_2, ... of that
+    side.  An empty tail, the default, means V vanishes beyond that edge:
+    |V| must be below ``DECAY_TOL`` there, and the edge is matched to plane
+    waves ``IntegrationConfig.match_margin`` beyond it.
     """
 
     evaluate: Callable
     x_left: float
     x_right: float
     breakpoints: tuple = ()
-    tails: tuple | None = None
+    tails: tuple = ((), ())
 
     def __post_init__(self):
         _require_support(self.x_left, self.x_right)
+        if len(self.tails) != 2:
+            raise ValueError("tails must be a (left, right) pair of coefficient sequences")
 
     def sample(self, xs) -> np.ndarray:
         """V at every position of ``xs`` as a complex array of the same shape."""
         return _values_at(self.evaluate, np.asarray(xs, dtype=float)).astype(complex)
 
 
-#: largest |V| a potential without tails may have beyond its support
+#: largest |V| allowed beyond an edge whose tail is empty, out to its matching point
 DECAY_TOL = 1e-14
 
 
@@ -75,9 +78,9 @@ class IntegrationConfig:
     """Step control for the integrator.
 
     The fixed step must resolve the free-space wavelength with at least
-    ten points; ``match_margin`` is how far beyond the support the
-    plane-wave initialisation/extraction points sit.  A potential with
-    tails uses no ``match_margin`` and is not checked against ``DECAY_TOL``.
+    ten points; ``match_margin`` is how far beyond an edge with an empty
+    tail the sweep starts or ends on plane waves.  An edge with an
+    exponential tail is matched at the edge and not checked against ``DECAY_TOL``.
     """
 
     step: float = 1e-3
@@ -100,23 +103,21 @@ class WavefunctionGrid:
 
 
 def _segments(v: LocalPotential, cfg: IntegrationConfig):
-    margin = cfg.match_margin if v.tails is None else 0.0
-    x0 = v.x_left - margin
-    x1 = v.x_right + margin
+    left, right = (0.0 if len(tail) else cfg.match_margin for tail in v.tails)
+    x0, x1 = v.x_left - left, v.x_right + right
     pts = sorted({x0, v.x_left, v.x_right, x1}
                  | {b for b in v.breakpoints if x0 < b < x1})
     return list(zip(pts[:-1], pts[1:]))
 
 
 def _check_decay(v: LocalPotential, cfg: IntegrationConfig):
+    """|V| below DECAY_TOL just beyond each edge whose tail is empty and at its matching point."""
     eps = 1e-9
-    for x in (v.x_left - eps * (1 + abs(v.x_left)),
-              v.x_right + eps * (1 + abs(v.x_right)),
-              v.x_left - cfg.match_margin,
-              v.x_right + cfg.match_margin):
-        if abs(v.evaluate(x)) >= DECAY_TOL:
-            raise NonDecayedPotential(
-                f"|V({x})| = {abs(v.evaluate(x)):.3e} >= DECAY_TOL {DECAY_TOL}")
+    for x, side, tail in zip((v.x_left, v.x_right), (-1, 1), v.tails):
+        for y in () if len(tail) else (x + side * eps * (1 + abs(x)), x + side * cfg.match_margin):
+            if abs(v.evaluate(y)) >= DECAY_TOL:
+                raise NonDecayedPotential(
+                    f"|V({y})| = {abs(v.evaluate(y)):.3e} >= DECAY_TOL {DECAY_TOL}")
 
 
 #: most terms of a tail's Jost series
@@ -124,38 +125,40 @@ MAX_TAIL_TERMS = 64
 
 
 def _jost_pair(tail, x, ks, side):
-    """Jost pair of an exponential tail at its edge x, over the k column.
+    """Jost pair of a tail at its matching point x, over the k column.
 
-    Beyond the edge V = sum_n w_n r^n with r = e^{-|x|} and w_n = tail[n - 1],
-    and the solutions that behave as e^{+-ikx} towards ``side`` (+1 right,
-    -1 left) are f = e^{+-ikx} sum_m a_m r^m, a_0 = 1, where
-    a_m (m^2 -+ 2ikm side) = sum_{n=1..m} w_n a_{m-n}
+    Beyond the edge V = sum_n w_n r^n with r = e^{-|x|} and w_n = tail[n - 1]
+    (V = 0 for an empty tail), and the solutions that behave as e^{+-ikx}
+    towards ``side`` (+1 right, -1 left) are f = e^{+-ikx} sum_m a_m r^m,
+    a_0 = 1, where a_m (m^2 -+ 2ikm side) = sum_{n=1..m} w_n a_{m-n}
     (Newton, Scattering Theory of Waves and Particles, 2nd ed., ch. 12).
     Terms are added until two in a row fall below 2^-53 of the partial sums
-    of f and f' for every k.  Returns (phase, s, ds), each of shape (2, nk):
-    f = phase s and f' = phase ds.  A series that has not converged in
-    MAX_TAIL_TERMS terms raises NonDecayedPotential.
+    of f and f' for every k.  Returns (phase, s, t), each of shape (2, nk):
+    f = phase s and f' = ik phase t, with s summed from 1 and t from +-1, so
+    an empty tail leaves s = 1 and t = +-1 exactly: plane waves.  A series
+    that has not converged in MAX_TAIL_TERMS terms raises NonDecayedPotential.
     """
     r = np.exp(-abs(x))
     ik = np.stack([1j * ks, -1j * ks])
     coef = np.zeros((8,) + ik.shape, dtype=complex)     # a_0, a_1, ...: doubles as terms are used
     coef[0] = 1.0
-    s, ds = np.ones(ik.shape, dtype=complex), ik.copy()
+    s = np.ones(ik.shape, dtype=complex)
+    t = s * np.array([[1.0], [-1.0]])
     w = np.zeros(MAX_TAIL_TERMS, dtype=complex)
     w[:len(tail)] = tail[:MAX_TAIL_TERMS]
     small = 0
     for m in range(1, MAX_TAIL_TERMS + 1):
         if m == len(coef):
             coef = np.concatenate([coef, np.zeros_like(coef)])
-        rate = ik - side * m                    # d/dx of e^{+-ikx} r^m over itself
+        rate = (ik - side * m) / ik[0]          # d/dx of e^{+-ikx} r^m over ik e^{+-ikx} r^m
         coef[m] = np.tensordot(w[m - 1::-1], coef[:m], axes=1) / (m * m - side * 2 * m * ik)
         term = coef[m] * r ** m
-        s, ds = s + term, ds + rate * term
+        s, t = s + term, t + rate * term
         tiny = np.all(np.abs(term) <= 2.0 ** -53 * np.abs(s)) and \
-            np.all(np.abs(rate * term) <= 2.0 ** -53 * np.abs(ds))
+            np.all(np.abs(rate * term) <= 2.0 ** -53 * np.abs(t))
         small = small + 1 if tiny else 0
         if small == 2:
-            return np.exp(ik * x), s, ds
+            return np.exp(ik * x), s, t
     edge = "right" if side > 0 else "left"
     raise NonDecayedPotential(
         f"the Jost series of the {edge} tail has not converged in {MAX_TAIL_TERMS} terms "
@@ -170,17 +173,16 @@ MAX_STEPS = 10 ** 7
 _GAUSS = np.array([[-0.5 / np.sqrt(3.0)], [0.5 / np.sqrt(3.0)]])
 
 
-def _step_grid(v: LocalPotential, cfg: IntegrationConfig):
-    """Width, end node and V at the two Gauss nodes of every step.
+def _step_grid(v: LocalPotential, segments, step):
+    """Width, end node and V at the two Gauss nodes of every step of ``segments``.
 
-    Returns (segments, h, x_end, vv) with vv of shape (2, nsteps); V is
-    sampled at every node of the sweep in one ``sample`` call.  A sweep of more than
-    MAX_STEPS steps raises ValueError before anything is allocated.
+    Returns (h, x_end, vv) with vv of shape (2, nsteps); V is sampled at every node
+    in one ``sample`` call.  A sweep of more than MAX_STEPS steps raises ValueError
+    before anything is allocated.
     """
-    segments = _segments(v, cfg)
-    counts = [max(1.0, np.ceil((c - a) / cfg.step)) for a, c in segments]
+    counts = [max(1.0, np.ceil((c - a) / step)) for a, c in segments]
     if not sum(counts) <= MAX_STEPS:
-        raise ValueError(f"step {cfg.step} cuts [{segments[0][0]}, {segments[-1][1]}] into "
+        raise ValueError(f"step {step} cuts [{segments[0][0]}, {segments[-1][1]}] into "
                          f"{sum(counts):.4g} steps, more than the {MAX_STEPS} one sweep may take")
     hs, ends, mids = [], [], []
     for (a, c), n in zip(segments, map(int, counts)):
@@ -190,7 +192,7 @@ def _step_grid(v: LocalPotential, cfg: IntegrationConfig):
         mids.append(a + np.arange(0.5, n) * h)
     hs, mids = np.concatenate(hs), np.concatenate(mids)
     vv = v.sample((mids + _GAUSS * hs).ravel()).reshape(2, -1)
-    return segments, hs, np.concatenate(ends), vv
+    return hs, np.concatenate(ends), vv
 
 
 def _magnus_steps(h, v, ks, kappa):
@@ -256,17 +258,13 @@ def _prefix_products(d):
     return d
 
 
-def _start(ks, x, kappa, jost=None):
-    """(alpha, beta) at x of the solutions behaving as e^{ikx} and e^{-ikx}
-    at -inf: plane waves, or the left Jost pair ``jost`` (``_jost_pair``)."""
-    if jost is None:
-        # at kappa = k, alpha and beta are the e^{ikx} and e^{-ikx} parts of psi: a free-space
-        # step is diagonal, so no rounding mixes them; kappa >= 1 stays well conditioned as k -> 0
-        waves = np.stack([np.exp(1j * ks * x), np.exp(-1j * ks * x)])
-        return (0.5 * np.stack([1 + ks / kappa, 1 - ks / kappa]) * waves,
-                0.5 * np.stack([1 - ks / kappa, 1 + ks / kappa]) * waves)
-    phase, f, df = jost
-    return 0.5 * phase * (f + df / (1j * kappa)), 0.5 * phase * (f - df / (1j * kappa))
+def _start(ks, kappa, jost):
+    """(alpha, beta) of the solutions behaving as e^{ikx} and e^{-ikx} at
+    -inf, from the left Jost pair ``jost`` (``_jost_pair``) at the start."""
+    # at kappa = k, alpha and beta are the e^{ikx} and e^{-ikx} parts of psi: a free-space
+    # step is diagonal, so no rounding mixes them; kappa >= 1 stays well conditioned as k -> 0
+    phase, s, t = jost
+    return 0.5 * phase * (s + t * (ks / kappa)), 0.5 * phase * (s - t * (ks / kappa))
 
 
 def _propagate(v, ks, cfg, record=False):
@@ -275,24 +273,20 @@ def _propagate(v, ks, cfg, record=False):
 
     Returns (xs, psi, dpsi, ends) where psi/dpsi have shape (2, nk) at the
     end point, or shape (nnodes, 2, nk) when ``record`` is set; ``ends`` is
-    the right Jost pair at the end point (``_jost_pair``), or None where the
-    solutions are read off as plane waves.
+    the right Jost pair at the end point (``_jost_pair``).
     """
     unresolved = ks[cfg.step >= 2 * np.pi / (10 * ks)]
     if unresolved.size:
         k = float(np.min(unresolved))
         raise StepTooLarge(
             f"step {cfg.step} exceeds 2*pi/(10*k) = {2 * np.pi / (10 * k):.4g} at k = {k}", k=k)
-    if v.tails is None:
-        _check_decay(v, cfg)
-        jost = ends = None
-    else:
-        jost = _jost_pair(v.tails[0], v.x_left, ks, -1)
-        ends = _jost_pair(v.tails[1], v.x_right, ks, 1)
-    segments, hs, x_end, vv = _step_grid(v, cfg)
-    x_start = segments[0][0]
+    _check_decay(v, cfg)
+    segments = _segments(v, cfg)
+    (x_start, _), (_, x_stop) = segments[0], segments[-1]
     kappa = np.maximum(ks, 1.0)
-    alpha, beta = _start(ks, x_start, kappa, jost)
+    alpha, beta = _start(ks, kappa, _jost_pair(v.tails[0], x_start, ks, -1))
+    ends = _jost_pair(v.tails[1], x_stop, ks, 1)
+    hs, x_end, vv = _step_grid(v, segments, cfg.step)
 
     nodes_alpha, nodes_beta = [alpha[None]], [beta[None]]
     block = max(1, _BLOCK_SIZE // len(ks))
@@ -312,21 +306,19 @@ def _propagate(v, ks, cfg, record=False):
         xs, alpha, beta = (np.concatenate([[x_start], x_end]), np.concatenate(nodes_alpha),
                            np.concatenate(nodes_beta))
     else:
-        xs = np.array([segments[-1][1]])
+        xs = np.array([x_stop])
     return xs, alpha + beta, 1j * kappa * (alpha - beta), ends
 
 
-def _extract(psi, dpsi, k, x, ends=None):
-    """Amplitudes (a, b) of (psi, psi') at x on the solutions behaving as
-    e^{ikx} and e^{-ikx} at +inf: plane waves, or the Jost pair ``ends``."""
-    ika = 1j * k
-    if ends is None:
-        a = 0.5 * (psi + dpsi / ika) * np.exp(-ika * x)
-        b = 0.5 * (psi - dpsi / ika) * np.exp(ika * x)
-        return a, b
-    phase, f, df = ends
-    w = f[0] * df[1] - df[0] * f[1]
-    return (psi * df[1] - dpsi * f[1]) / (w * phase[0]), (dpsi * f[0] - psi * df[0]) / (w * phase[1])
+def _extract(psi, dpsi, ks, ends):
+    """Amplitudes (a, b) of (psi, psi') on the solutions behaving as e^{ikx}
+    and e^{-ikx} at +inf, the right Jost pair ``ends``: Cramer's rule with
+    q = psi'/(ik) and W = s_0 t_1 - s_1 t_0 (-2 for plane waves), where the
+    phase of one solution stands for the inverse of the other's."""
+    phase, s, t = ends
+    q = dpsi / (1j * ks)
+    w = s[0] * t[1] - s[1] * t[0]
+    return (psi * t[1] - q * s[1]) * (phase[1] / w), (q * s[0] - psi * t[0]) * (phase[0] / w)
 
 
 def integrate_batch(v: LocalPotential, ks: Sequence[float], cfg: IntegrationConfig | None = None):
@@ -343,7 +335,7 @@ def integrate_batch(v: LocalPotential, ks: Sequence[float], cfg: IntegrationConf
     with np.errstate(over="ignore", invalid="ignore"):
         # a solution that overflows leaves a non-finite Wronskian, caught below
         xs, psi, dpsi, ends = _propagate(v, ks, cfg, record=False)
-        a, b = _extract(psi, dpsi, ks, xs[-1], ends)
+        a, b = _extract(psi, dpsi, ks, ends)
         wr = np.abs(psi[0] * dpsi[1] - psi[1] * dpsi[0])
     lost = ks[~(np.isfinite(wr) & (wr >= 1e-8 * 2 * ks))]
     if lost.size:
@@ -366,8 +358,8 @@ def numeric_coefficients(v: LocalPotential, k, cfg: IntegrationConfig | None = N
 def wavefunction_on_grid(v: LocalPotential, k, direction: str = "left-incident",
                          cfg: IntegrationConfig | None = None) -> WavefunctionGrid:
     """Physical scattering solution with unit incident amplitude, sampled
-    on the discontinuity-aligned grid of the sweep: the support +-
-    match_margin, or [x_left, x_right] for a potential with tails."""
+    on the discontinuity-aligned grid of the sweep: from edge to edge, each
+    moved out by match_margin where its tail is empty."""
     cfg = cfg or IntegrationConfig()
     ks, one = _wavenumbers(k)
     if not one:
@@ -375,7 +367,7 @@ def wavefunction_on_grid(v: LocalPotential, k, direction: str = "left-incident",
     xs, psi, dpsi, ends = _propagate(v, ks, cfg, record=True)
     f1, df1 = psi[:, 0, 0], dpsi[:, 0, 0]
     f2, df2 = psi[:, 1, 0], dpsi[:, 1, 0]
-    _, b = _extract(psi[-1], dpsi[-1], ks, xs[-1], ends)
+    _, b = _extract(psi[-1], dpsi[-1], ks, ends)
     b1p, b2p = b[:, 0]
     if direction == "left-incident":
         if abs(b2p) == 0.0:

@@ -2,20 +2,20 @@
 
 ``floats(x, style)`` turns a float64 column into fixed-width ASCII fields,
 padded with NULs, one per value: with the NULs deleted, a field reads as
-``"%.17g" % v`` (style ``"%.17g"``), ``float.__repr__(v)`` (``"repr"``) or
-``json.dumps(v)`` (``"json"``, which differs from repr only at NaN and
-+-inf), byte for byte.  ``integers`` and ``words`` do the same for int and
-for index columns.  A field array has one row per character slot and one
-column per value, so that one slot of every field is one contiguous row.
+``"%.17g" % v`` (style ``"%.17g"``) or ``json.dumps(v)`` (``"json"``, which
+is ``float.__repr__(v)`` but at NaN and +-inf), byte for byte.  ``integers``
+and ``words`` do the same for int and for index columns.  A field array has
+one row per character slot and one column per value, so that one slot of
+every field is one contiguous row.
 
 Finite values with 1e-250 <= |v| <= 1e250 are spelled here.  Each is
 scaled to v = |x| 10^(16 - X), X = floor(log10 |x|), by a Dekker product
 with a double-double power of ten: v = Vi + f with Vi an exact int64 of 17
 digits and f in [0, 1), off by less than 1e-13.  ``%.17g`` rounds Vi + f to
-an integer; repr takes the fewest leading digits whose rounded value lies
-strictly inside x's rounding interval (half an ulp either side, a quarter
-below a power of two), as David Gay's shortest mode does, deciding each
-rounding from the int64 remainder plus f.  CPython spells, one at a time,
+an integer; json takes repr's digits, the fewest leading digits whose
+rounded value lies strictly inside x's rounding interval (half an ulp
+either side, a quarter below a power of two), as David Gay's shortest mode
+does, deciding each rounding from the int64 remainder plus f.  CPython spells, one at a time,
 every value outside the range and each value these cannot decide: f or a
 candidate's distance within 1e-6 of a tie or an interval edge, and below a
 power of two a farther candidate above x that may fit.
@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import numpy as np
 
-_CPYTHON = {"%.17g": "%.17g".__mod__, "repr": float.__repr__, "json": float.__repr__}
+_CPYTHON = {"%.17g": "%.17g".__mod__, "json": float.__repr__}
 _NAMES = {"%.17g": ("nan", "inf", "-inf", "0", "-0"),
-          "repr": ("nan", "inf", "-inf", "0.0", "-0.0"),
           "json": ("NaN", "Infinity", "-Infinity", "0.0", "-0.0")}
 #: the largest decimal exponent spelled in fixed notation
-_FIXED_UP_TO = {"%.17g": 16, "repr": 15, "json": 15}
+_FIXED_UP_TO = {"%.17g": 16, "json": 15}
 _P10 = 10 ** np.arange(19, dtype=np.int64)
 _LOW, _HIGH = _P10[16], _P10[17]
 #: a tie or an interval edge nearer than this, in units of the 17th digit,
@@ -205,7 +204,7 @@ def _layout(negative, exp10, digits, sig, fixed_up_to: int, point_zero: bool) ->
 
 def floats(x, style: str = "%.17g", nulls=None) -> np.ndarray:
     """Fields, a (width, len(x)) uint8 array, of a float64 column in
-    ``style`` ("%.17g", "repr" or "json"); ``nulls`` marks values spelled
+    ``style`` ("%.17g" or "json"); ``nulls`` marks values spelled
     ``null``."""
     x = np.asarray(x, dtype=np.float64)
     if not len(x):

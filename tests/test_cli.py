@@ -516,6 +516,12 @@ class TestConfigAndErrors:
                         "--kcount", "2", "--out", os.devnull]) == 2
         assert f"sample row {row} is not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing", "directory"])
+    def test_unreadable_samples_file_is_config_error(self, name, tmp_path, capsys):
+        assert run_cli(["scan", "--potential", "custom-sampled", "--samples-file",
+                        str(tmp_path / name), "--kcount", "2", "--out", os.devnull]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
     @pytest.mark.parametrize("argv", [
         ["compare", "--potential", "square-well", "--kcount", "2", "--step", "1e-12"],
         ["compare", "--potential", "scarf", "--cutoff", "1e7"],
@@ -668,7 +674,7 @@ class TestConfigAndErrors:
         a separable kernel, and dataclasses only with numeric (for
         LocalPotential); numpy.polynomial, which only generic separable
         kernels use, never, nor numpy.ma (compare's median is taken without
-        numpy)."""
+        numpy), nor gzip (the samples file is read through a handle)."""
         samples = tmp_path / "pot.csv"
         xs = np.linspace(-1.0, 1.0, 41)
         np.savetxt(samples, np.column_stack([xs, -np.ones_like(xs), 0.3 * xs]), delimiter=",")
@@ -676,12 +682,12 @@ class TestConfigAndErrors:
         code = ("import json, sys; from ptscatter.cli import main; "
                 "code = main(json.loads(sys.argv[1])); "
                 f"print(code, *(m in sys.modules for m in {[f'ptscatter.{m}' for m in modules]}), "
-                "*(m in sys.modules for m in ('dataclasses', 'numpy.polynomial', 'numpy.ma')))")
+                "*(m in sys.modules for m in ('dataclasses', 'numpy.polynomial', 'numpy.ma', 'gzip')))")
         argv = argv + ["--samples-file", str(samples), "--out", str(tmp_path / "out")]
         proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
                               capture_output=True, text=True)
         assert proc.stdout.split() == ["0", *(str(m in loaded) for m in modules),
-                                       str("numeric" in loaded), "False", "False"], proc.stderr
+                                       str("numeric" in loaded), "False", "False", "False"], proc.stderr
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "ptscatter.cli", "scan",

@@ -29,6 +29,7 @@ from ptscatter import (
     square_well_potential,
     wavefunction_on_grid,
 )
+from ptscatter import numeric
 from ptscatter.errors import DegenerateSolutions, NonDecayedPotential, StepTooLarge
 
 WELL = SquareWellParams(1.0, 0.5, 1.0)
@@ -181,6 +182,83 @@ class TestScarfTails:
         pot = scarf_potential(ScarfParams(1.3, 0.7), cutoff=cutoff)
         with pytest.raises(NonDecayedPotential, match=f"{edge} tail .* at the {edge} edge x = -{cutoff}"):
             integrate_batch(pot, [1.0], IntegrationConfig(step=1e-3))
+
+
+def _same_bits(got, want):
+    got, want = np.broadcast_arrays(np.asarray(got, dtype=complex), np.asarray(want, dtype=complex))
+    return got.tobytes() == want.tobytes()
+
+
+#: k grids that mix k < 1 (kappa = 1) and k >= 1 (kappa = k)
+K_GRIDS = st.lists(st.one_of(st.floats(1e-3, 1.0, exclude_max=True), st.floats(1.0, 200.0)),
+                   min_size=1, max_size=8)
+#: matching points of both signs, kept clear of the subnormal range, where halving
+#: a product rounds and the two orders of the same products can differ in the last bit
+MATCHING_POINTS = st.one_of(st.just(0.0), st.builds(lambda x, sign: sign * x, st.floats(1e-200, 60.0),
+                                                    st.sampled_from([-1.0, 1.0])))
+
+
+class TestEmptyTail:
+    """The empty tail is plane waves, and matching on it repeats the retired
+    plane-wave start and extraction, written out here, bit for bit; each edge
+    is matched by its own tail."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ks=K_GRIDS, x=MATCHING_POINTS, side=st.sampled_from([-1, 1]))
+    def test_jost_pair_is_plane_waves(self, ks, x, side):
+        ks = np.array(ks)
+        phase, s, t = numeric._jost_pair((), x, ks, side)
+        assert _same_bits(phase, np.stack([np.exp(1j * ks * x), np.exp(-1j * ks * x)]))
+        assert _same_bits(s, 1.0) and _same_bits(t, [[1.0], [-1.0]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(ks=K_GRIDS, x=MATCHING_POINTS)
+    def test_start_is_the_plane_wave_start(self, ks, x):
+        ks = np.array(ks)
+        kappa = np.maximum(ks, 1.0)
+        alpha, beta = numeric._start(ks, kappa, numeric._jost_pair((), x, ks, -1))
+        waves = np.stack([np.exp(1j * ks * x), np.exp(-1j * ks * x)])
+        assert _same_bits(alpha, 0.5 * np.stack([1 + ks / kappa, 1 - ks / kappa]) * waves)
+        assert _same_bits(beta, 0.5 * np.stack([1 - ks / kappa, 1 + ks / kappa]) * waves)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ks=K_GRIDS, x=MATCHING_POINTS, seed=st.integers(0, 2 ** 32 - 1))
+    def test_extract_is_the_plane_wave_extraction(self, ks, x, seed):
+        ks = np.array(ks)
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(4, 2, len(ks))) * 10.0 ** rng.uniform(-8, 8, size=(4, 2, len(ks)))
+        psi, dpsi = z[0] + 1j * z[1], z[2] + 1j * z[3]
+        a, b = numeric._extract(psi, dpsi, ks, numeric._jost_pair((), x, ks, 1))
+        ika = 1j * ks
+        assert _same_bits(a, 0.5 * (psi + dpsi / ika) * np.exp(-ika * x))
+        assert _same_bits(b, 0.5 * (psi - dpsi / ika) * np.exp(ika * x))
+
+
+    def test_each_edge_is_matched_by_its_own_tail(self):
+        """Scarf with its left tail and an empty right one: the sweep starts at
+        the left edge and ends a margin past the right, where V is truncated."""
+        p, k = ScarfParams(1.3, 0.7), 1.1
+        full = scarf_potential(p, cutoff=20.0)
+        pot = replace(full, tails=(full.tails[0], ()))
+        cfg = IntegrationConfig(step=1e-3)
+        wf = wavefunction_on_grid(pot, k, "left-incident", cfg)
+        assert (wf.x[0], wf.x[-1]) == (-20.0, 21.0)
+        got, want = numeric_coefficients(pot, k, cfg), scarf_coefficients(p, k)
+        for name in FIELDS:
+            assert abs(getattr(got, name) - getattr(want, name)) < 1e-7
+
+    def test_decay_is_checked_beyond_empty_tails_only(self):
+        def left_tail(x):           # V = 0.5 e^{-|x|} left of 0, the tail (0.5,) beyond -1
+            return 0.5 * math.exp(x) if x < 0 else 0.0
+
+        with pytest.raises(NonDecayedPotential):
+            integrate_batch(LocalPotential(left_tail, -1.0, 1.0), [1.0])
+        integrate_batch(LocalPotential(left_tail, -1.0, 1.0, tails=((0.5,), ())), [1.0])
+
+    @pytest.mark.parametrize("tails", [(), ((),), ((), (), ())])
+    def test_tails_are_a_pair(self, tails):
+        with pytest.raises(ValueError, match="pair"):
+            LocalPotential(lambda x: 0.0, -1.0, 1.0, tails=tails)
 
 
 class TestWavefunction:
@@ -344,8 +422,9 @@ class TestBlockPropagator:
     KS = [0.4, 1.3, 2.9]
     XS = np.linspace(-3.0, 3.0, 601)
     CASES = {
-        # the truncated profile: the oracles start and end on plane waves
-        "scarf": (replace(scarf_potential(ScarfParams(1.3, 0.7), cutoff=20.0), tails=None), 2e-3),
+        # the truncated profile with empty tails: the oracles start and end on plane waves
+        "scarf": (replace(scarf_potential(ScarfParams(1.3, 0.7), cutoff=20.0), tails=((), ())),
+                  2e-3),
         "pt-well": (square_well_potential(WELL), 1e-3),
         "lattice-8": (lattice_potential(LatticeParams(WELL, a=0.5, n=8)), 1e-3),
         "sampled": (sampled_potential(XS, -2.0 / np.cosh(XS) ** 2
