@@ -233,7 +233,6 @@ class TestEmptyTail:
         assert _same_bits(a, 0.5 * (psi + dpsi / ika) * np.exp(-ika * x))
         assert _same_bits(b, 0.5 * (psi - dpsi / ika) * np.exp(ika * x))
 
-
     def test_each_edge_is_matched_by_its_own_tail(self):
         """Scarf with its left tail and an empty right one: the sweep starts at
         the left edge and ends a margin past the right, where V is truncated."""
