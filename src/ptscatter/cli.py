@@ -18,7 +18,7 @@ with |x| outside [1e-250, 1e250].
 A command loads only the modules it uses: ``potentials`` for the closed
 forms of the local potentials (square-well, multi-well, Scarf, centrifugal)
 and for ``lattice``, ``numeric`` where it integrates or builds a sampled
-profile (``compare``, ``symmetry`` of a local potential, custom-sampled),
+profile (``compare`` and ``symmetry`` of a local potential, custom-sampled),
 ``specfun`` for Scarf, and ``separable`` and ``symmetry`` for Yamaguchi
 kernels and the ``symmetry`` command; none loads ``numpy.ma`` or
 ``gzip``, and only ``numeric`` loads ``dataclasses``.
@@ -401,11 +401,18 @@ def cmd_compare(args) -> int:
     if not (math.isfinite(args.threshold) and args.threshold >= 0):
         raise ConfigError(f"threshold must be finite and >= 0, got {args.threshold}")
     problem = build_problem(args)
-    if problem.potential is None or problem.kind in ("custom-sampled",):
+    if problem.kind == "custom-sampled":
         raise ConfigError(f"potential kind {problem.kind!r} has no analytic/numeric route pair")
-    potential = problem.potential()
+    k = problem.kernel
+    potential = problem.potential() if k is None else None
     ks = _k_grid(args)
-    numeric = _integrated(potential, args.step)
+    if k is None:
+        numeric = _integrated(potential, args.step)
+    else:       # the closed form against the causal sum of the same kernel taken as generic
+        from . import separable
+
+        generic = separable.SeparableKernel.from_form_factors(k.g, k.h, k.alpha, k.beta, k.lam, k.support)
+        numeric = lambda ks: separable.nonlocal_coefficients(generic, ks)
     # both routes over the whole grid; the failure at the lowest k is raised,
     # the closed form's on a tie
     routes, failed = [], []

@@ -153,9 +153,10 @@ def _jost_pair(tail, x, ks, side):
         rate = (ik - side * m) / ik[0]          # d/dx of e^{+-ikx} r^m over ik e^{+-ikx} r^m
         coef[m] = np.tensordot(w[m - 1::-1], coef[:m], axes=1) / (m * m - side * 2 * m * ik)
         term = coef[m] * r ** m
-        s, t = s + term, t + rate * term
+        slope = np.where(term == 0, 0, rate * term)     # no inf * 0 where a subnormal k overflows the rate
+        s, t = s + term, t + slope
         tiny = np.all(np.abs(term) <= 2.0 ** -53 * np.abs(s)) and \
-            np.all(np.abs(rate * term) <= 2.0 ** -53 * np.abs(t))
+            np.all(np.abs(slope) <= 2.0 ** -53 * np.abs(t))
         small = small + 1 if tiny else 0
         if small == 2:
             return np.exp(ik * x), s, t

@@ -2,21 +2,24 @@
 
 The stationary equation -psi'' + lam * Int K(x,y) psi(y) dy = k^2 psi is
 solved with the Green's functions G+-(u) = -+(i/2k) e^{+-ik|u|}: everything
-reduces to N+- and the transforms f~(q) = Int f(x) e^{-iqx} dx (the sign
-matters).  Yamaguchi form factors g(x) = e^{-gamma|x|}, h(y) = e^{-delta|y|}
+reduces to N+- and the transforms G-+ = g~(+-k - a) and H-+ = h~(+-k - b),
+f~(q) = Int f(x) e^{-iqx} dx (the signs matter: g and h need not be even).
+Yamaguchi form factors g(x) = e^{-gamma|x|}, h(y) = e^{-delta|y|}
 give closed forms by piecewise exponential integration.  Other kernels use
 one Gauss-Legendre rule over the k column itself (``_rule``: 20 nodes per
-panel on [-support, support], panels split at 0).  Split at y = x,
-Int e^{ik|x-y|} G(y) dy = e^{ikx} A(x) + e^{-ikx} B(x), with A and B the
-integrals of e^{-+iky} G(y) from -support to x and from x to support, which
-cumulative panel sums and the Legendre integration matrix give at every node
-(for N+) and at every point of a wavefunction's grid, at k and, from the same
-sums, at -k.  The sums over the whole support give g~(k -+ alpha) and
-h~(k -+ beta), and N- = N+ + (i/2k)(g~(k-alpha)h~(k+beta) + g~(k+alpha)h~(k-beta)).
-The sums at twice the order estimate the error of N+ (which N- shares) and of
-the transforms: QuadratureFailure names the lowest k where one exceeds
-1e-8 max(|value|, 1).  Form factors may be non-smooth only at 0; a kink
-elsewhere raises QuadratureFailure, not a wrong number.
+panel on [-support, support], panels split at 0) and one causal sum: C(x)
+and S(x), the integrals of cos(ky) g e^{i a y} and sin(ky) g e^{i a y} from
+-support to x, which cumulative panel sums and the Legendre integration
+matrix give at every node and at every point of a wavefunction's grid.  The
+causal convolution u = Int_{-support}^{x} sin(k(x-y))/k g e^{i a y} dy
+= [sin kx C - cos kx S]/k has no kink at y = x.  With U = Int h e^{i b x} u,
+G-+ = C -+ i S and H-+ = Int h e^{i b y} e^{-+iky}, all over the support,
+N+ = U - (i/2k) G+ H- and N- = N+ + (i/2k)(G- H+ + G+ H-).  A wavefunction's
+outgoing (incoming) convolution is u -+ (i/2k) e^{-+ikx} G+-, u' = cos kx C
++ sin kx S.  The sums at twice the order estimate the error of N+ (which N-
+shares) and of the transforms: QuadratureFailure names the lowest k where
+one exceeds 1e-8 max(|value|, 1).  Form factors may be non-smooth only at 0;
+a kink elsewhere raises QuadratureFailure, not a wrong number.
 """
 from __future__ import annotations
 
@@ -77,11 +80,6 @@ def _same_function(f, g, support, tol):
     return bool(np.max(np.abs(_values_at(f, xs) - _values_at(g, xs))) < tol)
 
 
-def _even_factors(kernel: SeparableKernel, tol) -> bool:
-    return kernel.is_yamaguchi or all(_same_function(f, lambda x, f=f: f(-x), kernel.support, tol)
-                                      for f in (kernel.g, kernel.h))
-
-
 def kernel_symmetry_class(kernel: SeparableKernel, tol: float = 1e-10) -> SymmetryClass:
     """Classify the kernel: phases decide reality/T, form factors the rest.
 
@@ -93,7 +91,8 @@ def kernel_symmetry_class(kernel: SeparableKernel, tol: float = 1e-10) -> Symmet
 
     g_eq_h = (abs(kernel.gamma - kernel.delta) < tol if kernel.is_yamaguchi
               else _same_function(kernel.g, kernel.h, kernel.support, tol))
-    even = _even_factors(kernel, tol)
+    even = kernel.is_yamaguchi or all(_same_function(f, lambda x, f=f: f(-x), kernel.support, tol)
+                                      for f in (kernel.g, kernel.h))
     zero_phases = abs(kernel.alpha) < tol and abs(kernel.beta) < tol
     return SymmetryClass(reality=zero_phases, time_reversal=zero_phases,
                          symmetric_xy=abs(kernel.alpha - kernel.beta) < tol and g_eq_h,
@@ -157,10 +156,9 @@ def _rule(support: float, freq, order: int) -> tuple:
 
 
 def _panel_j(kernel: SeparableKernel, ks, order: int, xs=()) -> np.ndarray:
-    """Rows: the double integral Int h e^{i b x} e^{ik|x-y|} g e^{i a y}, then
-    Int e^{-+iky} g e^{i a y} and Int h e^{i b y} e^{-+iky}, at each k of ks by
-    the rule of ``order`` nodes; then A(x) and B(x) (module docstring) at
-    each x of xs, at k and at -k; NaN past its reach."""
+    """Rows: U, G-, G+, H- and H+ (module docstring) at each k of ks by the
+    rule of ``order`` nodes; then C(x) and S(x) at each x of xs; NaN past
+    its reach."""
     from numpy.polynomial import legendre
 
     y, weights, width, edges, reach = _rule(kernel.support, ks + abs(kernel.alpha) + abs(kernel.beta), order)
@@ -178,26 +176,26 @@ def _panel_j(kernel: SeparableKernel, ks, order: int, xs=()) -> np.ndarray:
         panel = np.sum(f * weights, axis=-1)
         total = np.cumsum(panel, axis=-1)
         return ((total - panel)[..., None] + width * (f @ within.T),
-                (total - panel)[:, at] + np.sum(f[:, at] * within_x, axis=-1), total[:, -1:, None])
+                (total - panel)[:, at] + np.sum(f[:, at] * within_x, axis=-1), total[:, -1])
 
     def block(kb):
-        e = np.exp(-1j * kb[:, None, None] * y)                 # e^{-iky}
-        (a, a_x, a_total), (b, b_x, b_total) = running(e * g), running(e.conj() * g)
-        j = np.sum(hw * (e.conj() * a + e * (b_total - b)), axis=(1, 2))
-        return np.vstack([j, a_total.ravel(), b_total.ravel(), np.sum(hw * e, axis=(1, 2)),
-                          np.sum(hw * e.conj(), axis=(1, 2)),
-                          a_x.T, (b_total[:, 0] - b_x).T, b_x.T, (a_total[:, 0] - a_x).T])
+        cos, sin = np.cos(kb[:, None, None] * y), np.sin(kb[:, None, None] * y)
+        (c, c_x, c_total), (s, s_x, s_total) = running(cos * g), running(sin * g)
+        u = (sin * c - cos * s) / kb[:, None, None]         # the causal convolution at every node
+        h_cos, h_sin = (np.sum(hw * f, axis=(1, 2)) for f in (cos, sin))
+        return np.vstack([np.sum(hw * u, axis=(1, 2)), c_total - 1j * s_total, c_total + 1j * s_total,
+                          h_cos - 1j * h_sin, h_cos + 1j * h_sin, c_x.T, s_x.T])
     size = max(1, _BLOCK_VALUES // y.size)     # at most _BLOCK_VALUES values per (k, node) array
     blocks = [block(ks[i:i + size]) for i in range(0, max(len(ks), 1), size)]
     return np.where(reach, np.concatenate(blocks, axis=-1), math.nan)
 
 
 def _n_columns(kernel: SeparableKernel, ks, xs=()) -> tuple:
-    """(N+, N-) over the float column ks as ``_PyComplex`` columns, the float
-    columns g~(k -+ a) and h~(k -+ b), their faults (a generic kernel's
-    QuadratureFailure where the doubled-order estimate of N+, which N- shares,
-    or of a transform exceeds 1e-8 max(|value|, 1) or is NaN) and the rows of
-    A and B at each x of xs (``_panel_j``; None for Yamaguchi)."""
+    """(N+, N-) over the float column ks as ``_PyComplex`` columns, the
+    transforms (G-, G+, H-, H+; float columns of even factors for Yamaguchi),
+    their faults (a generic kernel's QuadratureFailure where the doubled-order
+    estimate of N+, which N- shares, or of a transform exceeds 1e-8 max(|value|,
+    1) or is NaN) and the rows G-, G+, C(xs), S(xs) (``_panel_j``; Yamaguchi: None)."""
     if kernel.is_yamaguchi:
         kk, m = np.concatenate([ks, -ks]), len(ks)
         j = _yamaguchi_j(kernel.alpha, kernel.beta, kernel.gamma, kernel.delta, kk)
@@ -205,16 +203,15 @@ def _n_columns(kernel: SeparableKernel, ks, xs=()) -> tuple:
                for q in (ks - a, ks + a)]
         return (_PyComplex.of(-0.5j) / ks * _PyComplex(j.real[:m], j.imag[:m]),
                 _PyComplex.of(0.5j) / ks * _PyComplex(j.real[m:], j.imag[m:])), fts, [], None
-    # the sums over e^{+iky} are g~(-k - a) = g~(k + a) and h~(-k - b) = h~(k + b): even factors
     sums = _panel_j(kernel, ks, _ORDER, xs), _panel_j(kernel, ks, 2 * _ORDER)
-    (n, *fts), (n_high, *fts_high) = ([-0.5j / ks * rows[0], *rows[1:5].real] for rows in sums)
+    (n, *fts), (n_high, *fts_high) = ([rows[0] - 0.5j / ks * rows[2] * rows[3], *rows[1:5]] for rows in sums)
     n_minus = n + 0.5j / ks * (fts[0] * fts[3] + fts[1] * fts[2])      # the identity of the module docstring
     errors = [abs(n_high - n)] * 2 + [abs(high - low) for high, low in zip(fts_high, fts)]
-    names = ("N plus", "N minus", "g~(k-alpha)", "g~(k+alpha)", "h~(k-beta)", "h~(k+beta)")
+    names = ("N plus", "N minus", "g~(k-alpha)", "g~(-k-alpha)", "h~(k-beta)", "h~(-k-beta)")
     return (_PyComplex.of(n), _PyComplex.of(n_minus)), fts, [
         (~(e <= 1e-8 * np.maximum(abs(v), 1.0)),
          lambda i, e=e, s=s: QuadratureFailure(f"quadrature error {e[i]:.2e} too large for {s}"))
-        for v, e, s in zip((n, n_minus, *fts), errors, names)], sums[0][5:]
+        for v, e, s in zip((n, n_minus, *fts), errors, names)], np.vstack([sums[0][1:3], sums[0][5:]])
 
 
 @_frozen
@@ -238,9 +235,9 @@ def nonlocal_intermediates(kernel: SeparableKernel, k) -> NonlocalIntermediates:
 
     N+- = -(+)(i/2k) Int h e^{i b x} e^{+-ik|x-y|} g e^{i a y}: the closed form
     for Yamaguchi kernels and the panel rule, truncated at the kernel
-    support, for the others (module docstring).  lam*N+- = -+(i*omega/2)[g~(k-a)h~(k+b) + g~(k+a)h~(k-b)] + Q with Q real
-    for even form factors; delta_t is the numerator of T_rl - T_lr.  ``k``
-    may be an array of wave numbers: every field is then a column.
+    support, for the others (module docstring).  lam*N+- = -+(i*omega/2)(G- H+ + G+ H-) + Q
+    with Q real for even form factors; delta_t is the numerator of T_rl - T_lr.
+    ``k`` may be an array of wave numbers: every field is then a column.
     """
     ks, one = _wavenumbers(k)
     with np.errstate(all="ignore"):
@@ -254,10 +251,9 @@ def _intermediates(kernel: SeparableKernel, ks, xs=()) -> tuple:
     """``nonlocal_intermediates`` over the float column ks (``_PyComplex``
     columns, omega a float column), the coefficient columns (T_lr, R_lr,
     T_rl, R_rl), the faults (ResonancePole where a denominator vanishes,
-    TransferOverflow where a value or modulus is not finite) and A, B at xs."""
-    # the solution uses h~(-k-b) = h~(k+b) and g~(-k-a) = g~(k+a): even form factors
-    if not _even_factors(kernel, 1e-9):
-        raise ValueError("nonlocal coefficients require even form factors")
+    TransferOverflow where a value or modulus is not finite) and the causal
+    sum's rows at xs (``_n_columns``).  The signed transforms (G-, G+, H-, H+)
+    make every formula hold for form factors that are not even."""
     (n_plus, n_minus), (g_m, g_p, h_m, h_p), faults, at_x = _n_columns(kernel, ks, xs)
     lam = kernel.lam
     omega = lam / (2 * ks)
@@ -292,7 +288,7 @@ def _intermediates(kernel: SeparableKernel, ks, xs=()) -> tuple:
 def nonlocal_coefficients(kernel: SeparableKernel, k) -> ScatteringCoefficients:
     """All four coefficients of the separable kernel.
 
-    T_lr = 1 - i*omega g~(k-a)h~(k+b) D+ and the right-to-left pair uses
+    T_lr = 1 - i*omega G- H+ D+ and the right-to-left pair uses
     the dressed resolvent script-D-; for symmetric kernels (g = h, a = b)
     the two transmissions coincide identically, otherwise they differ by
     i*omega*delta_t*D+*script-D-.  ``k`` may be an array of wave numbers:
@@ -333,6 +329,7 @@ def nonlocal_wavefunction(kernel: SeparableKernel, k, direction: str,
         raise ValueError("nonlocal_wavefunction takes one wave number k, not a grid")
     kv = float(ks[0])
     grid = np.asarray(grid, dtype=float)
+    wave = np.exp(1j * kv * grid)
     with np.errstate(all="ignore"):
         mid, coefficients, faults, at_x = _intermediates(kernel, ks, grid.ravel())
         coeffs = _record(ks, True, coefficients, faults)
@@ -341,11 +338,12 @@ def nonlocal_wavefunction(kernel: SeparableKernel, k, direction: str,
         kk = kv if left else -kv
         if at_x is None:
             conv, dconv = _convolution(kernel, kk, grid)
-        else:       # the derivative is -i/2kk ikk (e^{ikkx} A - e^{-ikkx} B): the G(x) terms cancel
-            wave, (a, b) = np.exp(1j * kk * grid), at_x.reshape(2, 2, *grid.shape)[0 if left else 1]
-            conv, dconv = -0.5j / kk * (wave * a + wave.conj() * b), 0.5 * (wave * a - wave.conj() * b)
+        else:       # u -+ (i/2k) e^{-+ikx} G+- (module docstring), the free wave's slope -ikk times it
+            (g_minus, g_plus), (cx, sx) = at_x[:2, 0], at_x[2:, 0].reshape(2, *grid.shape)
+            free = -0.5j / kk * (wave.conj() * g_plus if left else wave * g_minus)
+            conv = (wave.imag * cx - wave.real * sx) / kv + free
+            dconv = wave.real * cx + wave.imag * sx - 1j * kk * free
     source = kernel.lam * complex(i_pm.array()[0])
-    wave = np.exp(1j * kv * grid)
     psi = c * wave + d * wave.conj() + source * conv
     dpsi = 1j * kv * (c * wave - d * wave.conj()) + source * dconv
     return WavefunctionGrid(x=grid, psi=psi, dpsi=dpsi, k=kv,

@@ -337,3 +337,44 @@ def moduli(t_lr, r_lr, det) -> tuple:
 def phase(t) -> float:
     """theta with t = |t| e^{-i theta}, in [0, 2 pi); NaN at t = 0."""
     return (-math.atan2(t.imag, t.real)) % (2 * math.pi) if t != 0 else math.nan
+
+
+# -- separable kernels with exponential form factors that are not even -----------------
+
+def exponential_transform(p, s, w):
+    """Int e^{-p|x| + s x} e^{iwx} dx = 1/(p - s - iw) + 1/(p + s + iw), p > |s|."""
+    return 1 / (p - s - 1j * w) + 1 / (p + s + 1j * w)
+
+
+def skewed_kernel_coefficients(g, h, alpha, beta, lam, k, dps=30) -> tuple:
+    """(T_lr, R_lr, T_rl, R_rl) of the kernel with form factors
+    e^{-p|x| + s x}, (p, s) = g and h, in mpmath at ``dps`` digits, by the
+    causal route: u = Int_{-inf}^{x} sin(k(x - y))/k g(y) e^{i alpha y} dy in
+    closed form, U = Int h e^{i beta x} u by one quadrature, the transforms
+    G-+ = Int g e^{i alpha y} e^{-+iky} and H-+ likewise in closed form;
+    den = 1 - lam (U - (i/2k) G+ H-), c = H+/den from the left and H-/den
+    from the right, T_lr = 1 - lam c (i/2k) G-, R_lr = -lam c (i/2k) G+,
+    T_rl = 1 - lam c (i/2k) G+ and R_rl = -lam c (i/2k) G-."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        (pg, sg), (ph, sh) = ([mp.mpf(x) for x in f] for f in (g, h))
+        k, alpha, beta = mp.mpf(k), mp.mpf(alpha), mp.mpf(beta)
+        g_m, g_p = (exponential_transform(pg, sg, alpha - sign * k) for sign in (1, -1))
+        h_m, h_p = (exponential_transform(ph, sh, beta - sign * k) for sign in (1, -1))
+
+        def upto(kappa, x):     # Int_{-inf}^{x} g e^{i alpha y} e^{i kappa y} dy
+            left, right = pg + sg + 1j * (alpha + kappa), -pg + sg + 1j * (alpha + kappa)
+            if x <= 0:
+                return mp.exp(left * x) / left
+            return 1 / left + mp.expm1(right * x) / right
+
+        def hu(x):
+            u = (mp.exp(1j * k * x) * upto(-k, x) - mp.exp(-1j * k * x) * upto(k, x)) / (2j * k)
+            return mp.exp(-ph * abs(x) + sh * x + 1j * beta * x) * u
+
+        n_plus = mp.quad(hu, [-mp.inf, 0, mp.inf]) - 0.5j / k * g_p * h_m
+        den, free = 1 - lam * n_plus, 0.5j / k
+        c_left, c_right = h_p / den, h_m / den
+        return tuple(complex(z) for z in (1 - lam * c_left * free * g_m, -lam * c_left * free * g_p,
+                                          1 - lam * c_right * free * g_p, -lam * c_right * free * g_m))

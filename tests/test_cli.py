@@ -160,9 +160,21 @@ class TestCompare:
                         "--kmax", "3", "--out", str(out)]) == 0
         assert calls == [5]
 
-    def test_yamaguchi_has_no_numeric_route(self, capsys):
-        code = run_cli(["compare", "--potential", "yamaguchi"])
-        assert code == 2
+    def test_yamaguchi_against_its_causal_sum(self, tmp_path):
+        """The closed form against the same kernel taken as generic, at a
+        corner of the benchmark's Yamaguchi box."""
+        out = tmp_path / "yam.json"
+        assert run_cli(["compare", "--potential", "yamaguchi", "--gamma", "0.8", "--delta", "2.4",
+                        "--alpha", "0.5", "--beta", "0.5", "--strength", "1.5", "--kmin", "0.2",
+                        "--kmax", "4.4", "--kcount", "50", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert len(payload["rows"]) == 50 and set(payload["rows"][0]) == {"k", "t_lr", "r_lr", "t_rl", "r_rl"}
+        assert payload["summary"]["max_rel_diff"] <= 1e-12
+
+    def test_custom_sampled_has_no_analytic_route(self, tmp_path, capsys):
+        samples = tmp_path / "pot.csv"
+        samples.write_text("-1,0.5,0\n0,0.5,0\n1,0.5,0\n")
+        assert run_cli(["compare", "--potential", "custom-sampled", "--samples-file", str(samples)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
     @settings(max_examples=300, deadline=None)

@@ -233,6 +233,17 @@ class TestEmptyTail:
         assert _same_bits(a, 0.5 * (psi + dpsi / ika) * np.exp(-ika * x))
         assert _same_bits(b, 0.5 * (psi - dpsi / ika) * np.exp(ika * x))
 
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_subnormal_k(self, side):
+        """At k = 1e-310 the rate (ik -+ m)/ik overflows, yet the empty tail's
+        zero terms leave s = 1 and t = +-1, so a sweep fails on its Wronskian,
+        not on the series."""
+        with np.errstate(over="ignore", invalid="ignore"):      # as the sweep calls it
+            _, s, t = numeric._jost_pair((), 2.0 * side, np.array([1e-310, 1e-309]), side)
+        assert _same_bits(s, 1.0) and _same_bits(t, [[1.0], [-1.0]])
+        with pytest.raises(DegenerateSolutions):
+            integrate_batch(square_well_potential(WELL), [1e-310])
+
     def test_each_edge_is_matched_by_its_own_tail(self):
         """Scarf with its left tail and an empty right one: the sweep starts at
         the left edge and ends a margin past the right, where V is truncated."""

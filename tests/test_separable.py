@@ -192,8 +192,8 @@ class TestCoefficients:
             g=lambda x: math.exp(-abs(x)), h=lambda y: math.exp(-2 * abs(y)),
             alpha=0.3, beta=0.7, lam=1.0, support=40.0)
         panel_j = sep._panel_j
-        # rows of _panel_j at +k: the double integral of N+, ..., the sum giving h~(k+b)
-        for row, quantity in ((0, "N plus"), (4, "h~(k+beta)")):
+        # rows of _panel_j: U, which gives N+, ..., H+ = h~(-k-b)
+        for row, quantity in ((0, "N plus"), (4, "h~(-k-beta)")):
             def doubled_order_off_at_2(kernel, kk, order, row=row):
                 sums = panel_j(kernel, kk, order)
                 sums[row] += 1e-3 * ((order > sep._ORDER) & (kk == 2.0))
@@ -208,8 +208,7 @@ class TestCoefficients:
     def test_form_factors_sampled_once_per_order(self):
         """Scalar-only form factors are called at the nodes of the order-20
         and order-40 rules, which give N, the transforms and a wavefunction's
-        convolution alike, and on the two 257-point grids of the evenness
-        check: nowhere else."""
+        convolution alike: nowhere else."""
         import ptscatter.separable as sep
 
         calls = {"g": 0, "h": 0}
@@ -229,10 +228,10 @@ class TestCoefficients:
         freq = np.array([1.5])      # k + |alpha| + |beta|
         nodes = sum(sep._rule(kernel.support, freq, order)[0].size for order in (sep._ORDER, 2 * sep._ORDER))
         assert nodes == 3200 + 6400
-        assert calls == {"g": nodes + 2 * 257, "h": nodes + 2 * 257}
+        assert calls == {"g": nodes, "h": nodes}
         calls.update(g=0, h=0)
         nonlocal_wavefunction(kernel, 1.0, "right", np.linspace(-3.0, 3.0, 61))
-        assert calls == {"g": nodes + 2 * 257, "h": nodes + 2 * 257}
+        assert calls == {"g": nodes, "h": nodes}
 
     @pytest.mark.parametrize("name, value", [("alpha", math.nan), ("beta", math.inf), ("lam", math.inf)])
     def test_non_finite_parameter_is_rejected(self, name, value):
@@ -394,3 +393,30 @@ class TestWavefunction:
 
     def test_integro_differential_residual_right(self):
         assert integro_differential_residual(ASYMMETRIC, 1.0, "right") < 1e-5
+
+
+class TestSkewedKernel:
+    """Form factors that are not even, e^{-p|x| + s x}, against the mpmath
+    causal route of ``oracle.skewed_kernel_coefficients``: every decay rate
+    p -+ s is at least 1, so cutting the support at 40 costs nothing."""
+
+    G, H = (1.5, 0.4), (2.0, -0.5)
+    KERNEL = SeparableKernel.from_form_factors(
+        g=lambda x: math.exp(-1.5 * abs(x) + 0.4 * x), h=lambda y: math.exp(-2.0 * abs(y) - 0.5 * y),
+        alpha=0.3, beta=-0.6, lam=1.2)
+
+    def test_coefficients_match_oracle(self):
+        ks = np.array([0.05, 1.7, 20.0])
+        got = nonlocal_coefficients(self.KERNEL, ks)
+        for i, k in enumerate(ks):
+            want = oracle.skewed_kernel_coefficients(self.G, self.H, 0.3, -0.6, 1.2, k)
+            for name, w in zip(("t_lr", "r_lr", "t_rl", "r_rl"), want):
+                assert abs(getattr(got, name)[i] - w) < 1e-12
+        assert abs(got.t_lr[1] - got.t_rl[1]) > 1e-2
+
+    @pytest.mark.parametrize("direction", ["left", "right"])
+    def test_integro_differential_residual(self, direction):
+        kernel = SeparableKernel.from_form_factors(
+            g=lambda x: math.exp(-(x - 0.5) ** 2), h=lambda y: math.exp(-abs(y)) * (1 + 0.3 * math.tanh(y)),
+            alpha=0.3, beta=-0.6, lam=1.2)
+        assert integro_differential_residual(kernel, 1.0, direction) < 1e-5
