@@ -186,9 +186,10 @@ class _Table:
         fh.write(self.tail)
 
 
-def _csv_table(header, styles, columns) -> _Table:
-    """A CSV table with a header line; ``styles`` gives each column's style."""
-    return _Table([_Column(np.asarray(c), style) for c, style in zip(columns, styles)],
+def _csv_table(header, columns) -> _Table:
+    """A CSV table with a header line: int and bool columns as "%d", float ones as "%.17g"."""
+    columns = [np.asarray(c) for c in columns]
+    return _Table([_Column(c, "%d" if c.dtype.kind in "biu" else "%.17g") for c in columns],
                   [""] + [","] * (len(columns) - 1) + ["\n"], head=",".join(header) + "\n")
 
 
@@ -383,7 +384,7 @@ def cmd_scan(args) -> int:
     columns = [ks, c.t_lr.real, c.t_lr.imag, c.r_lr.real, c.r_lr.imag, c.t_rl.real, c.t_rl.imag,
                c.r_rl.real, c.r_rl.imag, abs_t_sq, abs_r_sq, abs_det, abs_t_sq + abs_r_sq - 1.0]
     if args.format == "csv":
-        _write(args.out, [_csv_table(SCAN_HEADER, ["%.17g"] * len(SCAN_HEADER), columns)])
+        _write(args.out, [_csv_table(SCAN_HEADER, columns)])
     else:
         rows = _json_table([dict(zip(SCAN_HEADER, columns))])
         _write(args.out, _json_document({"potential": problem.label, "rows": rows}))
@@ -491,7 +492,6 @@ def cmd_symmetry(args) -> int:
 
 LATTICE_HEADER = ["n", "k", "abs_t_lr", "abs_r_lr", "abs_t_rl", "abs_r_rl",
                   "det_m_re", "det_m_im", "overflow"]
-LATTICE_STYLES = ["%d"] + ["%.17g"] * 7 + ["%d"]
 
 
 def cmd_lattice(args) -> int:
@@ -506,36 +506,10 @@ def cmd_lattice(args) -> int:
         raise ConfigError(f"n-max {n_max} from n = {args.n} at kcount {len(ks)} gives more than "
                           f"the {MAX_ROWS} rows a table may hold")
     p = potentials.LatticeParams(well=well, a=args.a, n=args.n)
-    cells, chunks = potentials.lattice_transfer(p, ks, n_max)
-    with np.errstate(over="ignore"):    # the extended cell may hold what no float does
-        cells = cells.astype(complex)
-    core._raise_first([(~np.all(np.isfinite(cells), axis=(1, 2)),
-                        lambda i: TransferOverflow(core.OUT_OF_RANGE))], ks)
-    # the edge phases have unit modulus and unit det, so |M_ij| = |T^n_ij| and
-    # det M = det(T)^n from the cell; then |t_lr| = 1/|T_RR|, |r_lr| = |T_LR|/|T_RR|,
-    # |r_rl| = |T_RL|/|T_RR| and |t_rl| = |det M|/|T_RR|
-    t = [core._PyComplex.of(cells[:, i // 2, i % 2]) for i in range(4)]
-    with np.errstate(all="ignore"):     # an overflowing det gives rows that are not finite
-        det_cell = (t[0] * t[3] - t[1] * t[2]).array()
-    ns_all, values_all, overflow_all = [], [], []
-    for ns, _, overflow, size in chunks:    # the rows of a few n as columns
-        size, overflow = size.reshape(-1, 4), overflow.ravel()
-        with np.errstate(all="ignore"):
-            det = core._int_powers(det_cell, ns).ravel()
-            rr = size[:, 0]                 # |T_RR|, then |T_RL| and |T_LR|, in np.longdouble
-            values = np.array([1 / rr, size[:, 2] / rr, np.abs(det.astype(np.clongdouble)) / rr,
-                               size[:, 1] / rr, det.real, det.imag], dtype=float)
-        # a row that is not flagged, at a pole or not finite, is a solver error
-        faults = [core._pole(rr),
-                  (~np.all(np.isfinite(values), axis=0), lambda i: TransferOverflow(core.OUT_OF_RANGE))]
-        core._raise_first([(mask & ~overflow, make) for mask, make in faults], np.tile(ks, len(ns)))
-        values[:, overflow] = np.nan
-        ns_all.append(ns)
-        values_all.append(values)
-        overflow_all.append(overflow)
-    columns = [np.repeat(np.concatenate(ns_all), len(ks)), np.tile(ks, sum(map(len, ns_all))),
-               *np.concatenate(values_all, axis=1), np.concatenate(overflow_all)]
-    _write(args.out, [_csv_table(LATTICE_HEADER, LATTICE_STYLES, columns)])
+    ns, values, overflow = (np.concatenate(parts, axis=-1)
+                            for parts in zip(*potentials.lattice_rows(p, ks, n_max)))
+    columns = [np.repeat(ns, len(ks)), np.tile(ks, len(ns)), *values, overflow]
+    _write(args.out, [_csv_table(LATTICE_HEADER, columns)])
     return EXIT_OK
 
 

@@ -308,47 +308,17 @@ def _quotient(a: _PyComplex, b: _PyComplex) -> _PyComplex:
     return _PyComplex(re, im)
 
 
-def _int_powers(z, ns) -> np.ndarray:
-    """z ** n as CPython's complex ** int gives it, over the complex column z
-    (columns) and the column of ints n >= 1 ``ns`` (rows), NaN where a part is
-    infinite (where Python raises OverflowError).  n <= 100 takes CPython's
-    binary powers from (1.0, 0.0) in ``_PyComplex`` products (``c_powu``), a
-    larger n its polar form (``_Py_c_pow``): |z| ** n (cos n arg z, sin n arg z),
-    and 0 at z = 0.  Callers ignore floating-point warnings."""
-    z = _PyComplex.of(np.asarray(z, dtype=complex))
-    ns = np.asarray(ns, dtype=np.int64)[:, None]
-    out = np.empty((len(ns), len(z.real)), dtype=complex)
-    small = ns[:, 0] <= 100
-    r, p, mask = _PyComplex(np.ones(out[small].shape), np.zeros(out[small].shape)), z, 1
-    while mask <= ns[small].max(initial=0):
-        bit = (ns[small] & mask) != 0
-        prod = r * p
-        r = _PyComplex(np.where(bit, prod.real, r.real), np.where(bit, prod.imag, r.imag))
-        mask, p = mask << 1, p * p
-    out[small] = r.array()
-    n, size = np.broadcast_to(ns[~small], out[~small].shape), np.broadcast_to(abs(z), out[~small].shape)
-    length = COLUMN.pow(size, n).reshape(n.shape)
-    length[np.isnan(length) & ~np.isnan(size)] = math.inf    # where Python's float ** overflows
-    phase = COLUMN.atan2(z.imag, z.real) * n
-    big = _PyComplex(length * COLUMN.cos(phase), length * COLUMN.sin(phase))
-    zero = (z.real == 0) & (z.imag == 0)
-    big.real[:, zero], big.imag[:, zero] = 0.0, 0.0
-    out[~small] = big.array()
-    out[np.isinf(out.real) | np.isinf(out.imag)] = math.nan
-    return out
-
-
-def _mapped(fn, *args) -> np.ndarray:
-    """fn over float columns element by element, on Python floats, so that
-    it rounds as Python's math does; NaN where fn raises.  Scalars among
-    the arguments are repeated."""
+def _mapped(fn, *args, dtype=float) -> np.ndarray:
+    """fn over columns element by element, on Python numbers, so that it
+    rounds as Python does; a ``dtype`` column, NaN where fn raises.
+    Scalars among the arguments are repeated."""
     cols = [np.ravel(a).tolist() for a in args]
     n = max(map(len, cols))
     cols = [col * n if len(col) == 1 else col for col in cols]
     try:
-        return np.fromiter(map(fn, *cols), dtype=float, count=n)
+        return np.fromiter(map(fn, *cols), dtype=dtype, count=n)
     except (ArithmeticError, ValueError):
-        return np.array([_or_nan(fn, *row) for row in zip(*cols)], dtype=float)
+        return np.array([_or_nan(fn, *row) for row in zip(*cols)], dtype=dtype)
 
 
 def _or_nan(fn, *args) -> float:

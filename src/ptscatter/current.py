@@ -13,12 +13,15 @@ current (the U = identity member of the same family) is provided alongside.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import COLUMN, ScatteringCoefficients, _frozen, _PyComplex, _raise_first, _record, _wavenumbers
 from .errors import AsymmetricGrid, VacuousForReflectionless
-from .numeric import WavefunctionGrid
+
+if TYPE_CHECKING:
+    from .numeric import WavefunctionGrid
 
 
 @_frozen

@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -27,7 +28,9 @@ from .core import (
     ScatteringCoefficients,
     _closed_form,
     _frozen,
+    _mapped,
     _or_nan,
+    _pole,
     _PyComplex,
     _raise_first,
     _require_finite,
@@ -167,10 +170,6 @@ class LatticeParams:
     def u1(self) -> float:
         return -self.a - 2 * self.well.b
 
-    @property
-    def length(self) -> float:
-        return self.n * self.period
-
 
 def _cell(p: LatticeParams, kv) -> tuple:
     """The elements of the cell matrix T over a column kv, in np.clongdouble."""
@@ -234,6 +233,37 @@ def lattice_transfer(p: LatticeParams, ks, n_max: int | None = None):
             yield ns, powers, rows, moduli
 
     return t, chunks()
+
+
+def lattice_rows(p: LatticeParams, ks, n_max: int):
+    """The ``lattice`` table over the k column ``ks`` for n = p.n..n_max, in
+    ``lattice_transfer``'s chunks of (n, k) rows, n major: (ns, values,
+    overflow), values the rows |t_lr| = 1/|T_RR|, |r_lr| = |T_LR|/|T_RR|,
+    |t_rl| = |det M|/|T_RR|, |r_rl| = |T_RL|/|T_RR| (the np.longdouble moduli
+    of T^n, which the edge phases leave as they are) and Re and Im det M, NaN
+    where overflow is set.  det M = det(T)^n is CPython's complex ** int of
+    the cell's det, taken in Python's complex arithmetic from the cell rounded
+    to complex once, and NaN where Python raises OverflowError.
+    TransferOverflow names the first k where the rounded cell is not finite;
+    then, in (n, k) order, a row that is not flagged raises TransmissionPole
+    where |T_RR| < 1e-12 and TransferOverflow where a value is not finite."""
+    cells, chunks = lattice_transfer(p, ks, n_max)
+    ks = _wavenumbers(ks)[0]
+    with np.errstate(over="ignore"):    # the extended cell may hold what no float does
+        cells = cells.astype(complex)
+    _raise_first([(~np.all(np.isfinite(cells), axis=(1, 2)), lambda i: TransferOverflow(OUT_OF_RANGE))], ks)
+    dets = [rr * ll - rl * lr for rr, rl, lr, ll in cells.reshape(-1, 4).tolist()]
+    for ns, _, overflow, size in chunks:
+        size, overflow = size.reshape(-1, 4), overflow.ravel()
+        with np.errstate(all="ignore"):
+            det = _mapped(operator.pow, dets * len(ns), np.repeat(ns, len(dets)), dtype=complex)
+            rr = size[:, 0]                 # |T_RR|, then |T_RL| and |T_LR|, in np.longdouble
+            values = np.array([1 / rr, size[:, 2] / rr, np.abs(det.astype(np.clongdouble)) / rr,
+                               size[:, 1] / rr, det.real, det.imag], dtype=float)
+        faults = [_pole(rr), (~np.all(np.isfinite(values), axis=0), lambda i: TransferOverflow(OUT_OF_RANGE))]
+        _raise_first([(mask & ~overflow, make) for mask, make in faults], np.tile(ks, len(ns)))
+        values[:, overflow] = np.nan
+        yield ns, values, overflow
 
 
 @_closed_form

@@ -18,8 +18,9 @@ N+ = U - (i/2k) G+ H- and N- = N+ + (i/2k)(G- H+ + G+ H-).  A wavefunction's
 outgoing (incoming) convolution is u -+ (i/2k) e^{-+ikx} G+-, u' = cos kx C
 + sin kx S.  The sums at twice the order estimate the error of N+ (which N-
 shares) and of the transforms: QuadratureFailure names the lowest k where
-one exceeds 1e-8 max(|value|, 1).  Form factors may be non-smooth only at 0;
-a kink elsewhere raises QuadratureFailure, not a wrong number.
+one exceeds 1e-8 max(|value|, 1) or that is beyond the rule's reach.  Form
+factors may be non-smooth only at 0; a kink elsewhere raises
+QuadratureFailure, not a wrong number.
 """
 from __future__ import annotations
 
@@ -139,6 +140,11 @@ def _yamaguchi_j(alpha: float, beta: float, gamma: float, delta: float, k) -> _P
 _ORDER, _MAX_PANELS, _BLOCK_VALUES = 20, 8192, 1 << 18
 
 
+def _in_reach(support: float, freq) -> np.ndarray:
+    """Where the rule reaches the frequencies freq: support * max(f, 40) <= 10 * _MAX_PANELS."""
+    return support * np.maximum(freq, 40.0) <= 10 * _MAX_PANELS
+
+
 def _rule(support: float, freq, order: int) -> tuple:
     """Nodes (panel, node) and weights of the rule for the frequencies freq,
     the panels' half-widths, the edges, and where freq is in reach: panels
@@ -146,7 +152,7 @@ def _rule(support: float, freq, order: int) -> tuple:
     largest f that needs at most _MAX_PANELS."""
     from numpy.polynomial import legendre
 
-    reach = support * np.maximum(freq, 40.0) <= 10 * _MAX_PANELS
+    reach = _in_reach(support, freq)
     count = math.ceil(min(_MAX_PANELS / 2, support * np.max(freq[reach], initial=40.0) / 20))
     half = np.linspace(0.0, support, count + 1)
     edges = np.unique(np.concatenate([-half, half]))
@@ -193,9 +199,10 @@ def _panel_j(kernel: SeparableKernel, ks, order: int, xs=()) -> np.ndarray:
 def _n_columns(kernel: SeparableKernel, ks, xs=()) -> tuple:
     """(N+, N-) over the float column ks as ``_PyComplex`` columns, the
     transforms (G-, G+, H-, H+; float columns of even factors for Yamaguchi),
-    their faults (a generic kernel's QuadratureFailure where the doubled-order
-    estimate of N+, which N- shares, or of a transform exceeds 1e-8 max(|value|,
-    1) or is NaN) and the rows G-, G+, C(xs), S(xs) (``_panel_j``; Yamaguchi: None)."""
+    their faults (a generic kernel's QuadratureFailure where k is beyond the
+    rule's reach, or where the doubled-order estimate of N+, which N- shares,
+    or of a transform exceeds 1e-8 max(|value|, 1) or is NaN) and the rows
+    G-, G+, C(xs), S(xs) (``_panel_j``; Yamaguchi: None)."""
     if kernel.is_yamaguchi:
         kk, m = np.concatenate([ks, -ks]), len(ks)
         j = _yamaguchi_j(kernel.alpha, kernel.beta, kernel.gamma, kernel.delta, kk)
@@ -208,7 +215,11 @@ def _n_columns(kernel: SeparableKernel, ks, xs=()) -> tuple:
     n_minus = n + 0.5j / ks * (fts[0] * fts[3] + fts[1] * fts[2])      # the identity of the module docstring
     errors = [abs(n_high - n)] * 2 + [abs(high - low) for high, low in zip(fts_high, fts)]
     names = ("N plus", "N minus", "g~(k-alpha)", "g~(-k-alpha)", "h~(k-beta)", "h~(-k-beta)")
-    return (_PyComplex.of(n), _PyComplex.of(n_minus)), fts, [
+    support = kernel.support
+    beyond = (~_in_reach(support, ks + abs(kernel.alpha) + abs(kernel.beta)), lambda i: QuadratureFailure(
+        f"k = {float(ks[i])} is beyond the panel rule's reach: support {support} times "
+        f"max(k + |alpha| + |beta|, 40) exceeds {10 * _MAX_PANELS}"))
+    return (_PyComplex.of(n), _PyComplex.of(n_minus)), fts, [beyond] + [
         (~(e <= 1e-8 * np.maximum(abs(v), 1.0)),
          lambda i, e=e, s=s: QuadratureFailure(f"quadrature error {e[i]:.2e} too large for {s}"))
         for v, e, s in zip((n, n_minus, *fts), errors, names)], np.vstack([sums[0][1:3], sums[0][5:]])

@@ -152,8 +152,13 @@ def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool
     ``s`` may hold columns over a k grid ``k`` (a scalar k is repeated);
     every residual is then a column, computed with CPython's rounding at
     each k.  A modulus of finite parts or a generalised-parity phase k*x0
-    beyond the float range raises TransferOverflow naming the first such k.
+    beyond the float range raises TransferOverflow naming the first such k;
+    a class that switches the generalised-parity suite on without ``k``
+    raises ValueError.
     """
+    generalized = cls.parity_generalized and not cls.parity and cls.x0 is not None
+    if generalized and k is None:
+        raise ValueError(f"the generalised-parity suite (x0 = {cls.x0}) needs the wave numbers k")
     (t_lr, r_lr, t_rl, r_rl), one = _columns(s)
     ks = None if k is None else np.broadcast_to(_wavenumbers(k)[0], t_lr.real.shape)
     records, overflow = [], []          # overflow: where |z| is infinite, z finite
@@ -183,7 +188,7 @@ def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool
             record("p", "p_equal_transmission", "S_RR = S_LL", modulus(t_lr - t_rl))
             record("p", "p_equal_reflection", "S_RL = S_LR", modulus(r_rl - r_lr))
 
-        if cls.parity_generalized and not cls.parity and cls.x0 is not None and k is not None:
+        if generalized:
             kv = _PyComplex(ks)
             arg = 1j * kv * cls.x0
             overflow.append(np.isinf(arg.imag))

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from ptscatter import cli
 from ptscatter.cli import main
 from ptscatter.core import OUT_OF_RANGE
-from ptscatter.potentials import LatticeParams, SquareWellParams
+from ptscatter.potentials import LatticeParams, SquareWellParams, lattice_transfer
 
 # argv (before --kmax 240 --kcount 3) whose closed form leaves the float range, and the k it names
 ARITHMETIC_ERRORS = [
@@ -171,6 +171,15 @@ class TestCompare:
         assert len(payload["rows"]) == 50 and set(payload["rows"][0]) == {"k", "t_lr", "r_lr", "t_rl", "r_rl"}
         assert payload["summary"]["max_rel_diff"] <= 1e-12
 
+    def test_yamaguchi_beyond_the_panel_rule_exits_3_naming_the_reach(self, capsys):
+        """gamma 0.01 gives the generic route a support of 40/gamma = 4,000,
+        which puts every k past the panel rule's reach."""
+        assert run_cli(["compare", "--potential", "yamaguchi", "--gamma", "0.01", "--kcount", "3",
+                        "--out", "-"]) == 3
+        assert capsys.readouterr().err == (
+            "solver error at k = 0.2: k = 0.2 is beyond the panel rule's reach: support 4000.0 "
+            "times max(k + |alpha| + |beta|, 40) exceeds 81920\n")
+
     def test_custom_sampled_has_no_analytic_route(self, tmp_path, capsys):
         samples = tmp_path / "pot.csv"
         samples.write_text("-1,0.5,0\n0,0.5,0\n1,0.5,0\n")
@@ -287,6 +296,26 @@ class TestLattice:
         assert row["overflow"] == "0" and t_lr < 1e-30
         assert abs(det - 1) < 1e-12
         assert abs(t_rl - t_lr) < 1e-12 * t_lr
+
+    @pytest.mark.parametrize("v1, rows", [("0.3", 16), ("30", 12)])
+    def test_det_m_is_python_power_of_the_cell_det(self, v1, rows, tmp_path):
+        """det M at n = 1, 100, 101 and 400 is, bit for bit, Python's
+        complex ** n (binary powers to n = 100, the polar form above) of the
+        det of ``lattice_transfer``'s cell rounded to complex, taken in
+        Python's complex arithmetic; ``rows`` of them are not flagged."""
+        out = tmp_path / "det.csv"
+        assert run_cli(["lattice", "--v0", "1", "--v1", v1, "--b", "0.5", "--a", "0.5", "--n", "1",
+                        "--n-max", "400", "--kmin", "0.5", "--kmax", "3", "--kcount", "4",
+                        "--out", str(out)]) == 0
+        ks = np.linspace(0.5, 3.0, 4).tolist()
+        cells = lattice_transfer(LatticeParams(SquareWellParams(1.0, float(v1), 0.5), a=0.5, n=1), ks)[0]
+        dets = [rr * ll - rl * lr for (rr, rl), (lr, ll) in cells.astype(complex).tolist()]
+        _, table = read_csv(out)
+        checked = [row for row in table if row["n"] in ("1", "100", "101", "400") and row["overflow"] == "0"]
+        assert len(checked) == rows
+        for row in checked:
+            want = dets[ks.index(float(row["k"]))] ** int(row["n"])
+            assert repr(complex(float(row["det_m_re"]), float(row["det_m_im"]))) == repr(want)
 
     @pytest.mark.parametrize("bounds", [["--n", "5", "--n-max", "3"], ["--n-max", "0"]])
     def test_n_max_below_n_is_config_error(self, bounds, tmp_path, capsys):

@@ -27,7 +27,7 @@ from ptscatter import (asymptotic_current, centrifugal_amplitudes, integrate_bat
                        wavefunction_on_grid, wronskian_residual)
 from ptscatter.cli import CHUNK_ROWS, _json_document, _json_table, _moduli, _write, main
 from ptscatter import core
-from ptscatter.core import COLUMN, ScatteringCoefficients, _int_powers, _mapped, _PyComplex
+from ptscatter.core import COLUMN, ScatteringCoefficients, _mapped, _PyComplex
 from ptscatter.errors import (NumeratorPole, ResonancePole, ScatteringError, TransferOverflow,
                               TransmissionPole)
 from ptscatter.potentials import (
@@ -457,33 +457,6 @@ def parts_wide():
     """Real or imaginary parts: moderate, near the overflow of |z|^2 or |z|, inf and NaN."""
     return st.one_of(finite(-3, 3), finite(1e154, 1e308), finite(-1e308, -1e154),
                      st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]))
-
-
-class TestIntPowers:
-    """``_int_powers`` against Python's complex ** int, bit for bit: binary
-    powers up to n = 100, the polar form above, NaN where Python overflows."""
-
-    COMPLEX = st.one_of(st.complex_numbers(allow_nan=True, allow_infinity=True),
-                        st.builds(cmath.rect, st.floats(0.5, 2.0), st.floats(-4.0, 4.0)),
-                        st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]))
-
-    @settings(max_examples=300, deadline=None)
-    @given(zs=st.lists(COMPLEX, min_size=1, max_size=4),
-           ns=st.lists(st.one_of(st.integers(1, 100), st.sampled_from([101, 400, 4096])),
-                       min_size=1, max_size=6))
-    @example(zs=[complex(10.0, 1.0), complex(1e200, 1e200), complex(1.0, 1e-300)], ns=[2, 100, 101, 400, 4096])
-    @example(zs=[complex(math.inf, 0.0), complex(math.nan, 1.0), complex(0.0, -math.inf)], ns=[1, 7, 101, 400])
-    @example(zs=[0j, complex(-0.0, -0.0), complex(0.5, 0.5)], ns=[1, 2, 100, 101, 4096])
-    def test_equals_python_power(self, zs, ns):
-        with np.errstate(all="ignore"):
-            got = _int_powers(np.array(zs, dtype=complex), ns)
-        for row, n in zip(got, ns):
-            for g, z in zip(row.tolist(), zs):
-                try:
-                    want = z ** n
-                except OverflowError:
-                    want = complex(math.nan)
-                assert same_float(g.real, want.real) and same_float(g.imag, want.imag), (z, n, g, want)
 
 
 def from_bits(n: int) -> float:

@@ -1,6 +1,8 @@
 """Density/current diagnostics and the reflection/transmission phase lock."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -31,6 +33,13 @@ def plane_wave_grid(k=1.0, n=401, half=5.0):
     x = np.linspace(-half, half, n)
     psi = np.exp(1j * k * x)
     return WavefunctionGrid(x=x, psi=psi, dpsi=1j * k * psi, k=k, direction="left-incident")
+
+
+def test_import_loads_neither_numeric_nor_dataclasses():
+    """WavefunctionGrid is only an annotation here: the integrator stays unloaded."""
+    code = "import sys, ptscatter.current; print(*(m in sys.modules for m in ('ptscatter.numeric', 'dataclasses')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.split() == ["False", "False"], proc.stderr
 
 
 class TestPtCurrent:

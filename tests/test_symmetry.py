@@ -121,6 +121,16 @@ class TestRelationSuites:
         bad = check_s_relations(s, wrong, local=True, k=k)
         assert not bad.by_name("pg_reflection_phase").holds
 
+    def test_generalized_parity_suite_needs_k(self):
+        """Without k the suite's two relations would be dropped and the rest
+        reported as all holding: the class asks for k, so its absence raises."""
+        k = 1.1
+        s = _shifted_well_smatrix(k)
+        cls = classify_local_potential(square_well_potential(HERMITIAN_WELL, x0=2.0))
+        with pytest.raises(ValueError, match="generalised-parity suite .* needs the wave numbers k"):
+            check_s_relations(s, cls, local=True)
+        assert len(check_s_relations(s, cls, local=True, k=k).records) == 9
+
     def test_asymmetric_nonlocal_pt_kernel(self):
         """|det S| = 1 and |T_lr| = |T_rl| hold; T_lr = T_rl fails (non-local)."""
         kernel = SeparableKernel.yamaguchi(gamma=1.0, delta=2.0, alpha=0.3, beta=0.7, lam=1.0)
