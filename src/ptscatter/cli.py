@@ -468,23 +468,16 @@ def cmd_symmetry(args) -> int:
     cls_payload = {name: getattr(cls, name)
                    for name in ("hermitian", "parity", "time_reversal", "pt", *extra)}
 
-    records = symmetry.check_s_relations(s, cls, local=problem.kernel is None, k=ks).records
+    report = symmetry.check_s_relations(s, cls, local=problem.kernel is None, k=ks)
     exact = symmetry.exact_asymptotic_pt_check(s)
-    suite_hold: dict = {}
-    for r in records:
-        if np.any(r.applicable):
-            holds = bool(np.all(r.holds[r.applicable]))
-            suite_hold[r.suite] = suite_hold.get(r.suite, True) and holds
-    suites = {suite: ("holds" if suite_hold[suite] else "violated") if suite in suite_hold
-              else "not-applicable" for suite in symmetry.SUITES}
 
     relations = _json_table([
         {"k": ks, "name": r.name, "anchor": r.anchor, "residual": r.residual,
          "tolerance": r.tolerance, "holds": r.holds, "applicable": r.applicable}
-        for r in records], nan_is_null={"residual"})
+        for r in report], nan_is_null={"residual"})
     exact_rows = _json_table([{"k": ks, "is_exact": exact.is_exact, "theta_lr": exact.theta_lr,
                                "theta_rl": exact.theta_rl}])
-    payload = {"potential": problem.label, "class": cls_payload, "suites": suites,
+    payload = {"potential": problem.label, "class": cls_payload, "suites": report.suites,
                "relations": relations, "exact_asymptotic_pt": exact_rows}
     _write(args.out, _json_document(payload))
     return EXIT_OK

@@ -146,7 +146,9 @@ class ScatteringCoefficients:
     r_rl: complex
 
     def as_array(self) -> np.ndarray:
-        return np.array([[self.t_lr, self.r_rl], [self.r_lr, self.t_rl]])
+        """S, one (2, 2) matrix per k: a complex (..., 2, 2) array."""
+        t_lr, r_lr, t_rl, r_rl = np.broadcast_arrays(*(np.asarray(z, dtype=complex) for z in vars(self).values()))
+        return np.stack([np.stack([t_lr, r_rl], -1), np.stack([r_lr, t_rl], -1)], -2)
 
     @property
     def det(self) -> complex:

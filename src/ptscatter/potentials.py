@@ -239,11 +239,11 @@ def lattice_rows(p: LatticeParams, ks, n_max: int):
     """The ``lattice`` table over the k column ``ks`` for n = p.n..n_max, in
     ``lattice_transfer``'s chunks of (n, k) rows, n major: (ns, values,
     overflow), values the rows |t_lr| = 1/|T_RR|, |r_lr| = |T_LR|/|T_RR|,
-    |t_rl| = |det M|/|T_RR|, |r_rl| = |T_RL|/|T_RR| (the np.longdouble moduli
-    of T^n, which the edge phases leave as they are) and Re and Im det M, NaN
-    where overflow is set.  det M = det(T)^n is CPython's complex ** int of
-    the cell's det, taken in Python's complex arithmetic from the cell rounded
-    to complex once, and NaN where Python raises OverflowError.
+    |t_rl| = |t_lr| (det M = 1), |r_rl| = |T_RL|/|T_RR| (the np.longdouble
+    moduli of T^n, which the edge phases leave as they are) and Re and Im
+    det M, NaN where overflow is set.  det M = det(T)^n is CPython's complex
+    ** int of the cell's det, taken in Python's complex arithmetic from the
+    cell rounded to complex once, and NaN where Python raises OverflowError.
     TransferOverflow names the first k where the rounded cell is not finite;
     then, in (n, k) order, a row that is not flagged raises TransmissionPole
     where |T_RR| < 1e-12 and TransferOverflow where a value is not finite."""
@@ -258,7 +258,7 @@ def lattice_rows(p: LatticeParams, ks, n_max: int):
         with np.errstate(all="ignore"):
             det = _mapped(operator.pow, dets * len(ns), np.repeat(ns, len(dets)), dtype=complex)
             rr = size[:, 0]                 # |T_RR|, then |T_RL| and |T_LR|, in np.longdouble
-            values = np.array([1 / rr, size[:, 2] / rr, np.abs(det.astype(np.clongdouble)) / rr,
+            values = np.array([1 / rr, size[:, 2] / rr, 1 / rr,
                                size[:, 1] / rr, det.real, det.imag], dtype=float)
         faults = [_pole(rr), (~np.all(np.isfinite(values), axis=0), lambda i: TransferOverflow(OUT_OF_RANGE))]
         _raise_first([(mask & ~overflow, make) for mask, make in faults], np.tile(ks, len(ns)))

@@ -78,8 +78,19 @@ class RelationReport:
         raise KeyError(name)
 
     @property
+    def suites(self) -> dict:
+        """The verdict on each of ``SUITES``, in order: "holds" when every relation
+        of the suite holds at every k where it applies, else "violated";
+        "not-applicable" when none applies at any k."""
+        verdicts = dict.fromkeys(SUITES, "not-applicable")
+        for r in self.records:          # a relation holds only where it applies
+            if np.any(r.applicable) and verdicts[r.suite] != "violated":
+                verdicts[r.suite] = "holds" if np.all(r.holds == r.applicable) else "violated"
+        return verdicts
+
+    @property
     def all_hold(self) -> bool:
-        return all(r.holds for r in self.records if r.applicable)
+        return "violated" not in self.suites.values()
 
 
 #: points of the symmetric grid a potential is classified on, and the largest
@@ -132,13 +143,6 @@ def classify_local_potential(v: LocalPotential) -> SymmetryClass:
     )
 
 
-def _columns(s: ScatteringCoefficients) -> tuple:
-    """(t_lr, r_lr, t_rl, r_rl) as complex columns, and whether s is one matrix."""
-    one = np.ndim(s.t_lr) == 0
-    return tuple(_PyComplex.of(np.atleast_1d(np.asarray(z, dtype=complex)))
-                 for z in (s.t_lr, s.r_lr, s.t_rl, s.r_rl)), one
-
-
 def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool,
                       tol: float = 1e-10, k=None) -> RelationReport:
     """Evaluate every relation suite switched on by the detected class.
@@ -159,7 +163,8 @@ def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool
     generalized = cls.parity_generalized and not cls.parity and cls.x0 is not None
     if generalized and k is None:
         raise ValueError(f"the generalised-parity suite (x0 = {cls.x0}) needs the wave numbers k")
-    (t_lr, r_lr, t_rl, r_rl), one = _columns(s)
+    mat, det, one = s.as_array().reshape(-1, 2, 2), _PyComplex.of(np.atleast_1d(s.det)), np.ndim(s.t_lr) == 0
+    t_lr, r_rl, r_lr, t_rl = map(_PyComplex.of, mat.reshape(-1, 4).T)    # S row by row
     ks = None if k is None else np.broadcast_to(_wavenumbers(k)[0], t_lr.real.shape)
     records, overflow = [], []          # overflow: where |z| is infinite, z finite
 
@@ -169,9 +174,6 @@ def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool
         return m
 
     with np.errstate(all="ignore"):
-        mat = np.stack([np.stack([t_lr.array(), r_rl.array()], -1),
-                        np.stack([r_lr.array(), t_rl.array()], -1)], -2)
-        det = t_lr * t_rl - r_rl * r_lr
         all_nonzero = np.min(np.abs(mat), axis=(1, 2)) >= tol
 
         def record(suite, name, anchor, residual, applicable=True):
@@ -205,10 +207,11 @@ def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool
             record("t", "t_unimodular_det", "|det S| = 1", np.abs(modulus(det) - 1.0),
                    all_nonzero)
 
-        if cls.hermitian and cls.time_reversal:
+        if cls.hermitian:
             record("hermitian_t", "ht_unitarity", "S^dag S = 1",
                    np.max(np.abs(np.conj(mat).transpose(0, 2, 1) @ mat - np.eye(2)), axis=(1, 2)))
-            record("hermitian_t", "ht_equal_transmission", "S_RR = S_LL", modulus(t_lr - t_rl))
+            if cls.time_reversal:
+                record("hermitian_t", "ht_equal_transmission", "S_RR = S_LL", modulus(t_lr - t_rl))
             record("hermitian_t", "ht_reflection_moduli", "|R_lr| = |R_rl|",
                    np.abs(modulus(r_lr) - modulus(r_rl)))
 
@@ -258,7 +261,8 @@ def exact_asymptotic_pt_check(s: ScatteringCoefficients, tol: float = 1e-10) -> 
     phase is not observable from S alone).  The test has no failure to name
     a k for, so it takes no k grid.
     """
-    (t_lr, r_lr, t_rl, r_rl), one = _columns(s)
+    one = np.ndim(s.t_lr) == 0
+    t_lr, r_rl, r_lr, t_rl = map(_PyComplex.of, s.as_array().reshape(-1, 4).T)    # S row by row
     with np.errstate(all="ignore"):
         is_exact = ((abs(r_lr) < tol) & (abs(r_rl) < tol)
                     & (np.abs(abs(t_lr) - 1.0) < tol) & (np.abs(abs(t_rl) - 1.0) < tol))

@@ -123,6 +123,18 @@ class TestSMatrixTransferConversion:
         with pytest.raises(TransmissionPole):
             smatrix(np.array([[0.0, 1.0], [1.0, 1.0]]))
 
+    @pytest.mark.parametrize("solver, params", [(square_well_coefficients, SquareWellParams(1.0, 0.5, 1.0)),
+                                                (scarf_coefficients, ScarfParams(1.3, 0.7j))])
+    def test_as_array_stacks_one_s_per_k(self, solver, params):
+        """A grid record's S is one (2, 2) matrix per k, each the one-k S bit for bit."""
+        ks = [0.3, 1.0, 2.5, 7.0]
+        grid = solver(params, ks).as_array()
+        assert grid.shape == (len(ks), 2, 2) and grid.dtype == complex
+        for k, m in zip(ks, grid):
+            one = solver(params, k).as_array()
+            assert one.shape == (2, 2)
+            assert np.array_equal(m.view(np.uint64), one.view(np.uint64))
+
 
 class TestShiftCompose:
     def test_shifted_well_matches_numeric_oracle(self):

@@ -18,6 +18,7 @@ from ptscatter import (
     check_s_relations,
     classify_local_potential,
     exact_asymptotic_pt_check,
+    kernel_symmetry_class,
     nonlocal_coefficients,
     scarf_coefficients,
     scarf_potential,
@@ -26,6 +27,7 @@ from ptscatter import (
     square_well_transfer,
 )
 from ptscatter.errors import PrecisionLoss
+from ptscatter.symmetry import SUITES
 
 PT_WELL = SquareWellParams(1.0, 0.5, 1.0)
 HERMITIAN_WELL = SquareWellParams(1.0, 0.0, 1.0)
@@ -187,6 +189,98 @@ class TestRelationSuites:
         assert not lock.applicable and math.isnan(lock.residual)
 
 
+class TestHermitianKernel:
+    """A kernel with g = h and alpha = -beta is hermitian but not T invariant:
+    hermiticity alone switches unitarity on, T_lr = T_rl needs T as well."""
+
+    KS = [0.5, 1.0, 2.0]
+
+    def test_hermitian_kernel_is_unitary(self):
+        kernel = SeparableKernel.yamaguchi(gamma=1.0, delta=1.0, alpha=0.3, beta=-0.3)
+        cls = kernel_symmetry_class(kernel)
+        assert cls.hermitian and not cls.time_reversal
+        s = nonlocal_coefficients(kernel, self.KS)
+        report = check_s_relations(s, cls, local=False, k=self.KS)
+        assert [r.name for r in report if r.suite == "hermitian_t"] == ["ht_unitarity",
+                                                                       "ht_reflection_moduli"]
+        assert np.all(report.by_name("ht_unitarity").residual < 1e-15)
+        assert np.all(report.by_name("ht_reflection_moduli").residual == 0)
+        assert report.suites["hermitian_t"] == "holds" and report.all_hold
+        assert np.max(np.abs(s.t_lr - s.t_rl)) > 1      # equal transmission stays off
+
+    def test_forced_hermitian_class_fails_unitarity(self):
+        """beta = 0.7 alpha is not hermitian: forcing the flag shows it."""
+        kernel = SeparableKernel.yamaguchi(gamma=1.0, delta=1.0, alpha=0.3, beta=0.21)
+        s = nonlocal_coefficients(kernel, self.KS)
+        report = check_s_relations(s, SymmetryClass(hermitian=True), local=False, k=self.KS)
+        assert not np.any(report.by_name("ht_unitarity").holds)
+        assert report.suites["hermitian_t"] == "violated" and not report.all_hold
+
+
+def _at(s: ScatteringCoefficients, i: int) -> ScatteringCoefficients:
+    """The one-k record of element i of a grid record."""
+    return ScatteringCoefficients(*(complex(z[i]) for z in vars(s).values()))
+
+
+def _grid(*records) -> ScatteringCoefficients:
+    """One grid record of the elements of several records, end to end."""
+    return ScatteringCoefficients(*map(np.hstack, zip(*(vars(r).values() for r in records))))
+
+
+class TestSuiteVerdicts:
+    """``RelationReport.suites`` and ``all_hold`` over a k grid against one
+    report per k: a suite is violated where it is violated at some k, holds
+    where it holds at some k and is violated at none, else is not applicable."""
+
+    KS = np.linspace(0.5, 2.5, 5)
+
+    @staticmethod
+    def per_k(s, cls, local, ks) -> tuple:
+        verdicts, all_hold = dict.fromkeys(SUITES, "not-applicable"), True
+        for i, k in enumerate(ks):
+            report = check_s_relations(_at(s, i), cls, local=local, k=float(k))
+            all_hold &= all(r.holds for r in report if r.applicable)
+            for suite in SUITES:
+                held = [r.holds for r in report if r.suite == suite and r.applicable]
+                if held and verdicts[suite] != "violated":
+                    verdicts[suite] = "holds" if all(held) else "violated"
+        return verdicts, all_hold
+
+    def cases(self):
+        ks = self.KS
+        pt_well, hermitian_well = (square_well_coefficients(w, ks) for w in (PT_WELL, HERMITIAN_WELL))
+        reflectionless = centrifugal_coefficients(CentrifugalParams(2.0, 0.1), ks)
+        shifted = _grid(*(_shifted_well_smatrix(k) for k in ks))
+        return [
+            # the PT well holds its own class; a wrong class is violated
+            (pt_well, classify_local_potential(square_well_potential(PT_WELL)), ks),
+            (pt_well, SymmetryClass(hermitian=True, parity=True, time_reversal=True), ks),
+            # T relations on a reflectionless S apply at no k
+            (reflectionless, SymmetryClass(time_reversal=True), ks),
+            # the phase locks apply on the well's half of the grid only
+            (_grid(pt_well, reflectionless), SymmetryClass(pt=True), np.concatenate([ks, ks])),
+            # unitary on one half and not on the other: violated
+            (_grid(hermitian_well, pt_well), SymmetryClass(hermitian=True, time_reversal=True),
+             np.concatenate([ks, ks])),
+            (shifted, SymmetryClass(hermitian=True, time_reversal=True, parity_generalized=True,
+                                    x0=4.0), ks),
+        ]
+
+    def test_grid_verdicts_equal_the_per_k_loop(self):
+        """Also on the one-k record of the grid's first k."""
+        seen = set()
+        for s, cls, ks in self.cases():
+            report = check_s_relations(s, cls, local=True, k=ks)
+            verdicts, all_hold = self.per_k(s, cls, True, ks)
+            assert report.suites == verdicts, cls
+            assert list(report.suites) == list(SUITES)
+            assert report.all_hold == all_hold
+            seen.update(verdicts.values())
+            one = check_s_relations(_at(s, 0), cls, local=True, k=float(ks[0]))
+            assert (one.suites, one.all_hold) == self.per_k(s, cls, True, ks[:1])
+        assert seen == {"holds", "violated", "not-applicable"}
+
+
 class TestExactAsymptoticPt:
     def test_centrifugal_is_exact(self):
         c = centrifugal_coefficients(CentrifugalParams(2.0, 0.1), 1.0)
@@ -221,7 +315,6 @@ class TestRelationSuiteField:
 
     def test_suite_field_matches_name_prefix(self):
         from ptscatter import centrifugal_potential
-        from ptscatter.symmetry import SUITES
 
         cf = CentrifugalParams(2.0, 0.1)
         even = LocalPotential(evaluate=lambda x: -1.0 / math.cosh(x) ** 2,
