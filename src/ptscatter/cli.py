@@ -468,7 +468,7 @@ def cmd_symmetry(args) -> int:
     cls_payload = {name: getattr(cls, name)
                    for name in ("hermitian", "parity", "time_reversal", "pt", *extra)}
 
-    report = symmetry.check_s_relations(s, cls, local=problem.kernel is None, k=ks)
+    report = symmetry.check_s_relations(s, cls, k=ks)
     exact = symmetry.exact_asymptotic_pt_check(s)
 
     relations = _json_table([
@@ -499,8 +499,7 @@ def cmd_lattice(args) -> int:
         raise ConfigError(f"n-max {n_max} from n = {args.n} at kcount {len(ks)} gives more than "
                           f"the {MAX_ROWS} rows a table may hold")
     p = potentials.LatticeParams(well=well, a=args.a, n=args.n)
-    ns, values, overflow = (np.concatenate(parts, axis=-1)
-                            for parts in zip(*potentials.lattice_rows(p, ks, n_max)))
+    ns, values, overflow = potentials.lattice_rows(p, ks, n_max)
     columns = [np.repeat(ns, len(ks)), np.tile(ks, len(ns)), *values, overflow]
     _write(args.out, [_csv_table(LATTICE_HEADER, columns)])
     return EXIT_OK

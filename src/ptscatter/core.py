@@ -310,6 +310,21 @@ def _quotient(a: _PyComplex, b: _PyComplex) -> _PyComplex:
     return _PyComplex(re, im)
 
 
+def _split(x):
+    """Veltkamp's split: x = hi + lo exactly, each with at most 26 bits."""
+    c = 134217729.0 * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _two_product(x, y, xh, xl):
+    """(p, e): p = x*y rounded and p + e = x*y exactly (Dekker), given x's
+    split halves."""
+    p = x * y
+    yh, yl = _split(y)
+    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
 def _mapped(fn, *args, dtype=float) -> np.ndarray:
     """fn over columns element by element, on Python numbers, so that it
     rounds as Python does; a ``dtype`` column, NaN where fn raises.

@@ -236,14 +236,15 @@ def lattice_transfer(p: LatticeParams, ks, n_max: int | None = None):
 
 
 def lattice_rows(p: LatticeParams, ks, n_max: int):
-    """The ``lattice`` table over the k column ``ks`` for n = p.n..n_max, in
-    ``lattice_transfer``'s chunks of (n, k) rows, n major: (ns, values,
-    overflow), values the rows |t_lr| = 1/|T_RR|, |r_lr| = |T_LR|/|T_RR|,
-    |t_rl| = |t_lr| (det M = 1), |r_rl| = |T_RL|/|T_RR| (the np.longdouble
-    moduli of T^n, which the edge phases leave as they are) and Re and Im
-    det M, NaN where overflow is set.  det M = det(T)^n is CPython's complex
-    ** int of the cell's det, taken in Python's complex arithmetic from the
-    cell rounded to complex once, and NaN where Python raises OverflowError.
+    """The ``lattice`` table over the k column ``ks`` for n = p.n..n_max, its
+    (n, k) rows n major, joined from ``lattice_transfer``'s chunks: (ns,
+    values, overflow), ns the n and values the rows |t_lr| = 1/|T_RR|,
+    |r_lr| = |T_LR|/|T_RR|, |t_rl| = |t_lr| (det M = 1), |r_rl| = |T_RL|/|T_RR|
+    (the np.longdouble moduli of T^n, which the edge phases leave as they
+    are) and Re and Im det M, NaN where overflow is set.  det M = det(T)^n
+    is CPython's complex ** int of the cell's det, taken in Python's complex
+    arithmetic from the cell rounded to complex once, and NaN where Python
+    raises OverflowError.
     TransferOverflow names the first k where the rounded cell is not finite;
     then, in (n, k) order, a row that is not flagged raises TransmissionPole
     where |T_RR| < 1e-12 and TransferOverflow where a value is not finite."""
@@ -253,6 +254,7 @@ def lattice_rows(p: LatticeParams, ks, n_max: int):
         cells = cells.astype(complex)
     _raise_first([(~np.all(np.isfinite(cells), axis=(1, 2)), lambda i: TransferOverflow(OUT_OF_RANGE))], ks)
     dets = [rr * ll - rl * lr for rr, rl, lr, ll in cells.reshape(-1, 4).tolist()]
+    table = []
     for ns, _, overflow, size in chunks:
         size, overflow = size.reshape(-1, 4), overflow.ravel()
         with np.errstate(all="ignore"):
@@ -263,7 +265,8 @@ def lattice_rows(p: LatticeParams, ks, n_max: int):
         faults = [_pole(rr), (~np.all(np.isfinite(values), axis=0), lambda i: TransferOverflow(OUT_OF_RANGE))]
         _raise_first([(mask & ~overflow, make) for mask, make in faults], np.tile(ks, len(ns)))
         values[:, overflow] = np.nan
-        yield ns, values, overflow
+        table.append((ns, values, overflow))
+    return tuple(np.concatenate(part, axis=-1) for part in zip(*table))
 
 
 @_closed_form

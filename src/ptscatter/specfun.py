@@ -26,7 +26,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .core import COLUMN, _PyComplex, _quotient
+from .core import COLUMN, _PyComplex, _quotient, _split, _two_product
 from .errors import GammaPole, NonFiniteArgument, NumeratorPole, PrecisionLoss, TransferOverflow
 
 #: how close to a non-positive integer counts as sitting on a pole
@@ -58,21 +58,6 @@ _LOGPI = 1.1447298858494001741434262     # log(pi)
 
 
 # -- exact arithmetic the transcription needs --------------------------------------
-
-def _split(x):
-    """Veltkamp's split: x = hi + lo exactly, each with at most 26 bits."""
-    c = 134217729.0 * x
-    hi = c - (c - x)
-    return hi, x - hi
-
-
-def _two_product(x, y, xh, xl):
-    """(p, e): p = x*y rounded and p + e = x*y exactly (Dekker), given x's
-    split halves."""
-    p = x * y
-    yh, yl = _split(y)
-    return p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-
 
 def _two_sum(x, y):
     """(s, e): s = x + y rounded and s + e = x + y exactly (Knuth)."""

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import _split, _two_product
+
 _CPYTHON = {"%.17g": "%.17g".__mod__, "json": float.__repr__}
 _NAMES = {"%.17g": ("nan", "inf", "-inf", "0", "-0"),
           "json": ("NaN", "Infinity", "-Infinity", "0.0", "-0.0")}
@@ -35,7 +37,6 @@ _LOW, _HIGH = _P10[16], _P10[17]
 #: a tie or an interval edge nearer than this, in units of the 17th digit,
 #: is left to CPython; the scaled value is off by less than 1e-13
 _MARGIN = 1e-6
-_SPLIT = 134217729.0        # 2^27 + 1, Veltkamp's splitting constant
 _MANTISSA = np.uint64((1 << 52) - 1)
 
 # 10^q as a double-double hi + lo for |q| <= _Q, each q filled when first used
@@ -59,20 +60,11 @@ def _tens(q: np.ndarray):
     return _TEN_HI[q + _Q], _TEN_LO[q + _Q]
 
 
-def _split(v):
-    c = _SPLIT * v
-    hi = c - (c - v)
-    return hi, v - hi
-
-
 def _scaled(a, exp10):
     """a 10^(16 - exp10) as (Vi, f, 10^(16 - exp10)): an int64 column, one
     in [0, 1) and the power of ten rounded."""
     hi, lo = _tens(16 - exp10)
-    p = a * hi
-    ah, al = _split(a)
-    hh, hl = _split(hi)
-    err = ((ah * hh - p) + ah * hl + al * hh) + al * hl      # p + err = a hi exactly
+    p, err = _two_product(a, hi, *_split(a))      # p + err = a hi exactly
     whole = np.floor(p)
     t = (p - whole) + err + a * lo
     floor_t = np.floor(t)

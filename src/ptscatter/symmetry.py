@@ -31,8 +31,9 @@ SUITES = ("local", "p", "p_generalized", "t", "hermitian_t", "pt")
 class SymmetryClass:
     """Detected invariances of a potential (or kernel) at sampling tolerance.
 
-    ``parity_generalized`` and ``x0`` are found for local potentials only;
-    ``reality`` and ``symmetric_xy`` (K(x,y) = K(y,x)) for kernels only.
+    ``parity_generalized`` and ``x0`` are found for local potentials only,
+    ``reality`` for kernels only.  ``symmetric_xy`` (K(x,y) = K(y,x)) holds
+    for every local potential, a kernel V(x) delta(x - y).
     """
 
     hermitian: bool = False
@@ -101,9 +102,10 @@ SAMPLE_COUNT, CLASSIFY_TOL = 512, 1e-10
 def classify_local_potential(v: LocalPotential) -> SymmetryClass:
     """Flag the invariances of a local potential by symmetric sampling.
 
-    Hermiticity coincides with T invariance for local potentials.  The
-    generalised-parity search minimises max|V(x) - V(x0 - x)| over the
-    candidate shift x0 (skipped when plain parity already holds).
+    Hermiticity coincides with T invariance for local potentials, and every
+    local potential is symmetric in x and y.  The generalised-parity search
+    minimises max|V(x) - V(x0 - x)| over the candidate shift x0 (skipped
+    when plain parity already holds).
     """
     half = max(abs(v.x_left), abs(v.x_right)) * 1.05 + 0.5
     xs = np.linspace(-half, half, SAMPLE_COUNT)
@@ -139,17 +141,17 @@ def classify_local_potential(v: LocalPotential) -> SymmetryClass:
                 break
     return SymmetryClass(
         hermitian=t_flag, parity=p_flag, time_reversal=t_flag, pt=pt_flag,
-        parity_generalized=pg_flag, x0=x0,
+        parity_generalized=pg_flag, x0=x0, symmetric_xy=True,
     )
 
 
-def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool,
+def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, *,
                       tol: float = 1e-10, k=None) -> RelationReport:
     """Evaluate every relation suite switched on by the detected class.
 
-    ``local`` gates the intertwining-dependent relations (equality of the
-    two transmissions and the reflection/transmission phase locks), which
-    hold for local potentials but not for non-local kernels.  Relations
+    ``cls.symmetric_xy`` (every local potential, and kernels with
+    K(x,y) = K(y,x)) switches on reciprocity, T_lr = T_rl, and with
+    ``cls.pt`` the reflection/transmission phase locks.  Relations
     whose derivation presupposes non-vanishing S elements are reported as
     not applicable when any element is below tolerance.
 
@@ -183,7 +185,7 @@ def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool
                                           tolerance=tol, holds=applicable & (residual <= tol),
                                           applicable=applicable, suite=suite))
 
-        if local:
+        if cls.symmetric_xy:
             record("local", "local_equal_transmission", "T_lr = T_rl", modulus(t_lr - t_rl))
 
         if cls.parity:
@@ -223,7 +225,7 @@ def check_s_relations(s: ScatteringCoefficients, cls: SymmetryClass, local: bool
                    np.abs(modulus(t_lr) - modulus(t_rl)))
             record("pt", "pt_reflection_product_real", "Im(R_rl conj(R_lr)) = 0",
                    np.abs((r_rl * r_lr.conjugate()).imag))
-            if local:
+            if cls.symmetric_xy:
                 record("pt", "pt_local_equal_transmission", "T_lr = T_rl",
                        modulus(t_lr - t_rl))
                 record("pt", "pt_local_lr_phase_lock", "R_lr conj(T_lr) + conj(R_lr) T_lr = 0",

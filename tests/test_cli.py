@@ -231,8 +231,22 @@ class TestSymmetry:
         payload = json.loads(out.read_text())
         assert payload["class"]["pt"] is True
         assert payload["suites"]["pt"] == "holds"
-        # non-local: the local equality suite must not be evaluated
+        # not symmetric in x and y: the reciprocity relations are not evaluated
         assert all(not r["name"].startswith("local_") for r in payload["relations"])
+
+    def test_symmetric_yamaguchi_kernel_is_reciprocal(self, tmp_path):
+        """g = h and alpha = beta: K(x, y) = K(y, x) switches T_lr = T_rl on,
+        and with PT the phase locks, and they hold at every k."""
+        out = tmp_path / "sym.json"
+        assert run_cli(["symmetry", "--potential", "yamaguchi", "--gamma", "1", "--delta", "1",
+                        "--alpha", "0.3", "--beta", "0.3", "--kcount", "5", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["class"]["symmetric_xy"] is True
+        assert payload["suites"]["local"] == payload["suites"]["pt"] == "holds"
+        reciprocity = [r for r in payload["relations"] if r["name"] in (
+            "local_equal_transmission", "pt_local_equal_transmission",
+            "pt_local_lr_phase_lock", "pt_local_rl_phase_lock")]
+        assert len(reciprocity) == 4 * 5 and all(r["holds"] for r in reciprocity)
 
 
 class TestLattice:

@@ -130,8 +130,8 @@ ONE_K_CASES = {
                            lambda k: asymptotic_current(scarf_coefficients(SCARF, k), k)),
     "wronskian-residual": (wronskian_residual, lambda k: wronskian_residual(scarf_amplitudes(SCARF, k), k)),
     "relations": (check_s_relations, lambda k: check_s_relations(
-        scarf_coefficients(SCARF, k), SymmetryClass(pt=True, parity_generalized=True, x0=0.7),
-        local=True, k=k)),
+        scarf_coefficients(SCARF, k),
+        SymmetryClass(pt=True, parity_generalized=True, x0=0.7, symmetric_xy=True), k=k)),
 }
 #: the exported functions of k that take one k only
 ONE_K_ONLY = {"wavefunction_on_grid", "nonlocal_wavefunction"}
@@ -140,8 +140,8 @@ ONE_K_ONLY = {"wavefunction_on_grid", "nonlocal_wavefunction"}
 AT_K = {fn.__name__: call for fn, call in ONE_K_CASES.values()} | {
     "asymptotic_current": lambda k: asymptotic_current(scarf_coefficients(SCARF, 1.0), k),
     "wronskian_residual": lambda k: wronskian_residual(scarf_amplitudes(SCARF, 1.0), k),
-    "check_s_relations": lambda k: check_s_relations(scarf_coefficients(SCARF, 1.0), SymmetryClass(),
-                                                     local=True, k=k),
+    "check_s_relations": lambda k: check_s_relations(scarf_coefficients(SCARF, 1.0),
+                                                     SymmetryClass(symmetric_xy=True), k=k),
     "integrate_batch": lambda ks: integrate_batch(square_well_potential(WELL), ks),
     "numeric_coefficients": lambda k: numeric_coefficients(square_well_potential(WELL), k),
     "wavefunction_on_grid": lambda k: wavefunction_on_grid(square_well_potential(WELL), k),
@@ -338,20 +338,20 @@ class TestErrorsAtTheLowestFailingK:
 class TestRelationColumns:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(*[finite(-3, 3)] * 8), min_size=1, max_size=12),
-           st.sampled_from([SymmetryClass(pt=True),
-                            SymmetryClass(hermitian=True, time_reversal=True),
-                            SymmetryClass(parity=True, time_reversal=True),
-                            SymmetryClass(parity_generalized=True, x0=0.7)]),
+           st.sampled_from([dict(pt=True), dict(hermitian=True, time_reversal=True),
+                            dict(parity=True, time_reversal=True),
+                            dict(parity_generalized=True, x0=0.7)]),
            st.booleans())
-    def test_columns_equal_per_k_reports(self, rows, cls, local):
+    def test_columns_equal_per_k_reports(self, rows, flags, symmetric_xy):
+        cls = SymmetryClass(**flags, symmetric_xy=symmetric_xy)
         ks = np.linspace(0.3, 3.0, len(rows))
         per = [ScatteringCoefficients(complex(a, b), complex(c, d), complex(e, f), complex(g, h))
                for a, b, c, d, e, f, g, h in rows]
         grid = ScatteringCoefficients(*(np.array([getattr(s, n) for s in per]) for n in FIELDS))
-        relations = per_k(lambda k: check_s_relations(per[list(ks).index(k)], cls, local=local, k=k),
+        relations = per_k(lambda k: check_s_relations(per[list(ks).index(k)], cls, k=k),
                           ks, finite=bool)
         exact = per_k(lambda k: exact_asymptotic_pt_check(per[list(ks).index(k)]), ks, finite=bool)
-        for expected, call in ((relations, lambda: check_s_relations(grid, cls, local=local, k=ks)),
+        for expected, call in ((relations, lambda: check_s_relations(grid, cls, k=ks)),
                                (exact, lambda: exact_asymptotic_pt_check(grid))):
             if isinstance(expected, tuple):
                 assert_raises_like(call, expected)
@@ -383,11 +383,11 @@ class TestRelationColumns:
         s = ScatteringCoefficients(np.array([0.5 + 0j, 0.5, big]), np.zeros(3, complex),
                                    np.array([0.5 + 0j, big, big]), np.zeros(3, complex))
         with pytest.raises(TransferOverflow, match="a modulus or the phase") as info:
-            check_s_relations(s, SymmetryClass(), local=True, k=np.array([1.0, 2.0, 3.0]))
+            check_s_relations(s, SymmetryClass(symmetric_xy=True), k=np.array([1.0, 2.0, 3.0]))
         assert info.value.k == 2.0
         # a scalar k is the k of every column element
         with pytest.raises(TransferOverflow, match="a modulus or the phase") as info:
-            check_s_relations(s, SymmetryClass(), local=True, k=1.5)
+            check_s_relations(s, SymmetryClass(symmetric_xy=True), k=1.5)
         assert info.value.k == 1.5
 
 

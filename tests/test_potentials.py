@@ -384,8 +384,7 @@ class TestLatticeColumns:
         also where the printed det M carries the cell's rounding (on a
         lattice-mild-like sweep, 9,600 of its 12,000 rows)."""
         ks = np.linspace(0.4, 3.2, 30)
-        rows = list(lattice_rows(LatticeParams(SquareWellParams(1.0, v1, 0.5), a=0.5, n=1), ks, 400))
-        values, overflow = np.concatenate([r[1] for r in rows], axis=1), np.concatenate([r[2] for r in rows])
+        _, values, overflow = lattice_rows(LatticeParams(SquareWellParams(1.0, v1, 0.5), a=0.5, n=1), ks, 400)
         assert len(overflow) == 12000 and (v1 > 1 or not np.any(overflow))
         assert np.array_equal(values[2, ~overflow], values[0, ~overflow])
         assert np.count_nonzero((values[4] != 1) | (values[5] != 0)) > 1000

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptscatter import (
     CentrifugalParams,
@@ -46,10 +48,11 @@ class TestClassification:
         cls = classify_local_potential(pot)
         assert cls.hermitian and cls.parity and cls.time_reversal and cls.pt
         assert cls.parity_generalized and cls.x0 == 0.0
+        assert cls.symmetric_xy          # V(x) delta(x - y) is symmetric in x and y
 
     def test_complex_square_well_is_pt_only(self):
         cls = classify_local_potential(square_well_potential(PT_WELL))
-        assert cls.pt
+        assert cls.pt and cls.symmetric_xy
         assert not cls.parity and not cls.time_reversal and not cls.hermitian
         assert not cls.parity_generalized
 
@@ -82,7 +85,7 @@ class TestRelationSuites:
     def test_pt_square_well_suite(self):
         cls = classify_local_potential(square_well_potential(PT_WELL))
         s = square_well_coefficients(PT_WELL, 1.0)
-        report = check_s_relations(s, cls, local=True)
+        report = check_s_relations(s, cls)
         assert report.by_name("pt_inverse_conjugate").residual < 1e-10
         assert report.by_name("pt_local_equal_transmission").residual < 1e-14
         assert report.by_name("pt_unimodular_det").residual < 1e-10
@@ -94,7 +97,7 @@ class TestRelationSuites:
     def test_hermitian_scarf_unitarity_suite(self):
         cls = classify_local_potential(scarf_potential(ScarfParams(1.3, 0.7)))
         s = scarf_coefficients(ScarfParams(1.3, 0.7), 0.9)
-        report = check_s_relations(s, cls, local=True, tol=1e-9)
+        report = check_s_relations(s, cls, tol=1e-9)
         assert report.by_name("ht_unitarity").residual < 1e-9
         assert report.all_hold
 
@@ -104,7 +107,7 @@ class TestRelationSuites:
         cls = classify_local_potential(pot)
         # Poeschl-Teller-like: use the Scarf closed form at lam = 0
         s = scarf_coefficients(ScarfParams(1.3, 0.0), 0.9)
-        report = check_s_relations(s, cls, local=True, tol=1e-9)
+        report = check_s_relations(s, cls, tol=1e-9)
         assert report.by_name("p_equal_transmission").holds
         assert report.by_name("p_equal_reflection").holds
 
@@ -114,13 +117,13 @@ class TestRelationSuites:
         s = _shifted_well_smatrix(k)
         cls = classify_local_potential(square_well_potential(HERMITIAN_WELL, x0=2.0))
         assert cls.parity_generalized and abs(cls.x0 - 4.0) < 1e-6
-        report = check_s_relations(s, cls, local=True, k=k)
+        report = check_s_relations(s, cls, k=k)
         assert report.by_name("pg_equal_transmission").holds
         assert report.by_name("pg_reflection_phase").holds
         # a wrong centre breaks the phase relation
         wrong = SymmetryClass(hermitian=True, time_reversal=True,
-                              parity_generalized=True, x0=1.0)
-        bad = check_s_relations(s, wrong, local=True, k=k)
+                              parity_generalized=True, x0=1.0, symmetric_xy=True)
+        bad = check_s_relations(s, wrong, k=k)
         assert not bad.by_name("pg_reflection_phase").holds
 
     def test_generalized_parity_suite_needs_k(self):
@@ -130,21 +133,21 @@ class TestRelationSuites:
         s = _shifted_well_smatrix(k)
         cls = classify_local_potential(square_well_potential(HERMITIAN_WELL, x0=2.0))
         with pytest.raises(ValueError, match="generalised-parity suite .* needs the wave numbers k"):
-            check_s_relations(s, cls, local=True)
-        assert len(check_s_relations(s, cls, local=True, k=k).records) == 9
+            check_s_relations(s, cls)
+        assert len(check_s_relations(s, cls, k=k).records) == 9
 
     def test_asymmetric_nonlocal_pt_kernel(self):
-        """|det S| = 1 and |T_lr| = |T_rl| hold; T_lr = T_rl fails (non-local)."""
+        """|det S| = 1 and |T_lr| = |T_rl| hold; T_lr = T_rl fails (K(x, y) != K(y, x))."""
         kernel = SeparableKernel.yamaguchi(gamma=1.0, delta=2.0, alpha=0.3, beta=0.7, lam=1.0)
         c = nonlocal_coefficients(kernel, 1.0)
         s = c
         cls = SymmetryClass(pt=True)
-        report = check_s_relations(s, cls, local=False)
+        report = check_s_relations(s, cls)
         assert report.by_name("pt_unimodular_det").holds
         assert report.by_name("pt_transmission_moduli").holds
         assert report.by_name("pt_inverse_conjugate").holds
         assert report.all_hold
-        # the local-only equality genuinely fails here
+        # the equality of a symmetric kernel genuinely fails here
         assert abs(s.t_lr - s.t_rl) > 1e-3
         assert not any(r.name == "pt_local_equal_transmission" for r in report)
 
@@ -167,15 +170,15 @@ class TestRelationSuites:
             cls = classify_local_potential(pot)
             for k in np.linspace(0.2, 4.0, 50):
                 s = solver(float(k))
-                report = check_s_relations(s, cls, local=True, tol=1e-9)
+                report = check_s_relations(s, cls, tol=1e-9)
                 assert report.all_hold, (cls, k, [(r.name, r.residual) for r in report
                                                   if r.applicable and not r.holds])
 
     def test_tightening_tolerance_never_flips_to_true(self):
         cls = classify_local_potential(square_well_potential(PT_WELL))
         s = square_well_coefficients(PT_WELL, 1.0)
-        loose = check_s_relations(s, cls, local=True, tol=1e-6)
-        tight = check_s_relations(s, cls, local=True, tol=1e-12)
+        loose = check_s_relations(s, cls, tol=1e-6)
+        tight = check_s_relations(s, cls, tol=1e-12)
         for rl, rt in zip(loose, tight):
             if rl.applicable and not rl.holds:
                 assert not rt.holds
@@ -183,8 +186,8 @@ class TestRelationSuites:
     def test_reflectionless_marks_ratio_relations_not_applicable(self):
         c = centrifugal_coefficients(CentrifugalParams(2.0, 0.1), 1.0)
         s = c
-        cls = SymmetryClass(pt=True)
-        report = check_s_relations(s, cls, local=True)
+        cls = SymmetryClass(pt=True, symmetric_xy=True)
+        report = check_s_relations(s, cls)
         lock = report.by_name("pt_local_lr_phase_lock")
         assert not lock.applicable and math.isnan(lock.residual)
 
@@ -200,7 +203,7 @@ class TestHermitianKernel:
         cls = kernel_symmetry_class(kernel)
         assert cls.hermitian and not cls.time_reversal
         s = nonlocal_coefficients(kernel, self.KS)
-        report = check_s_relations(s, cls, local=False, k=self.KS)
+        report = check_s_relations(s, cls, k=self.KS)
         assert [r.name for r in report if r.suite == "hermitian_t"] == ["ht_unitarity",
                                                                        "ht_reflection_moduli"]
         assert np.all(report.by_name("ht_unitarity").residual < 1e-15)
@@ -212,9 +215,58 @@ class TestHermitianKernel:
         """beta = 0.7 alpha is not hermitian: forcing the flag shows it."""
         kernel = SeparableKernel.yamaguchi(gamma=1.0, delta=1.0, alpha=0.3, beta=0.21)
         s = nonlocal_coefficients(kernel, self.KS)
-        report = check_s_relations(s, SymmetryClass(hermitian=True), local=False, k=self.KS)
+        report = check_s_relations(s, SymmetryClass(hermitian=True), k=self.KS)
         assert not np.any(report.by_name("ht_unitarity").holds)
         assert report.suites["hermitian_t"] == "violated" and not report.all_hold
+
+
+#: the relations that K(x, y) = K(y, x) switches on, with PT for the last three
+RECIPROCITY = ("local_equal_transmission", "pt_local_equal_transmission",
+               "pt_local_lr_phase_lock", "pt_local_rl_phase_lock")
+
+
+def _kernel(form: str, width: float, alpha: float, beta: float, lam: float) -> SeparableKernel:
+    """A kernel with g = h: Yamaguchi with gamma = delta = width, or a generic
+    even form factor of that width."""
+    if form == "yamaguchi":
+        return SeparableKernel.yamaguchi(gamma=width, delta=width, alpha=alpha, beta=beta, lam=lam)
+    f = {"gauss": lambda x: np.exp(-width * x * x),
+         "lorentz": lambda x: (1 + width * x * x) ** -2.0}[form]
+    return SeparableKernel.from_form_factors(f, f, alpha=alpha, beta=beta, lam=lam)
+
+
+class TestSymmetricKernel:
+    """g = h and alpha = beta make K(x, y) = K(y, x): the class alone switches
+    reciprocity on, T_lr = T_rl, and with PT the phase locks."""
+
+    KS = np.linspace(0.2, 4.0, 12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(form=st.sampled_from(["yamaguchi", "gauss", "lorentz"]), width=st.floats(0.5, 2.0),
+           alpha=st.floats(-1.0, 1.0),
+           shift=st.one_of(st.just(0.0), st.floats(0.1, 1.0), st.floats(-1.0, -0.1)),
+           lam=st.one_of(st.floats(-2.0, -0.2), st.floats(0.2, 2.0)))
+    def test_symmetric_kernels_are_reciprocal(self, form, width, alpha, shift, lam):
+        kernel = _kernel(form, width, alpha, alpha + shift, lam)
+        cls = kernel_symmetry_class(kernel)
+        s = nonlocal_coefficients(kernel, self.KS)
+        report = check_s_relations(s, cls, k=self.KS)
+        reported = {r.name for r in report} & set(RECIPROCITY)
+        if shift == 0:
+            assert cls.symmetric_xy and cls.pt and reported == set(RECIPROCITY)
+            assert report.suites["local"] == report.suites["pt"] == "holds"
+            assert report.all_hold, [(r.name, r.residual) for r in report]
+        else:
+            assert not cls.symmetric_xy and not reported
+            forced = check_s_relations(s, SymmetryClass(**{**vars(cls), "symmetric_xy": True}),
+                                       k=self.KS)
+            assert forced.suites["local"] == "violated"
+
+    def test_locality_is_not_an_argument(self):
+        """A positional third argument is refused, not read as the tolerance."""
+        s = square_well_coefficients(PT_WELL, 1.0)
+        with pytest.raises(TypeError):
+            check_s_relations(s, classify_local_potential(square_well_potential(PT_WELL)), True)
 
 
 def _at(s: ScatteringCoefficients, i: int) -> ScatteringCoefficients:
@@ -235,10 +287,10 @@ class TestSuiteVerdicts:
     KS = np.linspace(0.5, 2.5, 5)
 
     @staticmethod
-    def per_k(s, cls, local, ks) -> tuple:
+    def per_k(s, cls, ks) -> tuple:
         verdicts, all_hold = dict.fromkeys(SUITES, "not-applicable"), True
         for i, k in enumerate(ks):
-            report = check_s_relations(_at(s, i), cls, local=local, k=float(k))
+            report = check_s_relations(_at(s, i), cls, k=float(k))
             all_hold &= all(r.holds for r in report if r.applicable)
             for suite in SUITES:
                 held = [r.holds for r in report if r.suite == suite and r.applicable]
@@ -254,30 +306,33 @@ class TestSuiteVerdicts:
         return [
             # the PT well holds its own class; a wrong class is violated
             (pt_well, classify_local_potential(square_well_potential(PT_WELL)), ks),
-            (pt_well, SymmetryClass(hermitian=True, parity=True, time_reversal=True), ks),
+            (pt_well, SymmetryClass(hermitian=True, parity=True, time_reversal=True,
+                                    symmetric_xy=True), ks),
             # T relations on a reflectionless S apply at no k
-            (reflectionless, SymmetryClass(time_reversal=True), ks),
+            (reflectionless, SymmetryClass(time_reversal=True, symmetric_xy=True), ks),
             # the phase locks apply on the well's half of the grid only
-            (_grid(pt_well, reflectionless), SymmetryClass(pt=True), np.concatenate([ks, ks])),
+            (_grid(pt_well, reflectionless), SymmetryClass(pt=True, symmetric_xy=True),
+             np.concatenate([ks, ks])),
             # unitary on one half and not on the other: violated
-            (_grid(hermitian_well, pt_well), SymmetryClass(hermitian=True, time_reversal=True),
+            (_grid(hermitian_well, pt_well),
+             SymmetryClass(hermitian=True, time_reversal=True, symmetric_xy=True),
              np.concatenate([ks, ks])),
             (shifted, SymmetryClass(hermitian=True, time_reversal=True, parity_generalized=True,
-                                    x0=4.0), ks),
+                                    x0=4.0, symmetric_xy=True), ks),
         ]
 
     def test_grid_verdicts_equal_the_per_k_loop(self):
         """Also on the one-k record of the grid's first k."""
         seen = set()
         for s, cls, ks in self.cases():
-            report = check_s_relations(s, cls, local=True, k=ks)
-            verdicts, all_hold = self.per_k(s, cls, True, ks)
+            report = check_s_relations(s, cls, k=ks)
+            verdicts, all_hold = self.per_k(s, cls, ks)
             assert report.suites == verdicts, cls
             assert list(report.suites) == list(SUITES)
             assert report.all_hold == all_hold
             seen.update(verdicts.values())
-            one = check_s_relations(_at(s, 0), cls, local=True, k=float(ks[0]))
-            assert (one.suites, one.all_hold) == self.per_k(s, cls, True, ks[:1])
+            one = check_s_relations(_at(s, 0), cls, k=float(ks[0]))
+            assert (one.suites, one.all_hold) == self.per_k(s, cls, ks[:1])
         assert seen == {"holds", "violated", "not-applicable"}
 
 
@@ -324,25 +379,24 @@ class TestRelationSuiteField:
         kernel = SeparableKernel.yamaguchi(gamma=1.0, delta=2.0, alpha=0.3, beta=0.7, lam=1.0)
         cases = [
             (classify_local_potential(square_well_potential(PT_WELL)),
-             square_well_coefficients(PT_WELL, k), True),
+             square_well_coefficients(PT_WELL, k)),
             (classify_local_potential(square_well_potential(HERMITIAN_WELL)),
-             square_well_coefficients(HERMITIAN_WELL, k), True),
+             square_well_coefficients(HERMITIAN_WELL, k)),
             (classify_local_potential(scarf_potential(ScarfParams(1.3, 0.7))),
-             scarf_coefficients(ScarfParams(1.3, 0.7), k), True),
-            (classify_local_potential(even), scarf_coefficients(ScarfParams(1.3, 0.0), k), True),
-            (classify_local_potential(square_well_potential(HERMITIAN_WELL, x0=2.0)),
-             shifted, True),
-            (SymmetryClass(hermitian=True, time_reversal=True, parity_generalized=True, x0=1.0),
-             shifted, True),
-            (SymmetryClass(pt=True), nonlocal_coefficients(kernel, k), False),
-            (SymmetryClass(pt=True), centrifugal_coefficients(cf, k), True),
-            (SymmetryClass(time_reversal=True), centrifugal_coefficients(cf, k), True),
+             scarf_coefficients(ScarfParams(1.3, 0.7), k)),
+            (classify_local_potential(even), scarf_coefficients(ScarfParams(1.3, 0.0), k)),
+            (classify_local_potential(square_well_potential(HERMITIAN_WELL, x0=2.0)), shifted),
+            (SymmetryClass(hermitian=True, time_reversal=True, parity_generalized=True, x0=1.0,
+                           symmetric_xy=True), shifted),
+            (SymmetryClass(pt=True), nonlocal_coefficients(kernel, k)),
+            (SymmetryClass(pt=True, symmetric_xy=True), centrifugal_coefficients(cf, k)),
+            (SymmetryClass(time_reversal=True, symmetric_xy=True), centrifugal_coefficients(cf, k)),
             (classify_local_potential(centrifugal_potential(cf)),
-             centrifugal_coefficients(cf, k), True),
+             centrifugal_coefficients(cf, k)),
         ]
         seen = set()
-        for cls, s, local in cases:
-            for r in check_s_relations(s, cls, local=local, k=k):
+        for cls, s in cases:
+            for r in check_s_relations(s, cls, k=k):
                 want = [suite for suite, prefix in self.PREFIXES.items()
                         if r.name.startswith(prefix)]
                 assert [r.suite] == want, (r.name, r.suite)
